@@ -139,42 +139,62 @@ def load_config(path) -> Experiment:
 
     dt = _get(cp, "solver", "dt", float)
     t_end = _get(cp, "solver", "t_end", float)
-    n_steps = max(1, int(round(t_end / dt))) if dt > 0 and t_end > 0 else 1
-    return Experiment(
-        mass=_get(cp, "scenario", "mass", float),
-        grid=SizeGrid(ds=_get(cp, "grid", "ds", float), n=_get(cp, "grid", "n", int)),
-        frag_eps=_get(cp, "kernel", "frag_eps", float, 0.0),
-        initial_kind=_get(cp, "initial", "kind", str, "monodisperse"),
-        initial_size=_get(cp, "initial", "size", float, 1.0),
-        initial_lam=_get(cp, "initial", "lam", float, 1.0),
-        dt=dt,
-        t_end=t_end,
-        output_every=_get(cp, "solver", "output_every", int, max(1, n_steps // 10)),
-        out_dir=_get(cp, "outputs", "dir", str, "out"),
-        field_x_lo=_get(cp, "field", "x_lo", float, 1e-3),
-        field_x_hi=_get(cp, "field", "x_hi", float, 20.0),
-        field_nx=_get(cp, "field", "nx", int, 64),
-        verify_x_hi=_get(cp, "verify", "x_hi", float, 5.0),
-        verify_nx=_get(cp, "verify", "nx", int, 40),
-        hj_residual_max=_get(cp, "verify", "hj_residual_max", float, 1e-2),
-        weak_residual_max=_get(cp, "verify", "weak_residual_max", float, 1e-2),
-        weak_x=_get(cp, "verify", "weak_x", _floats, (0.5, 1.0, 2.0)),
-        sto_replicas=_get(cp, "stochastic", "replicas", int, 100),
-        sto_volume=_get(cp, "stochastic", "volume", float, None),
-        sto_t_grid=_get(cp, "stochastic", "t_grid", _floats, (0.0, t_end)),
-        seed=_get(cp, "stochastic", "seed", int, 20240801),
-        conv_eps=_get(cp, "convergence", "eps_list", _floats, ()),
-        conv_x_lo=_get(cp, "convergence", "x_lo", float, 0.5),
-        conv_x_hi=_get(cp, "convergence", "x_hi", float, 5.0),
-        conv_nx=_get(cp, "convergence", "nx", int, 46),
-        conv_t_hi=_get(cp, "convergence", "t_hi", float, t_end),
-        char_paths=_get(cp, "characteristics", "n_paths", int, 2000),
-        char_dt=_get(cp, "characteristics", "dt", float, 1e-3),
-        char_t_end=_get(cp, "characteristics", "t_end", float, t_end),
-        char_x_lo=_get(cp, "characteristics", "x_lo", float, 0.5),
-        char_x_hi=_get(cp, "characteristics", "x_hi", float, 6.0),
-        char_record_every=_get(cp, "characteristics", "record_every", int, 1),
-    )
+    # building the grid and the run here turns a bad value into a ConfigError
+    # (exit 64) before any subcommand starts
+    try:
+        n_steps = max(1, int(round(t_end / dt))) if dt > 0 and t_end > 0 else 1
+        exp = Experiment(
+            mass=_get(cp, "scenario", "mass", float),
+            grid=SizeGrid(ds=_get(cp, "grid", "ds", float), n=_get(cp, "grid", "n", int)),
+            frag_eps=_get(cp, "kernel", "frag_eps", float, 0.0),
+            initial_kind=_get(cp, "initial", "kind", str, "monodisperse"),
+            initial_size=_get(cp, "initial", "size", float, 1.0),
+            initial_lam=_get(cp, "initial", "lam", float, 1.0),
+            dt=dt,
+            t_end=t_end,
+            output_every=_get(cp, "solver", "output_every", int, _default_stride(n_steps)),
+            out_dir=_get(cp, "outputs", "dir", str, "out"),
+            field_x_lo=_get(cp, "field", "x_lo", float, 1e-3),
+            field_x_hi=_get(cp, "field", "x_hi", float, 20.0),
+            field_nx=_get(cp, "field", "nx", int, 64),
+            verify_x_hi=_get(cp, "verify", "x_hi", float, 5.0),
+            verify_nx=_get(cp, "verify", "nx", int, 40),
+            hj_residual_max=_get(cp, "verify", "hj_residual_max", float, 1e-2),
+            weak_residual_max=_get(cp, "verify", "weak_residual_max", float, 1e-2),
+            weak_x=_get(cp, "verify", "weak_x", _floats, (0.5, 1.0, 2.0)),
+            sto_replicas=_get(cp, "stochastic", "replicas", int, 100),
+            sto_volume=_get(cp, "stochastic", "volume", float, None),
+            sto_t_grid=_get(cp, "stochastic", "t_grid", _floats, (0.0, t_end)),
+            seed=_get(cp, "stochastic", "seed", int, 20240801),
+            conv_eps=_get(cp, "convergence", "eps_list", _floats, ()),
+            conv_x_lo=_get(cp, "convergence", "x_lo", float, 0.5),
+            conv_x_hi=_get(cp, "convergence", "x_hi", float, 5.0),
+            conv_nx=_get(cp, "convergence", "nx", int, 46),
+            conv_t_hi=_get(cp, "convergence", "t_hi", float, t_end),
+            char_paths=_get(cp, "characteristics", "n_paths", int, 2000),
+            char_dt=_get(cp, "characteristics", "dt", float, 1e-3),
+            char_t_end=_get(cp, "characteristics", "t_end", float, t_end),
+            char_x_lo=_get(cp, "characteristics", "x_lo", float, 0.5),
+            char_x_hi=_get(cp, "characteristics", "x_hi", float, 6.0),
+            char_record_every=_get(cp, "characteristics", "record_every", int, 1),
+        )
+        _build_run(exp)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad value in {path}: {exc}") from exc
+    if exp.output_every < n_steps and n_steps % exp.output_every:
+        raise ConfigError(
+            f"[solver] output_every = {exp.output_every} does not divide the {n_steps} steps "
+            "of t_end / dt, so the snapshots would not be uniformly spaced in time"
+        )
+    return exp
+
+
+def _default_stride(n_steps: int) -> int:
+    """Largest divisor of ``n_steps`` up to a tenth of it: about ten uniform snapshots."""
+    stride = max(1, n_steps // 10)
+    while n_steps % stride:
+        stride -= 1
+    return stride
 
 
 def _say(quiet, *parts):
@@ -182,7 +202,8 @@ def _say(quiet, *parts):
         print(*parts)
 
 
-def _run_simulation(exp: Experiment):
+def _build_run(exp: Experiment):
+    """Initial distribution, scenario and solver config of the experiment."""
     initial = exp.initial_distribution()
     scenario = ScenarioParams.from_distribution(initial)
     config = SolverConfig(
@@ -192,6 +213,11 @@ def _run_simulation(exp: Experiment):
         spec=exp.kernel(),
         scenario=scenario,
     )
+    return initial, scenario, config
+
+
+def _run_simulation(exp: Experiment):
+    initial, scenario, config = _build_run(exp)
     return initial, scenario, config, simulate(config, initial)
 
 

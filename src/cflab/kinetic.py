@@ -7,6 +7,14 @@ suppressed outright (not redirected), so the discrete system conserves mass
 exactly instead of leaking it.  Fragmentation is binary on the integer grid:
 a parent in bin j splits into (k, j-k) with the Riemann weight ds carried by
 the split-point sum, and mass conservation is exact because s_k + s_{j-k} = s_j.
+
+The coagulation gain is a self-convolution of the mass-weighted counts.  Below
+``_FFT_MIN_BINS`` active bins it is summed directly; at and above it, it is a
+zero-padded real FFT, the O(n log n) convolution of the fast Smoluchowski
+solvers (Matveev, Smirnov & Tyrtyshnikov, J. Comput. Phys. 282, 2015).  The
+FFT result differs from the direct sum by roundoff, about 1e-15 relative to
+its largest entry; mass stays conserved to roundoff, because the gain and the
+loss run over the same pairs.
 """
 from __future__ import annotations
 
@@ -27,6 +35,16 @@ MASS_DRIFT_TOL = 1e-6
 
 #: Relative top-bin occupancy above which truncation is considered active.
 TOP_BIN_OCCUPANCY_TOL = 1e-9
+
+#: Active bins (cap - 1) from which the coagulation gain uses the FFT.  On a
+#: 2-core x86 host (numpy 2.4), np.convolve against rfft/irfft took 24 vs 30 us
+#: at 256 bins, 40 vs 40 us at 384, 61 vs 38 us at 512 and 2933 vs 218 us at
+#: 4095; both agreed to 8e-16 of the largest entry.
+_FFT_MIN_BINS = 512
+
+#: Rows of the coagulation pair sum that weak_form_rate evaluates at once; the
+#: temporaries then take O(rows * n) memory instead of O(n^2).
+_WEAK_FORM_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -102,7 +120,25 @@ def combined_rhs(dist: Distribution, spec: KernelSpec) -> np.ndarray:
     return _rhs(dist.counts, dist.grid, spec)
 
 
+def _self_convolution(w: np.ndarray) -> np.ndarray:
+    """``np.convolve(w, w)``: direct below ``_FFT_MIN_BINS`` entries, by FFT from there on."""
+    if w.size < _FFT_MIN_BINS:
+        return np.convolve(w, w)
+    size = 2 * w.size - 1
+    nfft = 1 << (size - 1).bit_length()
+    spectrum = np.fft.rfft(w, nfft)
+    return np.fft.irfft(spectrum * spectrum, nfft)[:size]
+
+
 def _coag_rates(counts: np.ndarray, grid: SizeGrid, spec: KernelSpec) -> np.ndarray:
+    """Truncated coagulation rates on the grid.
+
+    The gain is ``conv(w, w)`` of ``w = s N`` over the cap - 1 bins that can
+    still pair: summed directly below ``_FFT_MIN_BINS`` bins, by FFT at and
+    above it.  The FFT leaves roundoff of about 1e-15 times the largest gain,
+    also in bins whose exact gain is 0; ``_checked`` clips what that drives
+    below zero, and mass stays conserved to roundoff.
+    """
     n = grid.n
     cap = min(spec.truncation, n)
     w = grid.sizes * counts
@@ -110,7 +146,7 @@ def _coag_rates(counts: np.ndarray, grid: SizeGrid, spec: KernelSpec) -> np.ndar
     if cap < 2:
         return rate
     w_low = w[: cap - 1]
-    conv = np.convolve(w_low, w_low)  # conv[p] = sum over bins i+j = p+2
+    conv = _self_convolution(w_low)  # conv[p] = sum over bins i+j = p+2
     rate[1:cap] += 0.5 * conv[: cap - 1]
     csum = np.cumsum(w)
     partner = np.zeros(n)
@@ -257,11 +293,21 @@ def weak_form_rate(dist: Distribution, spec: KernelSpec, phi) -> float:
     N = dist.counts
     phi_s = np.asarray(phi(s), dtype=float)
 
+    # pair sum over (i, j) with i + j <= cap, a block of rows at a time.  Rows
+    # from i_lo on pair with no column past cap - i_lo; the block keeps one
+    # masked column more, so that at cap = n a single block sums the same
+    # n-by-n array, in the same order, as an unblocked sum would.
     w = s * N
-    pair_sum = s[:, None] + s[None, :]
-    allowed = (np.arange(1, n + 1)[:, None] + np.arange(1, n + 1)[None, :]) <= cap
-    gain = np.asarray(phi(pair_sum), dtype=float) - phi_s[:, None] - phi_s[None, :]
-    coag = 0.5 * float(np.sum(np.where(allowed, gain, 0.0) * np.outer(w, w)))
+    coag = 0.0
+    for lo in range(0, cap, _WEAK_FORM_ROWS):
+        hi = min(lo + _WEAK_FORM_ROWS, cap)
+        cols = cap - lo
+        i = np.arange(lo + 1, hi + 1)[:, None]
+        j = np.arange(1, cols + 1)[None, :]
+        pair = np.asarray(phi(s[lo:hi, None] + s[None, :cols]), dtype=float)
+        gain = pair - phi_s[lo:hi, None] - phi_s[None, :cols]
+        block = np.where(i + j <= cap, gain, 0.0) * np.outer(w[lo:hi], w[:cols])
+        coag += 0.5 * float(np.sum(block))
 
     if not spec.frag_enabled:
         return coag

@@ -92,6 +92,43 @@ class TestConfig:
     def test_usage_error_without_subcommand(self):
         assert main([]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("ds = 0.25", "ds = -1"),
+            ("n = 128", "n = 0"),
+            ("output_every = 50", "output_every = 0"),
+            ("dt = 1e-3", "dt = -1"),
+            # 200 steps in strides of 7 would end on a shorter last stride
+            ("output_every = 50", "output_every = 7"),
+        ],
+    )
+    def test_bad_value_is_usage_error_without_traceback(
+        self, workspace, tmp_path, capsys, command, old, new
+    ):
+        config, out = workspace
+        assert old in config.read_text()
+        bad = tmp_path / "bad_value.ini"
+        bad.write_text(config.read_text().replace(old, new))
+        assert main([command, "--config", str(bad), "--quiet"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_default_stride_divides_the_step_count(self, workspace, tmp_path):
+        """205 steps with no stride given: a tenth would be 20, the largest
+        divisor below it is 5, and verify runs on the uniform snapshots."""
+        config, out = workspace
+        text = config.read_text().replace("output_every = 50\n", "").replace(
+            "t_end = 0.2\n", "t_end = 0.205\n"
+        )
+        cfg = tmp_path / "default_stride.ini"
+        cfg.write_text(text)
+        assert load_config(cfg).output_every == 5
+        assert main(["simulate", "--config", str(cfg), "--quiet"]) == EXIT_OK
+        assert main(["verify", "--config", str(cfg), "--quiet"]) == EXIT_OK
+
 
 class TestSimulate:
     def test_success_writes_artifacts(self, workspace):

@@ -1,5 +1,8 @@
 """Deterministic solver: rate terms against brute-force references, exact
 conservation, stepping contracts, and the weak-form residual."""
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +25,8 @@ from cflab import (
     step,
     weak_form_residual,
 )
+from cflab import kinetic
+from cflab.kinetic import _coag_rates, _self_convolution, weak_form_rate
 from cflab.verification import frag_weak_coefficient, moment_ode_rhs_on_grid
 
 
@@ -55,6 +60,24 @@ def frag_reference(dist, spec):
             rate[k - 1] += pair_rate
             rate[j - k - 1] += pair_rate
     return rate
+
+
+def weak_form_reference(dist, spec, phi):
+    """Double loop over the pairs (i, j), i + j <= cap, and the splits (k, j-k)."""
+    g = dist.grid
+    n, s, N = g.n, g.sizes, dist.counts
+    cap = min(spec.truncation, n)
+    total = 0.0
+    for i in range(1, n + 1):
+        for j in range(1, cap - i + 1):
+            gain = phi(s[i - 1] + s[j - 1]) - phi(s[i - 1]) - phi(s[j - 1])
+            total += 0.5 * gain * s[i - 1] * s[j - 1] * N[i - 1] * N[j - 1]
+    for j in range(2, cap + 1):
+        for k in range(1, j):
+            loss = phi(s[j - 1]) - phi(s[k - 1]) - phi(s[j - k - 1])
+            b = frag_kernel(spec, s[k - 1], s[j - k - 1])
+            total -= 0.5 * g.ds * N[j - 1] * b * loss
+    return total
 
 
 counts_strategy = arrays(
@@ -109,6 +132,43 @@ class TestCoagulationRhs:
         np.testing.assert_allclose(
             coagulation_rhs(d, spec), coag_reference(d, spec), rtol=1e-12, atol=1e-12
         )
+
+
+class TestCoagulationFft:
+    """From ``_FFT_MIN_BINS`` active bins on, the gain is an FFT convolution."""
+
+    @pytest.mark.parametrize(
+        "n, truncation",
+        [
+            (kinetic._FFT_MIN_BINS + 1, kinetic._FFT_MIN_BINS + 1),
+            (kinetic._FFT_MIN_BINS + 90, kinetic._FFT_MIN_BINS + 20),
+        ],
+    )
+    def test_matches_bruteforce_above_crossover(self, n, truncation):
+        g = SizeGrid(ds=0.05, n=n)
+        spec = KernelSpec(frag_eps=0.0, truncation=truncation)
+        assert min(truncation, n) - 1 >= kinetic._FFT_MIN_BINS
+        rng = np.random.default_rng(17)
+        d = Distribution(g, rng.random(n) * np.exp(-g.sizes))
+        ref = coag_reference(d, spec)
+        got = _coag_rates(d.counts, g, spec)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_fft_matches_direct_convolution_at_4096(self):
+        w = np.random.default_rng(23).random(4096)
+        direct = np.convolve(w, w)
+        assert np.max(np.abs(_self_convolution(w) - direct)) <= 1e-12 * np.max(direct)
+
+    def test_fine_grid_run_conserves_mass_and_stays_nonnegative(self):
+        """FFT roundoff lands in bins whose exact gain is 0; clipping it must
+        keep every count >= 0 without moving the mass."""
+        g = SizeGrid(ds=1.0 / 128, n=4096)
+        d = Distribution(g, np.where(np.arange(1, 4097) == 128, 1.0, 0.0))
+        scen = ScenarioParams.from_distribution(d)
+        traj = simulate(make_config(g, eps=0.1, dt=1e-3, t_end=0.02, stride=1, scenario=scen), d)
+        assert traj.metadata["n_steps"] == 20
+        assert traj.metadata["max_mass_drift"] <= 1e-12
+        assert all(np.all(dist.counts >= 0.0) for dist in traj.distributions)
 
 
 class TestFragmentationRhs:
@@ -270,6 +330,34 @@ class TestWeakFormResidual:
         fine = level(0.25, 1e-3, 128)
         assert fine <= 1e-2
         assert coarse / fine >= 3.0
+
+    @pytest.mark.parametrize("rows", [None, 7])
+    @pytest.mark.parametrize("truncation", [200, 150])
+    def test_rate_matches_double_loop(self, monkeypatch, rows, truncation):
+        """200 bins is no multiple of the row block; a 7-row block makes
+        many blocks, and cap < n leaves blocks with no allowed pair."""
+        if rows is not None:
+            monkeypatch.setattr(kinetic, "_WEAK_FORM_ROWS", rows)
+        g = SizeGrid(ds=0.05, n=200)
+        spec = KernelSpec(frag_eps=0.3, truncation=truncation)
+        d = Distribution(g, np.random.default_rng(29).random(200) * np.exp(-g.sizes))
+        got = weak_form_rate(d, spec, lambda s: -np.expm1(-0.7 * np.asarray(s, float)))
+        ref = weak_form_reference(d, spec, lambda x: -math.expm1(-0.7 * x))
+        assert got == pytest.approx(ref, rel=1e-12)
+
+    def test_rate_memory_is_bounded_at_4096(self):
+        """Row blocks keep the pair sum far below the 4096^2 doubles (128 MB)
+        that a single n-by-n temporary would take."""
+        g = SizeGrid(ds=1.0 / 128, n=4096)
+        d = Distribution(g, np.exp(-g.sizes) * g.ds)
+        spec = KernelSpec.for_grid(g, frag_eps=0.1)
+        tracemalloc.start()
+        try:
+            weak_form_rate(d, spec, lambda s: -np.expm1(-np.asarray(s, float)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_needs_three_snapshots(self):
         g = SizeGrid(ds=1.0, n=8)
