@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -178,14 +176,13 @@ def load_config(path) -> Experiment:
             char_x_hi=_get(cp, "characteristics", "x_hi", float, 6.0),
             char_record_every=_get(cp, "characteristics", "record_every", int, 1),
         )
-        _build_run(exp)
+        _, scenario, _ = _build_run(exp)
+        try:
+            _solver_config(exp, scenario, exp.conv_t_hi, exp.frag_eps)
+        except ValueError as exc:
+            raise ValueError(f"[convergence] t_hi = {exp.conv_t_hi:g}: {exc}") from exc
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value in {path}: {exc}") from exc
-    if exp.output_every < n_steps and n_steps % exp.output_every:
-        raise ConfigError(
-            f"[solver] output_every = {exp.output_every} does not divide the {n_steps} steps "
-            "of t_end / dt, so the snapshots would not be uniformly spaced in time"
-        )
     return exp
 
 
@@ -202,18 +199,21 @@ def _say(quiet, *parts):
         print(*parts)
 
 
+def _solver_config(exp: Experiment, scenario, t_end: float, frag_eps: float) -> SolverConfig:
+    return SolverConfig(
+        dt=exp.dt,
+        t_end=t_end,
+        output_every=exp.output_every,
+        spec=KernelSpec.for_grid(exp.grid, frag_eps=frag_eps),
+        scenario=scenario,
+    )
+
+
 def _build_run(exp: Experiment):
     """Initial distribution, scenario and solver config of the experiment."""
     initial = exp.initial_distribution()
     scenario = ScenarioParams.from_distribution(initial)
-    config = SolverConfig(
-        dt=exp.dt,
-        t_end=exp.t_end,
-        output_every=exp.output_every,
-        spec=exp.kernel(),
-        scenario=scenario,
-    )
-    return initial, scenario, config
+    return initial, scenario, _solver_config(exp, scenario, exp.t_end, exp.frag_eps)
 
 
 def _run_simulation(exp: Experiment):
@@ -336,15 +336,6 @@ def strictly_decreasing(gaps) -> tuple:
     return True, ()
 
 
-def _thread_cap(n_jobs: int) -> int:
-    raw = os.environ.get("CF_LAB_THREADS", "")
-    try:
-        cap = int(raw) if raw else 4
-    except ValueError:
-        cap = 4
-    return max(1, min(n_jobs, cap))
-
-
 def cmd_convergence(exp: Experiment, out: Path, quiet: bool) -> int:
     eps_list = exp.conv_eps
     if len(eps_list) < 3 or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -354,19 +345,12 @@ def cmd_convergence(exp: Experiment, out: Path, quiet: bool) -> int:
     scenario = ScenarioParams.from_distribution(initial)
     x_grid = np.linspace(exp.conv_x_lo, exp.conv_x_hi, exp.conv_nx)
 
-    def run_eps(eps: float):
-        config = SolverConfig(
-            dt=exp.dt,
-            t_end=exp.conv_t_hi,
-            output_every=exp.output_every,
-            spec=KernelSpec.for_grid(exp.grid, frag_eps=eps),
-            scenario=scenario,
+    fields = [
+        field_from_trajectory(
+            simulate(_solver_config(exp, scenario, exp.conv_t_hi, eps), initial), x_grid
         )
-        traj = simulate(config, initial)
-        return field_from_trajectory(traj, x_grid)
-
-    with ThreadPoolExecutor(max_workers=_thread_cap(len(eps_list))) as pool:
-        fields = list(pool.map(run_eps, eps_list))
+        for eps in eps_list
+    ]
 
     times = fields[0].times
     starts = default_starts(scenario.m, exp.conv_t_hi, exp.conv_x_lo, exp.conv_x_hi, exp.char_paths)

@@ -49,7 +49,8 @@ _WEAK_FORM_ROWS = 128
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time-stepping parameters for one run."""
+    """Time-stepping parameters for one run; ``output_every`` must divide the
+    step count or reach past it, so snapshots are uniformly spaced in time."""
 
     dt: float
     t_end: float
@@ -64,6 +65,16 @@ class SolverConfig:
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
         if self.output_every < 1:
             raise ValueError(f"output stride must be >= 1, got {self.output_every}")
+        if self.output_every < self.n_steps and self.n_steps % self.output_every:
+            raise ValueError(
+                f"output stride {self.output_every} does not divide the {self.n_steps} steps "
+                "of t_end / dt, so the snapshots would not be uniformly spaced in time"
+            )
+
+    @property
+    def n_steps(self) -> int:
+        """``round(t_end / dt)``, at least 1; 0 for a run of zero length or step."""
+        return max(1, int(round(self.t_end / self.dt))) if self.t_end > 0 and self.dt > 0 else 0
 
 
 @dataclass(frozen=True)
@@ -216,11 +227,8 @@ def simulate(config: SolverConfig, initial: Distribution) -> Trajectory:
     exceeds TOP_BIN_OCCUPANCY_TOL, since either invalidates bound checks.
     """
     grid = initial.grid
-    if config.t_end > 0 and config.dt > 0:
-        n_steps = max(1, int(round(config.t_end / config.dt)))
-        dt = config.t_end / n_steps
-    else:
-        n_steps, dt = 0, 0.0
+    n_steps = config.n_steps
+    dt = config.t_end / n_steps if n_steps else 0.0
 
     m1_0 = initial.moment(1)
     mass_scale = m1_0 if m1_0 > 0 else 1.0

@@ -1,17 +1,25 @@
 """Stochastic particle simulator for the same truncated kernels the
 deterministic solver uses; an independent oracle for moment trajectories.
 
-Particle sizes are integer multiples of the grid step, so every merge and
-split conserves mass exactly in integer arithmetic.  Split points are drawn
-uniformly over the admissible grid pairs (k, j-k) and the per-particle
-breakup rate is the same split-point sum the deterministic solver
-discretizes, (ds/2) * (j-1) * (1 + eps * s_j): the two engines then realize
-the same finite system, and disagreement is a genuine bug signal rather
-than a discretization mismatch.
+A `ParticleSystem` holds R replicas of a finite volume V as an R x (n+1)
+matrix of bin counts, so every merge and split conserves mass exactly in
+integer arithmetic.  Each row keeps S1 = sum_j j c_j, S2 = sum_j j^2 c_j and
+its particle count, so total rates cost O(1) per replica and event.  Split
+points are uniform over the grid pairs (k, j-k) and a particle's breakup rate
+is the split-point sum the deterministic solver discretizes,
+(ds/2) * (j-1) * (1 + eps * s_j), so both engines realize the same finite
+system.  The clock runs on the majorant coagulation rate ds^2 (S1^2 - S2) / 2V;
+a merge past the truncation cap is drawn but executed as a null event
+(thinning, Eibeck & Wagner 2001), which reproduces the truncated kernel.
 
-Merges whose combined size exceeds the truncation cap are kept in the event
-clock but executed as null events (thinning), which reproduces the truncated
-kernel exactly.
+All replicas advance one event per vectorised step, without rejection.  The
+ordered pair of distinct particles, weighted s_i * s_l, is picked bin by bin:
+the first bin a with weight a (S1 - a) c_a, the second with weight
+b (c_b - [b == a]), each by inverse CDF on a row cumulative sum up to the
+largest bin occupied so far.  An event draws one exponential and three
+uniforms from its replica's own generator, in blocks that every replica
+refills at the same event, so a replica is bit-identical alone or in a batch
+of any size.
 """
 from __future__ import annotations
 
@@ -26,63 +34,46 @@ from .errors import AbsorbingStateError
 #: Highest empirical moment recorded by ensemble statistics (m0..m3).
 ENSEMBLE_MAX_MOMENT = 3
 
-_RNG_BLOCK = 4096
-
-
-class _StreamBuffer:
-    """Block-buffered draws from one generator; keeps the event loop cheap
-    without changing the stream order for a given seed."""
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self._uniform = np.empty(0)
-        self._expo = np.empty(0)
-        self._iu = 0
-        self._ie = 0
-
-    def uniform(self) -> float:
-        if self._iu >= self._uniform.size:
-            self._uniform = self.rng.random(_RNG_BLOCK)
-            self._iu = 0
-        v = self._uniform[self._iu]
-        self._iu += 1
-        return v
-
-    def exponential(self) -> float:
-        if self._ie >= self._expo.size:
-            self._expo = self.rng.standard_exponential(_RNG_BLOCK)
-            self._ie = 0
-        v = self._expo[self._ie]
-        self._ie += 1
-        return v
+#: Events per block of draws; the buffer holds 4 doubles per event and replica
+#: (1.6 MB for 200 replicas).
+_RNG_BLOCK = 256
 
 
 class ParticleSystem:
-    """Finite volume of particles with sizes on the grid.
+    """R replicas of the particles ``sizes`` (in grid steps), held as bin counts
+    ``counts[r, j]``; per-replica quantities are arrays with one entry per row.
 
-    Mutable by design: `gillespie_step` advances the system in place and
-    returns it together with the sampled waiting time.  Use ``copy()`` when a
-    functional snapshot is needed.  Exact integer sums of bin indices are
-    maintained incrementally so total event rates cost O(1) per event.
+    Mutable by design: `gillespie_step` advances every replica in place; use
+    ``copy()`` for a functional snapshot.  A single replica draws from
+    ``default_rng(seed)``; with ``replicas = R > 1``, replica r draws from
+    ``default_rng((seed, r))``, the stream of a single system seeded (seed, r).
     """
 
-    def __init__(self, grid: SizeGrid, volume: float, sizes, seed=0):
+    def __init__(self, grid: SizeGrid, volume: float, sizes, seed=0, replicas: int = 1):
         if not volume > 0:
             raise ValueError(f"volume must be positive, got {volume}")
-        bins = [int(b) for b in sizes]
-        if any(b < 1 or b > grid.n for b in bins):
+        if replicas < 1:
+            raise ValueError(f"need at least one replica, got {replicas}")
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if np.any((sizes < 1) | (sizes > grid.n)):
             raise ValueError("particle sizes must be grid multiples within the grid")
         self.grid = grid
         self.volume = float(volume)
-        self.particles = bins
-        self.rng = np.random.default_rng(seed)
-        self._buf = _StreamBuffer(self.rng)
-        self._sum_j = sum(bins)
-        self._sum_j2 = sum(b * b for b in bins)
-        self._j_bound = max(bins) if bins else 0
+        self._j = np.arange(grid.n + 1)
+        self.counts = np.tile(np.bincount(sizes, minlength=grid.n + 1), (replicas, 1))
+        self._s1 = self.counts @ self._j
+        self._s2 = self.counts @ self._j**2
+        self._n = self.counts.sum(axis=1)
+        self._top = int(sizes.max(initial=0))  # no replica holds a particle above this bin
+        seeds = [seed] if replicas == 1 else [(seed, r) for r in range(replicas)]
+        self._rngs = [np.random.default_rng(s) for s in seeds]
+        self._draws = np.empty((0, replicas, 4))
+        self._k = 0
 
     @classmethod
-    def from_distribution(cls, dist: Distribution, volume: float, seed=0) -> "ParticleSystem":
+    def from_distribution(
+        cls, dist: Distribution, volume: float, seed=0, replicas: int = 1
+    ) -> "ParticleSystem":
         """Deterministic largest-remainder rounding of volume * counts."""
         expected = volume * dist.counts
         base = np.floor(expected).astype(int)
@@ -92,144 +83,189 @@ class ParticleSystem:
         order = np.argsort(-remainder, kind="stable")
         base[order[:extras]] += 1
         sizes = np.repeat(np.arange(1, dist.grid.n + 1), base)
-        return cls(dist.grid, volume, sizes, seed=seed)
-
-    def __len__(self):
-        return len(self.particles)
+        return cls(dist.grid, volume, sizes, seed=seed, replicas=replicas)
 
     def copy(self) -> "ParticleSystem":
         return copy.deepcopy(self)
 
     @property
-    def mass_concentration(self) -> float:
-        """Total mass per unit volume, ds * sum(j) / V, exact in the integers."""
-        return self.grid.ds * self._sum_j / self.volume
+    def mass_concentration(self) -> np.ndarray:
+        """Total mass per unit volume, ds * S1 / V, exact in the integers."""
+        return self.grid.ds * self._s1 / self.volume
+
+    def sizes(self, replica: int = 0) -> np.ndarray:
+        """Sorted particle sizes of one replica, in grid steps."""
+        return np.repeat(self._j, self.counts[replica])
 
     def empirical_moments(self, k_max: int = ENSEMBLE_MAX_MOMENT) -> np.ndarray:
-        """(1/V) sum_i s_i^k for k = 0..k_max."""
-        j = np.asarray(self.particles, dtype=float)
-        s = j * self.grid.ds
-        return np.array([float(np.sum(s ** k)) / self.volume for k in range(k_max + 1)])
+        """(1/V) sum_i s_i^k for k = 0..k_max, one row per replica."""
+        return _moments(self.counts, self.grid.ds, self.volume, k_max)
 
-    def to_distribution(self) -> Distribution:
-        counts = np.bincount(self.particles, minlength=self.grid.n + 1)[1:].astype(float)
-        return Distribution(self.grid, counts / self.volume)
+    def to_distribution(self, replica: int = 0) -> Distribution:
+        return Distribution(self.grid, self.counts[replica, 1:] / self.volume)
 
-    # -- internal sampling helpers ------------------------------------------
+    def _next_draws(self) -> np.ndarray:
+        """One exponential and three uniforms per replica for its next event."""
+        if self._k == len(self._draws):
+            self._draws = np.empty((_RNG_BLOCK, len(self._rngs), 4))
+            for r, rng in enumerate(self._rngs):
+                self._draws[:, r, 0] = rng.standard_exponential(_RNG_BLOCK)
+                self._draws[:, r, 1:] = rng.random((_RNG_BLOCK, 3))
+            self._k = 0
+        self._k += 1
+        return self._draws[self._k - 1]
 
-    def _pick_size_biased(self) -> int:
-        n = len(self.particles)
-        bound = self._j_bound
-        while True:
-            idx = int(self._buf.uniform() * n)
-            if idx >= n:  # guard the measure-zero u == 1.0 edge
-                continue
-            if self._buf.uniform() * bound < self.particles[idx]:
-                return idx
+    def _keep(self, rows: np.ndarray):
+        """Drop the replicas outside the boolean mask ``rows``."""
+        self.counts = self.counts[rows]
+        self._s1, self._s2, self._n = self._s1[rows], self._s2[rows], self._n[rows]
+        self._rngs = [rng for rng, keep in zip(self._rngs, rows) if keep]
+        self._draws = self._draws[:, rows]
 
-    def _pick_breakup_biased(self, eps_ds: float) -> int:
-        n = len(self.particles)
-        bound = (self._j_bound - 1) * (1.0 + eps_ds * self._j_bound)
-        while True:
-            idx = int(self._buf.uniform() * n)
-            if idx >= n:
-                continue
-            j = self.particles[idx]
-            if self._buf.uniform() * bound < (j - 1) * (1.0 + eps_ds * j):
-                return idx
 
-    def _remove_two(self, i: int, l: int):
-        hi, lo = (i, l) if i > l else (l, i)
-        parts = self.particles
-        parts[hi] = parts[-1]
-        parts.pop()
-        parts[lo] = parts[-1]
-        parts.pop()
+def _moments(counts: np.ndarray, ds: float, volume: float, k_max: int = ENSEMBLE_MAX_MOMENT):
+    """Power sums sum_j j^k c_j, exact in the integers, scaled to (1/V) sum_i s_i^k."""
+    k = np.arange(k_max + 1)
+    sums = counts @ (np.arange(counts.shape[1])[:, None] ** k)
+    return sums * ds**k / volume
 
 
 def event_rates(sys: ParticleSystem, spec: KernelSpec):
-    """Exact (coagulation, fragmentation) total rates of the truncated system.
+    """Exact (coagulation, fragmentation) total rates of the truncated system,
+    one entry per replica.
 
     Coagulation: (1/V) sum over distinct pairs with in-cap combined size of
     s_i * s_l.  Fragmentation: sum over particles of the split-point sum
     (ds/2) * (j-1) * (1 + eps * s_j); sizes below 2*ds cannot split.
     """
-    if not sys.particles:
+    if np.any(sys._n == 0):
         raise ValueError("empty particle system has no events")
     ds = sys.grid.ds
     cap = min(spec.truncation, sys.grid.n)
-    counts = np.bincount(sys.particles)
-    b = np.arange(counts.size)
-    w = (b * counts).astype(float)
-    conv = np.convolve(w, w)
-    allowed_ordered = float(np.sum(conv[: cap + 1]))
-    self_pairs = float(sum(j * j for j in sys.particles if 2 * j <= cap))
+    w = sys._j * sys.counts
+    allowed_ordered = np.array([np.convolve(row, row)[: cap + 1].sum() for row in w])
+    half = sys._j[: cap // 2 + 1]
+    self_pairs = sys.counts[:, : half.size] @ half**2
     coag = ds * ds * (allowed_ordered - self_pairs) / (2.0 * sys.volume)
-    frag = _total_breakup_rate(sys, spec)
-    return coag, frag
-
-
-def _total_breakup_rate(sys: ParticleSystem, spec: KernelSpec) -> float:
-    if not spec.frag_enabled:
-        return 0.0
-    ds = sys.grid.ds
-    eps_ds = spec.frag_eps * ds
-    return 0.5 * ds * ((sys._sum_j - len(sys.particles)) + eps_ds * (sys._sum_j2 - sys._sum_j))
+    return coag, _proposal_rates(sys, spec)[1]
 
 
 def _proposal_rates(sys: ParticleSystem, spec: KernelSpec):
-    """O(1) rates used by the clock: coagulation ignores the cap (over-cap
-    proposals become null events), fragmentation is exact."""
+    """O(1) rates per replica used by the clock: coagulation ignores the cap
+    (over-cap proposals become null events), fragmentation is exact."""
     ds = sys.grid.ds
-    coag = ds * ds * (sys._sum_j * sys._sum_j - sys._sum_j2) / (2.0 * sys.volume)
-    return coag, _total_breakup_rate(sys, spec)
+    coag = ds * ds * (sys._s1 * sys._s1 - sys._s2) / (2.0 * sys.volume)
+    if not spec.frag_enabled:
+        return coag, np.zeros(coag.shape)
+    eps_ds = spec.frag_eps * ds
+    return coag, 0.5 * ds * ((sys._s1 - sys._n) + eps_ds * (sys._s2 - sys._s1))
 
 
-def _execute_event(sys: ParticleSystem, spec: KernelSpec, coag: float, total: float):
-    """Choose and apply one event; over-cap merges are applied as null events."""
+def _inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row, the column whose cumulative-weight interval holds u * total;
+    the target stays below the total, so a column of positive weight."""
+    cum = np.cumsum(weights, axis=1)
+    total = cum[:, -1]
+    target = np.minimum(u * total, np.nextafter(total, 0.0))
+    return (cum <= target[:, None]).sum(axis=1)
+
+
+def _execute_events(sys: ParticleSystem, spec: KernelSpec, coag, total, u):
+    """Choose and apply one event per replica; over-cap merges are null events.
+
+    ``u`` holds three uniforms per replica: the event type, the first bin, and
+    the second bin of a merge or the split point of a breakup.
+    """
     cap = min(spec.truncation, sys.grid.n)
-    if sys._buf.uniform() * total < coag:
-        i = sys._pick_size_biased()
-        l = sys._pick_size_biased()
-        while l == i:
-            i = sys._pick_size_biased()
-            l = sys._pick_size_biased()
-        ji, jl = sys.particles[i], sys.particles[l]
-        if ji + jl > cap:
-            return  # suppressed by the truncated kernel: null event
-        sys._remove_two(i, l)
-        merged = ji + jl
-        sys.particles.append(merged)
-        sys._sum_j2 += 2 * ji * jl
-        if merged > sys._j_bound:
-            sys._j_bound = merged
-    else:
-        eps_ds = spec.frag_eps * sys.grid.ds
-        i = sys._pick_breakup_biased(eps_ds)
-        j = sys.particles[i]
-        k = 1 + int(sys._buf.uniform() * (j - 1))
-        k = min(k, j - 1)
-        sys.particles[i] = k
-        sys.particles.append(j - k)
-        sys._sum_j2 -= 2 * k * (j - k)
+    j = sys._j[: sys._top + 1]
+    c = sys.counts[:, : j.size]
+    rows = np.arange(c.shape[0])
+    merge = u[:, 0] * total < coag
+    eps_ds = spec.frag_eps * sys.grid.ds
+    # the particle that merges or splits: weight a (S1 - a) c_a or (a-1)(1 + eps s_a) c_a
+    first = np.where(merge[:, None], j * (sys._s1[:, None] - j), (j - 1) * (1.0 + eps_ds * j))
+    a = _inverse_cdf(first * c, u[:, 1])
+    # its merge partner, any other particle: weight b (c_b - [b == a])
+    second = j * c
+    second[rows, a] -= a
+    b = _inverse_cdf(second, u[:, 2])
+    k = np.minimum(1 + (u[:, 2] * (a - 1)).astype(np.int64), a - 1)  # split a into k, a - k
+
+    joined = merge & (a + b <= cap)
+    split = ~merge
+    moved = joined | split
+    dn = np.where(joined, -1, split)  # particles gained; 0 for a null event
+    sys.counts[rows, a] -= moved
+    sys.counts[rows, np.where(merge, b, k)] += dn
+    sys.counts[rows, np.where(joined, a + b, a - k)] += moved
+    sys._n += dn
+    sys._s2 += 2 * np.where(merge, a * b * joined, -k * (a - k))
+    sys._top = max(sys._top, int(np.max(a + b, where=joined, initial=0)))
 
 
 def gillespie_step(sys: ParticleSystem, spec: KernelSpec):
-    """One event of the embedded Markov chain; returns (sys, waiting_time).
+    """One event of the embedded Markov chain in every replica; returns
+    (sys, waiting_times), one waiting time per replica.
 
     The system is advanced in place.  A merge whose combined size exceeds the
     cap advances the clock but leaves the state unchanged.  Runs with equal
     seeds and inputs reproduce the event sequence bit for bit.
     """
-    if not sys.particles:
+    if np.any(sys._n == 0):
         raise ValueError("empty particle system has no events")
     coag, frag = _proposal_rates(sys, spec)
     total = coag + frag
-    if total <= 0:
+    if np.any(total <= 0):
         raise AbsorbingStateError("total event rate is zero; the state is absorbing")
-    wait = sys._buf.exponential() / total
-    _execute_event(sys, spec, coag, total)
-    return sys, wait
+    draws = sys._next_draws()
+    _execute_events(sys, spec, coag, total, draws[:, 1:])
+    return sys, draws[:, 0] / total
+
+
+def _run(sys: ParticleSystem, spec: KernelSpec, t_grid, record_snapshots: bool = False):
+    """Advance every replica through ``t_grid``; returns the empirical moments
+    at each grid time, shape (R, T, 4), and, if asked, the bin counts, shape
+    (R, T, n+1).  A replica leaves the batch once its clock passes the last
+    grid time; an absorbing state (zero total rate) is frozen from then on.
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size == 0 or np.any(np.diff(t_grid) < 0):
+        raise ValueError("t_grid must be a nondecreasing, nonempty 1-d array")
+    replicas, width = sys.counts.shape
+    moments = np.empty((replicas, t_grid.size, ENSEMBLE_MAX_MOMENT + 1))
+    snaps = np.empty((replicas, t_grid.size, width), np.int64) if record_snapshots else None
+    grid_times = np.append(t_grid, np.inf)
+    ids = np.arange(replicas)  # replica of each remaining row
+    gi = np.zeros(replicas, dtype=np.intp)  # next grid time of each row
+    t = np.zeros(replicas)
+
+    def record(due):
+        moments[ids[due], gi[due]] = _moments(sys.counts[due], sys.grid.ds, sys.volume)
+        if snaps is not None:
+            snaps[ids[due], gi[due]] = sys.counts[due]
+        gi[due] += 1
+
+    for _ in range(np.searchsorted(t_grid, 0.0, side="right")):
+        record(np.ones(replicas, dtype=bool))
+    while True:
+        coag, frag = _proposal_rates(sys, spec)
+        total = coag + frag
+        draws = sys._next_draws()
+        wait = np.divide(draws[:, 0], total, out=np.full(total.shape, np.inf), where=total > 0)
+        t_next = t + wait
+        due = grid_times[gi] < t_next
+        while due.any():
+            record(due)  # the state on [t, t_next) is the pre-event state
+            due = grid_times[gi] < t_next
+        live = gi < t_grid.size
+        if not live.all():
+            sys._keep(live)
+            ids, gi, t_next = ids[live], gi[live], t_next[live]
+            coag, total, draws = coag[live], total[live], draws[live]
+            if ids.size == 0:
+                return moments, snaps
+        _execute_events(sys, spec, coag, total, draws[:, 1:])
+        t = t_next
 
 
 @dataclass(frozen=True)
@@ -254,40 +290,11 @@ def simulate_replica(
     A state with zero total rate is absorbing; remaining grid times then all
     see the frozen state.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0 or np.any(np.diff(t_grid) < 0):
-        raise ValueError("t_grid must be a nondecreasing, nonempty 1-d array")
     sys = ParticleSystem.from_distribution(initial, volume, seed=seed)
-    out = np.empty((t_grid.size, ENSEMBLE_MAX_MOMENT + 1))
-    snaps = [] if record_snapshots else None
-    t = 0.0
-    gi = 0
-
-    def record_current():
-        nonlocal gi
-        out[gi] = sys.empirical_moments()
-        if snaps is not None:
-            snaps.append(sys.to_distribution())
-        gi += 1
-
-    while gi < t_grid.size and t_grid[gi] <= t:
-        record_current()
-    while gi < t_grid.size:
-        coag, frag = _proposal_rates(sys, spec)
-        total = coag + frag
-        if total <= 0:
-            while gi < t_grid.size:
-                record_current()
-            break
-        wait = sys._buf.exponential() / total
-        t_next = t + wait
-        while gi < t_grid.size and t_grid[gi] < t_next:
-            record_current()  # state on [t, t_next) is the pre-event state
-        if gi >= t_grid.size:
-            break
-        _execute_event(sys, spec, coag, total)
-        t = t_next
-    return ReplicaResult(times=t_grid, moments=out, snapshots=None if snaps is None else tuple(snaps))
+    moments, snaps = _run(sys, spec, t_grid, record_snapshots)
+    if snaps is not None:
+        snaps = tuple(Distribution(initial.grid, row[1:] / sys.volume) for row in snaps[0])
+    return ReplicaResult(times=np.asarray(t_grid, dtype=float), moments=moments[0], snapshots=snaps)
 
 
 @dataclass(frozen=True)
@@ -310,19 +317,18 @@ def ensemble_moments(
 ) -> EnsembleMoments:
     """Sample mean and standard error of m0..m3 across independent replicas.
 
-    Replica r draws its stream from (seed, r), so the ensemble is reproducible
-    and replicas are independent regardless of execution order.  The default
-    volume targets about 10^4 initial particles.
+    Replica r draws its stream from (seed, r), the stream of
+    ``simulate_replica(..., seed=(seed, r))``, so the ensemble is reproducible
+    and replica r does not depend on the replica count.  All replicas run in
+    one lockstep batch.  The default volume targets about 10^4 initial
+    particles.
     """
     if replicas < 2:
         raise ValueError("need at least 2 replicas for a standard error")
     if volume is None:
         volume = 1e4 / initial.moment(0)
-    results = [
-        simulate_replica(initial, spec, t_grid, volume, seed=(seed, r)).moments
-        for r in range(replicas)
-    ]
-    stacked = np.stack(results)
+    sys = ParticleSystem.from_distribution(initial, volume, seed=seed, replicas=replicas)
+    stacked, _ = _run(sys, spec, t_grid)
     mean = stacked.mean(axis=0)
     stderr = stacked.std(axis=0, ddof=1) / np.sqrt(replicas)
     return EnsembleMoments(

@@ -116,6 +116,17 @@ class TestConfig:
         assert "Traceback" not in err
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    def test_convergence_stride_is_usage_error_without_traceback(self, workspace, tmp_path, capsys):
+        """[convergence] t_hi = 0.13 gives 130 steps, which the stride of 50 does
+        not divide: rejected at load time, before any run."""
+        config, out = workspace
+        bad = tmp_path / "bad_t_hi.ini"
+        bad.write_text(config.read_text().replace("nx = 24\n", "nx = 24\nt_hi = 0.13\n"))
+        assert main(["convergence", "--config", str(bad), "--quiet"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("config error:") and "t_hi" in err and err.count("\n") == 1
+
     def test_default_stride_divides_the_step_count(self, workspace, tmp_path):
         """205 steps with no stride given: a tenth would be 20, the largest
         divisor below it is 5, and verify runs on the uniform snapshots."""
@@ -206,9 +217,8 @@ class TestConvergence:
         bad.write_text(text)
         assert main(["convergence", "--config", str(bad), "--quiet"]) == EXIT_USAGE
 
-    def test_convergence_run(self, workspace, monkeypatch):
+    def test_convergence_run(self, workspace):
         config, out = workspace
-        monkeypatch.setenv("CF_LAB_THREADS", "2")
         assert main(["convergence", "--config", str(config), "--quiet"]) == EXIT_OK
         lines = (out / "convergence.csv").read_text().splitlines()
         assert lines[0] == "eps,sup_gap"

@@ -273,6 +273,19 @@ class TestSimulate:
         assert len(traj.snapshots) == 1
         np.testing.assert_array_equal(traj.distributions[0].counts, d.counts)
 
+    def test_stride_must_divide_the_step_count(self):
+        """300 steps in strides of 7 would end on a 6-step stride, which the
+        weak-form and Bernstein time derivatives reject; the config does."""
+        g = SizeGrid(ds=1.0, n=8)
+        with pytest.raises(ValueError, match="does not divide"):
+            make_config(g, dt=1e-3, t_end=0.3, stride=7)
+        d = Distribution(g, [1.0, 0, 0, 0, 0, 0, 0, 0])
+        for stride, n_snapshots in [(6, 51), (300, 2), (400, 2)]:
+            traj = simulate(make_config(g, dt=1e-3, t_end=0.3, stride=stride), d)
+            assert len(traj.snapshots) == n_snapshots
+            steps = np.diff(traj.times)
+            np.testing.assert_allclose(steps, steps[0], rtol=1e-9)
+
     def test_mass_drift_below_tolerance_and_halving_dt_shrinks_it(self):
         g = SizeGrid(ds=0.5, n=128)
         d = Distribution(g, np.where(g.sizes == 1.0, 1.0, 0.0))

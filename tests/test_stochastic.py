@@ -1,5 +1,7 @@
 """Stochastic particle engine: exact event rates, per-event conservation,
 reproducibility, and small cross-checks against the deterministic solver."""
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from cflab import (
     simulate,
     simulate_replica,
 )
+from cflab.stochastic import _execute_events, _proposal_rates, _run
 
 
 def system_of(sizes, ds=1.0, n=8, volume=1.0, seed=0):
@@ -72,10 +75,11 @@ class TestEventRates:
         assert coag == pytest.approx(0.0)
 
     def test_empty_system_rejected(self):
-        sys = system_of([1])
-        sys.particles.clear()
+        sys = system_of([])
         with pytest.raises(ValueError):
             event_rates(sys, KernelSpec(frag_eps=0.0, truncation=8))
+        with pytest.raises(ValueError):
+            gillespie_step(sys, KernelSpec(frag_eps=0.0, truncation=8))
 
 
 class TestGillespieStep:
@@ -90,7 +94,7 @@ class TestGillespieStep:
         mass0 = sys.mass_concentration
         for _ in range(200):
             gillespie_step(sys, spec)
-            assert sys.mass_concentration == mass0  # integer arithmetic: exact
+            assert np.array_equal(sys.mass_concentration, mass0)  # integer arithmetic: exact
 
     def test_seeded_runs_are_bit_reproducible(self):
         spec = KernelSpec(frag_eps=0.2, truncation=32)
@@ -100,8 +104,8 @@ class TestGillespieStep:
             waits = []
             for _ in range(50):
                 _, w = gillespie_step(sys, spec)
-                waits.append(w)
-            runs.append((waits, sorted(sys.particles)))
+                waits.append(float(w[0]))
+            runs.append((waits, sys.sizes().tolist()))
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
 
@@ -110,8 +114,10 @@ class TestGillespieStep:
         spec = KernelSpec(frag_eps=0.4, truncation=64)
         for _ in range(150):
             gillespie_step(sys, spec)
-        assert sys._sum_j == sum(sys.particles)
-        assert sys._sum_j2 == sum(j * j for j in sys.particles)
+        sizes = sys.sizes()
+        assert sys._s1[0] == sizes.sum()
+        assert sys._s2[0] == (sizes * sizes).sum()
+        assert sys._n[0] == sizes.size
 
     def test_truncation_null_events_leave_state_unchanged(self):
         """With every merge over the cap and no admissible split, steps only
@@ -120,25 +126,25 @@ class TestGillespieStep:
         spec = KernelSpec(frag_eps=0.0, truncation=4)
         # fragmentation of size 3 is admissible, so remove it from the picture
         # by checking only proposals that picked coagulation
-        before = sorted(sys.particles)
+        before = sys.sizes().tolist()
         merges = 0
         for _ in range(50):
             gillespie_step(sys, spec)
-            if len(sys.particles) < 2:
+            if sys.counts.sum() < 2:
                 break
-            if sorted(sys.particles) != before:
-                before = sorted(sys.particles)
+            if sys.sizes().tolist() != before:
+                before = sys.sizes().tolist()
                 merges += 1
-        assert all(j <= 4 for j in sys.particles)
+        assert all(j <= 4 for j in sys.sizes())
 
     def test_count_decreases_under_pure_coagulation(self):
         """With breakup switched off every event is a merge: count drops by one."""
         sys = system_of([1] * 40, n=64, volume=4.0, seed=8)
         spec = KernelSpec(frag_eps=0.0, truncation=64, frag_enabled=False)
-        counts = [len(sys)]
+        counts = [sys.counts.sum()]
         for _ in range(20):
             gillespie_step(sys, spec)
-            counts.append(len(sys))
+            counts.append(sys.counts.sum())
         assert all(b - a == -1 for a, b in zip(counts, counts[1:]))
 
 
@@ -147,7 +153,7 @@ class TestFromDistribution:
         g = SizeGrid(ds=1.0, n=8)
         d = make_initial("monodisperse", g, mass=1.0, size=1.0)
         sys = ParticleSystem.from_distribution(d, volume=1000.0, seed=0)
-        assert len(sys) == 1000
+        assert sys.counts.sum() == 1000
         assert sys.mass_concentration == pytest.approx(1.0)
 
     def test_roundtrip_through_distribution(self):
@@ -155,7 +161,7 @@ class TestFromDistribution:
         sys = ParticleSystem(g, volume=4.0, sizes=[1, 1, 2, 5], seed=0)
         d = sys.to_distribution()
         np.testing.assert_allclose(d.counts, np.array([2, 1, 0, 0, 1, 0, 0, 0]) / 4.0)
-        np.testing.assert_allclose(sys.empirical_moments(3), [d.moment(k) for k in range(4)])
+        np.testing.assert_allclose(sys.empirical_moments(3)[0], [d.moment(k) for k in range(4)])
 
 
 class TestReplicas:
@@ -225,3 +231,95 @@ class TestEnsemble:
         spec = KernelSpec.for_grid(g, 0.0, frag_enabled=False)
         ens = ensemble_moments(d, spec, [0.0, 0.1, 0.2], replicas=10, seed=4, volume=1000.0)
         assert np.all(np.diff(ens.mean[:, 0]) < 0)
+
+
+class TestLockstepEngine:
+    """All replicas advance in one batch on bin counts; these pin the batch to
+    the one-replica chain and the pair pick to the exact distribution."""
+
+    def test_batch_row_is_the_single_replica_stream(self):
+        """Replica r of a batch of any size is bit-identical to
+        simulate_replica(seed=(seed, r)) and to a gillespie_step replay of the
+        single system seeded (seed, r)."""
+        g = SizeGrid(ds=0.5, n=32)
+        d = make_initial("exponential", g, mass=1.0, lam=2.0)
+        spec = KernelSpec(frag_eps=0.3, truncation=24)  # over-cap merges occur
+        # about 400 events per replica: more than one block of draws
+        t_grid = np.array([0.0, 0.1, 0.2, 0.4])
+        volume = 1000.0
+        seed = 17
+        batches = {}
+        for replicas in (3, 5):
+            sys = ParticleSystem.from_distribution(d, volume, seed=seed, replicas=replicas)
+            batches[replicas], _ = _run(sys, spec, t_grid)
+        for r in range(3):
+            alone = simulate_replica(d, spec, t_grid, volume, seed=(seed, r)).moments
+            assert np.array_equal(alone, batches[3][r])
+            assert np.array_equal(alone, batches[5][r])
+
+            sys = ParticleSystem.from_distribution(d, volume, seed=(seed, r))
+            replay, t = [], 0.0
+            while len(replay) < t_grid.size:
+                before = sys.empirical_moments()[0]
+                _, wait = gillespie_step(sys, spec)
+                t += wait[0]
+                while len(replay) < t_grid.size and t_grid[len(replay)] < t:
+                    replay.append(before)  # the state on [t, t + wait) is the pre-event state
+            assert np.array_equal(np.array(replay), alone)
+
+    @pytest.mark.parametrize("sizes", [[1, 1, 3], [1, 1, 2, 2], [1, 2, 6]])
+    def test_pair_pick_matches_enumeration(self, sizes):
+        """Unordered bin pairs of a merge, read off a batch whose rows sweep
+        (u1, u2) over cell midpoints, against brute-force enumeration of
+        distinct particle pairs with weight s_i * s_l.
+
+        With S1^2 - S2 cells for u1 and a common multiple of every S1 - a for
+        u2, each cumulative-weight boundary falls on a cell edge, so the
+        frequencies are the engine's pick probabilities exactly."""
+        s1, s2 = sum(sizes), sum(j * j for j in sizes)
+        cells1, cells2 = s1 * s1 - s2, math.lcm(*(s1 - j for j in set(sizes)))
+        g = SizeGrid(ds=0.5, n=16)
+        spec = KernelSpec(frag_eps=0.2, truncation=16)  # every pair is in-cap
+        sys = ParticleSystem(g, 1.0, sizes, replicas=cells1 * cells2)
+        before = sys.counts.copy()
+        coag, frag = _proposal_rates(sys, spec)
+        u1, u2 = np.meshgrid(
+            (np.arange(cells1) + 0.5) / cells1, (np.arange(cells2) + 0.5) / cells2, indexing="ij"
+        )
+        u = np.column_stack([np.zeros(u1.size), u1.ravel(), u2.ravel()])  # u0 = 0: merge
+        _execute_events(sys, spec, coag, coag + frag, u)
+        lost = np.maximum(before - sys.counts, 0)  # the merged particles' bins
+        lo = np.argmax(lost > 0, axis=1)
+        hi = lost.shape[1] - 1 - np.argmax(lost[:, ::-1] > 0, axis=1)
+        engine = {}
+        for pair in zip(lo.tolist(), hi.tolist()):
+            engine[pair] = engine.get(pair, 0) + 1
+        exact = {}
+        for i in range(len(sizes)):
+            for l in range(i + 1, len(sizes)):
+                pair = tuple(sorted((sizes[i], sizes[l])))
+                exact[pair] = exact.get(pair, 0) + sizes[i] * sizes[l]
+        assert set(engine) == set(exact)
+        norm = sum(exact.values())
+        for pair, weight in exact.items():
+            assert engine[pair] / u1.size == pytest.approx(weight / norm, rel=1e-12), pair
+
+    def test_batch_conserves_mass_with_null_events(self):
+        """Every row keeps its mass exactly and its counts nonnegative over
+        many events; over-cap merges leave the row unchanged."""
+        g = SizeGrid(ds=0.25, n=16)
+        spec = KernelSpec(frag_eps=0.5, truncation=12)
+        sys = ParticleSystem(g, 2.0, [1, 2, 3, 5, 6, 6, 8, 12], seed=5, replicas=16)
+        j = np.arange(g.n + 1)
+        mass0 = sys.counts @ j
+        nulls = 0
+        for _ in range(400):
+            prior = sys.counts.copy()
+            gillespie_step(sys, spec)
+            assert np.all(sys.counts >= 0)
+            assert np.array_equal(sys.counts @ j, mass0)
+            assert np.array_equal(sys._s2, sys.counts @ j**2)
+            assert np.array_equal(sys._n, sys.counts.sum(axis=1))
+            assert not sys.counts[:, spec.truncation + 1 :].any()
+            nulls += int(np.sum(np.all(sys.counts == prior, axis=1)))
+        assert nulls > 0
