@@ -288,11 +288,18 @@ def hj_residual_grid(field: BernsteinField, scenario: ScenarioParams, eps: float
     return res
 
 
+def hj_residual_worst(field: BernsteinField, scenario: ScenarioParams, eps: float) -> tuple:
+    """(max |residual|, t, x) over interior snapshot times and x > 0."""
+    res = hj_residual_grid(field, scenario, eps)
+    cols = np.flatnonzero(field.x > 0)
+    interior = np.abs(res[1:-1, cols])
+    i, j = np.unravel_index(int(np.argmax(interior)), interior.shape)
+    return float(interior[i, j]), float(field.times[1 + i]), float(field.x[cols[j]])
+
+
 def hj_residual(field: BernsteinField, scenario: ScenarioParams, eps: float) -> float:
     """Max |residual| over interior snapshot times and x > 0."""
-    res = hj_residual_grid(field, scenario, eps)
-    interior = res[1:-1, field.x > 0]
-    return float(np.max(np.abs(interior)))
+    return hj_residual_worst(field, scenario, eps)[0]
 
 
 def g_eps_bound_check(field: BernsteinField, scenario: ScenarioParams, T: float) -> bool:

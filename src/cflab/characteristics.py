@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .bernstein import BernsteinField
 from .core import Distribution
@@ -274,13 +273,47 @@ def _interp_fan(fan, x_query, t, values):
             covered=(float(xs[0]), float(xs[-1])),
             required=(float(xq.min()), float(xq.max())),
         )
-    out = PchipInterpolator(xs, vs)(np.clip(xq, xs[0], xs[-1]))
+    out = _pchip(xs, vs, np.clip(xq, xs[0], xs[-1]))[0]
     return float(out[0]) if scalar else out
+
+
+def _pchip(xs, ys, xq):
+    """Value and first derivative at ``xq`` of the monotone piecewise cubic
+    through (xs, ys) of Fritsch & Carlson (SIAM J. Numer. Anal. 17, 1980), with
+    the node slopes of scipy's PchipInterpolator; queries outside
+    [xs[0], xs[-1]] extend the end cubics."""
+    h = np.diff(xs)
+    secant = np.diff(ys) / h
+    if xs.size == 2:
+        slope = np.full(2, secant[0])
+    else:
+        # inside: weighted harmonic mean of the secants, 0 where they change sign or vanish
+        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+        flat = (np.sign(secant[1:]) != np.sign(secant[:-1])) | (secant[1:] == 0) | (secant[:-1] == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = 1.0 / ((w1 / secant[:-1] + w2 / secant[1:]) / (w1 + w2))
+        slope = np.empty_like(ys)
+        slope[1:-1] = np.where(flat, 0.0, inner)
+        # ends: one-sided three-point rule, limited to keep the shape
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], secant[[0, -1]], secant[[1, -2]]
+        d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        keep = np.sign(d) == np.sign(m0)
+        limit = keep & (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+        slope[[0, -1]] = np.where(keep, np.where(limit, 3.0 * m0, d), 0.0)
+    # Hermite cubic on [xs[k], xs[k+1]] in local power form, s = x - xs[k]
+    t = (slope[:-1] + slope[1:] - 2.0 * secant) / h
+    c2 = (secant - slope[:-1]) / h - t
+    c3 = t / h
+    k = np.clip(np.searchsorted(xs, xq, side="right") - 1, 0, xs.size - 2)
+    s = xq - xs[k]
+    value = ys[k] + slope[k] * s + c2[k] * (s * s) + c3[k] * (s * s * s)
+    deriv = slope[k] + (2.0 * c2[k]) * s + (3.0 * c3[k]) * (s * s)
+    return value, deriv
 
 
 def fan_to_field(fan: CharacteristicFan, x_grid: np.ndarray, times=None) -> BernsteinField:
     """Reconstructed field on a fixed x-grid; Fxx comes from the derivative of
-    the monotone interpolant of (X, P)."""
+    the monotone interpolant of (X, P), which extends past the surviving paths."""
     times = fan.times if times is None else np.asarray(times, dtype=float)
     x = np.asarray(x_grid, dtype=float)
     F = np.empty((times.size, x.size))
@@ -290,9 +323,7 @@ def fan_to_field(fan: CharacteristicFan, x_grid: np.ndarray, times=None) -> Bern
         i = fan.time_index(t)
         live = fan.alive[i]
         F[r] = reconstruct(fan, x, t)
-        interp_p = PchipInterpolator(fan.x[i, live], fan.p[i, live])
-        Fx[r] = interp_p(x)
-        Fxx[r] = interp_p.derivative()(x)
+        Fx[r], Fxx[r] = _pchip(fan.x[i, live], fan.p[i, live], x)
     return BernsteinField(x=x, times=times, F=F, Fx=Fx, Fxx=Fxx, m=fan.m)
 
 

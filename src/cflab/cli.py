@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import csvio
-from .bernstein import field_from_trajectory, cm_exact_report, hj_residual, hj_residual_grid
+from .bernstein import field_from_trajectory, cm_exact_report, hj_residual_grid, hj_residual_worst
 from .characteristics import default_starts, fan_to_field, integrate_fan, transform_of
 from .core import Distribution, KernelSpec, ScenarioParams, SizeGrid, make_initial
 from .errors import (
@@ -274,17 +274,16 @@ def cmd_verify(exp: Experiment, out: Path, quiet: bool) -> int:
         return EXIT_SOLVER_ABORT
     field = field_from_trajectory(traj, _verify_x_grid(exp))
 
-    cm_worst = None
-    for dist in traj.distributions:
-        rep = cm_exact_report(dist, k_max=6)
-        if cm_worst is None or rep.worst_value < cm_worst.worst_value:
-            cm_worst = rep
+    cm_t, cm_worst = min(
+        ((t, cm_exact_report(dist, k_max=6)) for t, dist in traj.snapshots),
+        key=lambda pair: pair[1].worst_value,
+    )
     reports.append(
         BoundReport(
             "complete_monotonicity_exact",
             cm_worst.worst_value / max(scenario.m, 1e-300),
             1e-8,
-            (float(cm_worst.worst_x), f"k={cm_worst.worst_k}"),
+            (float(cm_t), cm_worst.worst_x),
         )
     )
     if exp.t_end < scenario.t_star:
@@ -293,13 +292,13 @@ def cmd_verify(exp: Experiment, out: Path, quiet: bool) -> int:
         g_margin = float((bound - np.max(np.abs(field.g_eps))) / bound)
         reports.append(BoundReport("g_eps_bound", g_margin, 1e-2, (float(exp.t_end), "sup|G|")))
     if field.times.size >= 3:
-        res = hj_residual(field, scenario, exp.frag_eps)
+        res, res_t, res_x = hj_residual_worst(field, scenario, exp.frag_eps)
         reports.append(
             BoundReport(
                 "hj_residual",
                 float((exp.hj_residual_max - res) / exp.hj_residual_max),
                 0.0,
-                (float(exp.t_end), f"max {res:.3e}"),
+                (res_t, res_x),
             )
         )
         worst_weak = max(

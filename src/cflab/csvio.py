@@ -30,14 +30,36 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+def _row_template(kinds) -> str:
+    """One ``%`` template printing a row of these cell types as ``_fmt`` prints
+    each cell, or "" for a row holding a string, which needs csv quoting."""
+    if any(issubclass(kind, str) for kind in kinds):
+        return ""
+    cells = ("%d" if issubclass(kind, (bool, np.bool_, int, np.integer)) else "%.17g" for kind in kinds)
+    return ",".join(cells) + "\r\n"
+
+
 def write_rows(path, header, rows):
+    """Header and rows as CSV with the CRLF line ends of ``csv.writer``.
+
+    Numeric rows are formatted whole by one template per sequence of cell
+    types; rows holding strings go through ``csv.writer``.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    templates = {}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            if kinds not in templates:
+                templates[kinds] = _row_template(kinds)
+            if templates[kinds]:
+                fh.write(templates[kinds] % row)
+            else:
+                writer.writerow([_fmt(v) for v in row])
 
 
 def write_trajectory_csv(path, traj: Trajectory):
@@ -79,30 +101,18 @@ def write_snapshot_csv(path, dist):
 
 def write_field_csv(path, field: BernsteinField, residual: np.ndarray | None = None):
     """Long-format field export: one row per (t, x)."""
-    rows = []
-    for it, t in enumerate(field.times):
-        for ix, x in enumerate(field.x):
-            g = np.nan if field.g_eps is None else field.g_eps[it, ix]
-            r = np.nan if residual is None else residual[it, ix]
-            rows.append((x, t, field.F[it, ix], field.Fx[it, ix], field.Fxx[it, ix], g, r))
-    write_rows(path, ["x", "t", "F", "Fx", "Fxx", "G_eps", "residual"], rows)
+    nan = np.full(field.F.size, np.nan)
+    cols = (np.tile(field.x, field.times.size), np.repeat(field.times, field.x.size),
+            field.F.ravel(), field.Fx.ravel(), field.Fxx.ravel(),
+            nan if field.g_eps is None else field.g_eps.ravel(),
+            nan if residual is None else residual.ravel())
+    write_rows(path, ["x", "t", "F", "Fx", "Fxx", "G_eps", "residual"], zip(*(c.tolist() for c in cols)))
 
 
 def write_fan_csv(path, fan: CharacteristicFan):
-    rows = []
-    for it, t in enumerate(fan.times):
-        for jp in range(fan.n_paths):
-            rows.append(
-                (
-                    fan.starts[jp],
-                    t,
-                    fan.x[it, jp],
-                    fan.p[it, jp],
-                    fan.z[it, jp],
-                    not fan.alive[it, jp],
-                )
-            )
-    write_rows(path, ["start_x", "t", "X", "P", "Z", "terminated"], rows)
+    cols = (np.tile(fan.starts, fan.times.size), np.repeat(fan.times, fan.n_paths),
+            fan.x.ravel(), fan.p.ravel(), fan.z.ravel(), ~fan.alive.ravel())
+    write_rows(path, ["start_x", "t", "X", "P", "Z", "terminated"], zip(*(c.tolist() for c in cols)))
 
 
 def write_ensemble_csv(path, ens: EnsembleMoments):

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .bernstein import BernsteinField, _time_derivative
 from .core import ScenarioParams
@@ -181,22 +180,15 @@ def moment_ode_rhs_on_grid(moments, eps: float, k: int, ds: float) -> float:
 
 
 def a_priori_cap(m: float, eps: float, k: int = 2) -> float:
-    """Largest possible value of m2^2 - (eps/6) m2^3 / m^2 over m2 >= 0,
-    found by scalar maximization; it bounds dm2/dt for the perturbed system."""
+    """Largest value 16 m^4 / (3 eps^2) of m2^2 - (eps/6) m2^3 / m^2 over m2 >= 0,
+    reached at m2 = 4 m^2 / eps; it bounds dm2/dt for the perturbed system."""
     if k != 2:
         raise ValueError("only the second-moment cap has a closed operation")
     if not eps > 0:
         raise ValueError("the cap exists only for a positive perturbation")
     if not m > 0:
         raise ValueError(f"mass must be positive, got {m}")
-    y_scale = m ** 2 / eps
-    result = minimize_scalar(
-        lambda y: -(y ** 2 - (eps / 6.0) * y ** 3 / m ** 2),
-        bounds=(0.0, 8.0 * y_scale),
-        method="bounded",
-        options={"xatol": 1e-12 * y_scale},
-    )
-    return float(-result.fun)
+    return 16.0 * m ** 4 / (3.0 * eps ** 2)
 
 
 def time_derivative_bound(m: float, t_star: float, T: float) -> float:

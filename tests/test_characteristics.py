@@ -20,7 +20,7 @@ from cflab import (
     SizeGrid,
     make_initial,
 )
-from cflab.characteristics import CharacteristicFan, reconstruct_slope
+from cflab.characteristics import CharacteristicFan, _pchip, reconstruct_slope
 
 
 class TestCharRhs:
@@ -212,3 +212,49 @@ class TestDefaultStarts:
     def test_too_few_paths(self):
         with pytest.raises(ValueError):
             default_starts(1.0, 0.3, 0.5, 5.0, 1)
+
+
+def _readme_fan():
+    """The fan `cflab characteristics` integrates for the README example config."""
+    initial = make_initial("monodisperse", SizeGrid(ds=0.25, n=128), mass=1.0, size=1.0)
+    starts = default_starts(1.0, 0.3, 0.5, 6.0, 2000)
+    return integrate_fan(transform_of(initial), starts, 0.3, 1e-3, 1.0, record_every=6)
+
+
+@pytest.fixture(scope="module")
+def pchip_cases():
+    rng = np.random.default_rng(20240801)
+    fan = _readme_fan()
+    live = fan.alive[-1]
+    xs = np.cumsum(rng.uniform(0.01, 1.0, 60))
+    return {
+        "readme_fan_z": (fan.x[-1, live], fan.z[-1, live]),
+        "readme_fan_p": (fan.x[-1, live], fan.p[-1, live]),
+        "random_increasing": (xs, np.cumsum(rng.uniform(0.0, 2.0, 60))),
+        # rounding makes flat segments; the normal draws change slope sign often
+        "flat_and_sign_changes": (xs, np.round(rng.normal(0.0, 2.0, 60))),
+        "two_points": (np.array([0.5, 2.0]), np.array([1.0, -3.0])),
+        "three_points": (np.array([0.5, 0.7, 2.0]), np.array([1.0, 4.0, 3.5])),
+    }
+
+
+class TestPchip:
+    """The numpy PCHIP against scipy's PchipInterpolator as the reference."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["readme_fan_z", "readme_fan_p", "random_increasing", "flat_and_sign_changes",
+         "two_points", "three_points"],
+    )
+    def test_matches_scipy_pchip(self, pchip_cases, name):
+        from scipy.interpolate import PchipInterpolator
+
+        xs, ys = pchip_cases[name]
+        span = xs[-1] - xs[0]
+        # the nodes, points between them, and extrapolation past both ends
+        xq = np.concatenate([xs, np.linspace(xs[0] - 0.3 * span, xs[-1] + 0.3 * span, 997)])
+        reference = PchipInterpolator(xs, ys)
+        value, slope = _pchip(xs, ys, xq)
+        ref_value, ref_slope = reference(xq), reference.derivative()(xq)
+        np.testing.assert_allclose(value, ref_value, rtol=0, atol=1e-14 * np.abs(ref_value).max())
+        np.testing.assert_allclose(slope, ref_slope, rtol=0, atol=1e-14 * np.abs(ref_slope).max())

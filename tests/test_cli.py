@@ -1,6 +1,16 @@
 """Command line front end: exit-code contract, artifact schemas, determinism."""
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+import cflab
+
+from cflab.bernstein import cm_exact_report, field_from_trajectory, hj_residual_grid
 from cflab.cli import (
     EXIT_BOUND_VIOLATION,
     EXIT_DATA,
@@ -9,6 +19,8 @@ from cflab.cli import (
     EXIT_SOLVER_ABORT,
     EXIT_USAGE,
     load_config,
+    _run_simulation,
+    _verify_x_grid,
     main,
     strictly_decreasing,
 )
@@ -203,6 +215,33 @@ class TestVerify:
         assert "hj_residual" in names
 
 
+    def test_report_locations_are_the_true_worst(self, workspace):
+        """hj_residual reports the argmax (t, x) of the residual grid over
+        interior times and x > 0; complete_monotonicity_exact reports the
+        snapshot time and the x of its smallest signed derivative."""
+        config, out = workspace
+        assert main(["simulate", "--config", str(config), "--quiet"]) == EXIT_OK
+        main(["verify", "--config", str(config), "--quiet"])
+        with open(out / "verify_report.csv", newline="") as fh:
+            rows = {row["name"]: row for row in csv.DictReader(fh)}
+
+        exp = load_config(config)
+        _, scenario, _, traj = _run_simulation(exp)
+        field = field_from_trajectory(traj, _verify_x_grid(exp))
+        res = np.abs(hj_residual_grid(field, scenario, exp.frag_eps))
+        res[0] = res[-1] = -np.inf  # one-sided time rows
+        res[:, field.x <= 0] = -np.inf
+        i, j = np.unravel_index(np.nanargmax(res), res.shape)
+        assert 0 < i < field.times.size - 1
+        assert float(rows["hj_residual"]["t"]) == field.times[i]
+        assert float(rows["hj_residual"]["x_or_k"]) == field.x[j]
+
+        cm = [(cm_exact_report(dist, k_max=6), t) for t, dist in traj.snapshots]
+        rep, t = min(cm, key=lambda pair: pair[0].worst_value)
+        assert float(rows["complete_monotonicity_exact"]["t"]) == t
+        assert float(rows["complete_monotonicity_exact"]["x_or_k"]) == rep.worst_x
+
+
 class TestConvergence:
     def test_gap_monotonicity_helper(self):
         ok, _ = strictly_decreasing([3.0, 2.0, 1.0])
@@ -249,3 +288,30 @@ class TestOtherCommands:
             ["stochastic", "--config", str(config), "--out", str(other), "--seed", "123", "--quiet"]
         ) == EXIT_OK
         assert (out / "stochastic.csv").read_bytes() != (other / "stochastic.csv").read_bytes()
+
+
+def test_cold_start_imports_no_scipy(tmp_path):
+    """All five subcommands run in a fresh interpreter without importing
+    scipy, which would add about half a second to every `cflab` process."""
+    out = tmp_path / "out"
+    config = tmp_path / "exp.ini"
+    config.write_text(BASE_CONFIG.format(out=out))
+    script = (
+        "import sys\n"
+        "from cflab.cli import main\n"
+        "for command in ('simulate', 'verify', 'characteristics', 'convergence', 'stochastic'):\n"
+        "    main([command, '--config', sys.argv[1], '--quiet'])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(cflab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(config)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"
+    assert sorted(p.name for p in out.iterdir() if not p.name.startswith("snapshot_")) == [
+        "characteristics_field.csv", "convergence.csv", "fan.csv", "stochastic.csv",
+        "trajectory.csv", "verify_report.csv",
+    ]

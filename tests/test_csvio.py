@@ -1,0 +1,108 @@
+"""CSV writers: the row-template writer against the per-cell ``csv.writer``
+path it replaced, byte for byte."""
+import csv
+
+import numpy as np
+import pytest
+
+from cflab import csvio
+from cflab.bernstein import BernsteinField
+from cflab.characteristics import CharacteristicFan
+
+
+def _cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, str):
+        return value
+    return format(float(value), ".17g")
+
+
+def _write_per_cell(path, header, rows):
+    """Reference writer: every cell formatted on its own, quoted by csv.writer."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_cell(v) for v in row])
+
+
+NUMERIC_ROWS = [
+    (np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300),
+    (np.float64(0.1), 1, np.int64(-7), True, np.bool_(False), 2.0),
+    (np.float64(-1e-310), 10**20, np.int32(3), np.True_, False, np.float64(np.nan)),
+    [1.0, 2, 3.5, 4, 5.25, 6],  # a list row with the same types as a tuple row
+]
+
+# rows shaped like the verify report's: name, status, margin, t, x_or_k
+STRING_ROWS = [
+    ("g_eps_bound", "PASS", 0.5, 0.3, "sup|G|"),
+    ("holder_moment_bounds", "PASS", 1e-9, np.float64(0.1), "m4*m1^2 >= m2^3"),
+    ("hj_residual", "FAIL", -1.76, "", ""),
+    ('comma, and "quote"', "PASS", np.float64(2.5), np.int64(3), True),
+]
+
+
+@pytest.mark.parametrize(
+    "rows", [NUMERIC_ROWS, STRING_ROWS, NUMERIC_ROWS + STRING_ROWS + NUMERIC_ROWS]
+)
+def test_write_rows_matches_per_cell_writer(tmp_path, rows):
+    header = ["a", "b", "c", "d", "e", "f"][: len(rows[0])]
+    csvio.write_rows(tmp_path / "new.csv", header, iter(rows))
+    _write_per_cell(tmp_path / "old.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _fan():
+    rng = np.random.default_rng(3)
+    times = np.array([0.0, 0.1, 0.2])
+    x = np.cumsum(rng.uniform(0.1, 1.0, (3, 5)), axis=1)
+    alive = np.ones((3, 5), dtype=bool)
+    alive[1:, 0] = False
+    alive[2, 1] = False
+    return CharacteristicFan(
+        starts=x[0].copy(), times=times, x=x, p=rng.uniform(0, 1, (3, 5)),
+        z=rng.uniform(0, 1, (3, 5)), alive=alive, m=1.0,
+    )
+
+
+def test_write_fan_csv_matches_per_cell_rows(tmp_path):
+    fan = _fan()
+    rows = [
+        (fan.starts[jp], t, fan.x[it, jp], fan.p[it, jp], fan.z[it, jp], not fan.alive[it, jp])
+        for it, t in enumerate(fan.times)
+        for jp in range(fan.n_paths)
+    ]
+    csvio.write_fan_csv(tmp_path / "new.csv", fan)
+    _write_per_cell(tmp_path / "old.csv", ["start_x", "t", "X", "P", "Z", "terminated"], rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("with_g_eps", [True, False])
+@pytest.mark.parametrize("with_residual", [True, False])
+def test_write_field_csv_matches_per_cell_rows(tmp_path, with_g_eps, with_residual):
+    rng = np.random.default_rng(5)
+    x = np.array([0.0, 0.5, 1.25, 4.0])
+    times = np.array([0.0, 0.05, 0.1])
+    F, Fx, Fxx, g = (rng.normal(size=(3, 4)) for _ in range(4))
+    field = BernsteinField(
+        x=x, times=times, F=F, Fx=Fx, Fxx=Fxx, m=1.0, g_eps=g if with_g_eps else None
+    )
+    residual = None
+    if with_residual:
+        residual = rng.normal(size=(3, 4))
+        residual[:, 0] = np.nan  # hj_residual_grid leaves x = 0 undefined
+    rows = [
+        (
+            xv, t, F[it, ix], Fx[it, ix], Fxx[it, ix],
+            np.nan if field.g_eps is None else field.g_eps[it, ix],
+            np.nan if residual is None else residual[it, ix],
+        )
+        for it, t in enumerate(times)
+        for ix, xv in enumerate(x)
+    ]
+    csvio.write_field_csv(tmp_path / "new.csv", field, residual)
+    _write_per_cell(tmp_path / "old.csv", ["x", "t", "F", "Fx", "Fxx", "G_eps", "residual"], rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -123,6 +123,11 @@ class TestAPrioriCap:
         cap = a_priori_cap(m, eps)
         closed = 16.0 * m ** 4 / (3.0 * eps ** 2)
         np.testing.assert_allclose(cap, closed, rtol=1e-8)
+        # the rate polynomial reaches the cap at y* = 4 m^2 / eps and nowhere exceeds it
+        y = np.linspace(0.0, 8.0 * m ** 2 / eps, 20001)
+        rate = y ** 2 - (eps / 6.0) * y ** 3 / m ** 2
+        assert rate.max() <= cap * (1 + 1e-12)
+        np.testing.assert_allclose(rate[10000], cap, rtol=1e-12)
 
     def test_unperturbed_kernel_has_no_cap(self):
         with pytest.raises(ValueError):
