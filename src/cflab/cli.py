@@ -27,7 +27,7 @@ import numpy as np
 from . import csvio
 from .bernstein import field_from_trajectory, cm_exact_report, hj_residual_grid, hj_residual_worst
 from .characteristics import default_starts, fan_to_field, integrate_fan, transform_of
-from .core import Distribution, KernelSpec, ScenarioParams, SizeGrid, make_initial
+from .core import Distribution, KernelSpec, MomentSeries, ScenarioParams, SizeGrid, make_initial
 from .errors import (
     CfLabError,
     ConfigError,
@@ -40,6 +40,7 @@ from .errors import (
 from .kinetic import (
     MASS_DRIFT_TOL,
     SolverConfig,
+    Trajectory,
     simulate,
     stability_limit,
     weak_form_residual,
@@ -216,25 +217,23 @@ def _build_run(exp: Experiment):
     return initial, scenario, _solver_config(exp, scenario, exp.t_end, exp.frag_eps)
 
 
-def _run_simulation(exp: Experiment):
-    initial, scenario, config = _build_run(exp)
-    return initial, scenario, config, simulate(config, initial)
+def _snapshot_path(out: Path, i: int, t: float) -> Path:
+    return out / f"snapshot_{i:04d}_t{t:.6f}.csv"
 
 
 def cmd_simulate(exp: Experiment, out: Path, quiet: bool) -> int:
-    initial = exp.initial_distribution()
-    scenario = ScenarioParams.from_distribution(initial)
-    guard = stability_limit(exp.grid, exp.kernel(), scenario.m)
+    initial, scenario, config = _build_run(exp)
+    guard = stability_limit(exp.grid, config.spec, scenario.m)
     if exp.dt > guard:
         _say(quiet, f"warning: dt={exp.dt:g} exceeds the stability guard {guard:.3g}")
     try:
-        _, _, _, traj = _run_simulation(exp)
+        traj = simulate(config, initial)
     except SolverAbort as exc:
         print(f"solver abort: {exc}", file=sys.stderr)
         return EXIT_SOLVER_ABORT
     csvio.write_trajectory_csv(out / "trajectory.csv", traj)
     for i, (t, dist) in enumerate(traj.snapshots):
-        csvio.write_snapshot_csv(out / f"snapshot_{i:04d}_t{t:.6f}.csv", dist)
+        csvio.write_snapshot_csv(_snapshot_path(out, i, t), dist)
     drift = traj.metadata["max_mass_drift"]
     occupancy = traj.metadata["max_top_bin_occupancy"]
     _say(
@@ -252,30 +251,44 @@ def _verify_x_grid(exp: Experiment) -> np.ndarray:
     return np.concatenate([[0.0], np.geomspace(exp.field_x_lo, exp.verify_x_hi, exp.verify_nx)])
 
 
-def cmd_verify(exp: Experiment, out: Path, quiet: bool) -> int:
+def _read_run(exp: Experiment, out: Path) -> Trajectory:
+    """The run that ``simulate`` wrote to ``out``: the rows of trajectory.csv
+    with the counts of one snapshot file per row."""
     data = csvio.read_trajectory_csv(out / "trajectory.csv")
-    moments_csv = np.column_stack([data[f"m{k}"] for k in range(6)])
-    m2_0 = float(moments_csv[0, 2])
+    times = data["t"]
+    dists = [csvio.read_snapshot_csv(_snapshot_path(out, i, t), exp.grid) for i, t in enumerate(times)]
+    found = len(list(out.glob("snapshot_*.csv")))
+    if found != times.size:
+        raise CsvFormatError(f"{found} snapshot files in {out} for {times.size} trajectory rows")
+    try:
+        series = MomentSeries(
+            times, np.column_stack([data[f"m{k}"] for k in range(6)]), data["mass_drift"]
+        )
+    except ValueError as exc:
+        raise CsvFormatError(f"bad trajectory CSV in {out}: {exc}") from exc
+    return Trajectory(snapshots=tuple(zip(times, dists)), moments=series, spec=exp.kernel())
+
+
+def cmd_verify(exp: Experiment, out: Path, quiet: bool) -> int:
+    traj = _read_run(exp, out)
+    times, moments = traj.times, traj.moments.moments
+    m2_0 = float(moments[0, 2])
     t_star = 1.0 / m2_0
 
     reports = []
-    drift_margin = float((MASS_DRIFT_TOL - data["mass_drift"].max()) / MASS_DRIFT_TOL)
-    reports.append(BoundReport("mass_conservation", drift_margin, 0.0, (float(data["t"][-1]), "m1")))
-    for t, m2 in zip(data["t"], moments_csv[:, 2]):
+    drift_margin = float((MASS_DRIFT_TOL - traj.moments.mass_drift.max()) / MASS_DRIFT_TOL)
+    reports.append(BoundReport("mass_conservation", drift_margin, 0.0, (float(times[-1]), "m1")))
+    for t, m2 in zip(times, moments[:, 2]):
         if t <= 0.8 * t_star:  # envelope margin reported per output time
             reports.append(envelope_check([t], [m2], m2_0))
-    reports.append(holder_bounds_check(moments_csv, data["t"]))
+    reports.append(holder_bounds_check(moments, times))
 
-    # field checks come from a deterministic re-run of the same config
-    try:
-        initial, scenario, config, traj = _run_simulation(exp)
-    except SolverAbort as exc:
-        print(f"solver abort during verification re-run: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_ABORT
-    field = field_from_trajectory(traj, _verify_x_grid(exp))
+    _, scenario, _ = _build_run(exp)
+    x_grid = _verify_x_grid(exp)
+    field = field_from_trajectory(traj, x_grid)
 
     cm_t, cm_worst = min(
-        ((t, cm_exact_report(dist, k_max=6)) for t, dist in traj.snapshots),
+        ((t, cm_exact_report(dist, k_max=6, x_samples=x_grid)) for t, dist in traj.snapshots),
         key=lambda pair: pair[1].worst_value,
     )
     reports.append(
@@ -301,15 +314,16 @@ def cmd_verify(exp: Experiment, out: Path, quiet: bool) -> int:
                 (res_t, res_x),
             )
         )
-        worst_weak = max(
-            weak_form_residual(traj, _exp_test_function(xv)) for xv in exp.weak_x
+        worst_weak, weak_t, weak_x = max(
+            ((*weak_form_residual(traj, _exp_test_function(xv)), xv) for xv in exp.weak_x),
+            key=lambda found: found[0],
         )
         reports.append(
             BoundReport(
                 "weak_form_residual",
                 float((exp.weak_residual_max - worst_weak) / exp.weak_residual_max),
                 0.0,
-                (float(exp.t_end), f"max {worst_weak:.3e}"),
+                (weak_t, weak_x),
             )
         )
 
@@ -340,8 +354,7 @@ def cmd_convergence(exp: Experiment, out: Path, quiet: bool) -> int:
     if len(eps_list) < 3 or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("convergence needs an eps_list with >= 3 strictly decreasing entries")
 
-    initial = exp.initial_distribution()
-    scenario = ScenarioParams.from_distribution(initial)
+    initial, scenario, _ = _build_run(exp)
     x_grid = np.linspace(exp.conv_x_lo, exp.conv_x_hi, exp.conv_nx)
 
     fields = [
@@ -370,8 +383,7 @@ def cmd_convergence(exp: Experiment, out: Path, quiet: bool) -> int:
 
 
 def cmd_characteristics(exp: Experiment, out: Path, quiet: bool) -> int:
-    initial = exp.initial_distribution()
-    scenario = ScenarioParams.from_distribution(initial)
+    initial, scenario, _ = _build_run(exp)
     starts = default_starts(
         scenario.m, exp.char_t_end, exp.char_x_lo, exp.char_x_hi, exp.char_paths
     )

@@ -13,11 +13,13 @@ import numpy as np
 
 from .bernstein import BernsteinField
 from .characteristics import CharacteristicFan
+from .core import Distribution, SizeGrid
 from .errors import CsvFormatError, MissingArtifactError
 from .kinetic import Trajectory
 from .stochastic import EnsembleMoments
 
 TRAJECTORY_HEADER = ["t", "m0", "m1", "m2", "m3", "m4", "m5", "mass_drift", "top_bin_occupancy"]
+SNAPSHOT_HEADER = ["s", "N"]
 
 
 def _fmt(value) -> str:
@@ -94,9 +96,33 @@ def read_trajectory_csv(path) -> dict:
     return {name: arr[:, i] for i, name in enumerate(TRAJECTORY_HEADER)}
 
 
-def write_snapshot_csv(path, dist):
-    rows = zip(dist.grid.sizes, dist.counts)
-    write_rows(path, ["s", "N"], rows)
+def write_snapshot_csv(path, dist: Distribution):
+    write_rows(path, SNAPSHOT_HEADER, zip(dist.grid.sizes, dist.counts))
+
+
+def read_snapshot_csv(path, grid: SizeGrid) -> Distribution:
+    """Distribution of a snapshot artifact, parsed a whole column at a time.
+
+    The file must hold one row per bin of ``grid``, and its ``s`` column must
+    be the grid's sizes exactly, as the 17-digit writer prints them.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise MissingArtifactError(f"snapshot artifact not found: {path}")
+    try:
+        lines = path.read_text().splitlines()
+        if lines[:1] != [",".join(SNAPSHOT_HEADER)]:
+            raise CsvFormatError(f"unexpected snapshot header in {path}: {lines[:1]}")
+        if len(lines) - 1 != grid.n:
+            raise CsvFormatError(f"snapshot CSV {path} has {len(lines) - 1} rows for a grid of {grid.n} bins")
+        table = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+        if table.shape != (grid.n, len(SNAPSHOT_HEADER)):
+            raise CsvFormatError(f"snapshot CSV {path} has rows of {table.shape[1]} cells")
+        if not np.array_equal(table[:, 0], grid.sizes):
+            raise CsvFormatError(f"the s column of {path} is not the configured grid's sizes")
+        return Distribution(grid, table[:, 1])
+    except ValueError as exc:
+        raise CsvFormatError(f"cannot parse snapshot CSV {path}: {exc}") from exc
 
 
 def write_field_csv(path, field: BernsteinField, residual: np.ndarray | None = None):

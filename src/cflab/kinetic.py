@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import Distribution, KernelSpec, MomentSeries, ScenarioParams, SizeGrid
 from .errors import SolverAbort
@@ -42,8 +43,8 @@ TOP_BIN_OCCUPANCY_TOL = 1e-9
 #: 4095; both agreed to 8e-16 of the largest entry.
 _FFT_MIN_BINS = 512
 
-#: Rows of the coagulation pair sum that weak_form_rate evaluates at once; the
-#: temporaries then take O(rows * n) memory instead of O(n^2).
+#: Rows of the coagulation pair sum that the weak-form rates evaluate at once;
+#: the temporaries then take O(rows * n) memory instead of O(n^2).
 _WEAK_FORM_ROWS = 128
 
 
@@ -263,13 +264,14 @@ def simulate(config: SolverConfig, initial: Distribution) -> Trajectory:
     return Trajectory(snapshots=snapshots, moments=series, spec=config.spec, metadata=metadata)
 
 
-def weak_form_residual(traj: Trajectory, phi: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Largest mismatch between d/dt sum_i phi(s_i) N_i and the weak-form rate.
+def weak_form_residual(traj: Trajectory, phi: Callable[[np.ndarray], np.ndarray]) -> tuple:
+    """(max |residual|, t): the largest mismatch over interior snapshots between
+    d/dt sum_i phi(s_i) N_i and the weak-form rate, and the snapshot time of it.
 
     The time derivative is a centered difference across the snapshot stride,
     the right side is the pair-sum form evaluated independently of the solver
-    right-hand side.  ``phi`` must be vectorized, bounded, Lipschitz, and
-    vanish at zero.
+    right-hand side, for all interior snapshots in one pass.  ``phi`` must be
+    vectorized, bounded, Lipschitz, and vanish at zero.
     """
     if len(traj.snapshots) < 3:
         raise ValueError("need at least 3 snapshots for a centered difference")
@@ -277,15 +279,13 @@ def weak_form_residual(traj: Trajectory, phi: Callable[[np.ndarray], np.ndarray]
     steps = np.diff(times)
     if np.max(np.abs(steps - steps[0])) > 1e-9 * max(steps[0], 1e-300):
         raise ValueError("snapshots must be uniformly spaced in time")
-    dt_out = steps[0]
-    dists = traj.distributions
-    phi_tot = np.array([float(np.dot(phi(d.grid.sizes), d.counts)) for d in dists])
-    worst = 0.0
-    for mid in range(1, len(dists) - 1):
-        lhs = (phi_tot[mid + 1] - phi_tot[mid - 1]) / (2.0 * dt_out)
-        rhs = weak_form_rate(dists[mid], traj.spec, phi)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    phi_s = np.asarray(phi(traj.grid.sizes), dtype=float)
+    counts = np.stack([d.counts for d in traj.distributions])
+    phi_tot = np.array([float(np.dot(phi_s, c)) for c in counts])
+    lhs = (phi_tot[2:] - phi_tot[:-2]) / (2.0 * steps[0])
+    res = np.abs(lhs - _weak_form_rates(traj.grid, traj.spec, phi_s, counts[1:-1]))
+    worst = int(np.argmax(res))
+    return float(res[worst]), float(times[1 + worst])
 
 
 def weak_form_rate(dist: Distribution, spec: KernelSpec, phi) -> float:
@@ -293,29 +293,39 @@ def weak_form_rate(dist: Distribution, spec: KernelSpec, phi) -> float:
 
     Coagulation: 1/2 sum_{i+j<=cap} (phi(s_i+s_j) - phi(s_i) - phi(s_j)) a N_i N_j.
     Fragmentation: -ds/2 sum_j N_j sum_{k<j} (phi(s_j) - phi(s_k) - phi(s_{j-k})) b.
+
+    ``phi`` is evaluated on the grid only, since s_i + s_j = s_{i+j}; this is
+    the one-snapshot case of the pair sum in ``weak_form_residual``.
     """
-    grid = dist.grid
+    phi_s = np.asarray(phi(dist.grid.sizes), dtype=float)
+    return float(_weak_form_rates(dist.grid, spec, phi_s, dist.counts[None, :])[0])
+
+
+def _weak_form_rates(grid: SizeGrid, spec: KernelSpec, phi_s: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Weak-form rates of the rows of ``counts`` (m, n).  Each block of rows i
+    forms the gains G[i, j] = phi(s_{i+j}) - phi(s_i) - phi(s_j), zero where
+    i + j > cap, and contracts them with w = s N of every row; each pair keeps
+    its own difference, so phi(s) = s gives exactly 0 where grid sums are exact.
+    """
     n = grid.n
     cap = min(spec.truncation, n)
     s = grid.sizes
-    N = dist.counts
-    phi_s = np.asarray(phi(s), dtype=float)
-
-    # pair sum over (i, j) with i + j <= cap, a block of rows at a time.  Rows
-    # from i_lo on pair with no column past cap - i_lo; the block keeps one
-    # masked column more, so that at cap = n a single block sums the same
-    # n-by-n array, in the same order, as an unblocked sum would.
-    w = s * N
-    coag = 0.0
-    for lo in range(0, cap, _WEAK_FORM_ROWS):
-        hi = min(lo + _WEAK_FORM_ROWS, cap)
-        cols = cap - lo
-        i = np.arange(lo + 1, hi + 1)[:, None]
-        j = np.arange(1, cols + 1)[None, :]
-        pair = np.asarray(phi(s[lo:hi, None] + s[None, :cols]), dtype=float)
-        gain = pair - phi_s[lo:hi, None] - phi_s[None, :cols]
-        block = np.where(i + j <= cap, gain, 0.0) * np.outer(w[lo:hi], w[:cols])
-        coag += 0.5 * float(np.sum(block))
+    rows = _WEAK_FORM_ROWS
+    w = counts * s
+    # 0-based bins a and b merge into bin a + b + 1; that entry of phi_pad
+    # exists for every pair of a block and is masked when past the cap
+    phi_pad = np.concatenate([phi_s[:cap], np.zeros(rows)])
+    coag = np.zeros(counts.shape[0])
+    for lo in range(0, cap - 1, rows):
+        hi = min(lo + rows, cap - 1)
+        cols = cap - 1 - lo  # row lo pairs with b <= cap - 2 - lo
+        gain = sliding_window_view(phi_pad, cols)[lo + 1 : hi + 1] - phi_s[lo:hi, None]
+        gain -= phi_s[None, :cols]
+        # row lo + r pairs with no b >= cols - r: a triangle in the last hi - lo columns
+        r = np.arange(hi - lo)
+        gain[:, cols - r.size :][r[:, None] + r[None, :] >= r.size] = 0.0
+        coag += np.sum(w[:, lo:hi] * (w[:, :cols] @ gain.T), axis=1)
+    coag *= 0.5
 
     if not spec.frag_enabled:
         return coag
@@ -323,6 +333,6 @@ def weak_form_rate(dist: Distribution, spec: KernelSpec, phi) -> float:
     prefix = np.concatenate([[0.0], np.cumsum(phi_s)])  # prefix[j-1] = sum_{k<j} phi(s_k)
     inner = (j - 1) * phi_s - 2.0 * prefix[:-1]
     b = 1.0 + spec.frag_eps * s
-    active = N if cap >= n else np.where(j <= cap, N, 0.0)
-    frag = -0.5 * grid.ds * float(np.sum(active * b * inner))
+    active = counts if cap >= n else np.where(j <= cap, counts, 0.0)
+    frag = -0.5 * grid.ds * np.sum(active * b * inner, axis=1)
     return coag + frag

@@ -79,7 +79,7 @@ def test_03_weak_form_fidelity():
         )
         traj = simulate(config, initial)
         return max(
-            weak_form_residual(traj, lambda s, xv=xv: -np.expm1(-xv * np.asarray(s, float)))
+            weak_form_residual(traj, lambda s, xv=xv: -np.expm1(-xv * np.asarray(s, float)))[0]
             for xv in (0.5, 1.0, 2.0)
         )
 

@@ -10,6 +10,7 @@ import pytest
 
 import cflab
 
+from cflab import kinetic
 from cflab.bernstein import cm_exact_report, field_from_trajectory, hj_residual_grid
 from cflab.cli import (
     EXIT_BOUND_VIOLATION,
@@ -19,11 +20,12 @@ from cflab.cli import (
     EXIT_SOLVER_ABORT,
     EXIT_USAGE,
     load_config,
-    _run_simulation,
+    _build_run,
     _verify_x_grid,
     main,
     strictly_decreasing,
 )
+from cflab.kinetic import simulate, weak_form_rate
 
 BASE_CONFIG = """
 [scenario]
@@ -218,7 +220,9 @@ class TestVerify:
     def test_report_locations_are_the_true_worst(self, workspace):
         """hj_residual reports the argmax (t, x) of the residual grid over
         interior times and x > 0; complete_monotonicity_exact reports the
-        snapshot time and the x of its smallest signed derivative."""
+        snapshot time and the x of its smallest signed derivative on the
+        verify window; weak_form_residual reports the interior snapshot time
+        and the weak_x of its largest mismatch."""
         config, out = workspace
         assert main(["simulate", "--config", str(config), "--quiet"]) == EXIT_OK
         main(["verify", "--config", str(config), "--quiet"])
@@ -226,7 +230,8 @@ class TestVerify:
             rows = {row["name"]: row for row in csv.DictReader(fh)}
 
         exp = load_config(config)
-        _, scenario, _, traj = _run_simulation(exp)
+        initial, scenario, run = _build_run(exp)
+        traj = simulate(run, initial)
         field = field_from_trajectory(traj, _verify_x_grid(exp))
         res = np.abs(hj_residual_grid(field, scenario, exp.frag_eps))
         res[0] = res[-1] = -np.inf  # one-sided time rows
@@ -236,10 +241,94 @@ class TestVerify:
         assert float(rows["hj_residual"]["t"]) == field.times[i]
         assert float(rows["hj_residual"]["x_or_k"]) == field.x[j]
 
-        cm = [(cm_exact_report(dist, k_max=6), t) for t, dist in traj.snapshots]
+        cm = [(cm_exact_report(dist, k_max=6, x_samples=field.x), t) for t, dist in traj.snapshots]
         rep, t = min(cm, key=lambda pair: pair[0].worst_value)
         assert float(rows["complete_monotonicity_exact"]["t"]) == t
-        assert float(rows["complete_monotonicity_exact"]["x_or_k"]) == rep.worst_x
+        assert float(rows["complete_monotonicity_exact"]["x_or_k"]) == rep.worst_x <= exp.verify_x_hi
+
+        dists, times = traj.distributions, traj.times
+        mismatches = []
+        for xv in exp.weak_x:
+            def phi(s, xv=xv):
+                return -np.expm1(-xv * np.asarray(s, float))
+            total = [float(np.dot(phi(d.grid.sizes), d.counts)) for d in dists]
+            for k in range(1, len(dists) - 1):
+                lhs = (total[k + 1] - total[k - 1]) / (times[k + 1] - times[k - 1])
+                mismatches.append((abs(lhs - weak_form_rate(dists[k], traj.spec, phi)), times[k], xv))
+        worst, t, xv = max(mismatches)
+        assert 0 < t < times[-1]
+        assert float(rows["weak_form_residual"]["t"]) == t
+        assert float(rows["weak_form_residual"]["x_or_k"]) == xv
+        margin = (exp.weak_residual_max - worst) / exp.weak_residual_max
+        assert float(rows["weak_form_residual"]["worst_margin"]) == pytest.approx(margin, rel=1e-12)
+
+
+def _with_first_count(text, cell):
+    """Snapshot CSV text with the N cell of its first data row replaced."""
+    lines = text.split("\r\n")
+    lines[1] = lines[1].split(",")[0] + "," + cell
+    return "\r\n".join(lines)
+
+
+class TestVerifyArtifacts:
+    """verify checks the snapshots simulate wrote; it never re-runs the solver."""
+
+    @pytest.fixture
+    def simulated(self, workspace):
+        config, out = workspace
+        assert main(["simulate", "--config", str(config), "--quiet"]) == EXIT_OK
+        return config, out, sorted(out.glob("snapshot_*.csv"))
+
+    def test_no_solver_rerun(self, simulated, monkeypatch):
+        config, out, _ = simulated
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("verify ran the solver")
+
+        monkeypatch.setattr(cflab.cli, "simulate", no_run)
+        monkeypatch.setattr(kinetic, "simulate", no_run)
+        assert main(["verify", "--config", str(config), "--quiet"]) == EXIT_OK
+
+    def test_deleted_snapshot_is_missing_artifact(self, simulated, capsys):
+        config, out, snapshots = simulated
+        snapshots[2].unlink()
+        assert main(["verify", "--config", str(config), "--quiet"]) == EXIT_NOINPUT
+        assert capsys.readouterr().err.startswith("missing artifact:")
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda text: "".join(text.splitlines(keepends=True)[:60]),  # rows dropped
+            lambda text: text[: len(text) // 2],  # cut inside a row
+            lambda text: _with_first_count(text, "not-a-number"),
+            lambda text: text.replace("s,N", "size,N", 1),
+            lambda text: text.replace("\r\n", ",0\r\n").replace("s,N,0", "s,N", 1),
+            lambda text: _with_first_count(text, "-1"),
+            lambda text: "",
+        ],
+        ids=["truncated", "cut-mid-row", "garbled", "header", "extra-column", "negative", "empty"],
+    )
+    def test_damaged_snapshot_is_data_error(self, simulated, capsys, damage):
+        config, out, snapshots = simulated
+        path = snapshots[1]
+        path.write_bytes(damage(path.read_bytes().decode()).encode())
+        assert main(["verify", "--config", str(config), "--quiet"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("artifact parse failure:") and "Traceback" not in err
+
+    def test_extra_snapshot_is_data_error(self, simulated):
+        config, out, snapshots = simulated
+        (out / "snapshot_0009_t9.000000.csv").write_bytes(snapshots[0].read_bytes())
+        assert main(["verify", "--config", str(config), "--quiet"]) == EXIT_DATA
+
+    @pytest.mark.parametrize("old, new", [("n = 128", "n = 96"), ("ds = 0.25", "ds = 0.125")])
+    def test_snapshots_of_another_grid_are_data_error(self, simulated, tmp_path, old, new):
+        """n = 96 still holds the monodisperse start, but every snapshot has 128
+        rows; ds = 0.125 keeps the rows, but not the s column."""
+        config, out, _ = simulated
+        other = tmp_path / "other_grid.ini"
+        other.write_text(config.read_text().replace(old, new))
+        assert main(["verify", "--config", str(other), "--quiet"]) == EXIT_DATA
 
 
 class TestConvergence:

@@ -1,6 +1,7 @@
 """CSV writers: the row-template writer against the per-cell ``csv.writer``
-path it replaced, byte for byte."""
+path it replaced, byte for byte; the snapshot reader against the writer."""
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from cflab import csvio
 from cflab.bernstein import BernsteinField
 from cflab.characteristics import CharacteristicFan
+from cflab.core import Distribution, SizeGrid
+from cflab.errors import CsvFormatError
 
 
 def _cell(value) -> str:
@@ -106,3 +109,31 @@ def test_write_field_csv_matches_per_cell_rows(tmp_path, with_g_eps, with_residu
     csvio.write_field_csv(tmp_path / "new.csv", field, residual)
     _write_per_cell(tmp_path / "old.csv", ["x", "t", "F", "Fx", "Fxx", "G_eps", "residual"], rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_snapshot_round_trip_is_exact(tmp_path):
+    """read_snapshot_csv returns the counts write_snapshot_csv printed, bit for
+    bit, on a grid whose sizes are not dyadic."""
+    grid = SizeGrid(ds=0.1, n=64)
+    rng = np.random.default_rng(3)
+    counts = rng.random(64) * 10.0 ** rng.integers(-300, 300, 64)
+    counts[:4] = [0.0, 5e-324, 2.2250738585072014e-308, 1e300]
+    csvio.write_snapshot_csv(tmp_path / "snap.csv", Distribution(grid, counts))
+    back = csvio.read_snapshot_csv(tmp_path / "snap.csv", grid)
+    assert back.grid == grid
+    assert back.counts.tobytes() == counts.tobytes()
+
+
+@pytest.mark.parametrize("keep", [0, 1, 30])
+def test_snapshot_row_count_is_checked_before_parsing(tmp_path, keep):
+    """A snapshot with fewer rows than bins, even none, is a format error that
+    names the row count; numpy's parser gets no empty input to warn about."""
+    grid = SizeGrid(ds=0.5, n=40)
+    path = tmp_path / "snap.csv"
+    csvio.write_snapshot_csv(path, Distribution(grid, np.ones(40)))
+    lines = path.read_bytes().split(b"\r\n")
+    path.write_bytes(b"\r\n".join(lines[: 1 + keep]) + b"\r\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CsvFormatError, match=f"{keep} rows for a grid of 40 bins"):
+            csvio.read_snapshot_csv(path, grid)

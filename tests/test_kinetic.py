@@ -11,10 +11,12 @@ from hypothesis.extra.numpy import arrays
 from cflab import (
     Distribution,
     KernelSpec,
+    MomentSeries,
     ScenarioParams,
     SizeGrid,
     SolverAbort,
     SolverConfig,
+    Trajectory,
     coagulation_rhs,
     fragmentation_rhs,
     frag_kernel,
@@ -78,6 +80,14 @@ def weak_form_reference(dist, spec, phi):
             b = frag_kernel(spec, s[k - 1], s[j - k - 1])
             total -= 0.5 * g.ds * N[j - 1] * b * loss
     return total
+
+
+def trajectory_of(grid, spec, counts, dt):
+    """Trajectory of the count rows ``counts``, one snapshot every ``dt``."""
+    dists = [Distribution(grid, c) for c in counts]
+    times = dt * np.arange(len(dists))
+    moments = np.stack([d.moments() for d in dists])
+    return Trajectory(tuple(zip(times, dists)), MomentSeries(times, moments, np.zeros(len(dists))), spec)
 
 
 counts_strategy = arrays(
@@ -320,11 +330,11 @@ class TestWeakFormResidual:
         g = SizeGrid(ds=1.0, n=8)
         d = Distribution(g, np.zeros(8))
         traj = simulate(make_config(g, dt=1e-3, t_end=0.01, stride=2), d)
-        assert weak_form_residual(traj, lambda s: np.asarray(s, float)) == pytest.approx(0.0)
+        assert weak_form_residual(traj, lambda s: np.asarray(s, float))[0] == pytest.approx(0.0)
 
     def test_mass_test_function_vanishes(self, run_m1_fine):
         """phi(s) = s makes both sides of the weak form vanish identically."""
-        res = weak_form_residual(run_m1_fine["traj"], lambda s: np.asarray(s, float))
+        res, _ = weak_form_residual(run_m1_fine["traj"], lambda s: np.asarray(s, float))
         assert res <= 1e-8
 
     def test_exponential_test_function_refines(self):
@@ -335,7 +345,7 @@ class TestWeakFormResidual:
             scen = ScenarioParams.from_distribution(d)
             traj = simulate(make_config(g, eps=0.1, dt=dt, t_end=0.3, stride=25, scenario=scen), d)
             return max(
-                weak_form_residual(traj, lambda s, xv=xv: -np.expm1(-xv * np.asarray(s, float)))
+                weak_form_residual(traj, lambda s, xv=xv: -np.expm1(-xv * np.asarray(s, float)))[0]
                 for xv in (0.5, 1.0, 2.0)
             )
 
@@ -357,6 +367,49 @@ class TestWeakFormResidual:
         got = weak_form_rate(d, spec, lambda s: -np.expm1(-0.7 * np.asarray(s, float)))
         ref = weak_form_reference(d, spec, lambda x: -math.expm1(-0.7 * x))
         assert got == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("rows", [None, 7])
+    @pytest.mark.parametrize("truncation", [200, 150])
+    def test_batched_rates_match_double_loop(self, monkeypatch, rows, truncation):
+        """weak_form_residual sums the pairs of all interior snapshots in one
+        pass; each snapshot's rate, and so the worst mismatch and its time,
+        must match the double loop."""
+        if rows is not None:
+            monkeypatch.setattr(kinetic, "_WEAK_FORM_ROWS", rows)
+        g = SizeGrid(ds=0.05, n=200)
+        spec = KernelSpec(frag_eps=0.3, truncation=truncation)
+        counts = np.random.default_rng(31).random((5, 200)) * np.exp(-g.sizes)
+        traj = trajectory_of(g, spec, counts, dt=0.01)
+        rates = kinetic._weak_form_rates(g, spec, -np.expm1(-0.7 * g.sizes), counts[1:-1])
+        ref = [
+            weak_form_reference(d, spec, lambda x: -math.expm1(-0.7 * x))
+            for d in traj.distributions[1:-1]
+        ]
+        np.testing.assert_allclose(rates, ref, rtol=1e-12)
+
+        total = counts @ -np.expm1(-0.7 * g.sizes)
+        res = np.abs((total[2:] - total[:-2]) / 0.02 - ref)
+        worst, t = weak_form_residual(traj, lambda s: -np.expm1(-0.7 * np.asarray(s, float)))
+        assert worst == pytest.approx(res.max(), rel=1e-12)
+        assert t == traj.times[1 + int(np.argmax(res))]
+
+    def test_mass_test_function_is_exactly_zero_on_a_dyadic_grid(self):
+        """phi(s) = s on ds = 2^-7: each pair's gain s_{i+j} - s_i - s_j and
+        each split's loss are exact, so every rate is exactly 0.  Snapshots
+        that merge whole particles keep sum_i s_i N_i exact, so the time
+        derivative is exactly 0 as well."""
+        g = SizeGrid(ds=2.0 ** -7, n=4096)
+        spec = KernelSpec.for_grid(g, frag_eps=0.1)
+        rng = np.random.default_rng(11)
+        counts = [rng.integers(1, 50, g.n).astype(float)]
+        for a, b in [(3, 70), (900, 900), (1500, 2000), (0, 4094)]:
+            merged = counts[-1].copy()
+            merged[a] -= 1.0
+            merged[b] -= 1.0
+            merged[a + b + 1] += 1.0  # 0-based bins a and b merge into bin a + b + 1
+            counts.append(merged)
+        traj = trajectory_of(g, spec, np.array(counts), dt=0.01)
+        assert weak_form_residual(traj, lambda s: np.asarray(s, float)) == (0.0, traj.times[1])
 
     def test_rate_memory_is_bounded_at_4096(self):
         """Row blocks keep the pair sum far below the 4096^2 doubles (128 MB)
