@@ -7,87 +7,60 @@ characteristics solver for the singular first-order equation satisfied by
 the Bernstein transform.  A verification layer checks every quantitative
 bound the solution theory provides: mass conservation, the second-moment
 envelope, derivative bounds, complete monotonicity, moment inequalities,
-and comparison of solutions.
+and the residuals of the weak form and of the singular equation.  Every
+check returns a BoundReport.  Internals are imported from their submodules.
 """
 
 from .core import (
+    BoundReport,
     Distribution,
     KernelSpec,
-    MomentSeries,
     ScenarioParams,
     SizeGrid,
-    coag_kernel,
-    frag_kernel,
     make_initial,
-    moment,
 )
 from .errors import (
     AbsorbingStateError,
     CfLabError,
-    ConfigError,
-    CsvFormatError,
     FanCoverageError,
     FanCrossingError,
     GridError,
-    MissingArtifactError,
     SolverAbort,
 )
 from .kinetic import (
     SolverConfig,
     Trajectory,
-    coagulation_rhs,
-    fragmentation_rhs,
     simulate,
     stability_limit,
-    step,
     weak_form_residual,
 )
 from .bernstein import (
     BernsteinField,
     cm_exact_report,
     cm_sampled_report,
-    complete_monotonicity_report,
-    default_x_grid,
-    derivative,
     field_from_trajectory,
-    g_eps_bound_check,
-    hj_residual,
-    transform,
+    hj_residual_worst,
 )
 from .characteristics import (
     CharacteristicFan,
-    CharacteristicState,
-    char_rhs,
     default_starts,
-    exponential_transform,
+    distribution_transform,
     fan_to_field,
     integrate_fan,
     monodisperse_transform,
     monotone_derivative_checks,
-    ordering_check,
     reconstruct,
-    scale_initial,
-    transform_of,
 )
 from .stochastic import (
     EnsembleMoments,
-    ParticleSystem,
     ensemble_moments,
-    event_rates,
-    gillespie_step,
     simulate_replica,
 )
 from .verification import (
-    BoundReport,
-    a_priori_cap,
     derivative_bounds_check,
     envelope_check,
-    frag_weak_coefficient,
+    g_eps_bound_check,
     holder_bounds_check,
-    moment_ode_rhs,
-    moment_ode_rhs_on_grid,
-    second_moment_envelope,
-    time_derivative_bound,
 )
 
 __version__ = "0.1.0"

@@ -15,28 +15,19 @@ as F(x, t) = Z(X^{-1}(x, t), t) through monotone interpolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
-from .bernstein import BernsteinField
-from .core import Distribution
+from .bernstein import BernsteinField, bernstein_sums
+from .core import BoundReport, Distribution
 from .errors import FanCoverageError, FanCrossingError
-from .verification import BoundReport
 
 #: Paths are terminated (not extrapolated) once X falls to this floor.
 X_FLOOR = 1e-6
 
 #: Minimum separation between adjacent paths for the non-crossing check.
 CROSSING_SEPARATION = 1e-12
-
-
-class CharacteristicState(NamedTuple):
-    """One point on a characteristic: position, slope along the path, value."""
-
-    x: float
-    p: float
-    z: float
 
 
 def char_rhs(state, m: float):
@@ -58,43 +49,14 @@ def monodisperse_transform(m: float, size: float = 1.0) -> Callable:
     return f0
 
 
-def exponential_transform(m: float, lam: float = 1.0) -> Callable:
-    """Initial-data handle for the number density proportional to s*exp(-lam*s)."""
+def distribution_transform(dist: Distribution) -> Callable:
+    """Initial-data handle (F0, F0') from the exact transform of a distribution."""
 
     def f0(x):
-        x = np.asarray(x, dtype=float)
-        value = 0.5 * m * lam * (1.0 - lam ** 2 / (lam + x) ** 2)
-        slope = m * lam ** 3 / (lam + x) ** 3
-        return value, slope
+        F, D = bernstein_sums(dist, np.atleast_1d(np.asarray(x, dtype=float)), k_max=1)
+        return F, D[0]
 
     return f0
-
-
-def transform_of(dist: Distribution) -> Callable:
-    """Initial-data handle built from the exact transform of a distribution."""
-    s = dist.grid.sizes
-    N = dist.counts
-    sN = s * N
-
-    def f0(x):
-        phase = np.outer(np.atleast_1d(np.asarray(x, dtype=float)), s)
-        value = (-np.expm1(-phase)) @ N
-        slope = np.exp(-phase) @ sN
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return float(value[0]), float(slope[0])
-        return value, slope
-
-    return f0
-
-
-def scale_initial(f0: Callable, factor: float) -> Callable:
-    """Pointwise scaling of an initial-data handle; keeps slopes consistent."""
-
-    def scaled(x):
-        value, slope = f0(x)
-        return factor * value, factor * slope
-
-    return scaled
 
 
 @dataclass(frozen=True)
@@ -327,58 +289,34 @@ def fan_to_field(fan: CharacteristicFan, x_grid: np.ndarray, times=None) -> Bern
     return BernsteinField(x=x, times=times, F=F, Fx=Fx, Fxx=Fxx, m=fan.m)
 
 
-@dataclass(frozen=True)
-class FanReport:
-    """Bundle of the per-path and cross-path invariant checks."""
-
-    checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failed(self) -> tuple:
-        return tuple(c.name for c in self.checks if not c.passed)
-
-    def __str__(self):
-        return "\n".join(str(c) for c in self.checks)
-
-
-def monotone_derivative_checks(fan: CharacteristicFan, t_star: float | None = None) -> FanReport:
-    """Runtime verification of the structure valid fans must carry.
+def monotone_derivative_checks(fan: CharacteristicFan, t_star: float | None = None) -> tuple:
+    """Runtime verification of the structure valid fans must carry, as a
+    tuple of BoundReport.
 
     Per path: P stays in [0, m] (so dX stays in [-(m+1/2), -1/2]) and P never
     decreases.  Across paths: X stays strictly ordered, difference quotients of
     (X, Z) stay in [0, m], and, when the blow-up horizon is supplied, second
     difference quotients respect the curvature floor -1/(t_star - t_end) and
     exp(t/(t_star - t_end)) * dX stays nondecreasing along each adjacent gap.
+    Per-path worst cases are located at (t, path index).
     """
     m = fan.m
     checks = []
     fp_tol = 1e-12 * max(1.0, m)
+    alive = fan.alive
 
-    live_any = fan.alive
-    p_vals = fan.p[live_any] if np.any(live_any) else np.array([0.0])
+    p_vals = fan.p[alive] if np.any(alive) else np.array([0.0])
     p_low = float(p_vals.min())
     p_high = float((m - p_vals).min())
     checks.append(BoundReport("p_within_[0,m]", min(p_low, p_high), fp_tol))
-    # dX = P - (m + 1/2): same margins, reported in drift form
-    checks.append(BoundReport("dx_within_band", min(p_low, p_high), fp_tol))
 
-    dp_worst, dp_loc = np.inf, ()
-    rhs_worst = np.inf
-    for jp in range(fan.n_paths):
-        ok = fan.alive[:, jp]
-        if np.count_nonzero(ok) >= 2:
-            dp = np.diff(fan.p[ok, jp])
-            i = int(np.argmin(dp))
-            if dp[i] < dp_worst:
-                dp_worst, dp_loc = float(dp[i]), (float(fan.times[ok][i]), jp)
-        if np.any(ok):
-            xs, ps, zs = fan.x[ok, jp], fan.p[ok, jp], fan.z[ok, jp]
-            rhs_worst = min(rhs_worst, float(np.min((zs / xs - ps) / xs)))
-    checks.append(BoundReport("p_nondecreasing", dp_worst if np.isfinite(dp_worst) else 0.0, 1e-10, dp_loc))
-    checks.append(BoundReport("dp_nonnegative", rhs_worst if np.isfinite(rhs_worst) else 0.0, 1e-10))
+    dp = np.where(alive[:-1] & alive[1:], np.diff(fan.p, axis=0), np.inf)
+    checks.append(_path_major_worst("p_nondecreasing", dp, 1e-10, fan.times))
+    rhs_worst = 0.0
+    if np.any(alive):
+        xs, ps, zs = fan.x[alive], fan.p[alive], fan.z[alive]
+        rhs_worst = float(np.min((zs / xs - ps) / xs))
+    checks.append(BoundReport("dp_nonnegative", rhs_worst, 1e-10))
 
     cross_worst, cross_loc = np.inf, ()
     slope_worst, slope_loc = np.inf, ()
@@ -416,7 +354,7 @@ def monotone_derivative_checks(fan: CharacteristicFan, t_star: float | None = No
             )
         )
         checks.append(_spread_factor_check(fan, t_star))
-    return FanReport(checks=tuple(checks))
+    return tuple(checks)
 
 
 def _spread_factor_check(fan: CharacteristicFan, t_star: float) -> BoundReport:
@@ -424,49 +362,21 @@ def _spread_factor_check(fan: CharacteristicFan, t_star: float) -> BoundReport:
     tau = t_star - fan.times[-1]
     if tau <= 0:
         return BoundReport("x_spread_factor_nondecreasing", -np.inf, 0.0, ("t_end >= t_star",))
-    worst, loc = np.inf, ()
-    factor = np.exp(fan.times / tau)
-    for jp in range(fan.n_paths - 1):
-        ok = fan.alive[:, jp] & fan.alive[:, jp + 1]
-        if np.count_nonzero(ok) < 2:
-            continue
-        spread = factor[ok] * (fan.x[ok, jp + 1] - fan.x[ok, jp])
-        rel = np.diff(spread) / np.maximum(spread[:-1], np.finfo(float).tiny)
-        i = int(np.argmin(rel))
-        if rel[i] < worst:
-            worst, loc = float(rel[i]), (float(fan.times[ok][i]), jp)
-    return BoundReport(
-        "x_spread_factor_nondecreasing", worst if np.isfinite(worst) else 0.0, 1e-8, loc
-    )
+    pair = fan.alive[:, 1:] & fan.alive[:, :-1]
+    valid = pair[1:] & pair[:-1]
+    spread = np.exp(fan.times / tau)[:, None] * (fan.x[:, 1:] - fan.x[:, :-1])
+    rel = np.full(valid.shape, np.inf)
+    rel[valid] = np.diff(spread, axis=0)[valid] / np.maximum(spread[:-1][valid], np.finfo(float).tiny)
+    return _path_major_worst("x_spread_factor_nondecreasing", rel, 1e-8, fan.times)
 
 
-def ordering_check(
-    f0_low: Callable,
-    f0_high: Callable,
-    t: float,
-    m: float,
-    n_paths: int = 800,
-    dt: float = 1e-3,
-    x_window: tuple = None,
-    tol: float = 1e-6,
-) -> bool:
-    """True iff the reconstructed solutions stay ordered, F_low <= F_high + tol,
-    on the common covered range at time t.
-
-    Both data sets are solved with the same mass parameter m.  The pointwise
-    ordering of the initial data is the caller's responsibility; swapped
-    arguments simply return False.
-    """
-    if x_window is None:
-        x_window = (max(0.2, (m + 0.5) * t * 1.05), 6.0)
-    starts = default_starts(m, t, x_window[0], x_window[1], n_paths)
-    fan_low = integrate_fan(f0_low, starts, t, dt, m)
-    fan_high = integrate_fan(f0_high, starts, t, dt, m)
-    lo = max(fan_low.coverage(t)[0], fan_high.coverage(t)[0], x_window[0])
-    hi = min(fan_low.coverage(t)[1], fan_high.coverage(t)[1], x_window[1])
-    if not lo < hi:
-        raise FanCoverageError(f"no common coverage at t={t}")
-    xs = np.linspace(lo, hi, 200)
-    low_vals = reconstruct(fan_low, xs, t)
-    high_vals = reconstruct(fan_high, xs, t)
-    return bool(np.all(low_vals <= high_vals + tol))
+def _path_major_worst(name: str, values: np.ndarray, tolerance: float, times) -> BoundReport:
+    """Smallest entry of ``values`` (times, paths), masked with +inf, at its
+    (t, path); ties go to the lowest path, then the earliest time.  Paths
+    never revive once terminated, so this is the minimum a loop over paths
+    finds.  With nothing unmasked the margin is 0 and the location empty."""
+    by_path = values.T
+    if not np.any(np.isfinite(by_path)):
+        return BoundReport(name, 0.0, tolerance)
+    jp, i = np.unravel_index(int(np.argmin(by_path)), by_path.shape)
+    return BoundReport(name, float(by_path[jp, i]), tolerance, (float(times[i]), int(jp)))

@@ -8,7 +8,8 @@ Exit codes
 ----------
 0   success, all checks passed
 1   solver abort (negative or non-finite counts)
-2   bound violation or non-monotone convergence gaps
+2   bound violation (a FAIL in verify_report.csv or characteristics_report.csv)
+    or non-monotone convergence gaps
 3   characteristics fan does not cover the requested window
 64  unusable command line or config file
 65  a CSV artifact exists but cannot be parsed
@@ -25,8 +26,14 @@ from pathlib import Path
 import numpy as np
 
 from . import csvio
-from .bernstein import field_from_trajectory, cm_exact_report, hj_residual_grid, hj_residual_worst
-from .characteristics import default_starts, fan_to_field, integrate_fan, transform_of
+from .bernstein import field_from_trajectory, hj_residual_grid
+from .characteristics import (
+    default_starts,
+    distribution_transform,
+    fan_to_field,
+    integrate_fan,
+    monotone_derivative_checks,
+)
 from .core import Distribution, KernelSpec, MomentSeries, ScenarioParams, SizeGrid, make_initial
 from .errors import (
     CfLabError,
@@ -37,16 +44,19 @@ from .errors import (
     MissingArtifactError,
     SolverAbort,
 )
-from .kinetic import (
-    MASS_DRIFT_TOL,
-    SolverConfig,
-    Trajectory,
-    simulate,
-    stability_limit,
-    weak_form_residual,
-)
+from .kinetic import MASS_DRIFT_TOL, SolverConfig, Trajectory, simulate, stability_limit
 from .stochastic import ensemble_moments
-from .verification import BoundReport, derivative_bounds_check, envelope_check, holder_bounds_check
+from .verification import (
+    cm_exact_check,
+    cm_sampled_check,
+    derivative_bounds_check,
+    envelope_check,
+    g_eps_bound_check,
+    hj_residual_check,
+    holder_bounds_check,
+    mass_conservation_check,
+    weak_form_check,
+)
 
 EXIT_OK = 0
 EXIT_SOLVER_ABORT = 1
@@ -141,7 +151,10 @@ def load_config(path) -> Experiment:
     # building the grid and the run here turns a bad value into a ConfigError
     # (exit 64) before any subcommand starts
     try:
-        n_steps = max(1, int(round(t_end / dt))) if dt > 0 and t_end > 0 else 1
+        n_steps = _n_steps(t_end, dt)
+        char_dt = _get(cp, "characteristics", "dt", float, 1e-3)
+        char_t_end = _get(cp, "characteristics", "t_end", float, t_end)
+        fan_steps = _n_steps(char_t_end, char_dt)
         exp = Experiment(
             mass=_get(cp, "scenario", "mass", float),
             grid=SizeGrid(ds=_get(cp, "grid", "ds", float), n=_get(cp, "grid", "n", int)),
@@ -151,7 +164,7 @@ def load_config(path) -> Experiment:
             initial_lam=_get(cp, "initial", "lam", float, 1.0),
             dt=dt,
             t_end=t_end,
-            output_every=_get(cp, "solver", "output_every", int, _default_stride(n_steps)),
+            output_every=_get(cp, "solver", "output_every", int, _default_stride(n_steps, 10)),
             out_dir=_get(cp, "outputs", "dir", str, "out"),
             field_x_lo=_get(cp, "field", "x_lo", float, 1e-3),
             field_x_hi=_get(cp, "field", "x_hi", float, 20.0),
@@ -171,25 +184,42 @@ def load_config(path) -> Experiment:
             conv_nx=_get(cp, "convergence", "nx", int, 46),
             conv_t_hi=_get(cp, "convergence", "t_hi", float, t_end),
             char_paths=_get(cp, "characteristics", "n_paths", int, 2000),
-            char_dt=_get(cp, "characteristics", "dt", float, 1e-3),
-            char_t_end=_get(cp, "characteristics", "t_end", float, t_end),
+            char_dt=char_dt,
+            char_t_end=char_t_end,
             char_x_lo=_get(cp, "characteristics", "x_lo", float, 0.5),
             char_x_hi=_get(cp, "characteristics", "x_hi", float, 6.0),
-            char_record_every=_get(cp, "characteristics", "record_every", int, 1),
+            char_record_every=_get(
+                cp, "characteristics", "record_every", int, _default_stride(fan_steps, 50)
+            ),
         )
         _, scenario, _ = _build_run(exp)
         try:
             _solver_config(exp, scenario, exp.conv_t_hi, exp.frag_eps)
         except ValueError as exc:
             raise ValueError(f"[convergence] t_hi = {exp.conv_t_hi:g}: {exc}") from exc
+        if exp.verify_nx < 5:
+            # characteristics differences the field on this many x up to 4th order
+            raise ValueError(f"[verify] nx = {exp.verify_nx} must be at least 5")
+        stride = exp.char_record_every
+        if stride < 1 or (stride < fan_steps and fan_steps % stride):
+            raise ValueError(
+                f"[characteristics] record_every = {stride} must be at least 1 and divide the "
+                f"{fan_steps} steps of t_end / dt, so that the fan times are uniformly spaced"
+            )
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value in {path}: {exc}") from exc
     return exp
 
 
-def _default_stride(n_steps: int) -> int:
-    """Largest divisor of ``n_steps`` up to a tenth of it: about ten uniform snapshots."""
-    stride = max(1, n_steps // 10)
+def _n_steps(t_end: float, dt: float) -> int:
+    """``round(t_end / dt)``, at least 1, as the solver and the fan count their steps."""
+    return max(1, int(round(t_end / dt))) if dt > 0 and t_end > 0 else 1
+
+
+def _default_stride(n_steps: int, snapshots: int) -> int:
+    """Largest divisor of ``n_steps`` up to ``n_steps // snapshots``: about that
+    many uniformly spaced snapshots."""
+    stride = max(1, n_steps // snapshots)
     while n_steps % stride:
         stride -= 1
     return stride
@@ -271,73 +301,39 @@ def _read_run(exp: Experiment, out: Path) -> Trajectory:
 
 def cmd_verify(exp: Experiment, out: Path, quiet: bool) -> int:
     traj = _read_run(exp, out)
+    _, scenario, _ = _build_run(exp)
     times, moments = traj.times, traj.moments.moments
     m2_0 = float(moments[0, 2])
     t_star = 1.0 / m2_0
-
-    reports = []
-    drift_margin = float((MASS_DRIFT_TOL - traj.moments.mass_drift.max()) / MASS_DRIFT_TOL)
-    reports.append(BoundReport("mass_conservation", drift_margin, 0.0, (float(times[-1]), "m1")))
-    for t, m2 in zip(times, moments[:, 2]):
-        if t <= 0.8 * t_star:  # envelope margin reported per output time
-            reports.append(envelope_check([t], [m2], m2_0))
-    reports.append(holder_bounds_check(moments, times))
-
-    _, scenario, _ = _build_run(exp)
     x_grid = _verify_x_grid(exp)
     field = field_from_trajectory(traj, x_grid)
 
-    cm_t, cm_worst = min(
-        ((t, cm_exact_report(dist, k_max=6, x_samples=x_grid)) for t, dist in traj.snapshots),
-        key=lambda pair: pair[1].worst_value,
-    )
-    reports.append(
-        BoundReport(
-            "complete_monotonicity_exact",
-            cm_worst.worst_value / max(scenario.m, 1e-300),
-            1e-8,
-            (float(cm_t), cm_worst.worst_x),
-        )
-    )
+    reports = [
+        mass_conservation_check(traj),
+        # the envelope margin is reported per output time
+        *(envelope_check([t], [m2], m2_0) for t, m2 in zip(times, moments[:, 2]) if t <= 0.8 * t_star),
+        holder_bounds_check(moments, times),
+        cm_exact_check(traj, scenario, x_grid),
+    ]
     if exp.t_end < scenario.t_star:
-        reports.append(derivative_bounds_check(field, scenario, exp.t_end))
-        bound = 3.0 / (scenario.t_star - exp.t_end)
-        g_margin = float((bound - np.max(np.abs(field.g_eps))) / bound)
-        reports.append(BoundReport("g_eps_bound", g_margin, 1e-2, (float(exp.t_end), "sup|G|")))
+        reports += [
+            derivative_bounds_check(field, scenario, exp.t_end),
+            g_eps_bound_check(field, scenario, exp.t_end),
+        ]
     if field.times.size >= 3:
-        res, res_t, res_x = hj_residual_worst(field, scenario, exp.frag_eps)
-        reports.append(
-            BoundReport(
-                "hj_residual",
-                float((exp.hj_residual_max - res) / exp.hj_residual_max),
-                0.0,
-                (res_t, res_x),
-            )
-        )
-        worst_weak, weak_t, weak_x = max(
-            ((*weak_form_residual(traj, _exp_test_function(xv)), xv) for xv in exp.weak_x),
-            key=lambda found: found[0],
-        )
-        reports.append(
-            BoundReport(
-                "weak_form_residual",
-                float((exp.weak_residual_max - worst_weak) / exp.weak_residual_max),
-                0.0,
-                (weak_t, weak_x),
-            )
-        )
+        reports += [
+            hj_residual_check(field, scenario, exp.frag_eps, exp.hj_residual_max),
+            weak_form_check(traj, exp.weak_x, exp.weak_residual_max),
+        ]
+    return _report(out / "verify_report.csv", reports, quiet)
 
-    csvio.write_verify_csv(out / "verify_report.csv", reports)
+
+def _report(path: Path, reports: list, quiet: bool) -> int:
+    """Write the check rows to ``path``; exit 0 iff all of them pass."""
+    csvio.write_verify_csv(path, reports)
     for rep in reports:
         _say(quiet, str(rep))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_BOUND_VIOLATION
-
-
-def _exp_test_function(x_value: float):
-    def phi(s):
-        return -np.expm1(-x_value * np.asarray(s, dtype=float))
-
-    return phi
 
 
 def strictly_decreasing(gaps) -> tuple:
@@ -368,7 +364,7 @@ def cmd_convergence(exp: Experiment, out: Path, quiet: bool) -> int:
     starts = default_starts(scenario.m, exp.conv_t_hi, exp.conv_x_lo, exp.conv_x_hi, exp.char_paths)
     snap_dt = float(times[1] - times[0]) if times.size > 1 else exp.char_dt
     fan_dt = snap_dt / max(1, int(round(snap_dt / exp.char_dt)))
-    fan = integrate_fan(transform_of(initial), starts, exp.conv_t_hi, fan_dt, scenario.m)
+    fan = integrate_fan(distribution_transform(initial), starts, exp.conv_t_hi, fan_dt, scenario.m)
     limit_field = fan_to_field(fan, x_grid, times)
 
     gaps = [float(np.max(np.abs(f.F - limit_field.F))) for f in fields]
@@ -387,11 +383,9 @@ def cmd_characteristics(exp: Experiment, out: Path, quiet: bool) -> int:
     starts = default_starts(
         scenario.m, exp.char_t_end, exp.char_x_lo, exp.char_x_hi, exp.char_paths
     )
-    n_steps = max(1, int(round(exp.char_t_end / exp.char_dt)))
-    record_every = max(exp.char_record_every, max(1, n_steps // 50))
     fan = integrate_fan(
-        transform_of(initial), starts, exp.char_t_end, exp.char_dt, scenario.m,
-        record_every=record_every,
+        distribution_transform(initial), starts, exp.char_t_end, exp.char_dt, scenario.m,
+        record_every=exp.char_record_every,
     )
     csvio.write_fan_csv(out / "fan.csv", fan)
     x_grid = np.linspace(exp.char_x_lo, exp.char_x_hi, exp.verify_nx)
@@ -400,7 +394,9 @@ def cmd_characteristics(exp: Experiment, out: Path, quiet: bool) -> int:
     csvio.write_field_csv(out / "characteristics_field.csv", field, residual)
     _say(quiet, f"fan of {fan.n_paths} paths to t={exp.char_t_end:g}; "
                 f"{int(np.count_nonzero(fan.terminated))} terminated")
-    return EXIT_OK
+    t_star = scenario.t_star if exp.char_t_end < scenario.t_star else None
+    reports = [*monotone_derivative_checks(fan, t_star), cm_sampled_check(field)]
+    return _report(out / "characteristics_report.csv", reports, quiet)
 
 
 def cmd_stochastic(exp: Experiment, out: Path, quiet: bool) -> int:

@@ -185,23 +185,38 @@ class MomentSeries:
         return self.moments[:, k]
 
 
+@dataclass(frozen=True)
+class BoundReport:
+    """Outcome of one named check; every check in cflab returns one.
+
+    ``worst_margin`` is the signed distance to the bound (negative means the
+    bound was crossed); the check fails iff worst_margin < -tolerance.
+    ``location`` locates the worst case, as (t, x) where the check has both.
+    """
+
+    name: str
+    worst_margin: float
+    tolerance: float
+    location: tuple = ()
+
+    @property
+    def passed(self) -> bool:
+        return self.worst_margin >= -self.tolerance
+
+    @property
+    def status(self) -> str:
+        return "PASS" if self.passed else "FAIL"
+
+    def __str__(self):
+        where = f" at {self.location}" if self.location else ""
+        return f"{self.name}: {self.status} (margin {self.worst_margin:.3e}{where})"
+
+
 def moment(dist: Distribution, k: int) -> float:
     """k-th moment ``sum_i s_i^k N_i`` for k = 0..5; m_1 is the total mass."""
     if not 0 <= k <= MAX_MOMENT:
         raise ValueError(f"moment order must be in 0..{MAX_MOMENT}, got {k}")
     return float(np.dot(dist.grid.sizes ** k, dist.counts))
-
-
-def coag_kernel(s, s_hat):
-    """Multiplicative coagulation rate ``s * s_hat``."""
-    return np.multiply(s, s_hat)
-
-
-def frag_kernel(spec: KernelSpec, s, s_hat):
-    """Fragmentation rate ``1 + eps*(s + s_hat)``; the constant kernel at eps=0."""
-    if not spec.frag_enabled:
-        return np.multiply(0.0, np.add(s, s_hat))
-    return 1.0 + spec.frag_eps * (np.add(s, s_hat))
 
 
 def make_initial(

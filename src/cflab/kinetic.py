@@ -111,27 +111,6 @@ def stability_limit(grid: SizeGrid, spec: KernelSpec, m1: float) -> float:
     return 0.1 / float(rate.max())
 
 
-def coagulation_rhs(dist: Distribution, spec: KernelSpec) -> np.ndarray:
-    """Per-bin rate of change from truncated multiplicative coagulation.
-
-    rate_k = 1/2 sum_{i+j=k} s_i s_j N_i N_j  -  N_k s_k sum_{j: k+j<=cap} s_j N_j
-    """
-    return _coag_rates(dist.counts, dist.grid, spec)
-
-
-def fragmentation_rhs(dist: Distribution, spec: KernelSpec) -> np.ndarray:
-    """Per-bin rate of change from discrete binary fragmentation.
-
-    A parent in bin j >= 2 is destroyed at rate (ds/2) * sum_{k<j} b(s_k, s_{j-k})
-    and each split event puts one fragment in bin k and one in bin j-k.
-    """
-    return _frag_rates(dist.counts, dist.grid, spec)
-
-
-def combined_rhs(dist: Distribution, spec: KernelSpec) -> np.ndarray:
-    return _rhs(dist.counts, dist.grid, spec)
-
-
 def _self_convolution(w: np.ndarray) -> np.ndarray:
     """``np.convolve(w, w)``: direct below ``_FFT_MIN_BINS`` entries, by FFT from there on."""
     if w.size < _FFT_MIN_BINS:
@@ -143,7 +122,8 @@ def _self_convolution(w: np.ndarray) -> np.ndarray:
 
 
 def _coag_rates(counts: np.ndarray, grid: SizeGrid, spec: KernelSpec) -> np.ndarray:
-    """Truncated coagulation rates on the grid.
+    """Truncated coagulation rates on the grid,
+    rate_k = 1/2 sum_{i+j=k} s_i s_j N_i N_j - N_k s_k sum_{j: k+j<=cap} s_j N_j.
 
     The gain is ``conv(w, w)`` of ``w = s N`` over the cap - 1 bins that can
     still pair: summed directly below ``_FFT_MIN_BINS`` bins, by FFT at and
@@ -168,6 +148,9 @@ def _coag_rates(counts: np.ndarray, grid: SizeGrid, spec: KernelSpec) -> np.ndar
 
 
 def _frag_rates(counts: np.ndarray, grid: SizeGrid, spec: KernelSpec) -> np.ndarray:
+    """Discrete binary fragmentation rates: a parent in bin j >= 2 is destroyed
+    at rate (ds/2) * sum_{k<j} b(s_k, s_{j-k}), and each split puts one
+    fragment in bin k and one in bin j-k."""
     n = grid.n
     if not spec.frag_enabled:
         return np.zeros(n)
@@ -209,14 +192,6 @@ def _checked(counts: np.ndarray, ref_scale: float) -> np.ndarray:
             "dt too large for the current state"
         )
     return np.where(counts < 0.0, 0.0, counts)
-
-
-def step(dist: Distribution, config: SolverConfig) -> Distribution:
-    """One classical 4th-order step of the combined right-hand side."""
-    if config.dt == 0.0:
-        return dist
-    new = _rk4(dist.counts, dist.grid, config.spec, config.dt)
-    return dist.with_counts(_checked(new, float(dist.counts.max(initial=0.0))))
 
 
 def simulate(config: SolverConfig, initial: Distribution) -> Trajectory:

@@ -3,16 +3,23 @@ other modules are expected to respect.
 
 Every check returns a structured BoundReport rather than a bare boolean so
 callers can surface the worst-case location; violations near the blow-up
-horizon are the most diagnostic ones.
+horizon are the most diagnostic ones.  The checks of a kinetic run are the
+rows of ``cflab verify``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .bernstein import BernsteinField, _time_derivative
-from .core import ScenarioParams
+from .bernstein import (
+    CM_EXACT_RTOL,
+    BernsteinField,
+    _time_derivative,
+    cm_exact_report,
+    cm_sampled_report,
+    hj_residual_worst,
+)
+from .core import BoundReport, ScenarioParams
+from .kinetic import MASS_DRIFT_TOL, Trajectory, weak_form_residual
 
 #: Relative slack on the second-moment envelope for deterministic runs.
 ENVELOPE_RTOL = 1e-3
@@ -23,31 +30,8 @@ HOLDER_RTOL = 1e-9
 #: Relative slack on finite-difference derivative bounds.
 DERIVATIVE_RTOL = 1e-2
 
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Outcome of one named check.
-
-    ``worst_margin`` is the signed distance to the bound (negative means the
-    bound was crossed); the check fails iff worst_margin < -tolerance.
-    """
-
-    name: str
-    worst_margin: float
-    tolerance: float
-    location: tuple = ()
-
-    @property
-    def passed(self) -> bool:
-        return self.worst_margin >= -self.tolerance
-
-    @property
-    def status(self) -> str:
-        return "PASS" if self.passed else "FAIL"
-
-    def __str__(self):
-        where = f" at {self.location}" if self.location else ""
-        return f"{self.name}: {self.status} (margin {self.worst_margin:.3e}{where})"
+#: Relative slack on the bound 3/(t_star - T) of the G_eps forcing.
+G_EPS_RTOL = 1e-2
 
 
 def second_moment_envelope(m2_0: float, t: float) -> float:
@@ -230,3 +214,69 @@ def derivative_bounds_check(
         tolerance=rtol,
         location=(float(T), worst_label),
     )
+
+
+def g_eps_bound_check(field: BernsteinField, scenario: ScenarioParams, T: float) -> BoundReport:
+    """max |G_eps| over the times <= T < t_star stays within 3/(t_star - T),
+    with relative slack G_EPS_RTOL."""
+    if T >= scenario.t_star:
+        raise ValueError(f"T={T} must lie strictly below t_star={scenario.t_star}")
+    sub = field.restricted(T)
+    if sub.g_eps is None:
+        raise ValueError("field carries no G_eps forcing")
+    bound = 3.0 / (scenario.t_star - T)
+    margin = float((bound - np.max(np.abs(sub.g_eps))) / bound)
+    return BoundReport("g_eps_bound", margin, G_EPS_RTOL, (float(T), "sup|G|"))
+
+
+def mass_conservation_check(traj: Trajectory) -> BoundReport:
+    """Largest relative mass drift of a run against MASS_DRIFT_TOL."""
+    margin = float((MASS_DRIFT_TOL - traj.moments.mass_drift.max()) / MASS_DRIFT_TOL)
+    return BoundReport("mass_conservation", margin, 0.0, (float(traj.times[-1]), "m1"))
+
+
+def cm_exact_check(traj: Trajectory, scenario: ScenarioParams, x_grid: np.ndarray) -> BoundReport:
+    """Exact-sum complete monotonicity, k <= 6, of every snapshot on ``x_grid``:
+    the smallest signed derivative relative to the mass, at its (t, x)."""
+    t, rep = min(
+        ((t, cm_exact_report(dist, k_max=6, x_samples=x_grid)) for t, dist in traj.snapshots),
+        key=lambda pair: pair[1].worst_margin,
+    )
+    margin = rep.worst_margin / max(scenario.m, 1e-300)
+    return BoundReport(rep.name, margin, CM_EXACT_RTOL, (float(t), rep.location[0]))
+
+
+def cm_sampled_check(field: BernsteinField) -> BoundReport:
+    """Finite-difference complete monotonicity, k <= 4, of the field at each of
+    its times on its uniform x grid: the worst of them, at its (t, x)."""
+    t, rep = min(
+        ((t, cm_sampled_report(field.x, F, field.m)) for t, F in zip(field.times, field.F)),
+        key=lambda pair: pair[1].worst_margin,
+    )
+    return BoundReport(rep.name, rep.worst_margin, rep.tolerance, (float(t), rep.location[0]))
+
+
+def hj_residual_check(
+    field: BernsteinField, scenario: ScenarioParams, eps: float, ceiling: float
+) -> BoundReport:
+    """Largest |residual| of the singular equation over interior snapshot
+    times and x > 0 against ``ceiling``, at its (t, x)."""
+    res, t, x = hj_residual_worst(field, scenario, eps)
+    return BoundReport("hj_residual", float((ceiling - res) / ceiling), 0.0, (t, x))
+
+
+def weak_form_check(traj: Trajectory, x_values, ceiling: float) -> BoundReport:
+    """Largest weak-form residual over the test functions 1 - exp(-x s), x in
+    ``x_values``, against ``ceiling``, at its interior snapshot t and its x."""
+    worst, t, x = max(
+        ((*weak_form_residual(traj, _exp_test_function(xv)), xv) for xv in x_values),
+        key=lambda found: found[0],
+    )
+    return BoundReport("weak_form_residual", float((ceiling - worst) / ceiling), 0.0, (t, x))
+
+
+def _exp_test_function(x_value: float):
+    def phi(s):
+        return -np.expm1(-x_value * np.asarray(s, dtype=float))
+
+    return phi

@@ -13,6 +13,7 @@ from cflab import (
     SizeGrid,
     SolverConfig,
     default_starts,
+    distribution_transform,
     ensemble_moments,
     fan_to_field,
     field_from_trajectory,
@@ -20,7 +21,6 @@ from cflab import (
     make_initial,
     monodisperse_transform,
     simulate,
-    transform_of,
 )
 
 
@@ -93,7 +93,7 @@ def convergence_bundle():
         fields[eps] = field_from_trajectory(simulate(config, initial), x_window)
     times = fields[eps_values[0]].times
     starts = default_starts(scenario.m, 0.3, 0.5, 5.0, 1500)
-    fan = integrate_fan(transform_of(initial), starts, t_end=0.3, dt=1e-3, m=scenario.m)
+    fan = integrate_fan(distribution_transform(initial), starts, t_end=0.3, dt=1e-3, m=scenario.m)
     limit_field = fan_to_field(fan, x_window, times)
     gaps = {eps: float(np.max(np.abs(fields[eps].F - limit_field.F))) for eps in eps_values}
     return {

@@ -6,21 +6,18 @@ import pytest
 from cflab import (
     FanCoverageError,
     FanCrossingError,
-    char_rhs,
     default_starts,
-    exponential_transform,
+    distribution_transform,
     fan_to_field,
     integrate_fan,
     monodisperse_transform,
     monotone_derivative_checks,
-    ordering_check,
     reconstruct,
-    scale_initial,
-    transform_of,
     SizeGrid,
     make_initial,
 )
-from cflab.characteristics import CharacteristicFan, _pchip, reconstruct_slope
+from cflab.characteristics import CharacteristicFan, _pchip, char_rhs, reconstruct_slope
+from oracles import exponential_transform, ordering_check, scale_initial
 
 
 class TestCharRhs:
@@ -69,7 +66,7 @@ class TestInitialData:
         g = SizeGrid(ds=0.005, n=8000)
         d = make_initial("exponential", g, mass=1.0, lam=1.0)
         f_closed = exponential_transform(1.0, 1.0)
-        f_disc = transform_of(d)
+        f_disc = distribution_transform(d)
         x = np.array([0.3, 1.0, 3.0])
         np.testing.assert_allclose(f_closed(x)[0], f_disc(x)[0], rtol=5e-3)
         np.testing.assert_allclose(f_closed(x)[1], f_disc(x)[1], rtol=5e-3)
@@ -106,7 +103,7 @@ class TestIntegrateFan:
 
     def test_invariant_report_all_pass(self, fan_m1):
         report = monotone_derivative_checks(fan_m1["fan"], t_star=fan_m1["t_star"])
-        assert report.passed, str(report)
+        assert all(check.passed for check in report), "\n".join(map(str, report))
 
     def test_corrupted_slope_flagged(self, fan_m1):
         """Negative control: forcing P to dip must fail the monotone check."""
@@ -118,14 +115,44 @@ class TestIntegrateFan:
             alive=fan.alive, m=fan.m,
         )
         report = monotone_derivative_checks(corrupted)
-        assert not report.passed
-        assert "p_nondecreasing" in report.failed()
+        assert not all(check.passed for check in report)
+        assert "p_nondecreasing" in [check.name for check in report if not check.passed]
 
     def test_single_path_fan_cross_checks_vacuous(self):
         f0 = monodisperse_transform(1.0, 1.0)
         fan = integrate_fan(f0, np.array([2.0]), t_end=0.1, dt=1e-2, m=1.0)
         report = monotone_derivative_checks(fan)
-        assert report.passed
+        assert all(check.passed for check in report)
+
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["as-integrated", "corrupted"])
+    def test_per_path_checks_match_path_loops(self, corrupt):
+        """On a fan whose low paths terminate at different times, the vectorized
+        per-path checks give the margins and (t, path) locations of the loops
+        over paths they replaced."""
+        f0 = monodisperse_transform(1.0, 1.0)
+        fan = integrate_fan(f0, np.geomspace(0.05, 6.0, 300), t_end=0.3, dt=1e-3, m=1.0, record_every=6)
+        alive_steps = fan.alive.sum(axis=0)
+        assert alive_steps.min() < fan.times.size // 2 and len(set(alive_steps[alive_steps < fan.times.size])) > 5
+        if corrupt:
+            # equal dips on two live paths, the lower one later (the lower path
+            # wins the tie), a deeper one on a terminated state (ignored), and
+            # a gap that shrinks
+            p, x = fan.p.copy(), fan.x.copy()
+            p[29:31, 200] = p[19:21, 250] = (0.5, 0.25)
+            dead = np.argwhere(~fan.alive)[0]
+            p[dead[0], dead[1]] -= 1.0
+            x[25, 270] = x[25, 271] - 0.5 * (x[25, 271] - x[25, 270])
+            fan = CharacteristicFan(
+                starts=fan.starts, times=fan.times, x=x, p=p, z=fan.z, alive=fan.alive, m=fan.m
+            )
+        checks = {c.name: c for c in monotone_derivative_checks(fan, t_star=1.0)}
+        for name, (margin, location) in path_loop_oracle(fan, t_star=1.0).items():
+            assert checks[name].worst_margin == margin, name
+            assert checks[name].location == location, name
+        if corrupt:
+            assert checks["p_nondecreasing"].worst_margin == -0.25
+            assert checks["p_nondecreasing"].location == (fan.times[29], 200)
+            assert checks["x_spread_factor_nondecreasing"].location == (fan.times[24], 270)
 
     def test_crossing_detection(self):
         """Hand-built crossing data trips the fan validator."""
@@ -143,6 +170,37 @@ class TestIntegrateFan:
 
         with pytest.raises(FanCrossingError):
             _assert_no_crossing(fan)
+
+
+def path_loop_oracle(fan, t_star):
+    """The per-path loops of the fan checks, as (margin, location) per check."""
+    dp_worst, dp_loc, rhs_worst = np.inf, (), np.inf
+    for jp in range(fan.n_paths):
+        ok = fan.alive[:, jp]
+        if np.count_nonzero(ok) >= 2:
+            dp = np.diff(fan.p[ok, jp])
+            i = int(np.argmin(dp))
+            if dp[i] < dp_worst:
+                dp_worst, dp_loc = float(dp[i]), (float(fan.times[ok][i]), jp)
+        if np.any(ok):
+            xs, ps, zs = fan.x[ok, jp], fan.p[ok, jp], fan.z[ok, jp]
+            rhs_worst = min(rhs_worst, float(np.min((zs / xs - ps) / xs)))
+    spread_worst, spread_loc = np.inf, ()
+    factor = np.exp(fan.times / (t_star - fan.times[-1]))
+    for jp in range(fan.n_paths - 1):
+        ok = fan.alive[:, jp] & fan.alive[:, jp + 1]
+        if np.count_nonzero(ok) < 2:
+            continue
+        spread = factor[ok] * (fan.x[ok, jp + 1] - fan.x[ok, jp])
+        rel = np.diff(spread) / np.maximum(spread[:-1], np.finfo(float).tiny)
+        i = int(np.argmin(rel))
+        if rel[i] < spread_worst:
+            spread_worst, spread_loc = float(rel[i]), (float(fan.times[ok][i]), jp)
+    return {
+        "p_nondecreasing": (dp_worst, dp_loc),
+        "dp_nonnegative": (rhs_worst, ()),
+        "x_spread_factor_nondecreasing": (spread_worst, spread_loc),
+    }
 
 
 class TestReconstruct:
@@ -218,7 +276,7 @@ def _readme_fan():
     """The fan `cflab characteristics` integrates for the README example config."""
     initial = make_initial("monodisperse", SizeGrid(ds=0.25, n=128), mass=1.0, size=1.0)
     starts = default_starts(1.0, 0.3, 0.5, 6.0, 2000)
-    return integrate_fan(transform_of(initial), starts, 0.3, 1e-3, 1.0, record_every=6)
+    return integrate_fan(distribution_transform(initial), starts, 0.3, 1e-3, 1.0, record_every=6)
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,7 @@ import pytest
 
 import cflab
 
-from cflab import kinetic
+from cflab import BoundReport, kinetic
 from cflab.bernstein import cm_exact_report, field_from_trajectory, hj_residual_grid
 from cflab.cli import (
     EXIT_BOUND_VIOLATION,
@@ -116,6 +116,12 @@ class TestConfig:
             ("dt = 1e-3", "dt = -1"),
             # 200 steps in strides of 7 would end on a shorter last stride
             ("output_every = 50", "output_every = 7"),
+            # the characteristics field is differenced up to 4th order in x
+            ("nx = 32", "nx = 4"),
+            # 200 fan steps recorded every 7 would end on a shorter last stride
+            pytest.param(
+                "x_lo = 0.6", "x_lo = 0.6\nrecord_every = 7", id="characteristics record_every = 7"
+            ),
         ],
     )
     def test_bad_value_is_usage_error_without_traceback(
@@ -155,6 +161,21 @@ class TestConfig:
         assert main(["verify", "--config", str(cfg), "--quiet"]) == EXIT_OK
 
 
+    def test_default_fan_stride_divides_the_fan_steps(self, workspace, tmp_path):
+        """[characteristics] t_end = 0.21 gives 210 fan steps: a fiftieth would
+        be 4, the largest divisor below it is 3, and the fan is checked on its
+        71 uniformly spaced times."""
+        config, out = workspace
+        cfg = tmp_path / "fan_stride.ini"
+        cfg.write_text(config.read_text().replace("t_end = 0.2\nx_lo = 0.6", "t_end = 0.21\nx_lo = 0.6"))
+        assert load_config(cfg).char_record_every == 3
+        assert main(["characteristics", "--config", str(cfg), "--quiet"]) == EXIT_OK
+        with open(out / "characteristics_field.csv", newline="") as fh:
+            times = sorted({float(row["t"]) for row in csv.DictReader(fh)})
+        assert len(times) == 71
+        np.testing.assert_allclose(np.diff(times), 0.003, rtol=1e-9)
+
+
 class TestSimulate:
     def test_success_writes_artifacts(self, workspace):
         config, out = workspace
@@ -162,14 +183,21 @@ class TestSimulate:
         assert (out / "trajectory.csv").is_file()
         assert any(p.name.startswith("snapshot_") for p in out.iterdir())
 
-    def test_runs_are_byte_identical(self, workspace, tmp_path):
+    @pytest.mark.parametrize(
+        "command", ["simulate", "verify", "convergence", "characteristics", "stochastic"]
+    )
+    def test_runs_are_byte_identical(self, workspace, tmp_path, command):
+        """Two runs of one config and seed write the same CSVs, byte for byte."""
         config, out = workspace
         other = tmp_path / "out2"
-        assert main(["simulate", "--config", str(config), "--quiet"]) == EXIT_OK
-        assert main(["simulate", "--config", str(config), "--out", str(other), "--quiet"]) == EXIT_OK
-        a = (out / "trajectory.csv").read_bytes()
-        b = (other / "trajectory.csv").read_bytes()
-        assert a == b
+        for where in (out, other):
+            if command == "verify":
+                assert main(["simulate", "--config", str(config), "--out", str(where), "--quiet"]) == EXIT_OK
+            assert main([command, "--config", str(config), "--out", str(where), "--quiet"]) == EXIT_OK
+        names = sorted(p.name for p in out.glob("*.csv"))
+        assert names and names == sorted(p.name for p in other.glob("*.csv"))
+        for name in names:
+            assert (out / name).read_bytes() == (other / name).read_bytes(), name
 
     def test_unstable_dt_aborts(self, workspace, tmp_path):
         """Mass at a fast bin with dt far over the guard drives counts negative."""
@@ -242,9 +270,9 @@ class TestVerify:
         assert float(rows["hj_residual"]["x_or_k"]) == field.x[j]
 
         cm = [(cm_exact_report(dist, k_max=6, x_samples=field.x), t) for t, dist in traj.snapshots]
-        rep, t = min(cm, key=lambda pair: pair[0].worst_value)
+        rep, t = min(cm, key=lambda pair: pair[0].worst_margin)
         assert float(rows["complete_monotonicity_exact"]["t"]) == t
-        assert float(rows["complete_monotonicity_exact"]["x_or_k"]) == rep.worst_x <= exp.verify_x_hi
+        assert float(rows["complete_monotonicity_exact"]["x_or_k"]) == rep.location[0] <= exp.verify_x_hi
 
         dists, times = traj.distributions, traj.times
         mismatches = []
@@ -362,6 +390,34 @@ class TestOtherCommands:
         assert fan_lines[0] == "start_x,t,X,P,Z,terminated"
         assert (out / "characteristics_field.csv").is_file()
 
+    def test_characteristics_report(self, workspace):
+        """Every fan check and the sampled complete monotonicity of the field
+        pass; the sampled row is located at a fan time and an x of the field."""
+        config, out = workspace
+        assert main(["characteristics", "--config", str(config), "--quiet"]) == EXIT_OK
+        with open(out / "characteristics_report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["name"] for row in rows] == [
+            "p_within_[0,m]", "p_nondecreasing", "dp_nonnegative", "non_crossing",
+            "slope_quotients_in_[0,m]", "curvature_within_envelope",
+            "x_spread_factor_nondecreasing", "complete_monotonicity_sampled",
+        ]
+        assert all(row["status"] == "PASS" for row in rows)
+        with open(out / "characteristics_field.csv", newline="") as fh:
+            field = {(float(r["t"]), float(r["x"])) for r in csv.DictReader(fh)}
+        sampled = rows[-1]
+        t, x = float(sampled["t"]), float(sampled["x_or_k"])
+        assert any(ft == t for ft, _ in field)
+        assert min(fx for _, fx in field) < x < max(fx for _, fx in field)
+
+    def test_characteristics_fail_is_bound_violation(self, workspace, monkeypatch):
+        config, out = workspace
+        failing = BoundReport("complete_monotonicity_sampled", -1.0, 1e-4, (0.0, 1.0))
+        monkeypatch.setattr(cflab.cli, "cm_sampled_check", lambda field: failing)
+        assert main(["characteristics", "--config", str(config), "--quiet"]) == EXIT_BOUND_VIOLATION
+        lines = (out / "characteristics_report.csv").read_text().splitlines()
+        assert lines[-1].startswith("complete_monotonicity_sampled,FAIL,")
+
     def test_stochastic_exports(self, workspace):
         config, out = workspace
         assert main(["stochastic", "--config", str(config), "--quiet"]) == EXIT_OK
@@ -401,6 +457,6 @@ def test_cold_start_imports_no_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "[]"
     assert sorted(p.name for p in out.iterdir() if not p.name.startswith("snapshot_")) == [
-        "characteristics_field.csv", "convergence.csv", "fan.csv", "stochastic.csv",
-        "trajectory.csv", "verify_report.csv",
+        "characteristics_field.csv", "characteristics_report.csv", "convergence.csv", "fan.csv",
+        "stochastic.csv", "trajectory.csv", "verify_report.csv",
     ]

@@ -8,14 +8,12 @@ from cflab import (
     Distribution,
     GridError,
     KernelSpec,
-    MomentSeries,
     ScenarioParams,
     SizeGrid,
-    coag_kernel,
-    frag_kernel,
     make_initial,
-    moment,
 )
+from cflab.core import MomentSeries, moment
+from oracles import coag_kernel, frag_kernel
 
 counts_strategy = arrays(
     np.float64,

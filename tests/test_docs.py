@@ -1,0 +1,79 @@
+"""The README's library sketch runs as written, and the exported API is pinned."""
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import cflab
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+#: Every public name of a fresh ``import cflab``, the submodules included.
+EXPORTED = [
+    "AbsorbingStateError",
+    "BernsteinField",
+    "BoundReport",
+    "CfLabError",
+    "CharacteristicFan",
+    "Distribution",
+    "EnsembleMoments",
+    "FanCoverageError",
+    "FanCrossingError",
+    "GridError",
+    "KernelSpec",
+    "ScenarioParams",
+    "SizeGrid",
+    "SolverAbort",
+    "SolverConfig",
+    "Trajectory",
+    "bernstein",
+    "characteristics",
+    "cm_exact_report",
+    "cm_sampled_report",
+    "core",
+    "default_starts",
+    "derivative_bounds_check",
+    "distribution_transform",
+    "ensemble_moments",
+    "envelope_check",
+    "errors",
+    "fan_to_field",
+    "field_from_trajectory",
+    "g_eps_bound_check",
+    "hj_residual_worst",
+    "holder_bounds_check",
+    "integrate_fan",
+    "kinetic",
+    "make_initial",
+    "monodisperse_transform",
+    "monotone_derivative_checks",
+    "reconstruct",
+    "simulate",
+    "simulate_replica",
+    "stability_limit",
+    "stochastic",
+    "verification",
+    "weak_form_residual",
+]
+
+
+def test_readme_library_sketch_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], str(README), "exec"), namespace)
+    assert {"traj", "field", "ens", "fan"} <= namespace.keys()
+    assert capsys.readouterr().out.startswith("(")
+
+
+def test_exported_names_are_pinned():
+    src = str(Path(cflab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import cflab; print(*sorted(n for n in vars(cflab) if n[0] != '_'))"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == EXPORTED
+    assert len(EXPORTED) <= 45

@@ -11,25 +11,20 @@ from hypothesis.extra.numpy import arrays
 from cflab import (
     Distribution,
     KernelSpec,
-    MomentSeries,
     ScenarioParams,
     SizeGrid,
     SolverAbort,
     SolverConfig,
     Trajectory,
-    coagulation_rhs,
-    fragmentation_rhs,
-    frag_kernel,
-    moment,
-    second_moment_envelope,
     simulate,
     stability_limit,
-    step,
     weak_form_residual,
 )
 from cflab import kinetic
-from cflab.kinetic import _coag_rates, _self_convolution, weak_form_rate
-from cflab.verification import frag_weak_coefficient, moment_ode_rhs_on_grid
+from cflab.core import MomentSeries, moment
+from cflab.kinetic import _coag_rates, _frag_rates, _rhs, _self_convolution, weak_form_rate
+from cflab.verification import frag_weak_coefficient, moment_ode_rhs_on_grid, second_moment_envelope
+from oracles import frag_kernel
 
 
 # --- brute-force references: the independent oracle for the vectorized rhs ---
@@ -110,20 +105,20 @@ class TestCoagulationRhs:
         """N1=2 at s=1: gain into bin 2 is 1/2*1*4 = 2, loss from bin 1 is 4."""
         g = SizeGrid(ds=1.0, n=6)
         d = Distribution(g, [2, 0, 0, 0, 0, 0])
-        rate = coagulation_rhs(d, KernelSpec.for_grid(g))
+        rate = _coag_rates(d.counts, g, KernelSpec.for_grid(g))
         np.testing.assert_allclose(rate[:3], [-4.0, 2.0, 0.0])
         assert np.dot(g.sizes, rate) == pytest.approx(0.0, abs=1e-14)
 
     def test_empty_distribution(self):
         g = SizeGrid(ds=1.0, n=4)
-        rate = coagulation_rhs(Distribution(g, np.zeros(4)), KernelSpec.for_grid(g))
+        rate = _coag_rates(np.zeros(4), g, KernelSpec.for_grid(g))
         np.testing.assert_array_equal(rate, 0.0)
 
     def test_top_bin_mass_is_inert(self):
         """Every pairing with the top bin exceeds the cap, so nothing moves."""
         g = SizeGrid(ds=1.0, n=5)
         d = Distribution(g, [0, 0, 0, 0, 3.0])
-        rate = coagulation_rhs(d, KernelSpec.for_grid(g))
+        rate = _coag_rates(d.counts, g, KernelSpec.for_grid(g))
         np.testing.assert_array_equal(rate, 0.0)
 
     def test_number_balance_is_nonpositive(self):
@@ -131,7 +126,7 @@ class TestCoagulationRhs:
         g = SizeGrid(ds=0.5, n=12)
         rng = np.random.default_rng(3)
         d = Distribution(g, rng.random(12))
-        assert np.sum(coagulation_rhs(d, KernelSpec.for_grid(g))) < 0
+        assert np.sum(_coag_rates(d.counts, g, KernelSpec.for_grid(g))) < 0
 
     @given(counts=counts_strategy)
     @settings(max_examples=40, deadline=None)
@@ -140,7 +135,7 @@ class TestCoagulationRhs:
         spec = KernelSpec.for_grid(g)
         d = Distribution(g, counts)
         np.testing.assert_allclose(
-            coagulation_rhs(d, spec), coag_reference(d, spec), rtol=1e-12, atol=1e-12
+            _coag_rates(d.counts, g, spec), coag_reference(d, spec), rtol=1e-12, atol=1e-12
         )
 
 
@@ -186,20 +181,20 @@ class TestFragmentationRhs:
         """Parent N2=1, ds=1, constant kernel: event rate 1/2, two fragments."""
         g = SizeGrid(ds=1.0, n=6)
         d = Distribution(g, [0, 1, 0, 0, 0, 0])
-        rate = fragmentation_rhs(d, KernelSpec.for_grid(g))
+        rate = _frag_rates(d.counts, g, KernelSpec.for_grid(g))
         np.testing.assert_allclose(rate[:3], [1.0, -0.5, 0.0])
         assert np.dot(g.sizes, rate) == pytest.approx(0.0, abs=1e-14)
 
     def test_smallest_size_cannot_fragment(self):
         g = SizeGrid(ds=1.0, n=4)
         d = Distribution(g, [5.0, 0, 0, 0])
-        np.testing.assert_array_equal(fragmentation_rhs(d, KernelSpec.for_grid(g)), 0.0)
+        np.testing.assert_array_equal(_frag_rates(d.counts, g, KernelSpec.for_grid(g)), 0.0)
 
     def test_perturbed_kernel_hand_values(self):
         """Parent N3=1, eps=1: loss = 1/2*(b(1,2)+b(2,1)) = 4 with b = 1+3."""
         g = SizeGrid(ds=1.0, n=6)
         d = Distribution(g, [0, 0, 1, 0, 0, 0])
-        rate = fragmentation_rhs(d, KernelSpec.for_grid(g, frag_eps=1.0))
+        rate = _frag_rates(d.counts, g, KernelSpec.for_grid(g, frag_eps=1.0))
         np.testing.assert_allclose(rate[:4], [4.0, 4.0, -4.0, 0.0])
 
     def test_number_balance_is_nonnegative(self):
@@ -207,7 +202,7 @@ class TestFragmentationRhs:
         g = SizeGrid(ds=0.5, n=12)
         rng = np.random.default_rng(5)
         d = Distribution(g, rng.random(12))
-        assert np.sum(fragmentation_rhs(d, KernelSpec.for_grid(g, 0.3))) > 0
+        assert np.sum(_frag_rates(d.counts, g, KernelSpec.for_grid(g, 0.3))) > 0
 
     @given(counts=counts_strategy, eps=st.floats(0.0, 2.0))
     @settings(max_examples=40, deadline=None)
@@ -216,7 +211,7 @@ class TestFragmentationRhs:
         spec = KernelSpec.for_grid(g, frag_eps=eps)
         d = Distribution(g, counts)
         np.testing.assert_allclose(
-            fragmentation_rhs(d, spec), frag_reference(d, spec), rtol=1e-12, atol=1e-12
+            _frag_rates(d.counts, g, spec), frag_reference(d, spec), rtol=1e-12, atol=1e-12
         )
 
 
@@ -228,7 +223,7 @@ class TestConservation:
         g = SizeGrid(ds=0.5, n=len(counts))
         spec = KernelSpec.for_grid(g, frag_eps=eps)
         d = Distribution(g, counts)
-        rate = coagulation_rhs(d, spec) + fragmentation_rhs(d, spec)
+        rate = _rhs(d.counts, g, spec)
         m1 = max(moment(d, 1), 1.0)
         assert abs(np.dot(g.sizes, rate)) <= 1e-13 * m1
 
@@ -241,7 +236,7 @@ class TestConservation:
         counts = rng.random(64) * np.exp(-g.sizes)
         counts[g.sizes > 0.5 * g.s_max] = 0.0  # no pair can reach the cap
         d = Distribution(g, counts)
-        rate = coagulation_rhs(d, spec) + fragmentation_rhs(d, spec)
+        rate = _rhs(d.counts, g, spec)
         measured = float(np.dot(g.sizes ** 2, rate))
         mom = d.moments()
         assert measured == pytest.approx(moment_ode_rhs_on_grid(mom, 0.0, 2, g.ds), rel=1e-10)
@@ -253,26 +248,28 @@ class TestStep:
     def test_zero_distribution_is_fixed_point(self):
         g = SizeGrid(ds=1.0, n=4)
         d = Distribution(g, np.zeros(4))
-        out = step(d, make_config(g, dt=1e-2))
+        out = simulate(make_config(g, dt=1e-2, t_end=1e-2), d).distributions[-1]
         np.testing.assert_array_equal(out.counts, 0.0)
 
     def test_zero_dt_returns_input(self):
         g = SizeGrid(ds=1.0, n=4)
         d = Distribution(g, [1.0, 0.5, 0, 0])
-        assert step(d, make_config(g, dt=0.0)) is d
+        traj = simulate(make_config(g, dt=0.0, t_end=1.0), d)
+        assert len(traj.snapshots) == 1
+        np.testing.assert_array_equal(traj.distributions[0].counts, d.counts)
 
     def test_one_step_conserves_mass(self):
         g = SizeGrid(ds=0.5, n=64)
         d = Distribution(g, np.where(g.sizes == 1.0, 2.0, 0.0))
-        out = step(d, make_config(g, eps=0.1, dt=1e-3))
+        out = simulate(make_config(g, eps=0.1, dt=1e-3, t_end=1e-3), d).distributions[-1]
         np.testing.assert_allclose(moment(out, 1), moment(d, 1), rtol=1e-12)
 
     def test_oversized_dt_aborts_with_negative_counts(self):
         g = SizeGrid(ds=1.0, n=32)
         d = Distribution(g, np.exp(-g.sizes))
-        config = make_config(g, eps=0.0, dt=5.0)
+        config = make_config(g, eps=0.0, dt=5.0, t_end=5.0)
         with pytest.raises(SolverAbort):
-            step(d, config)
+            simulate(config, d)
 
 
 class TestSimulate:

@@ -9,19 +9,23 @@ from cflab import (
     AbsorbingStateError,
     Distribution,
     KernelSpec,
-    ParticleSystem,
     ScenarioParams,
     SizeGrid,
     SolverConfig,
     ensemble_moments,
-    event_rates,
-    gillespie_step,
     make_initial,
-    second_moment_envelope,
     simulate,
     simulate_replica,
 )
-from cflab.stochastic import _execute_events, _proposal_rates, _run
+from cflab.stochastic import (
+    ParticleSystem,
+    _execute_events,
+    _proposal_rates,
+    _run,
+    event_rates,
+    gillespie_step,
+)
+from cflab.verification import second_moment_envelope
 
 
 def system_of(sizes, ds=1.0, n=8, volume=1.0, seed=0):

@@ -5,23 +5,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cflab import (
+    BernsteinField,
     BoundReport,
     ScenarioParams,
     SizeGrid,
-    a_priori_cap,
     derivative_bounds_check,
     envelope_check,
     field_from_trajectory,
-    frag_weak_coefficient,
     holder_bounds_check,
     make_initial,
+)
+from cflab.bernstein import transform
+from cflab.verification import (
+    a_priori_cap,
+    frag_weak_coefficient,
     moment_ode_rhs,
     moment_ode_rhs_on_grid,
     second_moment_envelope,
     time_derivative_bound,
-    transform,
 )
-from cflab.bernstein import BernsteinField
 
 
 class TestEnvelope:
