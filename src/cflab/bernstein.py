@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BoundReport, Distribution, ScenarioParams
+from .core import BoundReport, Distribution, ScenarioParams, uniform_step
 from .kinetic import Trajectory
 
 #: Tolerance scale for sign checks on exact transform sums.
@@ -177,10 +177,7 @@ def cm_sampled_report(
 
 def _time_derivative(F: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Second-order dF/dt: centered inside, one-sided at the first/last rows."""
-    steps = np.diff(times)
-    if np.max(np.abs(steps - steps[0])) > 1e-9 * max(steps[0], 1e-300):
-        raise ValueError("snapshots must be uniformly spaced in time")
-    dt = steps[0]
+    dt = uniform_step(times)
     out = np.empty_like(F)
     out[1:-1] = (F[2:] - F[:-2]) / (2.0 * dt)
     out[0] = (-3.0 * F[0] + 4.0 * F[1] - F[2]) / (2.0 * dt)

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .bernstein import BernsteinField, bernstein_sums
-from .core import BoundReport, Distribution
+from .core import BoundReport, Distribution, check_stride, step_count
 from .errors import FanCoverageError, FanCrossingError
 
 #: Paths are terminated (not extrapolated) once X falls to this floor.
@@ -130,17 +130,18 @@ def integrate_fan(
     """Integrate one path per start with the classical 4th-order scheme.
 
     ``f0_eval(x)`` must return (F0(x), F0'(x)); slopes outside [0, m] are
-    rejected as invalid initial data.  Paths that would cross the X floor are
-    frozen and marked, not extrapolated.  Non-crossing of the recorded fan is
-    verified before returning.
+    rejected as invalid initial data.  The fan takes ``round(t_end / dt)``
+    steps and records every ``record_every``-th; that stride must divide the
+    steps or reach past them, so the recorded times are uniformly spaced.
+    Paths that would cross the X floor are frozen and marked, not
+    extrapolated.  Non-crossing of the recorded fan is verified before
+    returning.
     """
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 1 or starts.size < 1:
         raise ValueError("starts must be a one-dimensional array")
     if np.any(starts <= 0) or np.any(np.diff(starts) <= 0):
         raise ValueError("starts must be positive and strictly increasing")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
 
     z0, p0 = f0_eval(starts)
     z0 = np.asarray(z0, dtype=float)
@@ -149,11 +150,9 @@ def integrate_fan(
     if np.any(p0 < -slack) or np.any(p0 > m + slack):
         raise ValueError("initial slope outside [0, m]: not valid transform data")
 
-    if t_end > 0 and dt > 0:
-        n_steps = max(1, int(round(t_end / dt)))
-        dt = t_end / n_steps
-    else:
-        n_steps, dt = 0, 0.0
+    n_steps = step_count(t_end, dt)
+    check_stride("record_every", record_every, n_steps)
+    dt = t_end / n_steps if n_steps else 0.0
 
     x, p, z = starts.copy(), p0.copy(), z0.copy()
     alive = np.ones(starts.size, dtype=bool)
@@ -298,25 +297,22 @@ def monotone_derivative_checks(fan: CharacteristicFan, t_star: float | None = No
     (X, Z) stay in [0, m], and, when the blow-up horizon is supplied, second
     difference quotients respect the curvature floor -1/(t_star - t_end) and
     exp(t/(t_star - t_end)) * dX stays nondecreasing along each adjacent gap.
-    Per-path worst cases are located at (t, path index).
+    Per-path worst cases are located at (t, path index), cross-path ones at
+    (t, gap index among the surviving paths); a second difference is located
+    at the lower of its two gaps.
     """
     m = fan.m
     checks = []
     fp_tol = 1e-12 * max(1.0, m)
     alive = fan.alive
 
-    p_vals = fan.p[alive] if np.any(alive) else np.array([0.0])
-    p_low = float(p_vals.min())
-    p_high = float((m - p_vals).min())
-    checks.append(BoundReport("p_within_[0,m]", min(p_low, p_high), fp_tol))
+    p_margin = np.where(alive, np.minimum(fan.p, m - fan.p), np.inf)
+    checks.append(_path_major_worst("p_within_[0,m]", p_margin, fp_tol, fan.times))
 
     dp = np.where(alive[:-1] & alive[1:], np.diff(fan.p, axis=0), np.inf)
     checks.append(_path_major_worst("p_nondecreasing", dp, 1e-10, fan.times))
-    rhs_worst = 0.0
-    if np.any(alive):
-        xs, ps, zs = fan.x[alive], fan.p[alive], fan.z[alive]
-        rhs_worst = float(np.min((zs / xs - ps) / xs))
-    checks.append(BoundReport("dp_nonnegative", rhs_worst, 1e-10))
+    rhs = np.where(alive, (fan.z / fan.x - fan.p) / fan.x, np.inf)
+    checks.append(_path_major_worst("dp_nonnegative", rhs, 1e-10, fan.times))
 
     cross_worst, cross_loc = np.inf, ()
     slope_worst, slope_loc = np.inf, ()
@@ -332,15 +328,17 @@ def monotone_derivative_checks(fan: CharacteristicFan, t_star: float | None = No
         if gaps[g] - CROSSING_SEPARATION < cross_worst:
             cross_worst, cross_loc = float(gaps[g] - CROSSING_SEPARATION), (float(t), g)
         quot = np.diff(zs) / gaps
-        margin = min(float(quot.min()), float((m - quot).min()))
-        if margin < slope_worst:
-            slope_worst, slope_loc = margin, (float(t),)
+        slope = np.minimum(quot, m - quot)
+        q = int(np.argmin(slope))
+        if slope[q] < slope_worst:
+            slope_worst, slope_loc = float(slope[q]), (float(t), q)
         if t_star is not None and quot.size >= 2:
             second = 2.0 * np.diff(quot) / (xs[2:] - xs[:-2])
             floor = -1.0 / (t_star - fan.times[-1])
-            margin2 = min(float((second - floor).min()), float((-second).min()))
-            if margin2 < curv_worst:
-                curv_worst, curv_loc = margin2, (float(t),)
+            curv = np.minimum(second - floor, -second)
+            q = int(np.argmin(curv))
+            if curv[q] < curv_worst:
+                curv_worst, curv_loc = float(curv[q]), (float(t), q)
     checks.append(BoundReport("non_crossing", cross_worst if np.isfinite(cross_worst) else 0.0, 0.0, cross_loc))
     checks.append(BoundReport("slope_quotients_in_[0,m]", slope_worst if np.isfinite(slope_worst) else 0.0, 1e-8 * max(1.0, m), slope_loc))
     if t_star is not None:

@@ -3,24 +3,15 @@
 Subcommands: simulate, verify, convergence, characteristics, stochastic.
 Experiments are described by a flat INI file whose sections mirror the type
 names, so a committed config plus a seed reproduces a run byte for byte.
-
-Exit codes
-----------
-0   success, all checks passed
-1   solver abort (negative or non-finite counts)
-2   bound violation (a FAIL in verify_report.csv or characteristics_report.csv)
-    or non-monotone convergence gaps
-3   characteristics fan does not cover the requested window
-64  unusable command line or config file
-65  a CSV artifact exists but cannot be parsed
-66  a required artifact is missing
+``load_config`` builds the run once; the subcommands only read it.  The exit
+codes are those of ``errors``, and the README lists them.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,13 +25,16 @@ from .characteristics import (
     integrate_fan,
     monotone_derivative_checks,
 )
-from .core import Distribution, KernelSpec, MomentSeries, ScenarioParams, SizeGrid, make_initial
+from .core import (
+    Distribution, KernelSpec, MomentSeries, ScenarioParams, SizeGrid, check_stride, make_initial, step_count
+)
 from .errors import (
+    EXIT_BOUND_VIOLATION,
+    EXIT_OK,
     CfLabError,
     ConfigError,
     CsvFormatError,
     FanCoverageError,
-    GridError,
     MissingArtifactError,
     SolverAbort,
 )
@@ -58,36 +52,29 @@ from .verification import (
     weak_form_check,
 )
 
-EXIT_OK = 0
-EXIT_SOLVER_ABORT = 1
-EXIT_BOUND_VIOLATION = 2
-EXIT_COVERAGE = 3
-EXIT_USAGE = 64
-EXIT_DATA = 65
-EXIT_NOINPUT = 66
+EXIT_SOLVER_ABORT = SolverAbort.exit_code
+EXIT_COVERAGE = FanCoverageError.exit_code
+EXIT_USAGE = ConfigError.exit_code
+EXIT_DATA = CsvFormatError.exit_code
+EXIT_NOINPUT = MissingArtifactError.exit_code
 
 _REQUIRED = object()
 
 
 @dataclass
 class Experiment:
-    """Everything a run needs, parsed from one config file."""
+    """One run, built from one config file: its initial data, scenario and
+    solver configs, the x grids of its checks, and the settings that the
+    subcommands read as given."""
 
-    mass: float
-    grid: SizeGrid
-    frag_eps: float
-    initial_kind: str
-    initial_size: float
-    initial_lam: float
-    dt: float
-    t_end: float
-    output_every: int
+    initial: Distribution
+    scenario: ScenarioParams
+    solver: SolverConfig
+    conv_solver: SolverConfig  # ``solver`` ending at [convergence] t_hi
+    verify_x: np.ndarray  # 0, then geometric on [field] x_lo .. [verify] x_hi
+    conv_x: np.ndarray
+    char_x: np.ndarray
     out_dir: str
-    field_x_lo: float
-    field_x_hi: float
-    field_nx: int
-    verify_x_hi: float
-    verify_nx: int
     hj_residual_max: float
     weak_residual_max: float
     weak_x: tuple
@@ -96,40 +83,10 @@ class Experiment:
     sto_t_grid: tuple
     seed: int
     conv_eps: tuple
-    conv_x_lo: float
-    conv_x_hi: float
-    conv_nx: int
-    conv_t_hi: float
     char_paths: int
     char_dt: float
     char_t_end: float
-    char_x_lo: float
-    char_x_hi: float
     char_record_every: int
-
-    def initial_distribution(self) -> Distribution:
-        return make_initial(
-            self.initial_kind,
-            self.grid,
-            mass=self.mass,
-            size=self.initial_size,
-            lam=self.initial_lam,
-        )
-
-    def kernel(self) -> KernelSpec:
-        return KernelSpec.for_grid(self.grid, frag_eps=self.frag_eps)
-
-
-def _get(cp, section, key, cast, default=_REQUIRED):
-    if not cp.has_option(section, key):
-        if default is _REQUIRED:
-            raise ConfigError(f"config is missing [{section}] {key}")
-        return default
-    raw = cp.get(section, key)
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
 
 def _floats(raw: str) -> tuple:
@@ -137,6 +94,8 @@ def _floats(raw: str) -> tuple:
 
 
 def load_config(path) -> Experiment:
+    """The run that the INI file at ``path`` describes, built; a missing or bad
+    value, or a key that nothing reads, raises ConfigError before any run."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -145,75 +104,94 @@ def load_config(path) -> Experiment:
         cp.read_string(path.read_text())
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    read = set()
 
-    dt = _get(cp, "solver", "dt", float)
-    t_end = _get(cp, "solver", "t_end", float)
-    # building the grid and the run here turns a bad value into a ConfigError
-    # (exit 64) before any subcommand starts
+    def get(section, key, cast, default=_REQUIRED):
+        read.add((section, key))
+        if not cp.has_option(section, key):
+            if default is _REQUIRED:
+                raise ConfigError(f"config is missing [{section}] {key}")
+            return default
+        raw = cp.get(section, key)
+        try:
+            return cast(raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+
     try:
-        n_steps = _n_steps(t_end, dt)
-        char_dt = _get(cp, "characteristics", "dt", float, 1e-3)
-        char_t_end = _get(cp, "characteristics", "t_end", float, t_end)
-        fan_steps = _n_steps(char_t_end, char_dt)
-        exp = Experiment(
-            mass=_get(cp, "scenario", "mass", float),
-            grid=SizeGrid(ds=_get(cp, "grid", "ds", float), n=_get(cp, "grid", "n", int)),
-            frag_eps=_get(cp, "kernel", "frag_eps", float, 0.0),
-            initial_kind=_get(cp, "initial", "kind", str, "monodisperse"),
-            initial_size=_get(cp, "initial", "size", float, 1.0),
-            initial_lam=_get(cp, "initial", "lam", float, 1.0),
+        grid = SizeGrid(ds=get("grid", "ds", float), n=get("grid", "n", int))
+        initial = make_initial(
+            get("initial", "kind", str, "monodisperse"),
+            grid,
+            mass=get("scenario", "mass", float),
+            size=get("initial", "size", float, 1.0),
+            lam=get("initial", "lam", float, 1.0),
+        )
+        scenario = ScenarioParams.from_distribution(initial)
+        dt = get("solver", "dt", float)
+        t_end = get("solver", "t_end", float)
+        solver = SolverConfig(
             dt=dt,
             t_end=t_end,
-            output_every=_get(cp, "solver", "output_every", int, _default_stride(n_steps, 10)),
-            out_dir=_get(cp, "outputs", "dir", str, "out"),
-            field_x_lo=_get(cp, "field", "x_lo", float, 1e-3),
-            field_x_hi=_get(cp, "field", "x_hi", float, 20.0),
-            field_nx=_get(cp, "field", "nx", int, 64),
-            verify_x_hi=_get(cp, "verify", "x_hi", float, 5.0),
-            verify_nx=_get(cp, "verify", "nx", int, 40),
-            hj_residual_max=_get(cp, "verify", "hj_residual_max", float, 1e-2),
-            weak_residual_max=_get(cp, "verify", "weak_residual_max", float, 1e-2),
-            weak_x=_get(cp, "verify", "weak_x", _floats, (0.5, 1.0, 2.0)),
-            sto_replicas=_get(cp, "stochastic", "replicas", int, 100),
-            sto_volume=_get(cp, "stochastic", "volume", float, None),
-            sto_t_grid=_get(cp, "stochastic", "t_grid", _floats, (0.0, t_end)),
-            seed=_get(cp, "stochastic", "seed", int, 20240801),
-            conv_eps=_get(cp, "convergence", "eps_list", _floats, ()),
-            conv_x_lo=_get(cp, "convergence", "x_lo", float, 0.5),
-            conv_x_hi=_get(cp, "convergence", "x_hi", float, 5.0),
-            conv_nx=_get(cp, "convergence", "nx", int, 46),
-            conv_t_hi=_get(cp, "convergence", "t_hi", float, t_end),
-            char_paths=_get(cp, "characteristics", "n_paths", int, 2000),
+            output_every=get("solver", "output_every", int, _default_stride(step_count(t_end, dt), 10)),
+            spec=KernelSpec.for_grid(grid, frag_eps=get("kernel", "frag_eps", float, 0.0)),
+            scenario=scenario,
+        )
+        conv_t_hi = get("convergence", "t_hi", float, t_end)
+        try:
+            conv_solver = replace(solver, t_end=conv_t_hi)
+        except ValueError as exc:
+            raise ValueError(f"[convergence] t_hi = {conv_t_hi:g}: {exc}") from exc
+        verify_nx = get("verify", "nx", int, 40)
+        if verify_nx < 5:
+            # characteristics differences the field on this many x up to 4th order
+            raise ValueError(f"[verify] nx = {verify_nx} must be at least 5")
+        conv_nx = get("convergence", "nx", int, 46)
+        if conv_nx < 2:
+            raise ValueError(f"[convergence] nx = {conv_nx} must be at least 2")
+        char_dt = get("characteristics", "dt", float, 1e-3)
+        char_t_end = get("characteristics", "t_end", float, t_end)
+        fan_steps = step_count(char_t_end, char_dt)
+        char_record_every = get("characteristics", "record_every", int, _default_stride(fan_steps, 50))
+        check_stride("[characteristics] record_every", char_record_every, fan_steps)
+        exp = Experiment(
+            initial=initial,
+            scenario=scenario,
+            solver=solver,
+            conv_solver=conv_solver,
+            verify_x=np.concatenate(
+                [[0.0], np.geomspace(get("field", "x_lo", float, 1e-3), get("verify", "x_hi", float, 5.0), verify_nx)]
+            ),
+            conv_x=np.linspace(get("convergence", "x_lo", float, 0.5), get("convergence", "x_hi", float, 5.0), conv_nx),
+            char_x=np.linspace(
+                get("characteristics", "x_lo", float, 0.5), get("characteristics", "x_hi", float, 6.0), verify_nx
+            ),
+            out_dir=get("outputs", "dir", str, "out"),
+            hj_residual_max=get("verify", "hj_residual_max", float, 1e-2),
+            weak_residual_max=get("verify", "weak_residual_max", float, 1e-2),
+            weak_x=get("verify", "weak_x", _floats, (0.5, 1.0, 2.0)),
+            sto_replicas=get("stochastic", "replicas", int, 100),
+            sto_volume=get("stochastic", "volume", float, None),
+            sto_t_grid=get("stochastic", "t_grid", _floats, (0.0, t_end)),
+            seed=get("stochastic", "seed", int, 20240801),
+            conv_eps=get("convergence", "eps_list", _floats, ()),
+            char_paths=get("characteristics", "n_paths", int, 2000),
             char_dt=char_dt,
             char_t_end=char_t_end,
-            char_x_lo=_get(cp, "characteristics", "x_lo", float, 0.5),
-            char_x_hi=_get(cp, "characteristics", "x_hi", float, 6.0),
-            char_record_every=_get(
-                cp, "characteristics", "record_every", int, _default_stride(fan_steps, 50)
-            ),
+            char_record_every=char_record_every,
         )
-        _, scenario, _ = _build_run(exp)
-        try:
-            _solver_config(exp, scenario, exp.conv_t_hi, exp.frag_eps)
-        except ValueError as exc:
-            raise ValueError(f"[convergence] t_hi = {exp.conv_t_hi:g}: {exc}") from exc
-        if exp.verify_nx < 5:
-            # characteristics differences the field on this many x up to 4th order
-            raise ValueError(f"[verify] nx = {exp.verify_nx} must be at least 5")
-        stride = exp.char_record_every
-        if stride < 1 or (stride < fan_steps and fan_steps % stride):
-            raise ValueError(
-                f"[characteristics] record_every = {stride} must be at least 1 and divide the "
-                f"{fan_steps} steps of t_end / dt, so that the fan times are uniformly spaced"
-            )
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value in {path}: {exc}") from exc
+    unread = [
+        f"[{section}] {key}"
+        for section in cp.sections()
+        for key in cp.options(section)
+        if (section, key) not in read and key not in cp.defaults()
+    ]
+    unread += [f"[DEFAULT] {key}" for key in cp.defaults() if all(key != k for _, k in read)]
+    if unread:
+        raise ConfigError(f"{path} sets keys that cflab does not read: {', '.join(unread)}")
     return exp
-
-
-def _n_steps(t_end: float, dt: float) -> int:
-    """``round(t_end / dt)``, at least 1, as the solver and the fan count their steps."""
-    return max(1, int(round(t_end / dt))) if dt > 0 and t_end > 0 else 1
 
 
 def _default_stride(n_steps: int, snapshots: int) -> int:
@@ -230,37 +208,16 @@ def _say(quiet, *parts):
         print(*parts)
 
 
-def _solver_config(exp: Experiment, scenario, t_end: float, frag_eps: float) -> SolverConfig:
-    return SolverConfig(
-        dt=exp.dt,
-        t_end=t_end,
-        output_every=exp.output_every,
-        spec=KernelSpec.for_grid(exp.grid, frag_eps=frag_eps),
-        scenario=scenario,
-    )
-
-
-def _build_run(exp: Experiment):
-    """Initial distribution, scenario and solver config of the experiment."""
-    initial = exp.initial_distribution()
-    scenario = ScenarioParams.from_distribution(initial)
-    return initial, scenario, _solver_config(exp, scenario, exp.t_end, exp.frag_eps)
-
-
 def _snapshot_path(out: Path, i: int, t: float) -> Path:
     return out / f"snapshot_{i:04d}_t{t:.6f}.csv"
 
 
 def cmd_simulate(exp: Experiment, out: Path, quiet: bool) -> int:
-    initial, scenario, config = _build_run(exp)
-    guard = stability_limit(exp.grid, config.spec, scenario.m)
-    if exp.dt > guard:
-        _say(quiet, f"warning: dt={exp.dt:g} exceeds the stability guard {guard:.3g}")
-    try:
-        traj = simulate(config, initial)
-    except SolverAbort as exc:
-        print(f"solver abort: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_ABORT
+    config = exp.solver
+    guard = stability_limit(exp.initial.grid, config.spec, exp.scenario.m)
+    if config.dt > guard:
+        _say(quiet, f"warning: dt={config.dt:g} exceeds the stability guard {guard:.3g}")
+    traj = simulate(config, exp.initial)
     csvio.write_trajectory_csv(out / "trajectory.csv", traj)
     for i, (t, dist) in enumerate(traj.snapshots):
         csvio.write_snapshot_csv(_snapshot_path(out, i, t), dist)
@@ -268,7 +225,7 @@ def cmd_simulate(exp: Experiment, out: Path, quiet: bool) -> int:
     occupancy = traj.metadata["max_top_bin_occupancy"]
     _say(
         quiet,
-        f"simulated to t={exp.t_end:g}: max mass drift {drift:.3e} "
+        f"simulated to t={config.t_end:g}: max mass drift {drift:.3e} "
         f"(tol {MASS_DRIFT_TOL:g}), top-bin occupancy {occupancy:.3e}",
     )
     if traj.metadata["mass_drift_exceeded"] or traj.metadata["top_bin_occupancy_exceeded"]:
@@ -277,16 +234,12 @@ def cmd_simulate(exp: Experiment, out: Path, quiet: bool) -> int:
     return EXIT_OK
 
 
-def _verify_x_grid(exp: Experiment) -> np.ndarray:
-    return np.concatenate([[0.0], np.geomspace(exp.field_x_lo, exp.verify_x_hi, exp.verify_nx)])
-
-
 def _read_run(exp: Experiment, out: Path) -> Trajectory:
     """The run that ``simulate`` wrote to ``out``: the rows of trajectory.csv
     with the counts of one snapshot file per row."""
     data = csvio.read_trajectory_csv(out / "trajectory.csv")
     times = data["t"]
-    dists = [csvio.read_snapshot_csv(_snapshot_path(out, i, t), exp.grid) for i, t in enumerate(times)]
+    dists = [csvio.read_snapshot_csv(_snapshot_path(out, i, t), exp.initial.grid) for i, t in enumerate(times)]
     found = len(list(out.glob("snapshot_*.csv")))
     if found != times.size:
         raise CsvFormatError(f"{found} snapshot files in {out} for {times.size} trajectory rows")
@@ -296,33 +249,32 @@ def _read_run(exp: Experiment, out: Path) -> Trajectory:
         )
     except ValueError as exc:
         raise CsvFormatError(f"bad trajectory CSV in {out}: {exc}") from exc
-    return Trajectory(snapshots=tuple(zip(times, dists)), moments=series, spec=exp.kernel())
+    return Trajectory(snapshots=tuple(zip(times, dists)), moments=series, spec=exp.solver.spec)
 
 
 def cmd_verify(exp: Experiment, out: Path, quiet: bool) -> int:
     traj = _read_run(exp, out)
-    _, scenario, _ = _build_run(exp)
+    scenario, t_end = exp.scenario, exp.solver.t_end
     times, moments = traj.times, traj.moments.moments
     m2_0 = float(moments[0, 2])
     t_star = 1.0 / m2_0
-    x_grid = _verify_x_grid(exp)
-    field = field_from_trajectory(traj, x_grid)
+    field = field_from_trajectory(traj, exp.verify_x)
 
     reports = [
         mass_conservation_check(traj),
         # the envelope margin is reported per output time
         *(envelope_check([t], [m2], m2_0) for t, m2 in zip(times, moments[:, 2]) if t <= 0.8 * t_star),
         holder_bounds_check(moments, times),
-        cm_exact_check(traj, scenario, x_grid),
+        cm_exact_check(traj, scenario, exp.verify_x),
     ]
-    if exp.t_end < scenario.t_star:
+    if t_end < scenario.t_star:
         reports += [
-            derivative_bounds_check(field, scenario, exp.t_end),
-            g_eps_bound_check(field, scenario, exp.t_end),
+            derivative_bounds_check(field, scenario, t_end),
+            g_eps_bound_check(field, scenario, t_end),
         ]
     if field.times.size >= 3:
         reports += [
-            hj_residual_check(field, scenario, exp.frag_eps, exp.hj_residual_max),
+            hj_residual_check(field, scenario, exp.solver.spec.frag_eps, exp.hj_residual_max),
             weak_form_check(traj, exp.weak_x, exp.weak_residual_max),
         ]
     return _report(out / "verify_report.csv", reports, quiet)
@@ -350,21 +302,17 @@ def cmd_convergence(exp: Experiment, out: Path, quiet: bool) -> int:
     if len(eps_list) < 3 or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("convergence needs an eps_list with >= 3 strictly decreasing entries")
 
-    initial, scenario, _ = _build_run(exp)
-    x_grid = np.linspace(exp.conv_x_lo, exp.conv_x_hi, exp.conv_nx)
-
+    run, x_grid, m = exp.conv_solver, exp.conv_x, exp.scenario.m
     fields = [
-        field_from_trajectory(
-            simulate(_solver_config(exp, scenario, exp.conv_t_hi, eps), initial), x_grid
-        )
+        field_from_trajectory(simulate(replace(run, spec=replace(run.spec, frag_eps=eps)), exp.initial), x_grid)
         for eps in eps_list
     ]
 
     times = fields[0].times
-    starts = default_starts(scenario.m, exp.conv_t_hi, exp.conv_x_lo, exp.conv_x_hi, exp.char_paths)
+    starts = default_starts(m, run.t_end, x_grid[0], x_grid[-1], exp.char_paths)
     snap_dt = float(times[1] - times[0]) if times.size > 1 else exp.char_dt
-    fan_dt = snap_dt / max(1, int(round(snap_dt / exp.char_dt)))
-    fan = integrate_fan(distribution_transform(initial), starts, exp.conv_t_hi, fan_dt, scenario.m)
+    fan_dt = snap_dt / max(1, step_count(snap_dt, exp.char_dt))
+    fan = integrate_fan(distribution_transform(exp.initial), starts, run.t_end, fan_dt, m)
     limit_field = fan_to_field(fan, x_grid, times)
 
     gaps = [float(np.max(np.abs(f.F - limit_field.F))) for f in fields]
@@ -379,16 +327,13 @@ def cmd_convergence(exp: Experiment, out: Path, quiet: bool) -> int:
 
 
 def cmd_characteristics(exp: Experiment, out: Path, quiet: bool) -> int:
-    initial, scenario, _ = _build_run(exp)
-    starts = default_starts(
-        scenario.m, exp.char_t_end, exp.char_x_lo, exp.char_x_hi, exp.char_paths
-    )
+    scenario, x_grid = exp.scenario, exp.char_x
+    starts = default_starts(scenario.m, exp.char_t_end, x_grid[0], x_grid[-1], exp.char_paths)
     fan = integrate_fan(
-        distribution_transform(initial), starts, exp.char_t_end, exp.char_dt, scenario.m,
+        distribution_transform(exp.initial), starts, exp.char_t_end, exp.char_dt, scenario.m,
         record_every=exp.char_record_every,
     )
     csvio.write_fan_csv(out / "fan.csv", fan)
-    x_grid = np.linspace(exp.char_x_lo, exp.char_x_hi, exp.verify_nx)
     field = fan_to_field(fan, x_grid, fan.times)
     residual = hj_residual_grid(field, scenario, 0.0) if field.times.size >= 3 else None
     csvio.write_field_csv(out / "characteristics_field.csv", field, residual)
@@ -400,10 +345,9 @@ def cmd_characteristics(exp: Experiment, out: Path, quiet: bool) -> int:
 
 
 def cmd_stochastic(exp: Experiment, out: Path, quiet: bool) -> int:
-    initial = exp.initial_distribution()
     ens = ensemble_moments(
-        initial,
-        exp.kernel(),
+        exp.initial,
+        exp.solver.spec,
         np.asarray(exp.sto_t_grid),
         replicas=exp.sto_replicas,
         seed=exp.seed,
@@ -418,19 +362,22 @@ def cmd_stochastic(exp: Experiment, out: Path, quiet: bool) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "simulate": (cmd_simulate, "run the deterministic solver and export trajectory CSVs"),
+    "verify": (cmd_verify, "check every applicable bound on an existing run"),
+    "convergence": (cmd_convergence, "per-eps runs against the characteristics limit"),
+    "characteristics": (cmd_characteristics, "integrate and export a characteristic fan"),
+    "stochastic": (cmd_stochastic, "particle-ensemble moments for cross-validation"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cflab",
         description="coagulation-fragmentation laboratory: run engines, cross-validate, verify bounds",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in [
-        ("simulate", "run the deterministic solver and export trajectory CSVs"),
-        ("verify", "check every applicable bound on an existing run"),
-        ("convergence", "per-eps runs against the characteristics limit"),
-        ("characteristics", "integrate and export a characteristic fan"),
-        ("stochastic", "particle-ensemble moments for cross-validation"),
-    ]:
+    for name, (_, blurb) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=blurb)
         cmd.add_argument("--config", required=True, help="experiment config file (INI)")
         cmd.add_argument("--out", default=None, help="output directory (defaults to [outputs] dir)")
@@ -451,37 +398,12 @@ def main(argv=None) -> int:
             exp.seed = args.seed
         out = Path(args.out if args.out is not None else exp.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        handler = {
-            "simulate": cmd_simulate,
-            "verify": cmd_verify,
-            "convergence": cmd_convergence,
-            "characteristics": cmd_characteristics,
-            "stochastic": cmd_stochastic,
-        }[args.command]
-        return handler(exp, out, args.quiet)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except GridError as exc:
-        print(f"grid error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MissingArtifactError as exc:
-        print(f"missing artifact: {exc}", file=sys.stderr)
-        return EXIT_NOINPUT
-    except CsvFormatError as exc:
-        print(f"artifact parse failure: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FanCoverageError as exc:
-        print(f"fan coverage: {exc}", file=sys.stderr)
-        if exc.required is not None:
-            print(f"  required x range: {exc.required}, covered: {exc.covered}", file=sys.stderr)
-        return EXIT_COVERAGE
-    except SolverAbort as exc:
-        print(f"solver abort: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_ABORT
+        return _COMMANDS[args.command][0](exp, out, args.quiet)
     except CfLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        if isinstance(exc, FanCoverageError) and exc.required is not None:
+            print(f"  required x range: {exc.required}, covered: {exc.covered}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -212,6 +212,27 @@ class BoundReport:
         return f"{self.name}: {self.status} (margin {self.worst_margin:.3e}{where})"
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """``round(t_end / dt)``, at least 1; 0 for a run of zero length or step.
+    Both time-steppers take this many steps of ``t_end / step_count``."""
+    return max(1, int(round(t_end / dt))) if t_end > 0 and dt > 0 else 0
+
+
+def check_stride(name: str, stride: int, n_steps: int) -> None:
+    """ValueError unless the recording stride is at least 1 and divides
+    ``n_steps`` or reaches past it, so the recorded times are uniformly spaced."""
+    if stride < 1 or (stride < n_steps and n_steps % stride):
+        raise ValueError(f"{name} = {stride} is below 1 or does not divide the {n_steps} steps of t_end / dt")
+
+
+def uniform_step(times: np.ndarray) -> float:
+    """The common spacing of ``times``; ValueError unless they are uniformly spaced."""
+    steps = np.diff(times)
+    if np.max(np.abs(steps - steps[0])) > 1e-9 * max(steps[0], 1e-300):
+        raise ValueError("snapshots must be uniformly spaced in time")
+    return float(steps[0])
+
+
 def moment(dist: Distribution, k: int) -> float:
     """k-th moment ``sum_i s_i^k N_i`` for k = 0..5; m_1 is the total mass."""
     if not 0 <= k <= MAX_MOMENT:

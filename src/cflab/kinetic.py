@@ -24,7 +24,9 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Distribution, KernelSpec, MomentSeries, ScenarioParams, SizeGrid
+from .core import (
+    Distribution, KernelSpec, MomentSeries, ScenarioParams, SizeGrid, check_stride, step_count, uniform_step
+)
 from .errors import SolverAbort
 
 #: Counts more negative than NEGATIVE_COUNT_RTOL * max(N) abort the step;
@@ -64,18 +66,12 @@ class SolverConfig:
             raise ValueError(f"dt must be nonnegative, got {self.dt}")
         if not self.t_end >= 0:
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
-        if self.output_every < 1:
-            raise ValueError(f"output stride must be >= 1, got {self.output_every}")
-        if self.output_every < self.n_steps and self.n_steps % self.output_every:
-            raise ValueError(
-                f"output stride {self.output_every} does not divide the {self.n_steps} steps "
-                "of t_end / dt, so the snapshots would not be uniformly spaced in time"
-            )
+        check_stride("output_every", self.output_every, self.n_steps)
 
     @property
     def n_steps(self) -> int:
         """``round(t_end / dt)``, at least 1; 0 for a run of zero length or step."""
-        return max(1, int(round(self.t_end / self.dt))) if self.t_end > 0 and self.dt > 0 else 0
+        return step_count(self.t_end, self.dt)
 
 
 @dataclass(frozen=True)
@@ -251,13 +247,11 @@ def weak_form_residual(traj: Trajectory, phi: Callable[[np.ndarray], np.ndarray]
     if len(traj.snapshots) < 3:
         raise ValueError("need at least 3 snapshots for a centered difference")
     times = traj.times
-    steps = np.diff(times)
-    if np.max(np.abs(steps - steps[0])) > 1e-9 * max(steps[0], 1e-300):
-        raise ValueError("snapshots must be uniformly spaced in time")
+    dt = uniform_step(times)
     phi_s = np.asarray(phi(traj.grid.sizes), dtype=float)
     counts = np.stack([d.counts for d in traj.distributions])
     phi_tot = np.array([float(np.dot(phi_s, c)) for c in counts])
-    lhs = (phi_tot[2:] - phi_tot[:-2]) / (2.0 * steps[0])
+    lhs = (phi_tot[2:] - phi_tot[:-2]) / (2.0 * dt)
     res = np.abs(lhs - _weak_form_rates(traj.grid, traj.spec, phi_s, counts[1:-1]))
     worst = int(np.argmax(res))
     return float(res[worst]), float(times[1 + worst])

@@ -78,6 +78,21 @@ class TestInitialData:
 
 
 class TestIntegrateFan:
+    def test_stride_must_divide_the_step_count(self):
+        """300 steps recorded every 7 would end on a 6-step stride, and the field
+        of that fan could not be differenced in time; the fan rejects it as
+        SolverConfig rejects the same output stride."""
+        f0 = monodisperse_transform(1.0, 1.0)
+        starts = np.linspace(1.0, 3.0, 5)
+        with pytest.raises(ValueError, match="does not divide the 300 steps"):
+            integrate_fan(f0, starts, t_end=0.3, dt=1e-3, m=1.0, record_every=7)
+        with pytest.raises(ValueError, match="is below 1"):
+            integrate_fan(f0, starts, t_end=0.3, dt=1e-3, m=1.0, record_every=0)
+        for stride, n_times in [(6, 51), (300, 2), (400, 2)]:
+            fan = integrate_fan(f0, starts, t_end=0.3, dt=1e-3, m=1.0, record_every=stride)
+            assert fan.times.size == n_times
+            np.testing.assert_allclose(np.diff(fan.times), np.diff(fan.times)[0], rtol=1e-9)
+
     def test_zero_horizon_returns_initial_conditions(self):
         f0 = monodisperse_transform(1.0, 1.0)
         starts = np.linspace(0.5, 3.0, 7)
@@ -174,7 +189,7 @@ class TestIntegrateFan:
 
 def path_loop_oracle(fan, t_star):
     """The per-path loops of the fan checks, as (margin, location) per check."""
-    dp_worst, dp_loc, rhs_worst = np.inf, (), np.inf
+    dp_worst, dp_loc, rhs_worst, rhs_loc, pm_worst, pm_loc = np.inf, (), np.inf, (), np.inf, ()
     for jp in range(fan.n_paths):
         ok = fan.alive[:, jp]
         if np.count_nonzero(ok) >= 2:
@@ -184,7 +199,14 @@ def path_loop_oracle(fan, t_star):
                 dp_worst, dp_loc = float(dp[i]), (float(fan.times[ok][i]), jp)
         if np.any(ok):
             xs, ps, zs = fan.x[ok, jp], fan.p[ok, jp], fan.z[ok, jp]
-            rhs_worst = min(rhs_worst, float(np.min((zs / xs - ps) / xs)))
+            rhs = (zs / xs - ps) / xs
+            i = int(np.argmin(rhs))
+            if rhs[i] < rhs_worst:
+                rhs_worst, rhs_loc = float(rhs[i]), (float(fan.times[ok][i]), jp)
+            pm = np.minimum(ps, fan.m - ps)
+            i = int(np.argmin(pm))
+            if pm[i] < pm_worst:
+                pm_worst, pm_loc = float(pm[i]), (float(fan.times[ok][i]), jp)
     spread_worst, spread_loc = np.inf, ()
     factor = np.exp(fan.times / (t_star - fan.times[-1]))
     for jp in range(fan.n_paths - 1):
@@ -198,7 +220,8 @@ def path_loop_oracle(fan, t_star):
             spread_worst, spread_loc = float(rel[i]), (float(fan.times[ok][i]), jp)
     return {
         "p_nondecreasing": (dp_worst, dp_loc),
-        "dp_nonnegative": (rhs_worst, ()),
+        "p_within_[0,m]": (pm_worst, pm_loc),
+        "dp_nonnegative": (rhs_worst, rhs_loc),
         "x_spread_factor_nondecreasing": (spread_worst, spread_loc),
     }
 

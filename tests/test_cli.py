@@ -10,7 +10,7 @@ import pytest
 
 import cflab
 
-from cflab import BoundReport, kinetic
+from cflab import BoundReport, errors, kinetic
 from cflab.bernstein import cm_exact_report, field_from_trajectory, hj_residual_grid
 from cflab.cli import (
     EXIT_BOUND_VIOLATION,
@@ -20,8 +20,6 @@ from cflab.cli import (
     EXIT_SOLVER_ABORT,
     EXIT_USAGE,
     load_config,
-    _build_run,
-    _verify_x_grid,
     main,
     strictly_decreasing,
 )
@@ -67,7 +65,6 @@ eps_list = 0.2, 0.1, 0.05
 x_lo = 0.5
 x_hi = 4.0
 nx = 24
-n_paths = 400
 
 [characteristics]
 n_paths = 200
@@ -100,7 +97,7 @@ class TestConfig:
     def test_loads_defaults(self, workspace):
         config, out = workspace
         exp = load_config(config)
-        assert exp.grid.n == 128
+        assert exp.initial.grid.n == 128
         assert exp.weak_x == (0.5, 1.0, 2.0)
 
     def test_usage_error_without_subcommand(self):
@@ -121,6 +118,10 @@ class TestConfig:
             # 200 fan steps recorded every 7 would end on a shorter last stride
             pytest.param(
                 "x_lo = 0.6", "x_lo = 0.6\nrecord_every = 7", id="characteristics record_every = 7"
+            ),
+            # convergence reads [characteristics] n_paths, not this key
+            pytest.param(
+                "nx = 24", "nx = 24\nn_paths = 400", id="unread key [convergence] n_paths"
             ),
         ],
     )
@@ -147,6 +148,18 @@ class TestConfig:
         assert "Traceback" not in err
         assert err.startswith("config error:") and "t_hi" in err and err.count("\n") == 1
 
+    def test_unread_keys_are_named_in_one_line(self, workspace, tmp_path, capsys):
+        """Keys that nothing reads, such as the dropped [field] x_hi, exit 64
+        before any run, named in one config error line."""
+        config, out = workspace
+        bad = tmp_path / "unread.ini"
+        bad.write_text(config.read_text() + "\n[field]\nx_lo = 1e-3\nx_hi = 20.0\n[extra]\nkey = 1\n")
+        assert main(["simulate", "--config", str(bad), "--quiet"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "[field] x_hi, [extra] key" in err and "x_lo" not in err
+        assert not out.exists()
+
     def test_default_stride_divides_the_step_count(self, workspace, tmp_path):
         """205 steps with no stride given: a tenth would be 20, the largest
         divisor below it is 5, and verify runs on the uniform snapshots."""
@@ -156,7 +169,7 @@ class TestConfig:
         )
         cfg = tmp_path / "default_stride.ini"
         cfg.write_text(text)
-        assert load_config(cfg).output_every == 5
+        assert load_config(cfg).solver.output_every == 5
         assert main(["simulate", "--config", str(cfg), "--quiet"]) == EXIT_OK
         assert main(["verify", "--config", str(cfg), "--quiet"]) == EXIT_OK
 
@@ -174,6 +187,37 @@ class TestConfig:
             times = sorted({float(row["t"]) for row in csv.DictReader(fh)})
         assert len(times) == 71
         np.testing.assert_allclose(np.diff(times), 0.003, rtol=1e-9)
+
+
+class TestErrorMapping:
+    @pytest.mark.parametrize(
+        "error, code, err",
+        [
+            (errors.SolverAbort("x"), EXIT_SOLVER_ABORT, "solver abort: x\n"),
+            (
+                errors.FanCoverageError("x", covered=(1.0, 2.0), required=(0.5, 3.0)),
+                3,
+                "fan coverage: x\n  required x range: (0.5, 3.0), covered: (1.0, 2.0)\n",
+            ),
+            (errors.FanCoverageError("x"), 3, "fan coverage: x\n"),
+            (errors.MissingArtifactError("x"), EXIT_NOINPUT, "missing artifact: x\n"),
+            (errors.CsvFormatError("x"), EXIT_DATA, "artifact parse failure: x\n"),
+            (errors.GridError("x"), EXIT_USAGE, "grid error: x\n"),
+            (errors.ConfigError("x"), EXIT_USAGE, "config error: x\n"),
+            (errors.AbsorbingStateError("x"), EXIT_USAGE, "error: x\n"),
+            (errors.FanCrossingError("x"), EXIT_USAGE, "error: x\n"),
+        ],
+        ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None,
+    )
+    def test_each_error_exits_with_its_code_and_label(self, workspace, monkeypatch, capsys, error, code, err):
+        config, out = workspace
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cflab.cli, "ensemble_moments", fail)
+        assert main(["stochastic", "--config", str(config), "--quiet"]) == code
+        assert capsys.readouterr().err == err
 
 
 class TestSimulate:
@@ -250,7 +294,9 @@ class TestVerify:
         interior times and x > 0; complete_monotonicity_exact reports the
         snapshot time and the x of its smallest signed derivative on the
         verify window; weak_form_residual reports the interior snapshot time
-        and the weak_x of its largest mismatch."""
+        and the weak_x of its largest mismatch; mass_conservation reports the
+        snapshot time of the largest drift, and g_eps_bound the (t, x) of the
+        largest |G_eps|."""
         config, out = workspace
         assert main(["simulate", "--config", str(config), "--quiet"]) == EXIT_OK
         main(["verify", "--config", str(config), "--quiet"])
@@ -258,10 +304,9 @@ class TestVerify:
             rows = {row["name"]: row for row in csv.DictReader(fh)}
 
         exp = load_config(config)
-        initial, scenario, run = _build_run(exp)
-        traj = simulate(run, initial)
-        field = field_from_trajectory(traj, _verify_x_grid(exp))
-        res = np.abs(hj_residual_grid(field, scenario, exp.frag_eps))
+        traj = simulate(exp.solver, exp.initial)
+        field = field_from_trajectory(traj, exp.verify_x)
+        res = np.abs(hj_residual_grid(field, exp.scenario, exp.solver.spec.frag_eps))
         res[0] = res[-1] = -np.inf  # one-sided time rows
         res[:, field.x <= 0] = -np.inf
         i, j = np.unravel_index(np.nanargmax(res), res.shape)
@@ -272,7 +317,7 @@ class TestVerify:
         cm = [(cm_exact_report(dist, k_max=6, x_samples=field.x), t) for t, dist in traj.snapshots]
         rep, t = min(cm, key=lambda pair: pair[0].worst_margin)
         assert float(rows["complete_monotonicity_exact"]["t"]) == t
-        assert float(rows["complete_monotonicity_exact"]["x_or_k"]) == rep.location[0] <= exp.verify_x_hi
+        assert float(rows["complete_monotonicity_exact"]["x_or_k"]) == rep.location[0] <= exp.verify_x[-1]
 
         dists, times = traj.distributions, traj.times
         mismatches = []
@@ -289,6 +334,50 @@ class TestVerify:
         assert float(rows["weak_form_residual"]["x_or_k"]) == xv
         margin = (exp.weak_residual_max - worst) / exp.weak_residual_max
         assert float(rows["weak_form_residual"]["worst_margin"]) == pytest.approx(margin, rel=1e-12)
+
+        drift = list(traj.moments.mass_drift)
+        k = max(range(len(drift)), key=lambda k: (drift[k], -k))  # ties go to the earliest
+        assert float(rows["mass_conservation"]["t"]) == times[k]
+        assert rows["mass_conservation"]["x_or_k"] == "m1"
+
+        worst_g, t_g, x_g = -1.0, None, None
+        for i, t in enumerate(field.times):
+            for j, x in enumerate(field.x):
+                if abs(field.g_eps[i, j]) > worst_g:
+                    worst_g, t_g, x_g = abs(field.g_eps[i, j]), t, x
+        assert 0 < x_g
+        assert (float(rows["g_eps_bound"]["t"]), float(rows["g_eps_bound"]["x_or_k"])) == (t_g, x_g)
+
+
+def fan_loop_worst(path, scenario):
+    """(margin, location) of four fan checks from loops over fan.csv: per path,
+    then per time, for the per-path checks (at (t, path)); per time, then per
+    adjacent gap among the surviving paths, for the cross-path ones (at
+    (t, gap), a second difference at its lower gap)."""
+    data = np.genfromtxt(path, delimiter=",", skip_header=1)
+    times = np.unique(data[:, 1])
+    x, p, z, dead = (data[:, c].reshape(times.size, -1) for c in (2, 3, 4, 5))
+    m, floor = scenario.m, -1.0 / (scenario.t_star - times[-1])
+    worst = {}
+
+    def offer(name, value, where):
+        if value < worst.get(name, (np.inf,))[0]:
+            worst[name] = (float(value), where)
+
+    for jp in range(x.shape[1]):
+        for i, t in enumerate(times):
+            if not dead[i, jp]:
+                offer("p_within_[0,m]", min(p[i, jp], m - p[i, jp]), (t, jp))
+                offer("dp_nonnegative", (z[i, jp] / x[i, jp] - p[i, jp]) / x[i, jp], (t, jp))
+    for i, t in enumerate(times):
+        xs, zs = x[i, dead[i] == 0], z[i, dead[i] == 0]
+        quot = [(zs[g + 1] - zs[g]) / (xs[g + 1] - xs[g]) for g in range(xs.size - 1)]
+        for g, q in enumerate(quot):
+            offer("slope_quotients_in_[0,m]", min(q, m - q), (t, g))
+        for g in range(len(quot) - 1):
+            second = 2.0 * (quot[g + 1] - quot[g]) / (xs[g + 2] - xs[g])
+            offer("curvature_within_envelope", min(second - floor, -second), (t, g))
+    return worst
 
 
 def _with_first_count(text, cell):
@@ -392,7 +481,9 @@ class TestOtherCommands:
 
     def test_characteristics_report(self, workspace):
         """Every fan check and the sampled complete monotonicity of the field
-        pass; the sampled row is located at a fan time and an x of the field."""
+        pass; the sampled row is located at a fan time and an x of the field,
+        and four fan rows at the worst (t, path) or (t, gap) that loops over
+        fan.csv find."""
         config, out = workspace
         assert main(["characteristics", "--config", str(config), "--quiet"]) == EXIT_OK
         with open(out / "characteristics_report.csv", newline="") as fh:
@@ -409,6 +500,12 @@ class TestOtherCommands:
         t, x = float(sampled["t"]), float(sampled["x_or_k"])
         assert any(ft == t for ft, _ in field)
         assert min(fx for _, fx in field) < x < max(fx for _, fx in field)
+
+        exp = load_config(config)
+        located = {row["name"]: (float(row["t"]), int(row["x_or_k"])) for row in rows[:-2]}
+        for name, (margin, where) in fan_loop_worst(out / "fan.csv", exp.scenario).items():
+            assert located[name] == where, name
+            assert float(next(r for r in rows if r["name"] == name)["worst_margin"]) == margin, name
 
     def test_characteristics_fail_is_bound_violation(self, workspace, monkeypatch):
         config, out = workspace

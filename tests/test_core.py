@@ -1,4 +1,5 @@
-"""Domain types: grids, distributions, kernels, moments, initial profiles."""
+"""Domain types: grids, distributions, kernels, moments, initial profiles, and
+the step rule of both time-steppers."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from cflab import (
     SizeGrid,
     make_initial,
 )
-from cflab.core import MomentSeries, moment
+from cflab.core import MomentSeries, check_stride, moment, step_count, uniform_step
 from oracles import coag_kernel, frag_kernel
 
 counts_strategy = arrays(
@@ -207,3 +208,26 @@ class TestMakeInitial:
         g = SizeGrid(ds=1.0, n=4)
         with pytest.raises(ValueError):
             make_initial("uniform", g, mass=1.0)
+
+
+class TestStepRule:
+    def test_step_count(self):
+        """round(t_end / dt), at least 1, and 0 for a run of zero length or step."""
+        assert step_count(0.3, 1e-3) == 300
+        assert step_count(1e-4, 1e-3) == 1
+        assert step_count(0.0, 1e-3) == 0
+        assert step_count(0.3, 0.0) == 0
+
+    @pytest.mark.parametrize("stride, n_steps", [(6, 300), (300, 300), (400, 300), (1, 0), (5, 0)])
+    def test_strides_that_keep_the_times_uniform(self, stride, n_steps):
+        check_stride("stride", stride, n_steps)
+
+    @pytest.mark.parametrize("stride, n_steps", [(7, 300), (0, 300), (-1, 0)])
+    def test_strides_that_do_not(self, stride, n_steps):
+        with pytest.raises(ValueError, match="stride"):
+            check_stride("stride", stride, n_steps)
+
+    def test_uniform_step(self):
+        assert uniform_step(np.array([0.0, 0.25, 0.5])) == 0.25
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            uniform_step(np.array([0.0, 0.25, 0.45]))

@@ -1,4 +1,5 @@
-"""The README's library sketch runs as written, and the exported API is pinned."""
+"""The README's library sketch runs as written, its exit-code table matches
+the codes the program defines, and the exported API is pinned."""
 import os
 import re
 import subprocess
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import cflab
+import cflab.cli
+from cflab import errors
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -77,3 +80,18 @@ def test_exported_names_are_pinned():
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == EXPORTED
     assert len(EXPORTED) <= 45
+
+
+def test_readme_exit_codes_are_the_defined_codes():
+    """Each code of the README's exit-code table is an ``EXIT_*`` name of the
+    command line or the ``exit_code`` of an error class, and every such code
+    has a row."""
+    section = README.read_text().split("### Exit codes", 1)[1].split("\n#", 1)[0]
+    documented = [int(code) for code in re.findall(r"^\|\s*(\d+)\s*\|", section, flags=re.MULTILINE)]
+    named = {value for name, value in vars(cflab.cli).items() if name.startswith("EXIT_")}
+    raised = {
+        cls.exit_code for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.CfLabError)
+    }
+    assert raised <= named
+    assert sorted(documented) == sorted(named) == documented

@@ -1,5 +1,6 @@
 """Bound checkers: envelope, moment inequalities, moment equations with the
-coefficient oracle, the a-priori cap, and derivative bounds."""
+coefficient oracle, the a-priori cap, derivative bounds, and the locations
+of the run checks."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from cflab import (
     BernsteinField,
     BoundReport,
+    KernelSpec,
     ScenarioParams,
     SizeGrid,
+    Trajectory,
     derivative_bounds_check,
     envelope_check,
     field_from_trajectory,
@@ -16,9 +19,11 @@ from cflab import (
     make_initial,
 )
 from cflab.bernstein import transform
+from cflab.core import MomentSeries
 from cflab.verification import (
     a_priori_cap,
     frag_weak_coefficient,
+    mass_conservation_check,
     moment_ode_rhs,
     moment_ode_rhs_on_grid,
     second_moment_envelope,
@@ -187,3 +192,15 @@ class TestBoundReport:
         assert BoundReport("x", worst_margin=-0.5e-3, tolerance=1e-3).passed
         assert not BoundReport("x", worst_margin=-2e-3, tolerance=1e-3).passed
         assert BoundReport("x", worst_margin=0.0, tolerance=0.0).passed
+
+
+class TestRunCheckLocations:
+    def test_mass_conservation_at_the_largest_drift(self):
+        """The row is located at the snapshot time of the largest drift, not at
+        the end of the run; ties go to the earliest time."""
+        times = np.array([0.0, 0.1, 0.2, 0.3])
+        drift = np.array([0.0, 3e-7, 3e-7, 1e-7])
+        traj = Trajectory((), MomentSeries(times, np.ones((4, 6)), drift), KernelSpec(0.0, 2))
+        rep = mass_conservation_check(traj)
+        assert rep.location == (0.1, "m1")
+        assert rep.worst_margin == pytest.approx(0.7, rel=1e-12)
