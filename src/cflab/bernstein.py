@@ -160,10 +160,7 @@ def cm_sampled_report(
     F = np.asarray(F, dtype=float)
     if x.ndim != 1 or x.size < k_max + 1:
         raise ValueError("need at least k_max + 1 samples")
-    h = np.diff(x)
-    if np.max(np.abs(h - h[0])) > 1e-9 * h[0]:
-        raise ValueError("finite-difference checks need a uniform x grid")
-    h = h[0]
+    h = uniform_step(x)
     tol = CM_SAMPLED_RTOL * m if tol is None else tol
     worst, where = np.inf, ()
     for k in range(1, k_max + 1):

@@ -25,9 +25,7 @@ from .characteristics import (
     integrate_fan,
     monotone_derivative_checks,
 )
-from .core import (
-    Distribution, KernelSpec, MomentSeries, ScenarioParams, SizeGrid, check_stride, make_initial, step_count
-)
+from .core import Distribution, KernelSpec, ScenarioParams, SizeGrid, check_stride, make_initial, step_count
 from .errors import (
     EXIT_BOUND_VIOLATION,
     EXIT_OK,
@@ -64,16 +62,20 @@ _REQUIRED = object()
 @dataclass
 class Experiment:
     """One run, built from one config file: its initial data, scenario and
-    solver configs, the x grids of its checks, and the settings that the
-    subcommands read as given."""
+    solver configs, the per-eps kernels of ``convergence``, the x grids of its
+    checks, the starts of its fans, and the settings that the subcommands read
+    as given."""
 
     initial: Distribution
     scenario: ScenarioParams
     solver: SolverConfig
     conv_solver: SolverConfig  # ``solver`` ending at [convergence] t_hi
+    conv_specs: tuple  # ``solver.spec`` at each [convergence] eps_list entry
     verify_x: np.ndarray  # 0, then geometric on [field] x_lo .. [verify] x_hi
     conv_x: np.ndarray
     char_x: np.ndarray
+    conv_starts: np.ndarray
+    char_starts: np.ndarray
     out_dir: str
     hj_residual_max: float
     weak_residual_max: float
@@ -82,8 +84,6 @@ class Experiment:
     sto_volume: float | None
     sto_t_grid: tuple
     seed: int
-    conv_eps: tuple
-    char_paths: int
     char_dt: float
     char_t_end: float
     char_record_every: int
@@ -118,6 +118,18 @@ def load_config(path) -> Experiment:
         except ValueError as exc:
             raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
+    def named(what, build):
+        try:
+            return build()
+        except ValueError as exc:
+            raise ValueError(f"{what}: {exc}") from exc
+
+    def x_range(lo_section, lo_default, hi_section, hi_default):
+        lo, hi = get(lo_section, "x_lo", float, lo_default), get(hi_section, "x_hi", float, hi_default)
+        if not lo < hi:
+            raise ValueError(f"[{lo_section}] x_lo = {lo:g} is not below [{hi_section}] x_hi = {hi:g}")
+        return lo, hi
+
     try:
         grid = SizeGrid(ds=get("grid", "ds", float), n=get("grid", "n", int))
         initial = make_initial(
@@ -138,10 +150,9 @@ def load_config(path) -> Experiment:
             scenario=scenario,
         )
         conv_t_hi = get("convergence", "t_hi", float, t_end)
-        try:
-            conv_solver = replace(solver, t_end=conv_t_hi)
-        except ValueError as exc:
-            raise ValueError(f"[convergence] t_hi = {conv_t_hi:g}: {exc}") from exc
+        conv_solver = named(f"[convergence] t_hi = {conv_t_hi:g}", lambda: replace(solver, t_end=conv_t_hi))
+        conv_eps = get("convergence", "eps_list", _floats, ())
+        conv_specs = named("[convergence] eps_list", lambda: tuple(replace(solver.spec, frag_eps=e) for e in conv_eps))
         verify_nx = get("verify", "nx", int, 40)
         if verify_nx < 5:
             # characteristics differences the field on this many x up to 4th order
@@ -149,33 +160,47 @@ def load_config(path) -> Experiment:
         conv_nx = get("convergence", "nx", int, 46)
         if conv_nx < 2:
             raise ValueError(f"[convergence] nx = {conv_nx} must be at least 2")
+        conv_x = np.linspace(*x_range("convergence", 0.5, "convergence", 5.0), conv_nx)
+        char_x = np.linspace(*x_range("characteristics", 0.5, "characteristics", 6.0), verify_nx)
         char_dt = get("characteristics", "dt", float, 1e-3)
         char_t_end = get("characteristics", "t_end", float, t_end)
         fan_steps = step_count(char_t_end, char_dt)
         char_record_every = get("characteristics", "record_every", int, _default_stride(fan_steps, 50))
         check_stride("[characteristics] record_every", char_record_every, fan_steps)
+        n_paths = get("characteristics", "n_paths", int, 2000)
+        fans = ((conv_t_hi, conv_x), (char_t_end, char_x))
+        conv_starts, char_starts = named(
+            f"[characteristics] n_paths = {n_paths}",
+            lambda: [default_starts(scenario.m, t, x[0], x[-1], n_paths) for t, x in fans],
+        )
+        sto_replicas = get("stochastic", "replicas", int, 100)
+        if sto_replicas < 2:
+            raise ValueError(f"[stochastic] replicas = {sto_replicas} must be at least 2 for a standard error")
+        sto_volume = get("stochastic", "volume", float, None)
+        if sto_volume is not None and not sto_volume > 0:
+            raise ValueError(f"[stochastic] volume = {sto_volume:g} must be positive")
+        sto_t_grid = get("stochastic", "t_grid", _floats, (0.0, t_end))
+        if not sto_t_grid or any(b < a for a, b in zip(sto_t_grid, sto_t_grid[1:])):
+            raise ValueError("[stochastic] t_grid must list at least one time, in nondecreasing order")
         exp = Experiment(
             initial=initial,
             scenario=scenario,
             solver=solver,
             conv_solver=conv_solver,
-            verify_x=np.concatenate(
-                [[0.0], np.geomspace(get("field", "x_lo", float, 1e-3), get("verify", "x_hi", float, 5.0), verify_nx)]
-            ),
-            conv_x=np.linspace(get("convergence", "x_lo", float, 0.5), get("convergence", "x_hi", float, 5.0), conv_nx),
-            char_x=np.linspace(
-                get("characteristics", "x_lo", float, 0.5), get("characteristics", "x_hi", float, 6.0), verify_nx
-            ),
+            conv_specs=conv_specs,
+            verify_x=np.concatenate([[0.0], np.geomspace(*x_range("field", 1e-3, "verify", 5.0), verify_nx)]),
+            conv_x=conv_x,
+            char_x=char_x,
+            conv_starts=conv_starts,
+            char_starts=char_starts,
             out_dir=get("outputs", "dir", str, "out"),
             hj_residual_max=get("verify", "hj_residual_max", float, 1e-2),
             weak_residual_max=get("verify", "weak_residual_max", float, 1e-2),
             weak_x=get("verify", "weak_x", _floats, (0.5, 1.0, 2.0)),
-            sto_replicas=get("stochastic", "replicas", int, 100),
-            sto_volume=get("stochastic", "volume", float, None),
-            sto_t_grid=get("stochastic", "t_grid", _floats, (0.0, t_end)),
+            sto_replicas=sto_replicas,
+            sto_volume=sto_volume,
+            sto_t_grid=sto_t_grid,
             seed=get("stochastic", "seed", int, 20240801),
-            conv_eps=get("convergence", "eps_list", _floats, ()),
-            char_paths=get("characteristics", "n_paths", int, 2000),
             char_dt=char_dt,
             char_t_end=char_t_end,
             char_record_every=char_record_every,
@@ -208,10 +233,6 @@ def _say(quiet, *parts):
         print(*parts)
 
 
-def _snapshot_path(out: Path, i: int, t: float) -> Path:
-    return out / f"snapshot_{i:04d}_t{t:.6f}.csv"
-
-
 def cmd_simulate(exp: Experiment, out: Path, quiet: bool) -> int:
     config = exp.solver
     guard = stability_limit(exp.initial.grid, config.spec, exp.scenario.m)
@@ -219,8 +240,7 @@ def cmd_simulate(exp: Experiment, out: Path, quiet: bool) -> int:
         _say(quiet, f"warning: dt={config.dt:g} exceeds the stability guard {guard:.3g}")
     traj = simulate(config, exp.initial)
     csvio.write_trajectory_csv(out / "trajectory.csv", traj)
-    for i, (t, dist) in enumerate(traj.snapshots):
-        csvio.write_snapshot_csv(_snapshot_path(out, i, t), dist)
+    csvio.write_snapshots_csv(out / "snapshots.csv", traj)
     drift = traj.metadata["max_mass_drift"]
     occupancy = traj.metadata["max_top_bin_occupancy"]
     _say(
@@ -235,21 +255,16 @@ def cmd_simulate(exp: Experiment, out: Path, quiet: bool) -> int:
 
 
 def _read_run(exp: Experiment, out: Path) -> Trajectory:
-    """The run that ``simulate`` wrote to ``out``: the rows of trajectory.csv
-    with the counts of one snapshot file per row."""
-    data = csvio.read_trajectory_csv(out / "trajectory.csv")
-    times = data["t"]
-    dists = [csvio.read_snapshot_csv(_snapshot_path(out, i, t), exp.initial.grid) for i, t in enumerate(times)]
-    found = len(list(out.glob("snapshot_*.csv")))
-    if found != times.size:
-        raise CsvFormatError(f"{found} snapshot files in {out} for {times.size} trajectory rows")
-    try:
-        series = MomentSeries(
-            times, np.column_stack([data[f"m{k}"] for k in range(6)]), data["mass_drift"]
-        )
-    except ValueError as exc:
-        raise CsvFormatError(f"bad trajectory CSV in {out}: {exc}") from exc
-    return Trajectory(snapshots=tuple(zip(times, dists)), moments=series, spec=exp.solver.spec)
+    """The run that ``simulate`` wrote to ``out`` from this config: the rows of
+    snapshots.csv, whose times must be the config's snapshot schedule and whose
+    first counts must be its initial data."""
+    path = out / "snapshots.csv"
+    times, dists = csvio.read_snapshots_csv(path, exp.initial.grid)
+    if not np.array_equal(times, exp.solver.snapshot_times):
+        raise CsvFormatError(f"the times of {path} are not the snapshot schedule of this config")
+    if not np.array_equal(dists[0].counts, exp.initial.counts):
+        raise CsvFormatError(f"the first counts of {path} are not the initial data of this config")
+    return Trajectory.of_snapshots(times, dists, exp.solver.spec)
 
 
 def cmd_verify(exp: Experiment, out: Path, quiet: bool) -> int:
@@ -298,21 +313,17 @@ def strictly_decreasing(gaps) -> tuple:
 
 
 def cmd_convergence(exp: Experiment, out: Path, quiet: bool) -> int:
-    eps_list = exp.conv_eps
+    eps_list = [spec.frag_eps for spec in exp.conv_specs]
     if len(eps_list) < 3 or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("convergence needs an eps_list with >= 3 strictly decreasing entries")
 
     run, x_grid, m = exp.conv_solver, exp.conv_x, exp.scenario.m
-    fields = [
-        field_from_trajectory(simulate(replace(run, spec=replace(run.spec, frag_eps=eps)), exp.initial), x_grid)
-        for eps in eps_list
-    ]
+    fields = [field_from_trajectory(simulate(replace(run, spec=spec), exp.initial), x_grid) for spec in exp.conv_specs]
 
     times = fields[0].times
-    starts = default_starts(m, run.t_end, x_grid[0], x_grid[-1], exp.char_paths)
     snap_dt = float(times[1] - times[0]) if times.size > 1 else exp.char_dt
     fan_dt = snap_dt / max(1, step_count(snap_dt, exp.char_dt))
-    fan = integrate_fan(distribution_transform(exp.initial), starts, run.t_end, fan_dt, m)
+    fan = integrate_fan(distribution_transform(exp.initial), exp.conv_starts, run.t_end, fan_dt, m)
     limit_field = fan_to_field(fan, x_grid, times)
 
     gaps = [float(np.max(np.abs(f.F - limit_field.F))) for f in fields]
@@ -328,9 +339,8 @@ def cmd_convergence(exp: Experiment, out: Path, quiet: bool) -> int:
 
 def cmd_characteristics(exp: Experiment, out: Path, quiet: bool) -> int:
     scenario, x_grid = exp.scenario, exp.char_x
-    starts = default_starts(scenario.m, exp.char_t_end, x_grid[0], x_grid[-1], exp.char_paths)
     fan = integrate_fan(
-        distribution_transform(exp.initial), starts, exp.char_t_end, exp.char_dt, scenario.m,
+        distribution_transform(exp.initial), exp.char_starts, exp.char_t_end, exp.char_dt, scenario.m,
         record_every=exp.char_record_every,
     )
     csvio.write_fan_csv(out / "fan.csv", fan)

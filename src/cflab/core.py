@@ -229,7 +229,7 @@ def uniform_step(times: np.ndarray) -> float:
     """The common spacing of ``times``; ValueError unless they are uniformly spaced."""
     steps = np.diff(times)
     if np.max(np.abs(steps - steps[0])) > 1e-9 * max(steps[0], 1e-300):
-        raise ValueError("snapshots must be uniformly spaced in time")
+        raise ValueError("samples must be uniformly spaced")
     return float(steps[0])
 
 

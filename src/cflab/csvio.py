@@ -19,7 +19,6 @@ from .kinetic import Trajectory
 from .stochastic import EnsembleMoments
 
 TRAJECTORY_HEADER = ["t", "m0", "m1", "m2", "m3", "m4", "m5", "mass_drift", "top_bin_occupancy"]
-SNAPSHOT_HEADER = ["s", "N"]
 
 
 def _fmt(value) -> str:
@@ -66,7 +65,7 @@ def write_rows(path, header, rows):
 
 def write_trajectory_csv(path, traj: Trajectory):
     series = traj.moments
-    occupancy = traj.metadata.get("top_bin_occupancy", np.zeros_like(series.times))
+    occupancy = traj.metadata["top_bin_occupancy"]
     rows = (
         (series.times[i], *series.moments[i], series.mass_drift[i], occupancy[i])
         for i in range(series.times.size)
@@ -74,55 +73,38 @@ def write_trajectory_csv(path, traj: Trajectory):
     write_rows(path, TRAJECTORY_HEADER, rows)
 
 
-def read_trajectory_csv(path) -> dict:
-    """Columns of a trajectory artifact as float arrays, schema-checked."""
-    path = Path(path)
-    if not path.is_file():
-        raise MissingArtifactError(f"trajectory artifact not found: {path}")
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != TRAJECTORY_HEADER:
-                raise CsvFormatError(f"unexpected trajectory header in {path}: {header}")
-            data = [[float(v) for v in row] for row in reader if row]
-    except (ValueError, IndexError) as exc:
-        raise CsvFormatError(f"cannot parse trajectory CSV {path}: {exc}") from exc
-    if not data:
-        raise CsvFormatError(f"trajectory CSV {path} holds no rows")
-    arr = np.asarray(data)
-    if arr.shape[1] != len(TRAJECTORY_HEADER):
-        raise CsvFormatError(f"trajectory CSV {path} has ragged rows")
-    return {name: arr[:, i] for i, name in enumerate(TRAJECTORY_HEADER)}
+def _snapshots_header(grid: SizeGrid) -> list:
+    return ["t", *map(_fmt, grid.sizes)]
 
 
-def write_snapshot_csv(path, dist: Distribution):
-    write_rows(path, SNAPSHOT_HEADER, zip(dist.grid.sizes, dist.counts))
+def write_snapshots_csv(path, traj: Trajectory):
+    """One row per snapshot: its time, then its counts N_1..N_n under a header
+    of ``t`` and the bin sizes."""
+    rows = ([t, *dist.counts.tolist()] for t, dist in traj.snapshots)
+    write_rows(path, _snapshots_header(traj.grid), rows)
 
 
-def read_snapshot_csv(path, grid: SizeGrid) -> Distribution:
-    """Distribution of a snapshot artifact, parsed a whole column at a time.
+def read_snapshots_csv(path, grid: SizeGrid) -> tuple:
+    """(times, distributions) of a snapshot table, parsed in one pass.
 
-    The file must hold one row per bin of ``grid``, and its ``s`` column must
-    be the grid's sizes exactly, as the 17-digit writer prints them.
+    The header must be ``t`` and the sizes of ``grid`` as the 17-digit writer
+    prints them, and each row a time and one count per bin of ``grid``.
     """
     path = Path(path)
     if not path.is_file():
-        raise MissingArtifactError(f"snapshot artifact not found: {path}")
+        raise MissingArtifactError(f"snapshot table not found: {path}")
     try:
         lines = path.read_text().splitlines()
-        if lines[:1] != [",".join(SNAPSHOT_HEADER)]:
-            raise CsvFormatError(f"unexpected snapshot header in {path}: {lines[:1]}")
-        if len(lines) - 1 != grid.n:
-            raise CsvFormatError(f"snapshot CSV {path} has {len(lines) - 1} rows for a grid of {grid.n} bins")
+        if lines[:1] != [",".join(_snapshots_header(grid))]:
+            raise CsvFormatError(f"the header of {path} is not t and the configured grid's sizes")
+        if len(lines) < 2:
+            raise CsvFormatError(f"snapshot table {path} holds no rows")
         table = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
-        if table.shape != (grid.n, len(SNAPSHOT_HEADER)):
-            raise CsvFormatError(f"snapshot CSV {path} has rows of {table.shape[1]} cells")
-        if not np.array_equal(table[:, 0], grid.sizes):
-            raise CsvFormatError(f"the s column of {path} is not the configured grid's sizes")
-        return Distribution(grid, table[:, 1])
+        if table.shape[1] != grid.n + 1:
+            raise CsvFormatError(f"{path} has rows of {table.shape[1]} cells for a grid of {grid.n} bins")
+        return table[:, 0], tuple(Distribution(grid, row) for row in table[:, 1:])
     except ValueError as exc:
-        raise CsvFormatError(f"cannot parse snapshot CSV {path}: {exc}") from exc
+        raise CsvFormatError(f"cannot parse snapshot table {path}: {exc}") from exc
 
 
 def write_field_csv(path, field: BernsteinField, residual: np.ndarray | None = None):

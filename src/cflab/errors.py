@@ -53,7 +53,7 @@ class ConfigError(CfLabError):
 
 
 class MissingArtifactError(CfLabError):
-    """An expected run artifact (trajectory CSV, ...) does not exist."""
+    """An expected run artifact (the snapshot table, ...) does not exist."""
 
     exit_code = 66
     label = "missing artifact"

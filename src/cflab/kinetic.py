@@ -73,6 +73,16 @@ class SolverConfig:
         """``round(t_end / dt)``, at least 1; 0 for a run of zero length or step."""
         return step_count(self.t_end, self.dt)
 
+    @property
+    def snapshot_times(self) -> np.ndarray:
+        """Times at which a run records a snapshot: 0, every ``output_every``-th
+        of its steps of ``t_end / n_steps``, and the last step."""
+        n = self.n_steps
+        steps = np.arange(0, n + 1, self.output_every)
+        if steps[-1] < n:
+            steps = np.append(steps, n)
+        return steps * (self.t_end / n if n else 0.0)
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -94,6 +104,28 @@ class Trajectory:
     @property
     def grid(self) -> SizeGrid:
         return self.snapshots[0][1].grid
+
+    @classmethod
+    def of_snapshots(cls, times, dists, spec: KernelSpec, **metadata) -> "Trajectory":
+        """The run that recorded ``dists`` at ``times``, with its bookkeeping in
+        ``metadata``: the relative mass drift against the first snapshot and the
+        top-bin occupancy, each flagged (not rejected) when it exceeds
+        MASS_DRIFT_TOL or TOP_BIN_OCCUPANCY_TOL, since either invalidates bound
+        checks."""
+        grid = dists[0].grid
+        m1_0 = dists[0].moment(1)
+        mass_scale = m1_0 if m1_0 > 0 else 1.0
+        moments = np.stack([d.moments() for d in dists])
+        drift = np.abs(moments[:, 1] - m1_0) / mass_scale
+        top_occupancy = np.array([grid.s_max * d.counts[-1] / mass_scale for d in dists])
+        metadata.update(
+            max_mass_drift=float(drift.max()),
+            mass_drift_exceeded=bool(drift.max() > MASS_DRIFT_TOL),
+            max_top_bin_occupancy=float(top_occupancy.max()),
+            top_bin_occupancy=top_occupancy,
+            top_bin_occupancy_exceeded=bool(top_occupancy.max() > TOP_BIN_OCCUPANCY_TOL),
+        )
+        return cls(tuple(zip(times, dists)), MomentSeries(times, moments, drift), spec, metadata)
 
 
 def stability_limit(grid: SizeGrid, spec: KernelSpec, m1: float) -> float:
@@ -191,48 +223,29 @@ def _checked(counts: np.ndarray, ref_scale: float) -> np.ndarray:
 
 
 def simulate(config: SolverConfig, initial: Distribution) -> Trajectory:
-    """Advance ``initial`` to ``t_end`` recording snapshots every ``output_every`` steps.
+    """Advance ``initial`` to ``t_end``, recording a snapshot at each of
+    ``config.snapshot_times``.
 
     The step count is ``round(t_end / dt)`` and dt is nudged so the run lands on
-    t_end exactly.  The trajectory is flagged (not rejected) in ``metadata`` when
-    the relative mass drift exceeds MASS_DRIFT_TOL or the top-bin occupancy
-    exceeds TOP_BIN_OCCUPANCY_TOL, since either invalidates bound checks.
+    t_end exactly.
     """
     grid = initial.grid
     n_steps = config.n_steps
     dt = config.t_end / n_steps if n_steps else 0.0
-
-    m1_0 = initial.moment(1)
-    mass_scale = m1_0 if m1_0 > 0 else 1.0
-    times, dists = [], []
-
-    def record(k: int, counts: np.ndarray):
-        times.append(k * dt)
-        dists.append(initial.with_counts(counts))
-
     counts = initial.counts.copy()
-    record(0, counts)
+    dists = [initial.with_counts(counts)]
     for k in range(1, n_steps + 1):
         counts = _checked(_rk4(counts, grid, config.spec, dt), float(counts.max(initial=0.0)))
         if k % config.output_every == 0 or k == n_steps:
-            record(k, counts)
-
-    moments = np.stack([d.moments() for d in dists])
-    drift = np.abs(moments[:, 1] - m1_0) / mass_scale
-    series = MomentSeries(np.asarray(times), moments, drift)
-    top_occupancy = np.array([grid.s_max * d.counts[-1] / mass_scale for d in dists])
-    metadata = {
-        "dt_effective": dt,
-        "n_steps": n_steps,
-        "stability_dt_max": stability_limit(grid, config.spec, m1_0),
-        "max_mass_drift": float(drift.max()),
-        "mass_drift_exceeded": bool(drift.max() > MASS_DRIFT_TOL),
-        "max_top_bin_occupancy": float(top_occupancy.max()),
-        "top_bin_occupancy": top_occupancy,
-        "top_bin_occupancy_exceeded": bool(top_occupancy.max() > TOP_BIN_OCCUPANCY_TOL),
-    }
-    snapshots = tuple(zip(times, dists))
-    return Trajectory(snapshots=snapshots, moments=series, spec=config.spec, metadata=metadata)
+            dists.append(initial.with_counts(counts))
+    return Trajectory.of_snapshots(
+        config.snapshot_times,
+        dists,
+        config.spec,
+        dt_effective=dt,
+        n_steps=n_steps,
+        stability_dt_max=stability_limit(grid, config.spec, initial.moment(1)),
+    )
 
 
 def weak_form_residual(traj: Trajectory, phi: Callable[[np.ndarray], np.ndarray]) -> tuple:

@@ -98,56 +98,32 @@ def holder_bounds_check(moments: np.ndarray, times: np.ndarray | None = None) ->
     )
 
 
-_FRAG_COEFFICIENTS: dict[int, float] = {}
-
-
 def frag_weak_coefficient(k: int) -> float:
     """Coefficient c_k with which constant-kernel binary breakup enters the
     k-th moment equation:  the weak form contributes -c_k * m_{k+1} (and
     -eps * c_k * m_{k+2} for the size-linear perturbation).
 
-    Computed by quadrature of (1/2) * integral_0^1 (1 - (1-u)^k - u^k) du,
-    exact for polynomial integrands at this node count.  This is the single
-    coefficient oracle; downstream moment equations use it rather than any
-    hand-copied constant.
+    c_k = (1/2) * integral_0^1 (1 - (1-u)^k - u^k) du = (k-1) / (2(k+1)).
+    This is the single coefficient oracle; downstream moment equations use it
+    rather than any hand-copied constant.
     """
     if k < 1:
         raise ValueError(f"moment order must be >= 1, got {k}")
-    if k not in _FRAG_COEFFICIENTS:
-        nodes, weights = np.polynomial.legendre.leggauss(24)
-        u = 0.5 * (nodes + 1.0)
-        integrand = 1.0 - (1.0 - u) ** k - u ** k
-        _FRAG_COEFFICIENTS[k] = float(0.5 * 0.5 * np.dot(weights, integrand))
-    return _FRAG_COEFFICIENTS[k]
+    return (k - 1) / (2.0 * (k + 1))
 
 
-def moment_ode_rhs(moments, eps: float, k: int) -> float:
-    """Rate of change of m_k from the moment equations.
+def moment_ode_rhs_on_grid(moments, eps: float, k: int, ds: float) -> float:
+    """Rate of change of m_k from the moment equations of a distribution on a
+    uniform grid with step ds:
 
     k=2:  m2^2  - c2*(m3 + eps*m4)
     k=3:  3*m2*m3 - c3*(m4 + eps*m5)
 
-    with c_k from the weak-form coefficient oracle.
-    """
-    m = np.asarray(moments, dtype=float)
-    if m.shape != (6,):
-        raise ValueError("need one moment vector (m0..m5)")
-    if k == 2:
-        return float(m[2] ** 2 - frag_weak_coefficient(2) * (m[3] + eps * m[4]))
-    if k == 3:
-        return float(3.0 * m[2] * m[3] - frag_weak_coefficient(3) * (m[4] + eps * m[5]))
-    raise ValueError(f"moment equations are provided for k in {{2, 3}}, got {k}")
-
-
-def moment_ode_rhs_on_grid(moments, eps: float, k: int, ds: float) -> float:
-    """Grid-level form of moment_ode_rhs for a distribution living on a uniform
-    grid with step ds.
-
-    The split-point sums of discrete binary breakup evaluate in closed form,
-    replacing each fragmentation moment m_p by m_p - ds^2 * m_{p-2}; the grid
-    system obeys the moment equation with that correction exactly (up to
-    truncation losses, which are ignored here).  Useful for tight cross-checks
-    against measured trajectories.
+    with c_k from the weak-form coefficient oracle, and each fragmentation
+    moment m_p replaced by m_p - ds^2 * m_{p-2}, the closed form of the
+    split-point sums of discrete binary breakup.  The grid system obeys this
+    exactly (up to truncation losses, which are ignored here); at ds = 0 it is
+    the continuum equation.
     """
     m = np.asarray(moments, dtype=float)
     if m.shape != (6,):
@@ -163,11 +139,9 @@ def moment_ode_rhs_on_grid(moments, eps: float, k: int, ds: float) -> float:
     raise ValueError(f"moment equations are provided for k in {{2, 3}}, got {k}")
 
 
-def a_priori_cap(m: float, eps: float, k: int = 2) -> float:
+def a_priori_cap(m: float, eps: float) -> float:
     """Largest value 16 m^4 / (3 eps^2) of m2^2 - (eps/6) m2^3 / m^2 over m2 >= 0,
     reached at m2 = 4 m^2 / eps; it bounds dm2/dt for the perturbed system."""
-    if k != 2:
-        raise ValueError("only the second-moment cap has a closed operation")
     if not eps > 0:
         raise ValueError("the cap exists only for a positive perturbation")
     if not m > 0:

@@ -32,7 +32,7 @@ from cflab import (
     simulate_replica,
     weak_form_residual,
 )
-from cflab.verification import frag_weak_coefficient, moment_ode_rhs, moment_ode_rhs_on_grid
+from cflab.verification import frag_weak_coefficient, moment_ode_rhs_on_grid
 from oracles import ordering_check, scale_initial
 
 
@@ -267,7 +267,7 @@ def test_12_cubic_moment_coefficient_oracle(run_m1_fine):
     mid = mom[1:-1]
 
     on_grid = np.array([moment_ode_rhs_on_grid(v, eps, 3, ds) for v in mid])
-    continuum = np.array([moment_ode_rhs(v, eps, 3) for v in mid])
+    continuum = np.array([moment_ode_rhs_on_grid(v, eps, 3, 0.0) for v in mid])
     quoted_twelfth = 3.0 * mid[:, 2] * mid[:, 3] - (mid[:, 4] + eps * mid[:, 5]) / 12.0
 
     # time-stencil budget: centered difference across dt_out; grid budget: the

@@ -123,6 +123,16 @@ class TestConfig:
             pytest.param(
                 "nx = 24", "nx = 24\nn_paths = 400", id="unread key [convergence] n_paths"
             ),
+            # a standard error needs two replicas
+            ("replicas = 6", "replicas = 1"),
+            ("volume = 400", "volume = 0"),
+            ("t_grid = 0.0, 0.1", "t_grid = 0.1, 0.0"),
+            # a fan needs two paths, and a start range above the drift
+            pytest.param("n_paths = 200", "n_paths = 1", id="characteristics n_paths = 1"),
+            pytest.param("x_lo = 0.6", "x_lo = 7", id="characteristics x_lo = 7"),
+            ("eps_list = 0.2, 0.1, 0.05", "eps_list = 0.2, 0.1, -0.05"),
+            # [verify] x_hi below the default [field] x_lo = 1e-3
+            ("x_hi = 5.0", "x_hi = 0.0001"),
         ],
     )
     def test_bad_value_is_usage_error_without_traceback(
@@ -224,8 +234,7 @@ class TestSimulate:
     def test_success_writes_artifacts(self, workspace):
         config, out = workspace
         assert main(["simulate", "--config", str(config), "--quiet"]) == EXIT_OK
-        assert (out / "trajectory.csv").is_file()
-        assert any(p.name.startswith("snapshot_") for p in out.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == ["snapshots.csv", "trajectory.csv"]
 
     @pytest.mark.parametrize(
         "command", ["simulate", "verify", "convergence", "characteristics", "stochastic"]
@@ -270,12 +279,6 @@ class TestVerify:
     def test_missing_artifacts(self, workspace):
         config, out = workspace
         assert main(["verify", "--config", str(config), "--quiet"]) == EXIT_NOINPUT
-
-    def test_corrupted_trajectory(self, workspace):
-        config, out = workspace
-        out.mkdir(parents=True)
-        (out / "trajectory.csv").write_text("t,m0\n0.0,not-a-number\n")
-        assert main(["verify", "--config", str(config), "--quiet"]) == EXIT_DATA
 
     def test_full_pipeline_passes(self, workspace):
         config, out = workspace
@@ -380,21 +383,29 @@ def fan_loop_worst(path, scenario):
     return worst
 
 
-def _with_first_count(text, cell):
-    """Snapshot CSV text with the N cell of its first data row replaced."""
+def _with_count(text, row, cell):
+    """Snapshot table text with the first count of data row ``row`` replaced."""
     lines = text.split("\r\n")
-    lines[1] = lines[1].split(",")[0] + "," + cell
+    cells = lines[row].split(",")
+    lines[row] = ",".join([cells[0], cell, *cells[2:]])
     return "\r\n".join(lines)
 
 
+def _each_row(text, edit):
+    """Snapshot table text with ``edit`` applied to the cells of each data row."""
+    lines = text.split("\r\n")
+    return "\r\n".join(lines[:1] + [",".join(edit(line.split(","))) if line else line for line in lines[1:]])
+
+
 class TestVerifyArtifacts:
-    """verify checks the snapshots simulate wrote; it never re-runs the solver."""
+    """verify checks the snapshot table simulate wrote from this config; it
+    never re-runs the solver."""
 
     @pytest.fixture
     def simulated(self, workspace):
         config, out = workspace
         assert main(["simulate", "--config", str(config), "--quiet"]) == EXIT_OK
-        return config, out, sorted(out.glob("snapshot_*.csv"))
+        return config, out, out / "snapshots.csv"
 
     def test_no_solver_rerun(self, simulated, monkeypatch):
         config, out, _ = simulated
@@ -406,46 +417,80 @@ class TestVerifyArtifacts:
         monkeypatch.setattr(kinetic, "simulate", no_run)
         assert main(["verify", "--config", str(config), "--quiet"]) == EXIT_OK
 
-    def test_deleted_snapshot_is_missing_artifact(self, simulated, capsys):
-        config, out, snapshots = simulated
-        snapshots[2].unlink()
+    def test_rebuilt_moments_equal_the_trajectory_columns(self, simulated):
+        """The moments, mass drift and top-bin occupancy that verify derives
+        from the counts are trajectory.csv's columns, bit for bit."""
+        config, out, _ = simulated
+        traj = cflab.cli._read_run(load_config(config), out)
+        columns = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        rebuilt = np.column_stack(
+            [traj.times, traj.moments.moments, traj.moments.mass_drift, traj.metadata["top_bin_occupancy"]]
+        )
+        assert rebuilt.tobytes() == columns.tobytes()
+
+    def test_deleted_table_is_missing_artifact(self, simulated, capsys):
+        config, out, table = simulated
+        table.unlink()
         assert main(["verify", "--config", str(config), "--quiet"]) == EXIT_NOINPUT
         assert capsys.readouterr().err.startswith("missing artifact:")
 
     @pytest.mark.parametrize(
         "damage",
         [
-            lambda text: "".join(text.splitlines(keepends=True)[:60]),  # rows dropped
+            lambda text: _each_row(text, lambda cells: cells[:60]),  # counts dropped
             lambda text: text[: len(text) // 2],  # cut inside a row
-            lambda text: _with_first_count(text, "not-a-number"),
-            lambda text: text.replace("s,N", "size,N", 1),
-            lambda text: text.replace("\r\n", ",0\r\n").replace("s,N,0", "s,N", 1),
-            lambda text: _with_first_count(text, "-1"),
+            lambda text: _with_count(text, 2, "not-a-number"),
+            lambda text: text.replace("t,", "time,", 1),
+            lambda text: _each_row(text, lambda cells: [*cells, "0"]),
+            lambda text: _with_count(text, 2, "-1"),
             lambda text: "",
+            # the schedule check catches a table cut between two rows
+            lambda text: "".join(text.splitlines(keepends=True)[:3]),
         ],
-        ids=["truncated", "cut-mid-row", "garbled", "header", "extra-column", "negative", "empty"],
+        ids=["truncated", "cut-mid-row", "garbled", "header", "extra-column", "negative", "empty",
+             "cut-at-row"],
     )
-    def test_damaged_snapshot_is_data_error(self, simulated, capsys, damage):
-        config, out, snapshots = simulated
-        path = snapshots[1]
-        path.write_bytes(damage(path.read_bytes().decode()).encode())
+    def test_damaged_table_is_data_error(self, simulated, capsys, damage):
+        config, out, table = simulated
+        table.write_bytes(damage(table.read_bytes().decode()).encode())
         assert main(["verify", "--config", str(config), "--quiet"]) == EXIT_DATA
         err = capsys.readouterr().err
-        assert err.startswith("artifact parse failure:") and "Traceback" not in err
-
-    def test_extra_snapshot_is_data_error(self, simulated):
-        config, out, snapshots = simulated
-        (out / "snapshot_0009_t9.000000.csv").write_bytes(snapshots[0].read_bytes())
-        assert main(["verify", "--config", str(config), "--quiet"]) == EXIT_DATA
+        assert err.startswith("artifact parse failure:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("old, new", [("n = 128", "n = 96"), ("ds = 0.25", "ds = 0.125")])
     def test_snapshots_of_another_grid_are_data_error(self, simulated, tmp_path, old, new):
-        """n = 96 still holds the monodisperse start, but every snapshot has 128
-        rows; ds = 0.125 keeps the rows, but not the s column."""
+        """n = 96 still holds the monodisperse start, but every row has 128
+        counts; ds = 0.125 keeps the counts, but not the sizes of the header."""
         config, out, _ = simulated
         other = tmp_path / "other_grid.ini"
         other.write_text(config.read_text().replace(old, new))
         assert main(["verify", "--config", str(other), "--quiet"]) == EXIT_DATA
+
+    def test_run_of_another_mass_is_data_error(self, simulated, tmp_path, capsys):
+        """A mass-1 run checked with the config at mass 2: same grid and
+        schedule, but its first row is not this config's initial data."""
+        config, out, _ = simulated
+        other = tmp_path / "mass2.ini"
+        other.write_text(config.read_text().replace("mass = 1.0", "mass = 2.0"))
+        assert main(["verify", "--config", str(other), "--quiet"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("artifact parse failure:") and err.count("\n") == 1
+
+    def test_stale_directory_is_verified_as_a_fresh_one(self, workspace, tmp_path):
+        """simulate at stride 25 and then at stride 50 into one directory:
+        verify at stride 50 checks the second run only, and exits 2 on the
+        hj_residual FAIL with the report of a fresh directory."""
+        config, out = workspace
+        strict = config.read_text().replace("hj_residual_max = 5e-2", "hj_residual_max = 1e-2")
+        stride_50, stride_25 = tmp_path / "stride50.ini", tmp_path / "stride25.ini"
+        stride_50.write_text(strict)
+        stride_25.write_text(strict.replace("output_every = 50", "output_every = 25"))
+        fresh = tmp_path / "fresh"
+        for cfg, where in ((stride_25, out), (stride_50, out), (stride_50, fresh)):
+            assert main(["simulate", "--config", str(cfg), "--out", str(where), "--quiet"]) == EXIT_OK
+        for where in (out, fresh):
+            assert main(["verify", "--config", str(stride_50), "--out", str(where), "--quiet"]) == EXIT_BOUND_VIOLATION
+        assert (out / "verify_report.csv").read_bytes() == (fresh / "verify_report.csv").read_bytes()
 
 
 class TestConvergence:
@@ -553,7 +598,7 @@ def test_cold_start_imports_no_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "[]"
-    assert sorted(p.name for p in out.iterdir() if not p.name.startswith("snapshot_")) == [
+    assert sorted(p.name for p in out.iterdir()) == [
         "characteristics_field.csv", "characteristics_report.csv", "convergence.csv", "fan.csv",
-        "stochastic.csv", "trajectory.csv", "verify_report.csv",
+        "snapshots.csv", "stochastic.csv", "trajectory.csv", "verify_report.csv",
     ]

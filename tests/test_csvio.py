@@ -1,5 +1,5 @@
 """CSV writers: the row-template writer against the per-cell ``csv.writer``
-path it replaced, byte for byte; the snapshot reader against the writer."""
+path it replaced, byte for byte; the snapshot table reader against the writer."""
 import csv
 import warnings
 
@@ -9,8 +9,9 @@ import pytest
 from cflab import csvio
 from cflab.bernstein import BernsteinField
 from cflab.characteristics import CharacteristicFan
-from cflab.core import Distribution, SizeGrid
+from cflab.core import Distribution, KernelSpec, SizeGrid
 from cflab.errors import CsvFormatError
+from cflab.kinetic import Trajectory
 
 
 def _cell(value) -> str:
@@ -111,29 +112,47 @@ def test_write_field_csv_matches_per_cell_rows(tmp_path, with_g_eps, with_residu
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+def _table(grid, counts, times):
+    return Trajectory.of_snapshots(times, [Distribution(grid, c) for c in counts], KernelSpec.for_grid(grid))
+
+
 def test_snapshot_round_trip_is_exact(tmp_path):
-    """read_snapshot_csv returns the counts write_snapshot_csv printed, bit for
-    bit, on a grid whose sizes are not dyadic."""
+    """read_snapshots_csv returns the times and counts write_snapshots_csv
+    printed, bit for bit, on a grid whose sizes are not dyadic."""
     grid = SizeGrid(ds=0.1, n=64)
     rng = np.random.default_rng(3)
-    counts = rng.random(64) * 10.0 ** rng.integers(-300, 300, 64)
-    counts[:4] = [0.0, 5e-324, 2.2250738585072014e-308, 1e300]
-    csvio.write_snapshot_csv(tmp_path / "snap.csv", Distribution(grid, counts))
-    back = csvio.read_snapshot_csv(tmp_path / "snap.csv", grid)
-    assert back.grid == grid
-    assert back.counts.tobytes() == counts.tobytes()
+    counts = rng.random((3, 64)) * 10.0 ** rng.integers(-300, 300, (3, 64))
+    counts[0, :4] = [0.0, 5e-324, 2.2250738585072014e-308, 1e300]
+    times = np.array([0.0, 0.1, 0.30000000000000004])
+    csvio.write_snapshots_csv(tmp_path / "snapshots.csv", _table(grid, counts, times))
+    back_times, back = csvio.read_snapshots_csv(tmp_path / "snapshots.csv", grid)
+    assert back_times.tobytes() == times.tobytes()
+    assert all(d.grid == grid for d in back)
+    assert np.stack([d.counts for d in back]).tobytes() == counts.tobytes()
 
 
 @pytest.mark.parametrize("keep", [0, 1, 30])
-def test_snapshot_row_count_is_checked_before_parsing(tmp_path, keep):
-    """A snapshot with fewer rows than bins, even none, is a format error that
-    names the row count; numpy's parser gets no empty input to warn about."""
+def test_snapshot_row_width_is_checked(tmp_path, keep):
+    """A table whose rows hold fewer counts than bins, even none, is a format
+    error that names the cell count."""
     grid = SizeGrid(ds=0.5, n=40)
-    path = tmp_path / "snap.csv"
-    csvio.write_snapshot_csv(path, Distribution(grid, np.ones(40)))
+    path = tmp_path / "snapshots.csv"
+    csvio.write_snapshots_csv(path, _table(grid, np.ones((2, 40)), np.array([0.0, 0.5])))
     lines = path.read_bytes().split(b"\r\n")
-    path.write_bytes(b"\r\n".join(lines[: 1 + keep]) + b"\r\n")
+    rows = [b",".join(line.split(b",")[: 1 + keep]) for line in lines[1:-1]]
+    path.write_bytes(b"\r\n".join([lines[0], *rows]) + b"\r\n")
+    with pytest.raises(CsvFormatError, match=f"rows of {1 + keep} cells for a grid of 40 bins"):
+        csvio.read_snapshots_csv(path, grid)
+
+
+def test_snapshot_table_without_rows_is_checked_before_parsing(tmp_path):
+    """A header alone is a format error; numpy's parser gets no empty input to
+    warn about."""
+    grid = SizeGrid(ds=0.5, n=40)
+    path = tmp_path / "snapshots.csv"
+    csvio.write_snapshots_csv(path, _table(grid, np.ones((2, 40)), np.array([0.0, 0.5])))
+    path.write_bytes(path.read_bytes().split(b"\r\n")[0] + b"\r\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(CsvFormatError, match=f"{keep} rows for a grid of 40 bins"):
-            csvio.read_snapshot_csv(path, grid)
+        with pytest.raises(CsvFormatError, match="holds no rows"):
+            csvio.read_snapshots_csv(path, grid)

@@ -24,7 +24,6 @@ from cflab.verification import (
     a_priori_cap,
     frag_weak_coefficient,
     mass_conservation_check,
-    moment_ode_rhs,
     moment_ode_rhs_on_grid,
     second_moment_envelope,
     time_derivative_bound,
@@ -83,7 +82,7 @@ class TestCoefficientOracle:
         assert frag_weak_coefficient(2) == pytest.approx(1.0 / 6.0, abs=1e-13)
 
     def test_cubic_coefficient(self):
-        """The oracle evaluates (1/2) * integral of (1 - (1-u)^3 - u^3) = 1/4.
+        """The oracle gives (1/2) * integral of (1 - (1-u)^3 - u^3) = 1/4.
 
         An often-quoted heuristic value for this coefficient is 1/12; the
         quadrature (and the kinetic cross-check in the acceptance suite)
@@ -93,30 +92,38 @@ class TestCoefficientOracle:
         assert frag_weak_coefficient(3) != pytest.approx(1.0 / 12.0, abs=1e-3)
 
     def test_general_order_closed_form(self):
-        """Independent cross-check: c_k = (k-1) / (2(k+1)) by calculus."""
+        """Independent cross-check: the closed form c_k = (k-1) / (2(k+1))
+        against a 24-node Gauss-Legendre quadrature of
+        (1/2) * integral_0^1 (1 - (1-u)^k - u^k) du, exact for these degrees."""
+        nodes, weights = np.polynomial.legendre.leggauss(24)
+        u = 0.5 * (nodes + 1.0)
         for k in range(2, 7):
-            assert frag_weak_coefficient(k) == pytest.approx((k - 1) / (2 * (k + 1)), abs=1e-12)
+            quadrature = 0.25 * np.dot(weights, 1.0 - (1.0 - u) ** k - u ** k)
+            assert frag_weak_coefficient(k) == pytest.approx(quadrature, abs=1e-12)
 
 
 class TestMomentOde:
     def test_quadratic_rate_all_unit_moments(self):
         mom = np.ones(6)
-        assert moment_ode_rhs(mom, 0.0, 2) == pytest.approx(5.0 / 6.0)
-        assert moment_ode_rhs(mom, 0.1, 2) == pytest.approx(1.0 - 1.1 / 6.0)
+        assert moment_ode_rhs_on_grid(mom, 0.0, 2, ds=0.0) == pytest.approx(5.0 / 6.0)
+        assert moment_ode_rhs_on_grid(mom, 0.1, 2, ds=0.0) == pytest.approx(1.0 - 1.1 / 6.0)
 
     def test_cubic_rate_uses_oracle_coefficient(self):
         mom = np.ones(6)
-        assert moment_ode_rhs(mom, 0.0, 3) == pytest.approx(3.0 - 0.25)
+        assert moment_ode_rhs_on_grid(mom, 0.0, 3, ds=0.0) == pytest.approx(3.0 - 0.25)
 
-    def test_grid_form_reduces_to_continuum(self):
+    def test_grid_form_hand_values(self):
+        """At ds = 0 the continuum equation m2^2 - (m3 + eps m4)/6; at ds = 0.5
+        each fragmentation moment m_p loses ds^2 m_{p-2}."""
         mom = np.array([1.0, 1.0, 2.0, 5.0, 14.0, 42.0])
-        assert moment_ode_rhs_on_grid(mom, 0.2, 2, ds=0.0) == pytest.approx(
-            moment_ode_rhs(mom, 0.2, 2)
+        assert moment_ode_rhs_on_grid(mom, 0.2, 2, ds=0.0) == pytest.approx(4.0 - (5.0 + 0.2 * 14.0) / 6.0)
+        assert moment_ode_rhs_on_grid(mom, 0.2, 2, ds=0.5) == pytest.approx(
+            4.0 - ((5.0 - 0.25 * 1.0) + 0.2 * (14.0 - 0.25 * 2.0)) / 6.0
         )
 
     def test_unsupported_order(self):
         with pytest.raises(ValueError):
-            moment_ode_rhs(np.ones(6), 0.0, 4)
+            moment_ode_rhs_on_grid(np.ones(6), 0.0, 4, ds=0.0)
 
 
 class TestAPrioriCap:
