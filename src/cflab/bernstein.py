@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BoundReport, Distribution, ScenarioParams, uniform_step
+from .core import BoundReport, Distribution, ScenarioParams, SizeGrid, uniform_step
 from .kinetic import Trajectory
 
 #: Tolerance scale for sign checks on exact transform sums.
@@ -79,40 +79,37 @@ class BernsteinField:
         )
 
 
-def bernstein_sums(dist: Distribution, x: np.ndarray, k_max: int = 2):
-    """F(x) = sum_i (1 - exp(-x s_i)) N_i and, as rows k - 1 = 0..k_max - 1,
-    D_k(x) = sum_i s_i^k exp(-x s_i) N_i = (-1)^(k-1) d^k F / dx^k.
+def bernstein_sums(grid: SizeGrid, counts: np.ndarray, x: np.ndarray, k_max: int = 2):
+    """For each row N of ``counts`` (T, n) on ``grid``: F(x) = sum_i (1 - exp(-x s_i)) N_i,
+    shape (T, X), and D_k(x) = sum_i s_i^k exp(-x s_i) N_i = (-1)^(k-1) d^k F / dx^k
+    as D[t, k - 1] for k = 1..k_max, shape (T, k_max, X).
 
     Every term of D_k is nonnegative, so the sign pattern of complete
     monotonicity holds for D with zero tolerance; F uses expm1, which keeps
-    small-x values fully accurate.
+    small-x values fully accurate.  The exponentials are formed once per call;
+    each row is its own matrix-vector product, so a row's sums do not depend
+    on the other rows.
     """
-    s = dist.grid.sizes
-    N = dist.counts
+    s = grid.sizes
     phase = np.outer(np.asarray(x, dtype=float), s)
     decay = np.exp(-phase)
-    F = -np.expm1(-phase) @ N
-    D = np.array([decay @ (s ** k * N) for k in range(1, k_max + 1)])
+    growth = -np.expm1(-phase)
+    F = np.stack([growth @ N for N in counts])
+    D = np.array([[decay @ (s ** k * N) for k in range(1, k_max + 1)] for N in counts])
     return F, D
 
 
-def _field(x_grid, times, dists, m: float, m2: np.ndarray) -> BernsteinField:
+def _field(x_grid, times, grid: SizeGrid, counts: np.ndarray, m: float, m2: np.ndarray) -> BernsteinField:
     x = default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
-    sums = [bernstein_sums(d, x) for d in dists]
+    F, D = bernstein_sums(grid, counts, x)
     return BernsteinField(
-        x=x,
-        times=np.asarray(times, dtype=float),
-        F=np.stack([F for F, _ in sums]),
-        Fx=np.stack([D[0] for _, D in sums]),
-        Fxx=-np.stack([D[1] for _, D in sums]),
-        m=m,
-        m2=m2,
+        x=x, times=np.asarray(times, dtype=float), F=F, Fx=D[:, 0], Fxx=-D[:, 1], m=m, m2=m2
     )
 
 
 def transform(dist: Distribution, x_grid: np.ndarray | None = None, t: float = 0.0) -> BernsteinField:
     """Single-time field of one distribution."""
-    return _field(x_grid, [t], [dist], dist.moment(1), np.array([dist.moment(2)]))
+    return _field(x_grid, [t], dist.grid, dist.counts[None], dist.moment(1), np.array([dist.moment(2)]))
 
 
 def field_from_trajectory(traj: Trajectory, x_grid: np.ndarray | None = None) -> BernsteinField:
@@ -120,7 +117,8 @@ def field_from_trajectory(traj: Trajectory, x_grid: np.ndarray | None = None) ->
     return _field(
         x_grid,
         traj.times.copy(),
-        traj.distributions,
+        traj.grid,
+        traj.counts,
         float(traj.moments.moments[0, 1]),
         traj.moments.column(2).copy(),
     )
@@ -134,15 +132,17 @@ def _forcing(x, Fx, Fxx, m, m2) -> np.ndarray:
 
 
 def cm_exact_report(
-    dist: Distribution, k_max: int = 6, x_samples: Sequence[float] | None = None
+    grid: SizeGrid, counts: np.ndarray, k_max: int = 6, x_samples: Sequence[float] | None = None
 ) -> BoundReport:
-    """Complete monotonicity from the exact sums D_1..D_{k_max}: the margin is
-    the smallest D_k(x), located at (x, k); any order is available."""
+    """Complete monotonicity of each row of ``counts`` (T, n) from the exact
+    sums D_1..D_{k_max}: the margin is the smallest D_k(x) over the rows,
+    located at (row, x, k); any order is available."""
     x = default_x_grid() if x_samples is None else np.asarray(x_samples, dtype=float)
-    _, D = bernstein_sums(dist, x, k_max)
-    k, i = np.unravel_index(int(np.argmin(D)), D.shape)
-    tol = CM_EXACT_RTOL * max(dist.moment(1), np.finfo(float).tiny)
-    return BoundReport("complete_monotonicity_exact", float(D[k, i]), tol, (float(x[i]), int(k) + 1))
+    _, D = bernstein_sums(grid, counts, x, k_max)
+    row, k, i = np.unravel_index(int(np.argmin(D)), D.shape)
+    tol = CM_EXACT_RTOL * max(float(np.max(counts @ grid.sizes)), np.finfo(float).tiny)
+    where = (int(row), float(x[i]), int(k) + 1)
+    return BoundReport("complete_monotonicity_exact", float(D[row, k, i]), tol, where)
 
 
 def cm_sampled_report(

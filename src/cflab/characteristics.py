@@ -53,8 +53,9 @@ def distribution_transform(dist: Distribution) -> Callable:
     """Initial-data handle (F0, F0') from the exact transform of a distribution."""
 
     def f0(x):
-        F, D = bernstein_sums(dist, np.atleast_1d(np.asarray(x, dtype=float)), k_max=1)
-        return F, D[0]
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        F, D = bernstein_sums(dist.grid, dist.counts[None], x, k_max=1)
+        return F[0], D[0, 0]
 
     return f0
 

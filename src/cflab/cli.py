@@ -180,8 +180,8 @@ def load_config(path) -> Experiment:
         if sto_volume is not None and not sto_volume > 0:
             raise ValueError(f"[stochastic] volume = {sto_volume:g} must be positive")
         sto_t_grid = get("stochastic", "t_grid", _floats, (0.0, t_end))
-        if not sto_t_grid or any(b < a for a, b in zip(sto_t_grid, sto_t_grid[1:])):
-            raise ValueError("[stochastic] t_grid must list at least one time, in nondecreasing order")
+        if not sto_t_grid or sto_t_grid[0] < 0 or any(b < a for a, b in zip(sto_t_grid, sto_t_grid[1:])):
+            raise ValueError("[stochastic] t_grid must list at least one time >= 0, in nondecreasing order")
         exp = Experiment(
             initial=initial,
             scenario=scenario,
@@ -259,12 +259,12 @@ def _read_run(exp: Experiment, out: Path) -> Trajectory:
     snapshots.csv, whose times must be the config's snapshot schedule and whose
     first counts must be its initial data."""
     path = out / "snapshots.csv"
-    times, dists = csvio.read_snapshots_csv(path, exp.initial.grid)
+    times, counts = csvio.read_snapshots_csv(path, exp.initial.grid)
     if not np.array_equal(times, exp.solver.snapshot_times):
         raise CsvFormatError(f"the times of {path} are not the snapshot schedule of this config")
-    if not np.array_equal(dists[0].counts, exp.initial.counts):
+    if not np.array_equal(counts[0], exp.initial.counts):
         raise CsvFormatError(f"the first counts of {path} are not the initial data of this config")
-    return Trajectory.of_snapshots(times, dists, exp.solver.spec)
+    return Trajectory.of_snapshots(times, counts, exp.initial.grid, exp.solver.spec)
 
 
 def cmd_verify(exp: Experiment, out: Path, quiet: bool) -> int:

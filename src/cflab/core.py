@@ -90,17 +90,9 @@ class Distribution:
     def moment(self, k: int) -> float:
         return moment(self, k)
 
-    def moments(self, k_max: int = MAX_MOMENT) -> np.ndarray:
-        """Vector (m_0, ..., m_{k_max})."""
-        powers = np.vander(self.grid.sizes, k_max + 1, increasing=True)
-        return powers.T @ self.counts
-
     def density(self) -> np.ndarray:
         """Number density per unit size, ``counts / ds``."""
         return self.counts / self.grid.ds
-
-    def with_counts(self, counts) -> "Distribution":
-        return Distribution(self.grid, counts)
 
 
 @dataclass(frozen=True)
@@ -108,14 +100,10 @@ class KernelSpec:
     """Kernel family: coagulation is fixed ``a(s, s') = s*s'``; fragmentation is
     ``b(s, s') = 1 + frag_eps*(s + s')``; events with combined size above bin
     ``truncation`` are suppressed.
-
-    ``frag_enabled=False`` switches breakup off entirely (b = 0) for
-    coagulation-only studies; the constant kernel stays active at frag_eps=0.
     """
 
     frag_eps: float
     truncation: int
-    frag_enabled: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.frag_eps) and self.frag_eps >= 0):
@@ -124,9 +112,9 @@ class KernelSpec:
             raise ValueError(f"truncation index must be >= 2, got {self.truncation}")
 
     @classmethod
-    def for_grid(cls, grid: SizeGrid, frag_eps: float = 0.0, frag_enabled: bool = True) -> "KernelSpec":
+    def for_grid(cls, grid: SizeGrid, frag_eps: float = 0.0) -> "KernelSpec":
         """Kernel truncated exactly at the top of ``grid``."""
-        return cls(frag_eps=frag_eps, truncation=grid.n, frag_enabled=frag_enabled)
+        return cls(frag_eps=frag_eps, truncation=grid.n)
 
 
 @dataclass(frozen=True)

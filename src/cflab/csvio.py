@@ -13,7 +13,7 @@ import numpy as np
 
 from .bernstein import BernsteinField
 from .characteristics import CharacteristicFan
-from .core import Distribution, SizeGrid
+from .core import SizeGrid
 from .errors import CsvFormatError, MissingArtifactError
 from .kinetic import Trajectory
 from .stochastic import EnsembleMoments
@@ -80,15 +80,17 @@ def _snapshots_header(grid: SizeGrid) -> list:
 def write_snapshots_csv(path, traj: Trajectory):
     """One row per snapshot: its time, then its counts N_1..N_n under a header
     of ``t`` and the bin sizes."""
-    rows = ([t, *dist.counts.tolist()] for t, dist in traj.snapshots)
+    rows = (row.tolist() for row in np.column_stack((traj.times, traj.counts)))
     write_rows(path, _snapshots_header(traj.grid), rows)
 
 
 def read_snapshots_csv(path, grid: SizeGrid) -> tuple:
-    """(times, distributions) of a snapshot table, parsed in one pass.
+    """(times, counts) of a snapshot table, parsed in one pass: counts has one
+    row per time and one column per bin.
 
     The header must be ``t`` and the sizes of ``grid`` as the 17-digit writer
-    prints them, and each row a time and one count per bin of ``grid``.
+    prints them, and each row a time and one finite, nonnegative count per bin
+    of ``grid``.
     """
     path = Path(path)
     if not path.is_file():
@@ -102,9 +104,12 @@ def read_snapshots_csv(path, grid: SizeGrid) -> tuple:
         table = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
         if table.shape[1] != grid.n + 1:
             raise CsvFormatError(f"{path} has rows of {table.shape[1]} cells for a grid of {grid.n} bins")
-        return table[:, 0], tuple(Distribution(grid, row) for row in table[:, 1:])
     except ValueError as exc:
         raise CsvFormatError(f"cannot parse snapshot table {path}: {exc}") from exc
+    counts = table[:, 1:]
+    if not np.all(np.isfinite(counts)) or np.any(counts < 0):
+        raise CsvFormatError(f"{path} holds a count that is negative or not finite")
+    return table[:, 0], counts
 
 
 def write_field_csv(path, field: BernsteinField, residual: np.ndarray | None = None):

@@ -25,7 +25,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
-    Distribution, KernelSpec, MomentSeries, ScenarioParams, SizeGrid, check_stride, step_count, uniform_step
+    MAX_MOMENT, Distribution, KernelSpec, MomentSeries, ScenarioParams, SizeGrid, _readonly, check_stride,
+    step_count, uniform_step,
 )
 from .errors import SolverAbort
 
@@ -86,9 +87,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-ordered snapshots of one deterministic run plus moment bookkeeping."""
+    """One deterministic run: the counts of each snapshot as the rows of the
+    read-only ``counts`` (T, n) on ``grid``, plus moment bookkeeping."""
 
-    snapshots: tuple  # of (t, Distribution)
+    counts: np.ndarray
+    grid: SizeGrid
     moments: MomentSeries
     spec: KernelSpec
     metadata: dict = field(default_factory=dict)
@@ -97,27 +100,20 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return self.moments.times
 
-    @property
-    def distributions(self) -> tuple:
-        return tuple(d for _, d in self.snapshots)
-
-    @property
-    def grid(self) -> SizeGrid:
-        return self.snapshots[0][1].grid
-
     @classmethod
-    def of_snapshots(cls, times, dists, spec: KernelSpec, **metadata) -> "Trajectory":
-        """The run that recorded ``dists`` at ``times``, with its bookkeeping in
-        ``metadata``: the relative mass drift against the first snapshot and the
-        top-bin occupancy, each flagged (not rejected) when it exceeds
-        MASS_DRIFT_TOL or TOP_BIN_OCCUPANCY_TOL, since either invalidates bound
-        checks."""
-        grid = dists[0].grid
-        m1_0 = dists[0].moment(1)
+    def of_snapshots(cls, times, counts, grid: SizeGrid, spec: KernelSpec, **metadata) -> "Trajectory":
+        """The run that recorded the rows of ``counts`` at ``times``, with its
+        bookkeeping in ``metadata``: the relative mass drift against the first
+        snapshot and the top-bin occupancy, each flagged (not rejected) when it
+        exceeds MASS_DRIFT_TOL or TOP_BIN_OCCUPANCY_TOL, since either
+        invalidates bound checks."""
+        counts = _readonly(counts)
+        m1_0 = float(np.dot(grid.sizes, counts[0]))
         mass_scale = m1_0 if m1_0 > 0 else 1.0
-        moments = np.stack([d.moments() for d in dists])
+        powers = np.vander(grid.sizes, MAX_MOMENT + 1, increasing=True)
+        moments = np.stack([powers.T @ row for row in counts])
         drift = np.abs(moments[:, 1] - m1_0) / mass_scale
-        top_occupancy = np.array([grid.s_max * d.counts[-1] / mass_scale for d in dists])
+        top_occupancy = grid.s_max * counts[:, -1] / mass_scale
         metadata.update(
             max_mass_drift=float(drift.max()),
             mass_drift_exceeded=bool(drift.max() > MASS_DRIFT_TOL),
@@ -125,7 +121,7 @@ class Trajectory:
             top_bin_occupancy=top_occupancy,
             top_bin_occupancy_exceeded=bool(top_occupancy.max() > TOP_BIN_OCCUPANCY_TOL),
         )
-        return cls(tuple(zip(times, dists)), MomentSeries(times, moments, drift), spec, metadata)
+        return cls(counts, grid, MomentSeries(times, moments, drift), spec, metadata)
 
 
 def stability_limit(grid: SizeGrid, spec: KernelSpec, m1: float) -> float:
@@ -180,8 +176,6 @@ def _frag_rates(counts: np.ndarray, grid: SizeGrid, spec: KernelSpec) -> np.ndar
     at rate (ds/2) * sum_{k<j} b(s_k, s_{j-k}), and each split puts one
     fragment in bin k and one in bin j-k."""
     n = grid.n
-    if not spec.frag_enabled:
-        return np.zeros(n)
     cap = min(spec.truncation, n)
     s = grid.sizes
     j = np.arange(1, n + 1)
@@ -232,20 +226,13 @@ def simulate(config: SolverConfig, initial: Distribution) -> Trajectory:
     grid = initial.grid
     n_steps = config.n_steps
     dt = config.t_end / n_steps if n_steps else 0.0
-    counts = initial.counts.copy()
-    dists = [initial.with_counts(counts)]
+    counts = initial.counts
+    snapshots = [counts]
     for k in range(1, n_steps + 1):
         counts = _checked(_rk4(counts, grid, config.spec, dt), float(counts.max(initial=0.0)))
         if k % config.output_every == 0 or k == n_steps:
-            dists.append(initial.with_counts(counts))
-    return Trajectory.of_snapshots(
-        config.snapshot_times,
-        dists,
-        config.spec,
-        dt_effective=dt,
-        n_steps=n_steps,
-        stability_dt_max=stability_limit(grid, config.spec, initial.moment(1)),
-    )
+            snapshots.append(counts)
+    return Trajectory.of_snapshots(config.snapshot_times, snapshots, grid, config.spec, n_steps=n_steps)
 
 
 def weak_form_residual(traj: Trajectory, phi: Callable[[np.ndarray], np.ndarray]) -> tuple:
@@ -257,12 +244,12 @@ def weak_form_residual(traj: Trajectory, phi: Callable[[np.ndarray], np.ndarray]
     right-hand side, for all interior snapshots in one pass.  ``phi`` must be
     vectorized, bounded, Lipschitz, and vanish at zero.
     """
-    if len(traj.snapshots) < 3:
+    counts = traj.counts
+    if counts.shape[0] < 3:
         raise ValueError("need at least 3 snapshots for a centered difference")
     times = traj.times
     dt = uniform_step(times)
     phi_s = np.asarray(phi(traj.grid.sizes), dtype=float)
-    counts = np.stack([d.counts for d in traj.distributions])
     phi_tot = np.array([float(np.dot(phi_s, c)) for c in counts])
     lhs = (phi_tot[2:] - phi_tot[:-2]) / (2.0 * dt)
     res = np.abs(lhs - _weak_form_rates(traj.grid, traj.spec, phi_s, counts[1:-1]))
@@ -270,21 +257,11 @@ def weak_form_residual(traj: Trajectory, phi: Callable[[np.ndarray], np.ndarray]
     return float(res[worst]), float(times[1 + worst])
 
 
-def weak_form_rate(dist: Distribution, spec: KernelSpec, phi) -> float:
-    """Right side of the weak formulation for one snapshot.
-
-    Coagulation: 1/2 sum_{i+j<=cap} (phi(s_i+s_j) - phi(s_i) - phi(s_j)) a N_i N_j.
-    Fragmentation: -ds/2 sum_j N_j sum_{k<j} (phi(s_j) - phi(s_k) - phi(s_{j-k})) b.
-
-    ``phi`` is evaluated on the grid only, since s_i + s_j = s_{i+j}; this is
-    the one-snapshot case of the pair sum in ``weak_form_residual``.
-    """
-    phi_s = np.asarray(phi(dist.grid.sizes), dtype=float)
-    return float(_weak_form_rates(dist.grid, spec, phi_s, dist.counts[None, :])[0])
-
-
 def _weak_form_rates(grid: SizeGrid, spec: KernelSpec, phi_s: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Weak-form rates of the rows of ``counts`` (m, n).  Each block of rows i
+    """Right side of the weak formulation for each row of ``counts`` (m, n):
+    1/2 sum_{i+j<=cap} (phi(s_i+s_j) - phi(s_i) - phi(s_j)) a N_i N_j for
+    coagulation, -ds/2 sum_j N_j sum_{k<j} (phi(s_j) - phi(s_k) - phi(s_{j-k})) b
+    for fragmentation, with ``phi_s`` = phi on the grid.  Each block of rows i
     forms the gains G[i, j] = phi(s_{i+j}) - phi(s_i) - phi(s_j), zero where
     i + j > cap, and contracts them with w = s N of every row; each pair keeps
     its own difference, so phi(s) = s gives exactly 0 where grid sums are exact.
@@ -309,8 +286,6 @@ def _weak_form_rates(grid: SizeGrid, spec: KernelSpec, phi_s: np.ndarray, counts
         coag += np.sum(w[:, lo:hi] * (w[:, :cols] @ gain.T), axis=1)
     coag *= 0.5
 
-    if not spec.frag_enabled:
-        return coag
     j = np.arange(1, n + 1)
     prefix = np.concatenate([[0.0], np.cumsum(phi_s)])  # prefix[j-1] = sum_{k<j} phi(s_k)
     inner = (j - 1) * phi_s - 2.0 * prefix[:-1]

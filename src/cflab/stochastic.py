@@ -23,7 +23,6 @@ of any size.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +42,7 @@ class ParticleSystem:
     """R replicas of the particles ``sizes`` (in grid steps), held as bin counts
     ``counts[r, j]``; per-replica quantities are arrays with one entry per row.
 
-    Mutable by design: `gillespie_step` advances every replica in place; use
-    ``copy()`` for a functional snapshot.  A single replica draws from
+    Mutable by design: `gillespie_step` advances every replica in place.  A single replica draws from
     ``default_rng(seed)``; with ``replicas = R > 1``, replica r draws from
     ``default_rng((seed, r))``, the stream of a single system seeded (seed, r).
     """
@@ -84,9 +82,6 @@ class ParticleSystem:
         base[order[:extras]] += 1
         sizes = np.repeat(np.arange(1, dist.grid.n + 1), base)
         return cls(dist.grid, volume, sizes, seed=seed, replicas=replicas)
-
-    def copy(self) -> "ParticleSystem":
-        return copy.deepcopy(self)
 
     @property
     def mass_concentration(self) -> np.ndarray:
@@ -155,8 +150,6 @@ def _proposal_rates(sys: ParticleSystem, spec: KernelSpec):
     (over-cap proposals become null events), fragmentation is exact."""
     ds = sys.grid.ds
     coag = ds * ds * (sys._s1 * sys._s1 - sys._s2) / (2.0 * sys.volume)
-    if not spec.frag_enabled:
-        return coag, np.zeros(coag.shape)
     eps_ds = spec.frag_eps * ds
     return coag, 0.5 * ds * ((sys._s1 - sys._n) + eps_ds * (sys._s2 - sys._s1))
 
@@ -229,8 +222,8 @@ def _run(sys: ParticleSystem, spec: KernelSpec, t_grid, record_snapshots: bool =
     grid time; an absorbing state (zero total rate) is frozen from then on.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0 or np.any(np.diff(t_grid) < 0):
-        raise ValueError("t_grid must be a nondecreasing, nonempty 1-d array")
+    if t_grid.ndim != 1 or t_grid.size == 0 or t_grid[0] < 0 or np.any(np.diff(t_grid) < 0):
+        raise ValueError("t_grid must be a nondecreasing, nonempty 1-d array of times >= 0")
     replicas, width = sys.counts.shape
     moments = np.empty((replicas, t_grid.size, ENSEMBLE_MAX_MOMENT + 1))
     snaps = np.empty((replicas, t_grid.size, width), np.int64) if record_snapshots else None

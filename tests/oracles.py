@@ -18,8 +18,6 @@ def coag_kernel(s, s_hat):
 
 def frag_kernel(spec, s, s_hat):
     """Fragmentation rate ``1 + eps*(s + s_hat)``; the constant kernel at eps=0."""
-    if not spec.frag_enabled:
-        return np.multiply(0.0, np.add(s, s_hat))
     return 1.0 + spec.frag_eps * (np.add(s, s_hat))
 
 

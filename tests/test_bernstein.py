@@ -27,9 +27,15 @@ counts_strategy = arrays(
 )
 
 
+def sums(dist, x, k_max=2):
+    """(F, D) of one distribution: row 0 of the sums of its 1-row counts matrix."""
+    F, D = bernstein_sums(dist.grid, dist.counts[None], x, k_max)
+    return F[0], D[0]
+
+
 def f_fx_fxx(dist, x):
     """(F, Fx, Fxx) of one distribution from the transform sums."""
-    F, D = bernstein_sums(dist, x)
+    F, D = sums(dist, x)
     return F, D[0], -D[1]
 
 
@@ -112,26 +118,38 @@ class TestTransform:
         assert field.g_eps is not None
 
 
+def test_sums_of_a_matrix_are_its_rows_sums():
+    """Each row of a counts matrix gets the sums it gets alone, bit for bit."""
+    g = SizeGrid(ds=0.25, n=32)
+    counts = np.random.default_rng(5).random((3, 32))
+    x = default_x_grid(num=12)
+    F, D = bernstein_sums(g, counts, x, k_max=3)
+    assert F.shape == (3, x.size) and D.shape == (3, 3, x.size)
+    for row, c in enumerate(counts):
+        F_row, D_row = sums(Distribution(g, c), x, k_max=3)
+        assert F[row].tobytes() == F_row.tobytes() and D[row].tobytes() == D_row.tobytes()
+
+
 class TestDerivative:
     """D_k = sum_i s_i^k exp(-x s_i) N_i is (-1)^(k-1) d^k F / dx^k."""
 
     def test_first_derivative_at_origin_is_mass(self):
         g = SizeGrid(ds=0.5, n=8)
         d = make_initial("monodisperse", g, mass=1.5, size=0.5)
-        _, D = bernstein_sums(d, [0.0], k_max=1)
+        _, D = sums(d, [0.0], k_max=1)
         assert D[0, 0] == pytest.approx(1.5)
 
     def test_second_derivative_sign_convention(self):
         g = SizeGrid(ds=1.0, n=4)
         d = Distribution(g, [0.0, 1.0, 0, 0])
-        _, D = bernstein_sums(d, [0.0], k_max=2)
+        _, D = sums(d, [0.0], k_max=2)
         assert (-1) ** (2 - 1) * D[1, 0] == pytest.approx(-moment(d, 2))
 
     def test_third_derivative_point_mass(self):
         """Unit count at s=2: d^3F/dx^3(0) = (+1) * 2^3 = 8."""
         g = SizeGrid(ds=1.0, n=4)
         d = Distribution(g, [0.0, 1.0, 0, 0])
-        _, D = bernstein_sums(d, [0.0], k_max=3)
+        _, D = sums(d, [0.0], k_max=3)
         assert D[2, 0] == pytest.approx(8.0)
 
     @given(counts=counts_strategy, k=st.integers(1, 8), x=st.floats(0.0, 10.0))
@@ -140,7 +158,7 @@ class TestDerivative:
         """(-1)^(k-1) d^k F >= 0 with zero tolerance: the sum has no cancellation."""
         g = SizeGrid(ds=0.5, n=len(counts))
         d = Distribution(g, counts)
-        _, D = bernstein_sums(d, [x], k_max=k)
+        _, D = sums(d, [x], k_max=k)
         assert D[k - 1, 0] >= 0.0
 
 
@@ -149,9 +167,24 @@ class TestCompleteMonotonicity:
         g = SizeGrid(ds=0.5, n=16)
         rng = np.random.default_rng(7)
         d = Distribution(g, rng.random(16))
-        report = cm_exact_report(d, k_max=6)
+        report = cm_exact_report(g, d.counts[None], k_max=6)
         assert report.passed
         assert report.worst_margin >= 0.0
+
+    def test_exact_report_locates_the_row(self):
+        """Over the rows of a counts matrix, the margin is the smallest D_k(x)
+        of any row, located at that row's index, x and k."""
+        g = SizeGrid(ds=0.5, n=16)
+        rng = np.random.default_rng(11)
+        counts = rng.random((4, 16))
+        counts[2] *= 1e-3  # the smallest sums
+        x = default_x_grid(num=8)
+        report = cm_exact_report(g, counts, k_max=6, x_samples=x)
+        row, xv, k = report.location
+        assert row == 2
+        _, D = sums(Distribution(g, counts[2]), [xv], k_max=k)
+        assert report.worst_margin == D[k - 1, 0]
+        assert report.worst_margin == min(cm_exact_report(g, c[None], 6, x).worst_margin for c in counts)
 
     def test_quadratic_field_fails_concavity(self):
         """F = x^2 is convex: the k=2 finite difference must flag it."""
@@ -170,8 +203,9 @@ class TestCompleteMonotonicity:
         assert report.passed
 
     def test_sampled_requires_uniform_grid(self):
-        x = np.array([0.1, 0.2, 0.4, 0.8])
-        with pytest.raises(ValueError):
+        """Enough samples for k_max = 4, so the spacing rule is what rejects them."""
+        x = np.array([0.1, 0.2, 0.4, 0.8, 1.6])
+        with pytest.raises(ValueError, match="samples must be uniformly spaced"):
             cm_sampled_report(x, x.copy(), m=1.0)
 
     def test_sampled_order_cap(self):

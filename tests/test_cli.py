@@ -23,7 +23,7 @@ from cflab.cli import (
     main,
     strictly_decreasing,
 )
-from cflab.kinetic import simulate, weak_form_rate
+from cflab.kinetic import _weak_form_rates, simulate
 
 BASE_CONFIG = """
 [scenario]
@@ -127,6 +127,8 @@ class TestConfig:
             ("replicas = 6", "replicas = 1"),
             ("volume = 400", "volume = 0"),
             ("t_grid = 0.0, 0.1", "t_grid = 0.1, 0.0"),
+            # no row may hold a time before the run starts
+            ("t_grid = 0.0, 0.1", "t_grid = -0.1, 0.1"),
             # a fan needs two paths, and a start range above the drift
             pytest.param("n_paths = 200", "n_paths = 1", id="characteristics n_paths = 1"),
             pytest.param("x_lo = 0.6", "x_lo = 7", id="characteristics x_lo = 7"),
@@ -317,20 +319,23 @@ class TestVerify:
         assert float(rows["hj_residual"]["t"]) == field.times[i]
         assert float(rows["hj_residual"]["x_or_k"]) == field.x[j]
 
-        cm = [(cm_exact_report(dist, k_max=6, x_samples=field.x), t) for t, dist in traj.snapshots]
+        counts, times = traj.counts, traj.times
+        cm = [
+            (cm_exact_report(traj.grid, counts[k : k + 1], k_max=6, x_samples=field.x), t)
+            for k, t in enumerate(times)
+        ]
         rep, t = min(cm, key=lambda pair: pair[0].worst_margin)
         assert float(rows["complete_monotonicity_exact"]["t"]) == t
-        assert float(rows["complete_monotonicity_exact"]["x_or_k"]) == rep.location[0] <= exp.verify_x[-1]
+        assert float(rows["complete_monotonicity_exact"]["x_or_k"]) == rep.location[1] <= exp.verify_x[-1]
 
-        dists, times = traj.distributions, traj.times
         mismatches = []
         for xv in exp.weak_x:
-            def phi(s, xv=xv):
-                return -np.expm1(-xv * np.asarray(s, float))
-            total = [float(np.dot(phi(d.grid.sizes), d.counts)) for d in dists]
-            for k in range(1, len(dists) - 1):
+            phi_s = -np.expm1(-xv * traj.grid.sizes)
+            total = [float(np.dot(phi_s, c)) for c in counts]
+            for k in range(1, len(counts) - 1):
                 lhs = (total[k + 1] - total[k - 1]) / (times[k + 1] - times[k - 1])
-                mismatches.append((abs(lhs - weak_form_rate(dists[k], traj.spec, phi)), times[k], xv))
+                rate = _weak_form_rates(traj.grid, traj.spec, phi_s, counts[k : k + 1])[0]
+                mismatches.append((abs(lhs - rate), times[k], xv))
         worst, t, xv = max(mismatches)
         assert 0 < t < times[-1]
         assert float(rows["weak_form_residual"]["t"]) == t

@@ -9,7 +9,7 @@ import pytest
 from cflab import csvio
 from cflab.bernstein import BernsteinField
 from cflab.characteristics import CharacteristicFan
-from cflab.core import Distribution, KernelSpec, SizeGrid
+from cflab.core import KernelSpec, SizeGrid
 from cflab.errors import CsvFormatError
 from cflab.kinetic import Trajectory
 
@@ -113,7 +113,7 @@ def test_write_field_csv_matches_per_cell_rows(tmp_path, with_g_eps, with_residu
 
 
 def _table(grid, counts, times):
-    return Trajectory.of_snapshots(times, [Distribution(grid, c) for c in counts], KernelSpec.for_grid(grid))
+    return Trajectory.of_snapshots(times, counts, grid, KernelSpec.for_grid(grid))
 
 
 def test_snapshot_round_trip_is_exact(tmp_path):
@@ -127,8 +127,8 @@ def test_snapshot_round_trip_is_exact(tmp_path):
     csvio.write_snapshots_csv(tmp_path / "snapshots.csv", _table(grid, counts, times))
     back_times, back = csvio.read_snapshots_csv(tmp_path / "snapshots.csv", grid)
     assert back_times.tobytes() == times.tobytes()
-    assert all(d.grid == grid for d in back)
-    assert np.stack([d.counts for d in back]).tobytes() == counts.tobytes()
+    assert back.shape == (3, 64)
+    assert back.tobytes() == counts.tobytes()
 
 
 @pytest.mark.parametrize("keep", [0, 1, 30])
@@ -142,6 +142,16 @@ def test_snapshot_row_width_is_checked(tmp_path, keep):
     rows = [b",".join(line.split(b",")[: 1 + keep]) for line in lines[1:-1]]
     path.write_bytes(b"\r\n".join([lines[0], *rows]) + b"\r\n")
     with pytest.raises(CsvFormatError, match=f"rows of {1 + keep} cells for a grid of 40 bins"):
+        csvio.read_snapshots_csv(path, grid)
+
+
+@pytest.mark.parametrize("cell", ["-1", "nan", "inf"])
+def test_snapshot_counts_are_finite_and_nonnegative(tmp_path, cell):
+    grid = SizeGrid(ds=0.5, n=40)
+    path = tmp_path / "snapshots.csv"
+    csvio.write_snapshots_csv(path, _table(grid, np.ones((2, 40)), np.array([0.0, 0.5])))
+    path.write_text(path.read_text().replace(",1\n", f",{cell}\n", 1))
+    with pytest.raises(CsvFormatError, match="negative or not finite"):
         csvio.read_snapshots_csv(path, grid)
 
 

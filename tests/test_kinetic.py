@@ -21,8 +21,8 @@ from cflab import (
     weak_form_residual,
 )
 from cflab import kinetic
-from cflab.core import MomentSeries, moment
-from cflab.kinetic import _coag_rates, _frag_rates, _rhs, _self_convolution, weak_form_rate
+from cflab.core import moment
+from cflab.kinetic import _coag_rates, _frag_rates, _rhs, _self_convolution, _weak_form_rates
 from cflab.verification import frag_weak_coefficient, moment_ode_rhs_on_grid, second_moment_envelope
 from oracles import frag_kernel
 
@@ -79,10 +79,7 @@ def weak_form_reference(dist, spec, phi):
 
 def trajectory_of(grid, spec, counts, dt):
     """Trajectory of the count rows ``counts``, one snapshot every ``dt``."""
-    dists = [Distribution(grid, c) for c in counts]
-    times = dt * np.arange(len(dists))
-    moments = np.stack([d.moments() for d in dists])
-    return Trajectory(tuple(zip(times, dists)), MomentSeries(times, moments, np.zeros(len(dists))), spec)
+    return Trajectory.of_snapshots(dt * np.arange(len(counts)), counts, grid, spec)
 
 
 counts_strategy = arrays(
@@ -173,7 +170,7 @@ class TestCoagulationFft:
         traj = simulate(make_config(g, eps=0.1, dt=1e-3, t_end=0.02, stride=1, scenario=scen), d)
         assert traj.metadata["n_steps"] == 20
         assert traj.metadata["max_mass_drift"] <= 1e-12
-        assert all(np.all(dist.counts >= 0.0) for dist in traj.distributions)
+        assert np.all(traj.counts >= 0.0)
 
 
 class TestFragmentationRhs:
@@ -238,7 +235,7 @@ class TestConservation:
         d = Distribution(g, counts)
         rate = _rhs(d.counts, g, spec)
         measured = float(np.dot(g.sizes ** 2, rate))
-        mom = d.moments()
+        mom = np.array([moment(d, k) for k in range(6)])
         assert measured == pytest.approx(moment_ode_rhs_on_grid(mom, 0.0, 2, g.ds), rel=1e-10)
         continuum = mom[2] ** 2 - frag_weak_coefficient(2) * mom[3]
         assert measured == pytest.approx(continuum, abs=g.ds ** 2 * mom[1] / 6 * 1.01)
@@ -248,20 +245,20 @@ class TestStep:
     def test_zero_distribution_is_fixed_point(self):
         g = SizeGrid(ds=1.0, n=4)
         d = Distribution(g, np.zeros(4))
-        out = simulate(make_config(g, dt=1e-2, t_end=1e-2), d).distributions[-1]
-        np.testing.assert_array_equal(out.counts, 0.0)
+        out = simulate(make_config(g, dt=1e-2, t_end=1e-2), d).counts[-1]
+        np.testing.assert_array_equal(out, 0.0)
 
     def test_zero_dt_returns_input(self):
         g = SizeGrid(ds=1.0, n=4)
         d = Distribution(g, [1.0, 0.5, 0, 0])
         traj = simulate(make_config(g, dt=0.0, t_end=1.0), d)
-        assert len(traj.snapshots) == 1
-        np.testing.assert_array_equal(traj.distributions[0].counts, d.counts)
+        assert traj.counts.shape == (1, 4)
+        np.testing.assert_array_equal(traj.counts[0], d.counts)
 
     def test_one_step_conserves_mass(self):
         g = SizeGrid(ds=0.5, n=64)
         d = Distribution(g, np.where(g.sizes == 1.0, 2.0, 0.0))
-        out = simulate(make_config(g, eps=0.1, dt=1e-3, t_end=1e-3), d).distributions[-1]
+        out = Distribution(g, simulate(make_config(g, eps=0.1, dt=1e-3, t_end=1e-3), d).counts[-1])
         np.testing.assert_allclose(moment(out, 1), moment(d, 1), rtol=1e-12)
 
     def test_oversized_dt_aborts_with_negative_counts(self):
@@ -277,8 +274,8 @@ class TestSimulate:
         g = SizeGrid(ds=1.0, n=8)
         d = Distribution(g, [1.0, 0, 0, 0, 0, 0, 0, 0])
         traj = simulate(make_config(g, dt=1e-3, t_end=0.0), d)
-        assert len(traj.snapshots) == 1
-        np.testing.assert_array_equal(traj.distributions[0].counts, d.counts)
+        assert traj.counts.shape == (1, 8)
+        np.testing.assert_array_equal(traj.counts[0], d.counts)
 
     def test_stride_must_divide_the_step_count(self):
         """300 steps in strides of 7 would end on a 6-step stride, which the
@@ -289,7 +286,7 @@ class TestSimulate:
         d = Distribution(g, [1.0, 0, 0, 0, 0, 0, 0, 0])
         for stride, n_snapshots in [(6, 51), (300, 2), (400, 2)]:
             traj = simulate(make_config(g, dt=1e-3, t_end=0.3, stride=stride), d)
-            assert len(traj.snapshots) == n_snapshots
+            assert traj.counts.shape == (n_snapshots, 8)
             steps = np.diff(traj.times)
             np.testing.assert_allclose(steps, steps[0], rtol=1e-9)
 
@@ -361,7 +358,7 @@ class TestWeakFormResidual:
         g = SizeGrid(ds=0.05, n=200)
         spec = KernelSpec(frag_eps=0.3, truncation=truncation)
         d = Distribution(g, np.random.default_rng(29).random(200) * np.exp(-g.sizes))
-        got = weak_form_rate(d, spec, lambda s: -np.expm1(-0.7 * np.asarray(s, float)))
+        got = _weak_form_rates(g, spec, -np.expm1(-0.7 * g.sizes), d.counts[None])[0]
         ref = weak_form_reference(d, spec, lambda x: -math.expm1(-0.7 * x))
         assert got == pytest.approx(ref, rel=1e-12)
 
@@ -377,10 +374,10 @@ class TestWeakFormResidual:
         spec = KernelSpec(frag_eps=0.3, truncation=truncation)
         counts = np.random.default_rng(31).random((5, 200)) * np.exp(-g.sizes)
         traj = trajectory_of(g, spec, counts, dt=0.01)
-        rates = kinetic._weak_form_rates(g, spec, -np.expm1(-0.7 * g.sizes), counts[1:-1])
+        rates = _weak_form_rates(g, spec, -np.expm1(-0.7 * g.sizes), counts[1:-1])
         ref = [
-            weak_form_reference(d, spec, lambda x: -math.expm1(-0.7 * x))
-            for d in traj.distributions[1:-1]
+            weak_form_reference(Distribution(g, c), spec, lambda x: -math.expm1(-0.7 * x))
+            for c in traj.counts[1:-1]
         ]
         np.testing.assert_allclose(rates, ref, rtol=1e-12)
 
@@ -416,7 +413,7 @@ class TestWeakFormResidual:
         spec = KernelSpec.for_grid(g, frag_eps=0.1)
         tracemalloc.start()
         try:
-            weak_form_rate(d, spec, lambda s: -np.expm1(-np.asarray(s, float)))
+            _weak_form_rates(g, spec, -np.expm1(-g.sizes), d.counts[None])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -141,16 +141,6 @@ class TestGillespieStep:
                 merges += 1
         assert all(j <= 4 for j in sys.sizes())
 
-    def test_count_decreases_under_pure_coagulation(self):
-        """With breakup switched off every event is a merge: count drops by one."""
-        sys = system_of([1] * 40, n=64, volume=4.0, seed=8)
-        spec = KernelSpec(frag_eps=0.0, truncation=64, frag_enabled=False)
-        counts = [sys.counts.sum()]
-        for _ in range(20):
-            gillespie_step(sys, spec)
-            counts.append(sys.counts.sum())
-        assert all(b - a == -1 for a, b in zip(counts, counts[1:]))
-
 
 class TestFromDistribution:
     def test_monodisperse_rounding_is_exact(self):
@@ -209,6 +199,13 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             ensemble_moments(d, KernelSpec.for_grid(g), [0.0], replicas=1)
 
+    def test_time_before_the_start_is_rejected(self):
+        """No row may record a state at a time before the run starts."""
+        g = SizeGrid(ds=1.0, n=8)
+        d = make_initial("monodisperse", g, mass=1.0, size=1.0)
+        with pytest.raises(ValueError, match="times >= 0"):
+            ensemble_moments(d, KernelSpec.for_grid(g), [-0.1, 0.1], replicas=2, volume=10.0)
+
     def test_coagulation_only_cross_validation(self):
         """Pure-coagulation ensemble mean m2 agrees with the deterministic
         solver on the same grid within 3 standard errors (seeded)."""
@@ -228,13 +225,6 @@ class TestEnsemble:
             if t <= 0.8 * scen.t_star:
                 env = second_moment_envelope(scen.m2_0, t)
                 assert ens.mean[i, 2] <= env + 3.0 * ens.stderr[i, 2]
-
-    def test_mean_count_decreases_under_coagulation_only(self):
-        g = SizeGrid(ds=1.0, n=64)
-        d = make_initial("monodisperse", g, mass=1.0, size=1.0)
-        spec = KernelSpec.for_grid(g, 0.0, frag_enabled=False)
-        ens = ensemble_moments(d, spec, [0.0, 0.1, 0.2], replicas=10, seed=4, volume=1000.0)
-        assert np.all(np.diff(ens.mean[:, 0]) < 0)
 
 
 class TestLockstepEngine:

@@ -207,7 +207,8 @@ class TestRunCheckLocations:
         the end of the run; ties go to the earliest time."""
         times = np.array([0.0, 0.1, 0.2, 0.3])
         drift = np.array([0.0, 3e-7, 3e-7, 1e-7])
-        traj = Trajectory((), MomentSeries(times, np.ones((4, 6)), drift), KernelSpec(0.0, 2))
+        moments = MomentSeries(times, np.ones((4, 6)), drift)
+        traj = Trajectory(np.ones((4, 2)), SizeGrid(1.0, 2), moments, KernelSpec(0.0, 2))
         rep = mass_conservation_check(traj)
         assert rep.location == (0.1, "m1")
         assert rep.worst_margin == pytest.approx(0.7, rel=1e-12)
