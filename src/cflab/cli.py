@@ -320,10 +320,15 @@ def cmd_convergence(exp: Experiment, out: Path, quiet: bool) -> int:
     run, x_grid, m = exp.conv_solver, exp.conv_x, exp.scenario.m
     fields = [field_from_trajectory(simulate(replace(run, spec=spec), exp.initial), x_grid) for spec in exp.conv_specs]
 
+    # the fan steps at about [characteristics] dt, a whole number of steps per
+    # snapshot, and records only the snapshot times that the gaps read
     times = fields[0].times
     snap_dt = float(times[1] - times[0]) if times.size > 1 else exp.char_dt
-    fan_dt = snap_dt / max(1, step_count(snap_dt, exp.char_dt))
-    fan = integrate_fan(distribution_transform(exp.initial), exp.conv_starts, run.t_end, fan_dt, m)
+    per_snapshot = max(1, step_count(snap_dt, exp.char_dt))
+    fan = integrate_fan(
+        distribution_transform(exp.initial), exp.conv_starts, run.t_end, snap_dt / per_snapshot, m,
+        record_every=per_snapshot,
+    )
     limit_field = fan_to_field(fan, x_grid, times)
 
     gaps = [float(np.max(np.abs(f.F - limit_field.F))) for f in fields]

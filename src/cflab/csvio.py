@@ -7,6 +7,8 @@ and identical runs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import re
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -31,24 +33,37 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _row_template(kinds) -> str:
+def _row_template(kinds) -> tuple:
     """One ``%`` template printing a row of these cell types as ``_fmt`` prints
-    each cell, or "" for a row holding a string, which needs csv quoting."""
-    if any(issubclass(kind, str) for kind in kinds):
-        return ""
-    cells = ("%d" if issubclass(kind, (bool, np.bool_, int, np.integer)) else "%.17g" for kind in kinds)
-    return ",".join(cells) + "\r\n"
+    each cell, and the positions of the string cells."""
+    cells = (
+        "%s" if issubclass(kind, str)
+        else "%d" if issubclass(kind, (bool, np.bool_, int, np.integer))
+        else "%.17g"
+        for kind in kinds
+    )
+    return ",".join(cells) + "\r\n", tuple(i for i, kind in enumerate(kinds) if issubclass(kind, str))
+
+
+class _Plain(dict):
+    """Whether ``csv.writer`` prints a string cell as it is, that is, does not
+    quote it for a delimiter, a quote or a line end; filled on first lookup."""
+
+    def __missing__(self, cell):
+        self[cell] = plain = re.search(r'[,"\r\n]', cell) is None
+        return plain
 
 
 def write_rows(path, header, rows):
     """Header and rows as CSV with the CRLF line ends of ``csv.writer``.
 
-    Numeric rows are formatted whole by one template per sequence of cell
-    types; rows holding strings go through ``csv.writer``.
+    Each row is formatted whole by one template per sequence of cell types.
+    A row with a string cell that needs quoting, or whose only cell is "",
+    goes through ``csv.writer``.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    templates = {}
+    templates, plain = {}, _Plain()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -57,10 +72,11 @@ def write_rows(path, header, rows):
             kinds = tuple(map(type, row))
             if kinds not in templates:
                 templates[kinds] = _row_template(kinds)
-            if templates[kinds]:
-                fh.write(templates[kinds] % row)
-            else:
+            template, text = templates[kinds]
+            if text and (row == ("",) or not all([plain[row[i]] for i in text])):
                 writer.writerow([_fmt(v) for v in row])
+            else:
+                fh.write(template % row)
 
 
 def write_trajectory_csv(path, traj: Trajectory):
@@ -123,9 +139,16 @@ def write_field_csv(path, field: BernsteinField, residual: np.ndarray | None = N
 
 
 def write_fan_csv(path, fan: CharacteristicFan):
-    cols = (np.tile(fan.starts, fan.times.size), np.repeat(fan.times, fan.n_paths),
-            fan.x.ravel(), fan.p.ravel(), fan.z.ravel(), ~fan.alive.ravel())
-    write_rows(path, ["start_x", "t", "X", "P", "Z", "terminated"], zip(*(c.tolist() for c in cols)))
+    """One row per (t, path), one recorded time at a time; each start and each
+    time is printed once and its text repeated."""
+    starts = [_fmt(s) for s in fan.starts.tolist()]
+
+    def rows():
+        for i, t in enumerate(fan.times.tolist()):
+            yield from zip(starts, repeat(_fmt(t)), fan.x[i].tolist(), fan.p[i].tolist(),
+                           fan.z[i].tolist(), (~fan.alive[i]).tolist())
+
+    write_rows(path, ["start_x", "t", "X", "P", "Z", "terminated"], rows())
 
 
 def write_ensemble_csv(path, ens: EnsembleMoments):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution, KernelSpec, SizeGrid
+from .core import Distribution, KernelSpec, SizeGrid, _readonly
 from .errors import AbsorbingStateError
 
 #: Highest empirical moment recorded by ensemble statistics (m0..m3).
@@ -263,11 +263,13 @@ def _run(sys: ParticleSystem, spec: KernelSpec, t_grid, record_snapshots: bool =
 
 @dataclass(frozen=True)
 class ReplicaResult:
-    """Empirical moments of one replica on the requested time grid."""
+    """Empirical moments of one replica on the requested time grid and, when
+    recorded, its counts: the read-only (T, n) concentrations whose row k is
+    the state at ``times[k]``, as in ``Trajectory.counts``."""
 
     times: np.ndarray
     moments: np.ndarray  # shape (len(times), 4)
-    snapshots: tuple | None = None
+    counts: np.ndarray | None = None
 
 
 def simulate_replica(
@@ -285,9 +287,8 @@ def simulate_replica(
     """
     sys = ParticleSystem.from_distribution(initial, volume, seed=seed)
     moments, snaps = _run(sys, spec, t_grid, record_snapshots)
-    if snaps is not None:
-        snaps = tuple(Distribution(initial.grid, row[1:] / sys.volume) for row in snaps[0])
-    return ReplicaResult(times=np.asarray(t_grid, dtype=float), moments=moments[0], snapshots=snaps)
+    counts = None if snaps is None else _readonly(snaps[0, :, 1:] / sys.volume)
+    return ReplicaResult(times=np.asarray(t_grid, dtype=float), moments=moments[0], counts=counts)
 
 
 @dataclass(frozen=True)

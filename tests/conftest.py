@@ -4,6 +4,9 @@ The expensive artifacts (reference kinetic runs, the 2000-path fan, the
 convergence bundle, the 200-replica ensemble) are built once and reused by
 both the unit tests and the acceptance suite.
 """
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,9 @@ from cflab import (
     monodisperse_transform,
     simulate,
 )
+from cflab.cli import load_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="session")
@@ -127,3 +133,11 @@ def ensemble_bundle():
         "traj": traj,
         "ensemble": ens,
     }
+
+
+@pytest.fixture(scope="session")
+def readme_experiment(tmp_path_factory):
+    """The run that the README's example config describes, built by load_config."""
+    config = tmp_path_factory.mktemp("readme") / "readme.ini"
+    config.write_text(re.search(r"```ini\n(.*?)```", README.read_text(), flags=re.DOTALL).group(1))
+    return load_config(config)

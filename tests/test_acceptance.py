@@ -172,7 +172,7 @@ def test_07_complete_monotonicity(run_m15_family, run_m1_fine, ensemble_bundle, 
         record_snapshots=True,
     )
     tables = [(traj.grid, traj.counts) for traj in runs]
-    tables.append((replica.snapshots[0].grid, np.stack([d.counts for d in replica.snapshots])))
+    tables.append((ensemble_bundle["initial"].grid, replica.counts))
     reports = [cm_exact_report(grid, counts, k_max=6) for grid, counts in tables]
     exact_failures = sum(not rep.passed for rep in reports)
     worst = min(rep.worst_margin for rep in reports)

@@ -16,7 +16,9 @@ from cflab import (
     SizeGrid,
     make_initial,
 )
-from cflab.characteristics import CharacteristicFan, _pchip, char_rhs, reconstruct_slope
+from cflab import characteristics
+from cflab.characteristics import CharacteristicFan, _check_no_crossing, _pchip, char_rhs, reconstruct_slope
+from cflab.core import step_count
 from oracles import exponential_transform, ordering_check, scale_initial
 
 
@@ -170,21 +172,59 @@ class TestIntegrateFan:
             assert checks["x_spread_factor_nondecreasing"].location == (fan.times[24], 270)
 
     def test_crossing_detection(self):
-        """Hand-built crossing data trips the fan validator."""
+        """Hand-built crossing data trips the per-state fan validator."""
         times = np.array([0.0, 0.1])
-        fan = CharacteristicFan(
-            starts=np.array([1.0, 1.1]),
-            times=times,
-            x=np.array([[1.0, 1.1], [1.05, 1.04]]),
-            p=np.zeros((2, 2)),
-            z=np.zeros((2, 2)),
-            alive=np.ones((2, 2), dtype=bool),
-            m=1.0,
-        )
-        from cflab.characteristics import _assert_no_crossing
-
+        x = np.array([[1.0, 1.1], [1.05, 1.04]])
+        alive = np.ones((2, 2), dtype=bool)
         with pytest.raises(FanCrossingError):
-            _assert_no_crossing(fan)
+            for state, live, t in zip(x, alive, times):
+                _check_no_crossing(state, live, t)
+
+    def test_crossing_between_recorded_times_is_caught(self, monkeypatch):
+        """Two paths that swap and swap back within one recording stride: both
+        recorded states are ordered, so a check of the recorded fan passes, but
+        the check of every step's state raises at a time between them."""
+        period = 0.2
+
+        def swinging_rhs(state, m):
+            # the clock z advances at unit speed; the paths oscillate in
+            # opposite directions, crossing for part of each period
+            x, p, z = state
+            dx = np.array([3.0, -3.0]) * np.cos(2.0 * np.pi * z / period)
+            return dx, np.zeros_like(p), np.ones_like(z)
+
+        monkeypatch.setattr(characteristics, "char_rhs", swinging_rhs)
+        f0 = lambda x: (np.zeros_like(x), np.zeros_like(x))
+        starts = np.array([1.0, 1.1])
+        with pytest.raises(FanCrossingError, match=r"paths crossed at t=0\.0[1-9]"):
+            integrate_fan(f0, starts, t_end=period, dt=1e-3, m=1.0, record_every=200)
+        # with the check stubbed out the run completes: every state, t = 0 and
+        # 200 steps, went to the check, and the two recorded states are
+        # ordered, so a check of the recorded fan alone finds no crossing
+        recorded = []
+        monkeypatch.setattr(characteristics, "_check_no_crossing", lambda x, alive, t: recorded.append(t))
+        fan = integrate_fan(f0, starts, t_end=period, dt=1e-3, m=1.0, record_every=200)
+        assert len(recorded) == 201
+        assert fan.times.tolist() == [0.0, period]
+        assert np.all(np.diff(fan.x, axis=1) > 0.09)
+        assert [c.passed for c in monotone_derivative_checks(fan) if c.name == "non_crossing"] == [True]
+
+    def test_convergence_fan_at_snapshot_stride_matches_every_step(self, readme_experiment):
+        """The README convergence fan recorded once per snapshot, as
+        ``cflab convergence`` records it, gives the limit field of the same fan
+        recorded at every step, bit for bit."""
+        exp = readme_experiment
+        times = exp.conv_solver.snapshot_times
+        snap_dt = float(times[1] - times[0])
+        per_snapshot = step_count(snap_dt, exp.char_dt)
+        args = (distribution_transform(exp.initial), exp.conv_starts, exp.conv_solver.t_end,
+                snap_dt / per_snapshot, exp.scenario.m)
+        strided = integrate_fan(*args, record_every=per_snapshot)
+        every = integrate_fan(*args)
+        assert (per_snapshot, times.size, strided.times.size, every.times.size) == (25, 13, 13, 301)
+        limit, reference = fan_to_field(strided, exp.conv_x, times), fan_to_field(every, exp.conv_x, times)
+        for name in ("F", "Fx", "Fxx"):
+            np.testing.assert_array_equal(getattr(limit, name), getattr(reference, name))
 
 
 def path_loop_oracle(fan, t_star):

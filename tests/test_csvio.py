@@ -1,6 +1,7 @@
 """CSV writers: the row-template writer against the per-cell ``csv.writer``
 path it replaced, byte for byte; the snapshot table reader against the writer."""
 import csv
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from cflab import csvio
 from cflab.bernstein import BernsteinField
-from cflab.characteristics import CharacteristicFan
+from cflab.characteristics import CharacteristicFan, distribution_transform, integrate_fan
 from cflab.core import KernelSpec, SizeGrid
 from cflab.errors import CsvFormatError
 from cflab.kinetic import Trajectory
@@ -82,6 +83,74 @@ def test_write_fan_csv_matches_per_cell_rows(tmp_path):
     csvio.write_fan_csv(tmp_path / "new.csv", fan)
     _write_per_cell(tmp_path / "old.csv", ["start_x", "t", "X", "P", "Z", "terminated"], rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _write_fan_columns(path, fan):
+    """The whole-column fan writer: every cell of every row formatted on its own."""
+    cols = (np.tile(fan.starts, fan.times.size), np.repeat(fan.times, fan.n_paths),
+            fan.x.ravel(), fan.p.ravel(), fan.z.ravel(), ~fan.alive.ravel())
+    csvio.write_rows(path, ["start_x", "t", "X", "P", "Z", "terminated"], zip(*(c.tolist() for c in cols)))
+
+
+def test_write_fan_csv_matches_whole_columns(tmp_path):
+    """Streaming one recorded time at a time, with each start and time printed
+    once, writes the bytes of the whole-column writer: on frozen paths and on
+    -0.0, nan, infinite and subnormal cells, in every column."""
+    fan = _fan()
+    odd = np.array([-0.0, np.nan, 5e-324, -2.2250738585072014e-309, np.inf])
+    fan = CharacteristicFan(
+        starts=odd, times=np.array([-0.0, 5e-324, np.nan]), x=np.vstack([fan.x[:2], odd]),
+        p=np.vstack([odd, fan.p[1:]]), z=np.vstack([fan.z[0], odd[::-1], fan.z[2]]), alive=fan.alive, m=1.0,
+    )
+    csvio.write_fan_csv(tmp_path / "new.csv", fan)
+    _write_fan_columns(tmp_path / "old.csv", fan)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    cells = [line.split(b",") for line in new.splitlines()[1:]]
+    assert [row[:2] + row[3:4] for row in cells[:2]] == [[b"-0", b"-0", b"-0"], [b"nan", b"-0", b"nan"]]
+    # the first path, frozen from the second (subnormal) time on
+    assert cells[5][:2] + cells[5][5:] == [b"-0", b"4.9406564584124654e-324", b"1"]
+    assert cells[13][:3] == [b"-2.2250738585072034e-309", b"nan", b"-2.2250738585072034e-309"]
+
+
+def test_string_cells_are_quoted_as_csv_writer_quotes_them(tmp_path):
+    """String cells print as they are unless csv.writer quotes them: for a
+    comma, a quote or a line end, and for a row whose only cell is empty."""
+    rows = [
+        ("0.5", "plain", 1.0, True),
+        ("a,b", "plain", 1.0, True),
+        ("0.5", 'say "x"', np.float64(2.0), False),
+        ("line\nend", "cr\r", 3.0, np.True_),
+        ("", "", -0.0, False),
+        ("0.5", "plain", 1.0, True),
+    ]
+    csvio.write_rows(tmp_path / "new.csv", ["a", "b", "c", "d"], iter(rows))
+    _write_per_cell(tmp_path / "old.csv", ["a", "b", "c", "d"], rows)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    assert new.split(b"\r\n")[2] == b'"a,b",plain,1,1'
+    for single in ([("",), ("x",), ("a,b",)], [(np.str_(""),)]):
+        csvio.write_rows(tmp_path / "new.csv", ["a"], iter(single))
+        _write_per_cell(tmp_path / "old.csv", ["a"], single)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert (tmp_path / "new.csv").read_bytes() == b'a\r\n""\r\n'
+
+
+def test_write_fan_csv_memory_is_bounded(tmp_path, readme_experiment):
+    """Writing the README fan (102 000 rows) holds one recorded time of rows at
+    a time, not the whole-fan columns that took 18 MB."""
+    exp = readme_experiment
+    fan = integrate_fan(distribution_transform(exp.initial), exp.char_starts, exp.char_t_end, exp.char_dt,
+                        exp.scenario.m, record_every=exp.char_record_every)
+    assert fan.x.shape == (51, 2000)
+    tracemalloc.start()
+    try:
+        csvio.write_fan_csv(tmp_path / "fan.csv", fan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert (tmp_path / "fan.csv").read_bytes().count(b"\n") == 102_001
 
 
 @pytest.mark.parametrize("with_g_eps", [True, False])

@@ -181,15 +181,21 @@ class TestReplicas:
         # a single size-1 particle can neither merge nor split
         np.testing.assert_allclose(res.moments[:, 0], 1.0)
 
-    def test_snapshots_are_distributions(self):
+    def test_snapshots_are_a_counts_matrix(self):
+        """Recorded counts are one read-only (T, n) matrix of concentrations
+        whose rows carry the recorded moments."""
         g = SizeGrid(ds=1.0, n=32)
         d = make_initial("monodisperse", g, mass=1.0, size=1.0)
         res = simulate_replica(
             d, KernelSpec.for_grid(g, 0.1), [0.0, 0.1], volume=300.0, seed=2,
             record_snapshots=True,
         )
-        assert len(res.snapshots) == 2
-        assert res.snapshots[1].moment(1) == pytest.approx(1.0)
+        assert res.counts.shape == (2, 32)
+        assert not res.counts.flags.writeable
+        np.testing.assert_array_equal(res.counts[0], d.counts)
+        assert g.sizes @ res.counts[1] == pytest.approx(1.0)
+        np.testing.assert_allclose(res.counts @ g.sizes, res.moments[:, 1], rtol=1e-12)
+        assert simulate_replica(d, KernelSpec.for_grid(g, 0.1), [0.0, 0.1], volume=300.0, seed=2).counts is None
 
 
 class TestEnsemble:
