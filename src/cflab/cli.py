@@ -84,7 +84,8 @@ class Experiment:
     sto_volume: float | None
     sto_t_grid: tuple
     seed: int
-    char_dt: float
+    char_dt: float  # [characteristics] dt, the step of convergence's fan
+    char_fan_dt: float  # the characteristics fan's step: char_dt, or shortened to whole record strides
     char_t_end: float
     char_record_every: int
 
@@ -165,7 +166,12 @@ def load_config(path) -> Experiment:
         char_dt = get("characteristics", "dt", float, 1e-3)
         char_t_end = get("characteristics", "t_end", float, t_end)
         fan_steps = step_count(char_t_end, char_dt)
-        char_record_every = get("characteristics", "record_every", int, _default_stride(fan_steps, 50))
+        char_record_every = get("characteristics", "record_every", int, None)
+        if char_record_every is None:
+            char_record_every = _default_stride(fan_steps, 50)
+            if fan_steps > 100 * char_record_every:  # over 101 times: round the steps up to whole strides
+                char_record_every = fan_steps // 50
+                fan_steps = -(-fan_steps // char_record_every) * char_record_every
         check_stride("[characteristics] record_every", char_record_every, fan_steps)
         n_paths = get("characteristics", "n_paths", int, 2000)
         fans = ((conv_t_hi, conv_x), (char_t_end, char_x))
@@ -202,6 +208,7 @@ def load_config(path) -> Experiment:
             sto_t_grid=sto_t_grid,
             seed=get("stochastic", "seed", int, 20240801),
             char_dt=char_dt,
+            char_fan_dt=char_dt if fan_steps == step_count(char_t_end, char_dt) else char_t_end / fan_steps,
             char_t_end=char_t_end,
             char_record_every=char_record_every,
         )
@@ -345,7 +352,7 @@ def cmd_convergence(exp: Experiment, out: Path, quiet: bool) -> int:
 def cmd_characteristics(exp: Experiment, out: Path, quiet: bool) -> int:
     scenario, x_grid = exp.scenario, exp.char_x
     fan = integrate_fan(
-        distribution_transform(exp.initial), exp.char_starts, exp.char_t_end, exp.char_dt, scenario.m,
+        distribution_transform(exp.initial), exp.char_starts, exp.char_t_end, exp.char_fan_dt, scenario.m,
         record_every=exp.char_record_every,
     )
     csvio.write_fan_csv(out / "fan.csv", fan)

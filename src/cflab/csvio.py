@@ -1,14 +1,13 @@
 """CSV artifact writers and readers.
 
-CSV is the only output format; headers are always present and floats are
-printed with 17 significant digits so double precision round-trips losslessly
-and identical runs produce byte-identical files.
+CSV is the only output format, with headers; 17-digit floats round-trip, so
+identical runs write identical bytes.  ``%`` templates format the rows: one per
+row's cell types in ``write_rows``, one per recorded time in ``write_fan_csv``.
 """
 from __future__ import annotations
 
 import csv
 import re
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -139,16 +138,22 @@ def write_field_csv(path, field: BernsteinField, residual: np.ndarray | None = N
 
 
 def write_fan_csv(path, fan: CharacteristicFan):
-    """One row per (t, path), one recorded time at a time; each start and each
-    time is printed once and its text repeated."""
-    starts = [_fmt(s) for s in fan.starts.tolist()]
-
-    def rows():
+    """One row per (t, path): the P rows of a recorded time are one ``%``
+    template over a flat cell list, in which each start and the time are text
+    printed once.  Rows do not go through ``write_rows`` one at a time."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    template = _row_template((str, str, float, float, float, bool))[0] * fan.n_paths
+    cells = [None] * (6 * fan.n_paths)
+    cells[0::6] = [_fmt(s) for s in fan.starts.tolist()]
+    with open(path, "w", newline="") as fh:
+        fh.write("start_x,t,X,P,Z,terminated\r\n")
         for i, t in enumerate(fan.times.tolist()):
-            yield from zip(starts, repeat(_fmt(t)), fan.x[i].tolist(), fan.p[i].tolist(),
-                           fan.z[i].tolist(), (~fan.alive[i]).tolist())
-
-    write_rows(path, ["start_x", "t", "X", "P", "Z", "terminated"], rows())
+            cells[1::6] = [_fmt(t)] * fan.n_paths
+            cells[2::6] = fan.x[i].tolist()
+            cells[3::6] = fan.p[i].tolist()
+            cells[4::6] = fan.z[i].tolist()
+            cells[5::6] = (~fan.alive[i]).tolist()
+            fh.write(template % tuple(cells))
 
 
 def write_ensemble_csv(path, ens: EnsembleMoments):

@@ -62,6 +62,7 @@ class ParticleSystem:
         self._s1 = self.counts @ self._j
         self._s2 = self.counts @ self._j**2
         self._n = self.counts.sum(axis=1)
+        self._pair = (self._j * (self._s1[:, None] - self._j)).astype(float)  # merge weight j (S1 - j); S1 is fixed
         self._top = int(sizes.max(initial=0))  # no replica holds a particle above this bin
         seeds = [seed] if replicas == 1 else [(seed, r) for r in range(replicas)]
         self._rngs = [np.random.default_rng(s) for s in seeds]
@@ -113,7 +114,7 @@ class ParticleSystem:
     def _keep(self, rows: np.ndarray):
         """Drop the replicas outside the boolean mask ``rows``."""
         self.counts = self.counts[rows]
-        self._s1, self._s2, self._n = self._s1[rows], self._s2[rows], self._n[rows]
+        self._s1, self._s2, self._n, self._pair = self._s1[rows], self._s2[rows], self._n[rows], self._pair[rows]
         self._rngs = [rng for rng, keep in zip(self._rngs, rows) if keep]
         self._draws = self._draws[:, rows]
 
@@ -155,45 +156,53 @@ def _proposal_rates(sys: ParticleSystem, spec: KernelSpec):
 
 
 def _inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per row, the column whose cumulative-weight interval holds u * total;
-    the target stays below the total, so a column of positive weight."""
+    """Per row, the first column whose cumulative weight exceeds u * total; the
+    target stays below a positive total, so a column of positive weight."""
     cum = np.cumsum(weights, axis=1)
     total = cum[:, -1]
     target = np.minimum(u * total, np.nextafter(total, 0.0))
-    return (cum <= target[:, None]).sum(axis=1)
+    return (cum > target[:, None]).argmax(axis=1)
 
 
-def _execute_events(sys: ParticleSystem, spec: KernelSpec, coag, total, u):
+def _split_weights(sys: ParticleSystem, spec: KernelSpec) -> np.ndarray:
+    """Breakup weight (j-1)(1 + eps s_j) of one particle in each bin j."""
+    return (sys._j - 1) * (1.0 + spec.frag_eps * sys.grid.ds * sys._j)
+
+
+def _execute_events(sys: ParticleSystem, spec: KernelSpec, coag, total, u, breakup):
     """Choose and apply one event per replica; over-cap merges are null events.
 
     ``u`` holds three uniforms per replica: the event type, the first bin, and
-    the second bin of a merge or the split point of a breakup.
+    the second bin of a merge or the split point of a breakup; ``breakup`` is
+    ``_split_weights(sys, spec)``, formed once per run.
     """
     cap = min(spec.truncation, sys.grid.n)
-    j = sys._j[: sys._top + 1]
-    c = sys.counts[:, : j.size]
+    top = sys._top + 1
+    j, c = sys._j[:top], sys.counts[:, :top]
     rows = np.arange(c.shape[0])
     merge = u[:, 0] * total < coag
-    eps_ds = spec.frag_eps * sys.grid.ds
     # the particle that merges or splits: weight a (S1 - a) c_a or (a-1)(1 + eps s_a) c_a
-    first = np.where(merge[:, None], j * (sys._s1[:, None] - j), (j - 1) * (1.0 + eps_ds * j))
+    first = sys._pair[:, :top].copy()
+    first[~merge] = breakup[:top]
     a = _inverse_cdf(first * c, u[:, 1])
     # its merge partner, any other particle: weight b (c_b - [b == a])
     second = j * c
-    second[rows, a] -= a
+    second.reshape(-1)[rows * top + a] -= a
     b = _inverse_cdf(second, u[:, 2])
     k = np.minimum(1 + (u[:, 2] * (a - 1)).astype(np.int64), a - 1)  # split a into k, a - k
 
-    joined = merge & (a + b <= cap)
+    ab = a + b
+    joined = merge & (ab <= cap)
     split = ~merge
     moved = joined | split
     dn = np.where(joined, -1, split)  # particles gained; 0 for a null event
-    sys.counts[rows, a] -= moved
-    sys.counts[rows, np.where(merge, b, k)] += dn
-    sys.counts[rows, np.where(joined, a + b, a - k)] += moved
+    counts, at = sys.counts.reshape(-1), rows * sys.counts.shape[1]  # a view: counts stays C-contiguous
+    counts[at + a] -= moved
+    counts[at + np.where(merge, b, k)] += dn
+    counts[at + np.where(joined, ab, a - k)] += moved
     sys._n += dn
     sys._s2 += 2 * np.where(merge, a * b * joined, -k * (a - k))
-    sys._top = max(sys._top, int(np.max(a + b, where=joined, initial=0)))
+    sys._top = max(sys._top, int(np.maximum.reduce(ab * joined)))
 
 
 def gillespie_step(sys: ParticleSystem, spec: KernelSpec):
@@ -211,7 +220,7 @@ def gillespie_step(sys: ParticleSystem, spec: KernelSpec):
     if np.any(total <= 0):
         raise AbsorbingStateError("total event rate is zero; the state is absorbing")
     draws = sys._next_draws()
-    _execute_events(sys, spec, coag, total, draws[:, 1:])
+    _execute_events(sys, spec, coag, total, draws[:, 1:], _split_weights(sys, spec))
     return sys, draws[:, 0] / total
 
 
@@ -229,8 +238,9 @@ def _run(sys: ParticleSystem, spec: KernelSpec, t_grid, record_snapshots: bool =
     snaps = np.empty((replicas, t_grid.size, width), np.int64) if record_snapshots else None
     grid_times = np.append(t_grid, np.inf)
     ids = np.arange(replicas)  # replica of each remaining row
-    gi = np.zeros(replicas, dtype=np.intp)  # next grid time of each row
+    gi = np.zeros(replicas, dtype=np.intp)  # index of each row's next grid time
     t = np.zeros(replicas)
+    breakup = _split_weights(sys, spec)
 
     def record(due):
         moments[ids[due], gi[due]] = _moments(sys.counts[due], sys.grid.ds, sys.volume)
@@ -240,24 +250,27 @@ def _run(sys: ParticleSystem, spec: KernelSpec, t_grid, record_snapshots: bool =
 
     for _ in range(np.searchsorted(t_grid, 0.0, side="right")):
         record(np.ones(replicas, dtype=bool))
+    if gi[0] == t_grid.size:
+        return moments, snaps
+    next_time = grid_times[gi]
     while True:
         coag, frag = _proposal_rates(sys, spec)
         total = coag + frag
         draws = sys._next_draws()
         wait = np.divide(draws[:, 0], total, out=np.full(total.shape, np.inf), where=total > 0)
         t_next = t + wait
-        due = grid_times[gi] < t_next
-        while due.any():
-            record(due)  # the state on [t, t_next) is the pre-event state
-            due = grid_times[gi] < t_next
-        live = gi < t_grid.size
-        if not live.all():
-            sys._keep(live)
-            ids, gi, t_next = ids[live], gi[live], t_next[live]
-            coag, total, draws = coag[live], total[live], draws[live]
-            if ids.size == 0:
-                return moments, snaps
-        _execute_events(sys, spec, coag, total, draws[:, 1:])
+        if (next_time < t_next).any():
+            while (due := next_time < t_next).any():
+                record(due)  # the state on [t, t_next) is the pre-event state
+                next_time = grid_times[gi]
+            live = gi < t_grid.size
+            if not live.all():
+                sys._keep(live)
+                ids, gi, t_next, next_time = ids[live], gi[live], t_next[live], next_time[live]
+                coag, total, draws = coag[live], total[live], draws[live]
+                if ids.size == 0:
+                    return moments, snaps
+        _execute_events(sys, spec, coag, total, draws[:, 1:], breakup)
         t = t_next
 
 

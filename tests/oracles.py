@@ -3,8 +3,11 @@
 None of these is part of cflab: the kernels are the rates the vectorized
 solvers must realize, the exponential handle is the closed form of a
 discretized profile's transform, and the ordering check compares two fans
-built from different initial data, which no subcommand has.
+built from different initial data, which no subcommand has; the one-event
+oracle redoes a lockstep event of one replica in Python floats and integers.
 """
+import math
+
 import numpy as np
 
 from cflab import default_starts, integrate_fan, reconstruct
@@ -64,3 +67,48 @@ def ordering_check(f0_low, f0_high, t, m, n_paths=800, dt=1e-3, x_window=None, t
     low_vals = reconstruct(fan_low, xs, t)
     high_vals = reconstruct(fan_high, xs, t)
     return bool(np.all(low_vals <= high_vals + tol))
+
+
+def _inverse_cdf(weights, u):
+    """The first index whose cumulative weight, summed left to right as
+    ``np.cumsum`` sums, exceeds u * total; the target stays below the total."""
+    cum, acc = [], 0
+    for w in weights:
+        acc += w
+        cum.append(acc)
+    total = cum[-1]
+    target = min(u * total, math.nextafter(total, 0))
+    return sum(1 for c in cum if c <= target)
+
+
+def lockstep_event(counts, cap, frag_eps, ds, volume, u):
+    """The counts of one replica after the event that uniforms ``u`` = (event
+    type, first bin, second bin or split point) pick, one particle at a time in
+    Python numbers: ``counts[j]`` holds the particles of j grid steps.
+
+    A merge is chosen when u0 * total < coag; its first particle, in bin a, by
+    weight a (S1 - a) c_a, its partner by weight b (c_b - [b == a]), and past
+    the cap it is a null event.  A breakup picks a by weight
+    (a - 1)(1 + eps ds a) c_a and splits it at k = min(1 + floor(u2 (a - 1)), a - 1).
+    """
+    counts = list(counts)
+    s1 = sum(j * c for j, c in enumerate(counts))
+    s2 = sum(j * j * c for j, c in enumerate(counts))
+    n = sum(counts)
+    eps_ds = frag_eps * ds
+    coag = ds * ds * (s1 * s1 - s2) / (2.0 * volume)
+    total = coag + 0.5 * ds * ((s1 - n) + eps_ds * (s2 - s1))
+    if u[0] * total < coag:
+        a = _inverse_cdf([float(j * (s1 - j)) * c for j, c in enumerate(counts)], u[1])
+        b = _inverse_cdf([j * (c - (j == a)) for j, c in enumerate(counts)], u[2])
+        if a + b <= cap:
+            counts[a] -= 1
+            counts[b] -= 1
+            counts[a + b] += 1
+    else:
+        a = _inverse_cdf([(j - 1) * (1.0 + eps_ds * j) * c for j, c in enumerate(counts)], u[1])
+        k = min(1 + int(u[2] * (a - 1)), a - 1)
+        counts[a] -= 1
+        counts[k] += 1
+        counts[a - k] += 1
+    return counts

@@ -200,6 +200,36 @@ class TestConfig:
         assert len(times) == 71
         np.testing.assert_allclose(np.diff(times), 0.003, rtol=1e-9)
 
+    @pytest.mark.parametrize(
+        "t_end, steps, stride, records",
+        [
+            (None, 300, 6, 51),  # the README fan: 300 = 6 * 50
+            ("0.32", 320, 5, 65),  # the largest divisor of 320 up to 6 records few enough times
+            ("0.307", 312, 6, 53),  # 307 is prime: rounded up to 52 strides of 6
+        ],
+    )
+    def test_default_fan_schedule_records_about_fifty_times(self, tmp_path, t_end, steps, stride, records):
+        """Left out, record_every keeps the largest divisor of the fan's steps
+        up to a fiftieth unless that records over 101 times; then the steps are
+        rounded up to whole fiftieths and the fan's dt shortens by under 2 %.
+        Convergence's fan keeps the configured dt, and an explicit
+        record_every must still divide the configured steps."""
+        text = (Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "readme.ini").read_text()
+        if t_end is not None:
+            text = text.replace("[characteristics]\n", f"[characteristics]\nt_end = {t_end}\n")
+        cfg = tmp_path / "fan.ini"
+        cfg.write_text(text)
+        exp = load_config(cfg)
+        assert exp.char_dt == 1e-3
+        assert exp.char_record_every == stride
+        assert round(exp.char_t_end / exp.char_fan_dt) == steps
+        assert steps // stride + 1 == records
+        assert 1 - 0.02 < exp.char_fan_dt / (exp.char_t_end / round(exp.char_t_end / exp.char_dt)) <= 1
+        if steps == 312:
+            cfg.write_text(text.replace("[characteristics]\n", "[characteristics]\nrecord_every = 6\n"))
+            with pytest.raises(errors.ConfigError, match="does not divide the 307 steps"):
+                load_config(cfg)
+
 
 class TestErrorMapping:
     @pytest.mark.parametrize(

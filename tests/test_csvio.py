@@ -92,25 +92,67 @@ def _write_fan_columns(path, fan):
     csvio.write_rows(path, ["start_x", "t", "X", "P", "Z", "terminated"], zip(*(c.tolist() for c in cols)))
 
 
-def test_write_fan_csv_matches_whole_columns(tmp_path):
-    """Streaming one recorded time at a time, with each start and time printed
-    once, writes the bytes of the whole-column writer: on frozen paths and on
-    -0.0, nan, infinite and subnormal cells, in every column."""
+def _odd_fan():
+    """The small fan with -0.0, nan, infinite and subnormal cells in every column."""
     fan = _fan()
     odd = np.array([-0.0, np.nan, 5e-324, -2.2250738585072014e-309, np.inf])
-    fan = CharacteristicFan(
+    return CharacteristicFan(
         starts=odd, times=np.array([-0.0, 5e-324, np.nan]), x=np.vstack([fan.x[:2], odd]),
         p=np.vstack([odd, fan.p[1:]]), z=np.vstack([fan.z[0], odd[::-1], fan.z[2]]), alive=fan.alive, m=1.0,
     )
+
+
+def _fan_slice(times, paths):
+    fan = _fan()
+    return CharacteristicFan(
+        starts=fan.starts[paths], times=fan.times[times], x=fan.x[times, paths], p=fan.p[times, paths],
+        z=fan.z[times, paths], alive=fan.alive[times, paths], m=1.0,
+    )
+
+
+def _all_terminated_fan():
+    """A fan whose last recorded time has every path frozen."""
+    fan = _fan()
+    alive = fan.alive.copy()
+    alive[2] = False
+    return CharacteristicFan(starts=fan.starts, times=fan.times, x=fan.x, p=fan.p, z=fan.z, alive=alive, m=1.0)
+
+
+def _readme_fan(exp):
+    return integrate_fan(distribution_transform(exp.initial), exp.char_starts, exp.char_t_end, exp.char_fan_dt,
+                         exp.scenario.m, record_every=exp.char_record_every)
+
+
+FAN_SHAPES = {
+    "odd-cells": _odd_fan,
+    "one-path": lambda: _fan_slice(slice(None), slice(1, 2)),
+    "one-time": lambda: _fan_slice(slice(2, 3), slice(None)),
+    "all-terminated": _all_terminated_fan,
+}
+
+
+@pytest.mark.parametrize("shape", [*FAN_SHAPES, "readme"])
+def test_write_fan_csv_matches_whole_columns(tmp_path, request, shape):
+    """The per-time template, with each start and time printed once, writes
+    the bytes of the whole-column writer on every fan shape: -0.0, nan,
+    infinite and subnormal cells in every column, one path, one recorded time,
+    a time whose every path is terminated, and the README fan."""
+    fan = _readme_fan(request.getfixturevalue("readme_experiment")) if shape == "readme" else FAN_SHAPES[shape]()
     csvio.write_fan_csv(tmp_path / "new.csv", fan)
     _write_fan_columns(tmp_path / "old.csv", fan)
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "old.csv").read_bytes()
+    assert new.count(b"\n") == 1 + fan.x.size
     cells = [line.split(b",") for line in new.splitlines()[1:]]
-    assert [row[:2] + row[3:4] for row in cells[:2]] == [[b"-0", b"-0", b"-0"], [b"nan", b"-0", b"nan"]]
-    # the first path, frozen from the second (subnormal) time on
-    assert cells[5][:2] + cells[5][5:] == [b"-0", b"4.9406564584124654e-324", b"1"]
-    assert cells[13][:3] == [b"-2.2250738585072034e-309", b"nan", b"-2.2250738585072034e-309"]
+    if shape == "odd-cells":
+        assert [row[:2] + row[3:4] for row in cells[:2]] == [[b"-0", b"-0", b"-0"], [b"nan", b"-0", b"nan"]]
+        # the first path, frozen from the second (subnormal) time on
+        assert cells[5][:2] + cells[5][5:] == [b"-0", b"4.9406564584124654e-324", b"1"]
+        assert cells[13][:3] == [b"-2.2250738585072034e-309", b"nan", b"-2.2250738585072034e-309"]
+    if shape == "all-terminated":
+        assert [row[5] for row in cells[-fan.n_paths:]] == [b"1"] * fan.n_paths
+    if shape == "readme":
+        assert fan.x.shape == (51, 2000)
 
 
 def test_string_cells_are_quoted_as_csv_writer_quotes_them(tmp_path):

@@ -22,10 +22,12 @@ from cflab.stochastic import (
     _execute_events,
     _proposal_rates,
     _run,
+    _split_weights,
     event_rates,
     gillespie_step,
 )
 from cflab.verification import second_moment_envelope
+from oracles import lockstep_event
 
 
 def system_of(sizes, ds=1.0, n=8, volume=1.0, seed=0):
@@ -287,7 +289,7 @@ class TestLockstepEngine:
             (np.arange(cells1) + 0.5) / cells1, (np.arange(cells2) + 0.5) / cells2, indexing="ij"
         )
         u = np.column_stack([np.zeros(u1.size), u1.ravel(), u2.ravel()])  # u0 = 0: merge
-        _execute_events(sys, spec, coag, coag + frag, u)
+        _execute_events(sys, spec, coag, coag + frag, u, _split_weights(sys, spec))
         lost = np.maximum(before - sys.counts, 0)  # the merged particles' bins
         lo = np.argmax(lost > 0, axis=1)
         hi = lost.shape[1] - 1 - np.argmax(lost[:, ::-1] > 0, axis=1)
@@ -303,6 +305,34 @@ class TestLockstepEngine:
         norm = sum(exact.values())
         for pair, weight in exact.items():
             assert engine[pair] / u1.size == pytest.approx(weight / norm, rel=1e-12), pair
+
+    def test_events_match_the_scalar_oracle(self):
+        """1200 lockstep events of 4 replicas, each redone by the one-event
+        oracle in Python floats from the uniforms the replica drew: the counts
+        agree after every event, over merges, breakups and over-cap nulls."""
+        g = SizeGrid(ds=0.25, n=16)
+        spec = KernelSpec(frag_eps=0.5, truncation=12)
+        sys = ParticleSystem(g, 2.0, [1, 2, 3, 5, 6, 6, 8, 12], seed=11, replicas=4)
+        drawn, next_draws = [], sys._next_draws
+
+        def recording():
+            draws = next_draws()
+            drawn.append(draws.copy())
+            return draws
+
+        sys._next_draws = recording
+        expected = sys.counts.tolist()
+        kinds = {"merge": 0, "split": 0, "null": 0}
+        for _ in range(300):
+            prior = sys.counts.copy()
+            gillespie_step(sys, spec)
+            for r in range(4):
+                expected[r] = lockstep_event(expected[r], spec.truncation, spec.frag_eps, g.ds, sys.volume,
+                                             drawn[-1][r, 1:].tolist())
+                change = int(sys.counts[r].sum() - prior[r].sum())
+                kinds["merge" if change < 0 else "split" if change > 0 else "null"] += 1
+            assert sys.counts.tolist() == expected
+        assert min(kinds.values()) > 0, kinds
 
     def test_batch_conserves_mass_with_null_events(self):
         """Every row keeps its mass exactly and its counts nonnegative over
