@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BoundReport, Distribution, ScenarioParams, SizeGrid, uniform_step
+from .core import BoundReport, Distribution, ScenarioParams, SizeGrid, time_derivative, uniform_step
 from .kinetic import Trajectory
 
 #: Tolerance scale for sign checks on exact transform sums.
@@ -172,16 +172,6 @@ def cm_sampled_report(
     return BoundReport("complete_monotonicity_sampled", worst, tol, where)
 
 
-def _time_derivative(F: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Second-order dF/dt: centered inside, one-sided at the first/last rows."""
-    dt = uniform_step(times)
-    out = np.empty_like(F)
-    out[1:-1] = (F[2:] - F[:-2]) / (2.0 * dt)
-    out[0] = (-3.0 * F[0] + 4.0 * F[1] - F[2]) / (2.0 * dt)
-    out[-1] = (3.0 * F[-1] - 4.0 * F[-2] + F[-3]) / (2.0 * dt)
-    return out
-
-
 def hj_residual_grid(field: BernsteinField, scenario: ScenarioParams, eps: float) -> np.ndarray:
     """Pointwise residual of dF/dt + (Fx-m)(Fx-m-1)/2 + F/x - m = eps*G.
 
@@ -191,7 +181,7 @@ def hj_residual_grid(field: BernsteinField, scenario: ScenarioParams, eps: float
     if field.times.size < 3:
         raise ValueError("need at least 3 snapshot times for time differencing")
     m = scenario.m
-    dFdt = _time_derivative(field.F, field.times)
+    dFdt = time_derivative(field.F, field.times)
     res = np.full_like(field.F, np.nan)
     pos = field.x > 0
     ham = 0.5 * (field.Fx[:, pos] - m) * (field.Fx[:, pos] - m - 1.0)

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .bernstein import BernsteinField, bernstein_sums
-from .core import BoundReport, Distribution, check_stride, step_count
+from .core import BoundReport, Distribution, march, rk4
 from .errors import FanCoverageError, FanCrossingError
 
 #: Paths are terminated (not extrapolated) once X falls to this floor.
@@ -131,10 +131,10 @@ def integrate_fan(
     """Integrate one path per start with the classical 4th-order scheme.
 
     ``f0_eval(x)`` must return (F0(x), F0'(x)); slopes outside [0, m] are
-    rejected as invalid initial data.  The fan takes ``round(t_end / dt)``
-    steps and records every ``record_every``-th; that stride must divide the
-    steps or reach past them, so the recorded times are uniformly spaced.
-    Paths that would cross the X floor are frozen and marked, not
+    rejected as invalid initial data.  The (3, paths) state of rows X, P, Z
+    goes through ``core.march``: ``round(t_end / dt)`` RK4 steps, recorded
+    every ``record_every``-th, a stride that must divide the steps or reach
+    past them.  Paths that would cross the X floor are frozen and marked, not
     extrapolated.  Non-crossing is verified on the state of every step, t = 0
     included, whether or not that state is recorded.
     """
@@ -151,43 +151,30 @@ def integrate_fan(
     if np.any(p0 < -slack) or np.any(p0 > m + slack):
         raise ValueError("initial slope outside [0, m]: not valid transform data")
 
-    n_steps = step_count(t_end, dt)
-    check_stride("record_every", record_every, n_steps)
-    dt = t_end / n_steps if n_steps else 0.0
+    def rhs(y):
+        return np.array(char_rhs(y, m))
 
-    x, p, z = starts.copy(), p0.copy(), z0.copy()
-    alive = np.ones(starts.size, dtype=bool)
-
-    _check_no_crossing(x, alive, 0.0)
-    rec_times = [0.0]
-    rec = [(x.copy(), p.copy(), z.copy(), alive.copy())]
-    for k in range(1, n_steps + 1):
+    def step(state, h, t):
+        y, alive = state
         # freeze paths that could touch the floor during this step (drift <= m+1/2)
-        dying = alive & (x - (m + 0.5) * dt <= X_FLOOR)
-        alive = alive & ~dying
-        if np.any(alive):
+        alive = alive & ~(y[0] - (m + 0.5) * h <= X_FLOOR)
+        if alive.all():
+            y = rk4(rhs, y, h)
+        elif alive.any():
+            # take and row-wise scatters: 2-D fancy indexing costs several times more
             idx = np.flatnonzero(alive)
-            xs, ps, zs = x[idx], p[idx], z[idx]
-            k1 = char_rhs((xs, ps, zs), m)
-            k2 = char_rhs((xs + 0.5 * dt * k1[0], ps + 0.5 * dt * k1[1], zs + 0.5 * dt * k1[2]), m)
-            k3 = char_rhs((xs + 0.5 * dt * k2[0], ps + 0.5 * dt * k2[1], zs + 0.5 * dt * k2[2]), m)
-            k4 = char_rhs((xs + dt * k3[0], ps + dt * k3[1], zs + dt * k3[2]), m)
-            x[idx] = xs + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-            p[idx] = ps + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-            z[idx] = zs + (dt / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        _check_no_crossing(x, alive, k * dt)
-        if k % record_every == 0 or k == n_steps:
-            rec_times.append(k * dt)
-            rec.append((x.copy(), p.copy(), z.copy(), alive.copy()))
+            y = y.copy()
+            for row, stepped in zip(y, rk4(rhs, y.take(idx, axis=1), h)):
+                row[idx] = stepped
+        _check_no_crossing(y[0], alive, t)
+        return y, alive
 
+    state = (np.stack([starts, p0, z0]), np.ones(starts.size, dtype=bool))
+    _check_no_crossing(starts, state[1], 0.0)
+    times, states = march(step, state, t_end, dt, record_every, "record_every")
+    x, p, z = np.stack([y for y, _ in states], axis=1)
     return CharacteristicFan(
-        starts=starts,
-        times=np.asarray(rec_times),
-        x=np.stack([r[0] for r in rec]),
-        p=np.stack([r[1] for r in rec]),
-        z=np.stack([r[2] for r in rec]),
-        alive=np.stack([r[3] for r in rec]),
-        m=m,
+        starts=starts, times=times, x=x, p=p, z=z, alive=np.stack([a for _, a in states]), m=m
     )
 
 
@@ -209,21 +196,12 @@ def reconstruct(fan: CharacteristicFan, x_query, t: float):
     Raises FanCoverageError when the query leaves the surviving paths' range;
     the error carries the covered interval so the caller can widen the starts.
     """
-    return _interp_fan(fan, x_query, t, fan.z)
-
-
-def reconstruct_slope(fan: CharacteristicFan, x_query, t: float):
-    """dF/dx read back from P along the paths, same interpolation rules."""
-    return _interp_fan(fan, x_query, t, fan.p)
-
-
-def _interp_fan(fan, x_query, t, values):
     i = fan.time_index(t)
     live = fan.alive[i]
     if np.count_nonzero(live) < 2:
         raise FanCoverageError(f"fewer than two surviving paths at t={t}")
     xs = fan.x[i, live]
-    vs = values[i, live]
+    vs = fan.z[i, live]
     scalar = np.isscalar(x_query) or np.ndim(x_query) == 0
     xq = np.atleast_1d(np.asarray(x_query, dtype=float))
     pad = 1e-12 * max(1.0, float(xs[-1]))

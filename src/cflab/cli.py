@@ -25,7 +25,7 @@ from .characteristics import (
     integrate_fan,
     monotone_derivative_checks,
 )
-from .core import Distribution, KernelSpec, ScenarioParams, SizeGrid, check_stride, make_initial, step_count
+from .core import Distribution, KernelSpec, ScenarioParams, SizeGrid, make_initial, schedule, step_count
 from .errors import (
     EXIT_BOUND_VIOLATION,
     EXIT_OK,
@@ -143,10 +143,11 @@ def load_config(path) -> Experiment:
         scenario = ScenarioParams.from_distribution(initial)
         dt = get("solver", "dt", float)
         t_end = get("solver", "t_end", float)
+        solver_steps = named("[solver]", lambda: step_count(t_end, dt))
         solver = SolverConfig(
             dt=dt,
             t_end=t_end,
-            output_every=get("solver", "output_every", int, _default_stride(step_count(t_end, dt), 10)),
+            output_every=get("solver", "output_every", int, _default_stride(solver_steps, 10)),
             spec=KernelSpec.for_grid(grid, frag_eps=get("kernel", "frag_eps", float, 0.0)),
             scenario=scenario,
         )
@@ -165,14 +166,15 @@ def load_config(path) -> Experiment:
         char_x = np.linspace(*x_range("characteristics", 0.5, "characteristics", 6.0), verify_nx)
         char_dt = get("characteristics", "dt", float, 1e-3)
         char_t_end = get("characteristics", "t_end", float, t_end)
-        fan_steps = step_count(char_t_end, char_dt)
+        fan_steps = named("[characteristics]", lambda: step_count(char_t_end, char_dt))
         char_record_every = get("characteristics", "record_every", int, None)
+        char_fan_dt = char_dt
         if char_record_every is None:
             char_record_every = _default_stride(fan_steps, 50)
             if fan_steps > 100 * char_record_every:  # over 101 times: round the steps up to whole strides
                 char_record_every = fan_steps // 50
-                fan_steps = -(-fan_steps // char_record_every) * char_record_every
-        check_stride("[characteristics] record_every", char_record_every, fan_steps)
+                char_fan_dt = char_t_end / (-(-fan_steps // char_record_every) * char_record_every)
+        schedule(char_t_end, char_fan_dt, char_record_every, "[characteristics] record_every")
         n_paths = get("characteristics", "n_paths", int, 2000)
         fans = ((conv_t_hi, conv_x), (char_t_end, char_x))
         conv_starts, char_starts = named(
@@ -208,7 +210,7 @@ def load_config(path) -> Experiment:
             sto_t_grid=sto_t_grid,
             seed=get("stochastic", "seed", int, 20240801),
             char_dt=char_dt,
-            char_fan_dt=char_dt if fan_steps == step_count(char_t_end, char_dt) else char_t_end / fan_steps,
+            char_fan_dt=char_fan_dt,
             char_t_end=char_t_end,
             char_record_every=char_record_every,
         )

@@ -6,7 +6,9 @@ A linear grid is used deliberately: constant-kernel binary breakup produces
 fragments that land exactly on grid points (``s_k + s_{j-k} = s_j``), so both
 solvers conserve mass without any remapping step.
 
-All types here are immutable value objects and safe to share across threads.
+The step rule, the RK4 step and the recording march of both time-steppers
+(the kinetic solver and the characteristic fan) live here too.  All types
+here are immutable value objects and safe to share across threads.
 """
 from __future__ import annotations
 
@@ -201,16 +203,55 @@ class BoundReport:
 
 
 def step_count(t_end: float, dt: float) -> int:
-    """``round(t_end / dt)``, at least 1; 0 for a run of zero length or step.
-    Both time-steppers take this many steps of ``t_end / step_count``."""
-    return max(1, int(round(t_end / dt))) if t_end > 0 and dt > 0 else 0
+    """``round(t_end / dt)``, at least 1, for a run of positive length, and 0
+    for a run of zero length.  ValueError when a run of positive length has a
+    step that is not positive, since it would never leave t = 0."""
+    if not t_end > 0:
+        return 0
+    if not dt > 0:
+        raise ValueError(f"dt = {dt:g} must be positive for a run to t_end = {t_end:g}")
+    return max(1, int(round(t_end / dt)))
 
 
-def check_stride(name: str, stride: int, n_steps: int) -> None:
-    """ValueError unless the recording stride is at least 1 and divides
-    ``n_steps`` or reaches past it, so the recorded times are uniformly spaced."""
-    if stride < 1 or (stride < n_steps and n_steps % stride):
-        raise ValueError(f"{name} = {stride} is below 1 or does not divide the {n_steps} steps of t_end / dt")
+def schedule(t_end: float, dt: float, stride: int, name: str) -> tuple:
+    """(h, steps): the step h = t_end / n of a run of n = step_count(t_end, dt)
+    steps, and the steps it records, as an integer array: 0, every
+    ``stride``-th and the last.  ValueError from step_count, and unless the
+    stride ``name`` is at least 1 and divides n or reaches past it, so the
+    recorded times are uniformly spaced."""
+    n = step_count(t_end, dt)
+    if stride < 1 or (stride < n and n % stride):
+        raise ValueError(f"{name} = {stride} is below 1 or does not divide the {n} steps of t_end / dt")
+    steps = np.arange(0, n + 1, stride)
+    if steps[-1] < n:
+        steps = np.append(steps, n)
+    return (t_end / n if n else 0.0), steps
+
+
+def rk4(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, h: float) -> np.ndarray:
+    """One classical fourth-order Runge-Kutta step of dy/dt = rhs(y) from the
+    array ``y``, elementwise, as a new array."""
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * h * k1)
+    k3 = rhs(y + 0.5 * h * k2)
+    k4 = rhs(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def march(step: Callable, state, t_end: float, dt: float, stride: int, name: str) -> tuple:
+    """(times, states) of a run on the schedule of ``schedule``: from ``state``
+    at t = 0, ``state = step(state, h, k * h)`` for k = 1..n, with the state
+    recorded at t = 0, every ``stride``-th step and the last step.  ``step``
+    must return a new state rather than change the one it is given, since
+    recorded states are kept as they are."""
+    h, steps = schedule(t_end, dt, stride, name)
+    n = int(steps[-1])
+    states = [state]
+    for k in range(1, n + 1):
+        state = step(state, h, k * h)
+        if k % stride == 0 or k == n:
+            states.append(state)
+    return steps * h, states
 
 
 def uniform_step(times: np.ndarray) -> float:
@@ -219,6 +260,17 @@ def uniform_step(times: np.ndarray) -> float:
     if np.max(np.abs(steps - steps[0])) > 1e-9 * max(steps[0], 1e-300):
         raise ValueError("samples must be uniformly spaced")
     return float(steps[0])
+
+
+def time_derivative(F: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Second-order dF/dt along the first axis of ``F``, sampled at the uniformly
+    spaced ``times``: centered inside, one-sided at the first and last rows."""
+    dt = uniform_step(times)
+    out = np.empty_like(F)
+    out[1:-1] = (F[2:] - F[:-2]) / (2.0 * dt)
+    out[0] = (-3.0 * F[0] + 4.0 * F[1] - F[2]) / (2.0 * dt)
+    out[-1] = (3.0 * F[-1] - 4.0 * F[-2] + F[-3]) / (2.0 * dt)
+    return out
 
 
 def moment(dist: Distribution, k: int) -> float:

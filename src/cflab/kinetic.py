@@ -19,14 +19,15 @@ loss run over the same pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
-    MAX_MOMENT, Distribution, KernelSpec, MomentSeries, ScenarioParams, SizeGrid, _readonly, check_stride,
-    step_count, uniform_step,
+    MAX_MOMENT, Distribution, KernelSpec, MomentSeries, ScenarioParams, SizeGrid, _readonly, march, rk4,
+    schedule, step_count, time_derivative,
 )
 from .errors import SolverAbort
 
@@ -53,8 +54,9 @@ _WEAK_FORM_ROWS = 128
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time-stepping parameters for one run; ``output_every`` must divide the
-    step count or reach past it, so snapshots are uniformly spaced in time."""
+    """Time-stepping parameters for one run; ``dt`` must be positive unless
+    ``t_end`` is 0, and ``output_every`` must divide the step count or reach
+    past it, so snapshots are uniformly spaced in time."""
 
     dt: float
     t_end: float
@@ -67,22 +69,19 @@ class SolverConfig:
             raise ValueError(f"dt must be nonnegative, got {self.dt}")
         if not self.t_end >= 0:
             raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
-        check_stride("output_every", self.output_every, self.n_steps)
+        schedule(self.t_end, self.dt, self.output_every, "output_every")
 
     @property
     def n_steps(self) -> int:
-        """``round(t_end / dt)``, at least 1; 0 for a run of zero length or step."""
+        """``round(t_end / dt)``, at least 1; 0 for a run of zero length."""
         return step_count(self.t_end, self.dt)
 
     @property
     def snapshot_times(self) -> np.ndarray:
-        """Times at which a run records a snapshot: 0, every ``output_every``-th
-        of its steps of ``t_end / n_steps``, and the last step."""
-        n = self.n_steps
-        steps = np.arange(0, n + 1, self.output_every)
-        if steps[-1] < n:
-            steps = np.append(steps, n)
-        return steps * (self.t_end / n if n else 0.0)
+        """Times at which ``simulate``'s march records a snapshot: 0, every
+        ``output_every``-th of its steps of ``t_end / n_steps``, and the last step."""
+        h, steps = schedule(self.t_end, self.dt, self.output_every, "output_every")
+        return steps * h
 
 
 @dataclass(frozen=True)
@@ -195,14 +194,6 @@ def _rhs(counts: np.ndarray, grid: SizeGrid, spec: KernelSpec) -> np.ndarray:
     return _coag_rates(counts, grid, spec) + _frag_rates(counts, grid, spec)
 
 
-def _rk4(counts: np.ndarray, grid: SizeGrid, spec: KernelSpec, dt: float) -> np.ndarray:
-    k1 = _rhs(counts, grid, spec)
-    k2 = _rhs(counts + 0.5 * dt * k1, grid, spec)
-    k3 = _rhs(counts + 0.5 * dt * k2, grid, spec)
-    k4 = _rhs(counts + dt * k3, grid, spec)
-    return counts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _checked(counts: np.ndarray, ref_scale: float) -> np.ndarray:
     if not np.all(np.isfinite(counts)):
         raise SolverAbort("non-finite counts; dt is far above the stability guard")
@@ -223,16 +214,14 @@ def simulate(config: SolverConfig, initial: Distribution) -> Trajectory:
     The step count is ``round(t_end / dt)`` and dt is nudged so the run lands on
     t_end exactly.
     """
-    grid = initial.grid
-    n_steps = config.n_steps
-    dt = config.t_end / n_steps if n_steps else 0.0
-    counts = initial.counts
-    snapshots = [counts]
-    for k in range(1, n_steps + 1):
-        counts = _checked(_rk4(counts, grid, config.spec, dt), float(counts.max(initial=0.0)))
-        if k % config.output_every == 0 or k == n_steps:
-            snapshots.append(counts)
-    return Trajectory.of_snapshots(config.snapshot_times, snapshots, grid, config.spec, n_steps=n_steps)
+    grid, spec = initial.grid, config.spec
+    rhs = partial(_rhs, grid=grid, spec=spec)
+
+    def step(counts, h, t):
+        return _checked(rk4(rhs, counts, h), float(counts.max(initial=0.0)))
+
+    times, snapshots = march(step, initial.counts, config.t_end, config.dt, config.output_every, "output_every")
+    return Trajectory.of_snapshots(times, snapshots, grid, spec, n_steps=config.n_steps)
 
 
 def weak_form_residual(traj: Trajectory, phi: Callable[[np.ndarray], np.ndarray]) -> tuple:
@@ -248,10 +237,9 @@ def weak_form_residual(traj: Trajectory, phi: Callable[[np.ndarray], np.ndarray]
     if counts.shape[0] < 3:
         raise ValueError("need at least 3 snapshots for a centered difference")
     times = traj.times
-    dt = uniform_step(times)
     phi_s = np.asarray(phi(traj.grid.sizes), dtype=float)
     phi_tot = np.array([float(np.dot(phi_s, c)) for c in counts])
-    lhs = (phi_tot[2:] - phi_tot[:-2]) / (2.0 * dt)
+    lhs = time_derivative(phi_tot, times)[1:-1]
     res = np.abs(lhs - _weak_form_rates(traj.grid, traj.spec, phi_s, counts[1:-1]))
     worst = int(np.argmax(res))
     return float(res[worst]), float(times[1 + worst])

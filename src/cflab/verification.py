@@ -13,12 +13,11 @@ import numpy as np
 from .bernstein import (
     CM_EXACT_RTOL,
     BernsteinField,
-    _time_derivative,
     cm_exact_report,
     cm_sampled_report,
     hj_residual_worst,
 )
-from .core import BoundReport, ScenarioParams
+from .core import BoundReport, ScenarioParams, time_derivative
 from .kinetic import MASS_DRIFT_TOL, Trajectory, weak_form_residual
 
 #: Relative slack on the second-moment envelope for deterministic runs.
@@ -139,16 +138,6 @@ def moment_ode_rhs_on_grid(moments, eps: float, k: int, ds: float) -> float:
     raise ValueError(f"moment equations are provided for k in {{2, 3}}, got {k}")
 
 
-def a_priori_cap(m: float, eps: float) -> float:
-    """Largest value 16 m^4 / (3 eps^2) of m2^2 - (eps/6) m2^3 / m^2 over m2 >= 0,
-    reached at m2 = 4 m^2 / eps; it bounds dm2/dt for the perturbed system."""
-    if not eps > 0:
-        raise ValueError("the cap exists only for a positive perturbation")
-    if not m > 0:
-        raise ValueError(f"mass must be positive, got {m}")
-    return 16.0 * m ** 4 / (3.0 * eps ** 2)
-
-
 def time_derivative_bound(m: float, t_star: float, T: float) -> float:
     """Uniform bound m(m+5)/2 + 3/(t_star - T) on |dF/dt| for times up to T."""
     if not T < t_star:
@@ -179,7 +168,7 @@ def derivative_bounds_check(
     ]
     if sub.times.size >= 3:
         bound = time_derivative_bound(m, scenario.t_star, T)
-        dFdt = _time_derivative(sub.F, sub.times)
+        dFdt = time_derivative(sub.F, sub.times)
         candidates.append(("|dF/dt| <= bound", float(bound - np.max(np.abs(dFdt))) / bound))
     worst_label, worst = min(candidates, key=lambda c: c[1])
     return BoundReport(

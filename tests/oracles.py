@@ -5,13 +5,17 @@ solvers must realize, the exponential handle is the closed form of a
 discretized profile's transform, and the ordering check compares two fans
 built from different initial data, which no subcommand has; the one-event
 oracle redoes a lockstep event of one replica in Python floats and integers.
+The two loop oracles are the kinetic solver and the fan as each stepped and
+recorded itself with its own RK4 before both went through ``core.march``.
 """
 import math
 
 import numpy as np
 
 from cflab import default_starts, integrate_fan, reconstruct
+from cflab.characteristics import X_FLOOR, _check_no_crossing, char_rhs
 from cflab.errors import FanCoverageError
+from cflab.kinetic import _checked, _rhs
 
 
 def coag_kernel(s, s_hat):
@@ -112,3 +116,59 @@ def lockstep_event(counts, cap, frag_eps, ds, volume, u):
         counts[k] += 1
         counts[a - k] += 1
     return counts
+
+
+def _loop_steps(t_end, dt):
+    n_steps = max(1, int(round(t_end / dt))) if t_end > 0 and dt > 0 else 0
+    return n_steps, (t_end / n_steps if n_steps else 0.0)
+
+
+def simulate_loop(config, initial):
+    """(times, counts) of the snapshots of ``simulate(config, initial)``, from
+    an RK4 loop over the kinetic right-hand side with its own recording."""
+    grid, spec = initial.grid, config.spec
+    n_steps, dt = _loop_steps(config.t_end, config.dt)
+    counts = initial.counts
+    times, snapshots = [0.0], [counts]
+    for k in range(1, n_steps + 1):
+        k1 = _rhs(counts, grid, spec)
+        k2 = _rhs(counts + 0.5 * dt * k1, grid, spec)
+        k3 = _rhs(counts + 0.5 * dt * k2, grid, spec)
+        k4 = _rhs(counts + dt * k3, grid, spec)
+        stepped = counts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        counts = _checked(stepped, float(counts.max(initial=0.0)))
+        if k % config.output_every == 0 or k == n_steps:
+            times.append(k * dt)
+            snapshots.append(counts)
+    return np.asarray(times), np.stack(snapshots)
+
+
+def integrate_fan_loop(f0_eval, starts, t_end, dt, m, record_every=1):
+    """(times, x, p, z, alive) of ``integrate_fan``, from an RK4 loop over the
+    three rows (X, P, Z) of the live paths with its own recording."""
+    starts = np.asarray(starts, dtype=float)
+    z0, p0 = f0_eval(starts)
+    n_steps, dt = _loop_steps(t_end, dt)
+    x, p, z = starts.copy(), np.asarray(p0, dtype=float).copy(), np.asarray(z0, dtype=float).copy()
+    alive = np.ones(starts.size, dtype=bool)
+    _check_no_crossing(x, alive, 0.0)
+    rec_times = [0.0]
+    rec = [(x.copy(), p.copy(), z.copy(), alive.copy())]
+    for k in range(1, n_steps + 1):
+        dying = alive & (x - (m + 0.5) * dt <= X_FLOOR)
+        alive = alive & ~dying
+        if np.any(alive):
+            idx = np.flatnonzero(alive)
+            xs, ps, zs = x[idx], p[idx], z[idx]
+            k1 = char_rhs((xs, ps, zs), m)
+            k2 = char_rhs((xs + 0.5 * dt * k1[0], ps + 0.5 * dt * k1[1], zs + 0.5 * dt * k1[2]), m)
+            k3 = char_rhs((xs + 0.5 * dt * k2[0], ps + 0.5 * dt * k2[1], zs + 0.5 * dt * k2[2]), m)
+            k4 = char_rhs((xs + dt * k3[0], ps + dt * k3[1], zs + dt * k3[2]), m)
+            x[idx] = xs + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+            p[idx] = ps + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+            z[idx] = zs + (dt / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        _check_no_crossing(x, alive, k * dt)
+        if k % record_every == 0 or k == n_steps:
+            rec_times.append(k * dt)
+            rec.append((x.copy(), p.copy(), z.copy(), alive.copy()))
+    return (np.asarray(rec_times), *(np.stack([r[i] for r in rec]) for i in range(4)))

@@ -17,9 +17,9 @@ from cflab import (
     make_initial,
 )
 from cflab import characteristics
-from cflab.characteristics import CharacteristicFan, _check_no_crossing, _pchip, char_rhs, reconstruct_slope
+from cflab.characteristics import CharacteristicFan, _check_no_crossing, _pchip, char_rhs
 from cflab.core import step_count
-from oracles import exponential_transform, ordering_check, scale_initial
+from oracles import exponential_transform, integrate_fan_loop, ordering_check, scale_initial
 
 
 class TestCharRhs:
@@ -209,6 +209,23 @@ class TestIntegrateFan:
         assert np.all(np.diff(fan.x, axis=1) > 0.09)
         assert [c.passed for c in monotone_derivative_checks(fan) if c.name == "non_crossing"] == [True]
 
+    @pytest.mark.parametrize("case", ["readme", "terminating"])
+    def test_matches_the_rk4_loop_bit_for_bit(self, case):
+        """The README fan, where every path lives to t_end, and a fan whose low
+        paths terminate at the X floor one after another, record the same states
+        as an RK4 loop over the live paths with its own recording."""
+        if case == "readme":
+            initial = make_initial("monodisperse", SizeGrid(ds=0.25, n=128), mass=1.0, size=1.0)
+            args = (distribution_transform(initial), default_starts(1.0, 0.3, 0.5, 6.0, 2000), 0.3, 1e-3, 1.0)
+        else:
+            args = (monodisperse_transform(1.0, 1.0), np.geomspace(0.05, 6.0, 300), 0.3, 1e-3, 1.0)
+        fan = integrate_fan(*args, record_every=6)
+        times, x, p, z, alive = integrate_fan_loop(*args, record_every=6)
+        assert fan.times.size == 51
+        assert fan.terminated.any() == (case == "terminating")
+        for got, want in zip((fan.times, fan.x, fan.p, fan.z, fan.alive), (times, x, p, z, alive)):
+            np.testing.assert_array_equal(got, want)
+
     def test_convergence_fan_at_snapshot_stride_matches_every_step(self, readme_experiment):
         """The README convergence fan recorded once per snapshot, as
         ``cflab convergence`` records it, gives the limit field of the same fan
@@ -285,7 +302,7 @@ class TestReconstruct:
         fan = fan_m1["fan"]
         xs = np.linspace(1.0, 5.0, 50)
         h = 1e-4
-        slopes = reconstruct_slope(fan, xs, 0.3)
+        slopes = fan_to_field(fan, xs, [0.3]).Fx[0]
         fd = (reconstruct(fan, xs + h, 0.3) - reconstruct(fan, xs - h, 0.3)) / (2 * h)
         np.testing.assert_allclose(slopes, fd, atol=5e-4)
 

@@ -111,6 +111,9 @@ class TestConfig:
             ("n = 128", "n = 0"),
             ("output_every = 50", "output_every = 0"),
             ("dt = 1e-3", "dt = -1"),
+            # a zero step would never leave t = 0
+            pytest.param("[solver]\ndt = 1e-3", "[solver]\ndt = 0", id="[solver] dt = 0"),
+            pytest.param("n_paths = 200\ndt = 1e-3", "n_paths = 200\ndt = 0", id="[characteristics] dt = 0"),
             # 200 steps in strides of 7 would end on a shorter last stride
             ("output_every = 50", "output_every = 7"),
             # the characteristics field is differenced up to 4th order in x

@@ -1,5 +1,5 @@
 """Domain types: grids, distributions, kernels, moments, initial profiles, and
-the step rule of both time-steppers."""
+the step rule, RK4 step and recording march of both time-steppers."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +11,10 @@ from cflab import (
     KernelSpec,
     ScenarioParams,
     SizeGrid,
+    SolverConfig,
     make_initial,
 )
-from cflab.core import MomentSeries, check_stride, moment, step_count, uniform_step
+from cflab.core import MomentSeries, march, moment, rk4, schedule, step_count, uniform_step
 from oracles import coag_kernel, frag_kernel
 
 counts_strategy = arrays(
@@ -212,22 +213,85 @@ class TestMakeInitial:
 
 class TestStepRule:
     def test_step_count(self):
-        """round(t_end / dt), at least 1, and 0 for a run of zero length or step."""
+        """round(t_end / dt), at least 1, and 0 for a run of zero length; a run
+        of positive length with a zero or negative step is rejected."""
         assert step_count(0.3, 1e-3) == 300
         assert step_count(1e-4, 1e-3) == 1
         assert step_count(0.0, 1e-3) == 0
-        assert step_count(0.3, 0.0) == 0
+        assert step_count(0.0, 0.0) == 0
+        for dt in (0.0, -1e-3, float("nan")):
+            with pytest.raises(ValueError, match="must be positive"):
+                step_count(0.3, dt)
 
     @pytest.mark.parametrize("stride, n_steps", [(6, 300), (300, 300), (400, 300), (1, 0), (5, 0)])
     def test_strides_that_keep_the_times_uniform(self, stride, n_steps):
-        check_stride("stride", stride, n_steps)
+        h, steps = schedule(n_steps * 1e-3, 1e-3, stride, "stride")
+        assert steps[-1] == n_steps and len(set(np.diff(steps))) <= 1
 
     @pytest.mark.parametrize("stride, n_steps", [(7, 300), (0, 300), (-1, 0)])
     def test_strides_that_do_not(self, stride, n_steps):
         with pytest.raises(ValueError, match="stride"):
-            check_stride("stride", stride, n_steps)
+            schedule(n_steps * 1e-3, 1e-3, stride, "stride")
 
     def test_uniform_step(self):
         assert uniform_step(np.array([0.0, 0.25, 0.5])) == 0.25
         with pytest.raises(ValueError, match="uniformly spaced"):
             uniform_step(np.array([0.0, 0.25, 0.45]))
+
+
+class TestRk4:
+    @pytest.mark.parametrize("lam, h", [(-2.0, 0.1), (0.7, 0.05), (-30.0, 1e-3)])
+    def test_linear_equation_gives_the_degree_four_taylor_polynomial(self, lam, h):
+        """On dy/dt = lam y one step multiplies y by 1 + z + z^2/2 + z^3/6 + z^4/24, z = lam h."""
+        y0 = np.array([1.0, -0.5, 3.0])
+        z = lam * h
+        factor = 1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0
+        np.testing.assert_allclose(rk4(lambda y: lam * y, y0, h), factor * y0, rtol=4e-16, atol=0)
+
+    def test_three_row_state_steps_each_row_bit_for_bit(self):
+        """A (3, P) state with a row-coupled right-hand side, as the fan steps
+        (X, P, Z), equals the three rows stepped one at a time."""
+        rng = np.random.default_rng(3)
+        y = rng.uniform(0.5, 2.0, (3, 1000))
+
+        def rhs(state):
+            x, p, z = state
+            return np.array((p - 1.5, z / (x * x) - p / x, 0.5 * p * p - z / x))
+
+        # a step large enough that a reordered sum of the stages changes some bits
+        h = 0.1
+        rows = []
+        k1 = rhs(y)
+        k2 = rhs([y[r] + 0.5 * h * k1[r] for r in range(3)])
+        k3 = rhs([y[r] + 0.5 * h * k2[r] for r in range(3)])
+        k4 = rhs([y[r] + h * k3[r] for r in range(3)])
+        for r in range(3):
+            rows.append(y[r] + (h / 6.0) * (k1[r] + 2.0 * k2[r] + 2.0 * k3[r] + k4[r]))
+        np.testing.assert_array_equal(rk4(rhs, y, h), np.stack(rows))
+
+    def test_returns_a_new_array(self):
+        y = np.ones(4)
+        out = rk4(lambda v: -v, y, 0.1)
+        assert out is not y and np.all(y == 1.0)
+
+
+class TestMarch:
+    @pytest.mark.parametrize("stride, n_steps", [(6, 300), (300, 300), (400, 300), (1, 0), (6, 0)])
+    def test_steps_n_times_and_records_the_snapshot_schedule(self, stride, n_steps):
+        t_end = n_steps * 1e-3
+        calls = []
+
+        def step(state, h, t):
+            calls.append((h, t))
+            return state + 1
+
+        times, states = march(step, 0, t_end, 1e-3, stride, "stride")
+        config = SolverConfig(
+            dt=1e-3, t_end=t_end, output_every=stride,
+            spec=KernelSpec(frag_eps=0.0, truncation=2), scenario=ScenarioParams(m=1.0, m2_0=1.0),
+        )
+        assert len(calls) == n_steps == config.n_steps
+        np.testing.assert_array_equal(times, config.snapshot_times)
+        # the state recorded at k h is the state after k steps
+        np.testing.assert_array_equal(times, np.array(states) * (t_end / n_steps if n_steps else 0.0))
+        assert [t for _, t in calls] == [k * (t_end / n_steps) for k in range(1, n_steps + 1)]

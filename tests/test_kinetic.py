@@ -16,6 +16,7 @@ from cflab import (
     SolverAbort,
     SolverConfig,
     Trajectory,
+    make_initial,
     simulate,
     stability_limit,
     weak_form_residual,
@@ -24,7 +25,7 @@ from cflab import kinetic
 from cflab.core import moment
 from cflab.kinetic import _coag_rates, _frag_rates, _rhs, _self_convolution, _weak_form_rates
 from cflab.verification import frag_weak_coefficient, moment_ode_rhs_on_grid, second_moment_envelope
-from oracles import frag_kernel
+from oracles import frag_kernel, simulate_loop
 
 
 # --- brute-force references: the independent oracle for the vectorized rhs ---
@@ -248,12 +249,12 @@ class TestStep:
         out = simulate(make_config(g, dt=1e-2, t_end=1e-2), d).counts[-1]
         np.testing.assert_array_equal(out, 0.0)
 
-    def test_zero_dt_returns_input(self):
+    def test_zero_dt_is_rejected(self):
+        """A zero step would never leave t = 0: the config is rejected instead
+        of a run that records the initial data alone."""
         g = SizeGrid(ds=1.0, n=4)
-        d = Distribution(g, [1.0, 0.5, 0, 0])
-        traj = simulate(make_config(g, dt=0.0, t_end=1.0), d)
-        assert traj.counts.shape == (1, 4)
-        np.testing.assert_array_equal(traj.counts[0], d.counts)
+        with pytest.raises(ValueError, match="dt = 0 must be positive"):
+            make_config(g, dt=0.0, t_end=1.0)
 
     def test_one_step_conserves_mass(self):
         g = SizeGrid(ds=0.5, n=64)
@@ -310,6 +311,24 @@ class TestSimulate:
         for t, m2 in zip(traj.times, traj.moments.column(2)):
             if t <= 0.8 * scen.t_star:
                 assert m2 <= second_moment_envelope(scen.m2_0, t) * (1 + 1e-3)
+
+    @pytest.mark.parametrize("case", ["readme", "fft"])
+    def test_matches_the_rk4_loop_bit_for_bit(self, readme_experiment, case):
+        """The README run, and a run whose 599 active bins take the FFT gain,
+        record the same snapshots as an RK4 loop with its own recording."""
+        if case == "readme":
+            config, initial = readme_experiment.solver, readme_experiment.initial
+        else:
+            g = SizeGrid(ds=0.05, n=600)
+            initial = make_initial("exponential", g, mass=1.0, lam=1.0)
+            scen = ScenarioParams.from_distribution(initial)
+            config = make_config(g, eps=0.1, dt=1e-3, t_end=0.05, stride=10, scenario=scen)
+            assert min(config.spec.truncation, g.n) - 1 >= kinetic._FFT_MIN_BINS
+        traj = simulate(config, initial)
+        times, counts = simulate_loop(config, initial)
+        assert times.size == traj.times.size > 2
+        np.testing.assert_array_equal(traj.times, times)
+        np.testing.assert_array_equal(traj.counts, counts)
 
     def test_stability_guard_example(self):
         g = SizeGrid(ds=1.0, n=128)

@@ -1,9 +1,8 @@
 """Bound checkers: envelope, moment inequalities, moment equations with the
-coefficient oracle, the a-priori cap, derivative bounds, and the locations
-of the run checks."""
+coefficient oracle, derivative bounds, and the locations of the run
+checks."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from cflab import (
     BernsteinField,
@@ -21,7 +20,6 @@ from cflab import (
 from cflab.bernstein import transform
 from cflab.core import MomentSeries
 from cflab.verification import (
-    a_priori_cap,
     frag_weak_coefficient,
     mass_conservation_check,
     moment_ode_rhs_on_grid,
@@ -124,38 +122,6 @@ class TestMomentOde:
     def test_unsupported_order(self):
         with pytest.raises(ValueError):
             moment_ode_rhs_on_grid(np.ones(6), 0.0, 4, ds=0.0)
-
-
-class TestAPrioriCap:
-    def test_closed_form_value(self):
-        """Maximizer y* = 4 m^2 / eps with value 16 m^4 / (3 eps^2)."""
-        assert a_priori_cap(1.0, 1.0) == pytest.approx(16.0 / 3.0, abs=1e-9)
-
-    @given(m=st.floats(0.2, 3.0), eps=st.floats(0.05, 2.0))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_calculus(self, m, eps):
-        cap = a_priori_cap(m, eps)
-        closed = 16.0 * m ** 4 / (3.0 * eps ** 2)
-        np.testing.assert_allclose(cap, closed, rtol=1e-8)
-        # the rate polynomial reaches the cap at y* = 4 m^2 / eps and nowhere exceeds it
-        y = np.linspace(0.0, 8.0 * m ** 2 / eps, 20001)
-        rate = y ** 2 - (eps / 6.0) * y ** 3 / m ** 2
-        assert rate.max() <= cap * (1 + 1e-12)
-        np.testing.assert_allclose(rate[10000], cap, rtol=1e-12)
-
-    def test_unperturbed_kernel_has_no_cap(self):
-        with pytest.raises(ValueError):
-            a_priori_cap(1.0, 0.0)
-
-    def test_caps_rate_along_trajectory(self, run_m1_fine):
-        """With the interpolation substitution the rate m2^2 - (eps/6) m2^3/m^2
-        never exceeds the cap along a real run."""
-        scen = run_m1_fine["scenario"]
-        eps = 0.1
-        cap = a_priori_cap(scen.m, eps)
-        m2 = run_m1_fine["traj"].moments.column(2)
-        rate = m2 ** 2 - (eps / 6.0) * m2 ** 3 / scen.m ** 2
-        assert np.all(rate <= cap * (1 + 1e-9))
 
 
 class TestDerivativeBounds:
