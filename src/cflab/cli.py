@@ -188,8 +188,16 @@ def load_config(path) -> Experiment:
         if sto_volume is not None and not sto_volume > 0:
             raise ValueError(f"[stochastic] volume = {sto_volume:g} must be positive")
         sto_t_grid = get("stochastic", "t_grid", _floats, (0.0, t_end))
-        if not sto_t_grid or sto_t_grid[0] < 0 or any(b < a for a, b in zip(sto_t_grid, sto_t_grid[1:])):
-            raise ValueError("[stochastic] t_grid must list at least one time >= 0, in nondecreasing order")
+        if (
+            not sto_t_grid
+            or not np.all(np.isfinite(sto_t_grid))
+            or sto_t_grid[0] < 0
+            or any(b < a for a, b in zip(sto_t_grid, sto_t_grid[1:]))
+        ):
+            raise ValueError("[stochastic] t_grid must list at least one finite time >= 0, in nondecreasing order")
+        seed = get("stochastic", "seed", int, 20240801)
+        if seed < 0:  # numpy's generators take only nonnegative seeds
+            raise ValueError(f"[stochastic] seed = {seed} must be nonnegative")
         exp = Experiment(
             initial=initial,
             scenario=scenario,
@@ -208,7 +216,7 @@ def load_config(path) -> Experiment:
             sto_replicas=sto_replicas,
             sto_volume=sto_volume,
             sto_t_grid=sto_t_grid,
-            seed=get("stochastic", "seed", int, 20240801),
+            seed=seed,
             char_dt=char_dt,
             char_fan_dt=char_fan_dt,
             char_t_end=char_t_end,
@@ -419,6 +427,8 @@ def main(argv=None) -> int:
     try:
         exp = load_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"--seed {args.seed} must be nonnegative")
             exp.seed = args.seed
         out = Path(args.out if args.out is not None else exp.out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -89,7 +89,9 @@ def write_trajectory_csv(path, traj: Trajectory):
 
 
 def _snapshots_header(grid: SizeGrid) -> list:
-    return ["t", *map(_fmt, grid.sizes)]
+    """``t`` and the bin sizes, printed by one ``%.17g`` template as ``_fmt``
+    prints each size."""
+    return ("t" + ",%.17g" * grid.n % tuple(grid.sizes.tolist())).split(",")
 
 
 def write_snapshots_csv(path, traj: Trajectory):

@@ -47,8 +47,8 @@ TOP_BIN_OCCUPANCY_TOL = 1e-9
 #: 4095; both agreed to 8e-16 of the largest entry.
 _FFT_MIN_BINS = 512
 
-#: Rows of the coagulation pair sum that the weak-form rates evaluate at once;
-#: the temporaries then take O(rows * n) memory instead of O(n^2).
+#: Rows a of the coagulation pair sum that the weak-form rates evaluate at
+#: once; the one gain block then takes O(rows * n) memory instead of O(n^2).
 _WEAK_FORM_ROWS = 128
 
 
@@ -249,30 +249,43 @@ def _weak_form_rates(grid: SizeGrid, spec: KernelSpec, phi_s: np.ndarray, counts
     """Right side of the weak formulation for each row of ``counts`` (m, n):
     1/2 sum_{i+j<=cap} (phi(s_i+s_j) - phi(s_i) - phi(s_j)) a N_i N_j for
     coagulation, -ds/2 sum_j N_j sum_{k<j} (phi(s_j) - phi(s_k) - phi(s_{j-k})) b
-    for fragmentation, with ``phi_s`` = phi on the grid.  Each block of rows i
-    forms the gains G[i, j] = phi(s_{i+j}) - phi(s_i) - phi(s_j), zero where
-    i + j > cap, and contracts them with w = s N of every row; each pair keeps
-    its own difference, so phi(s) = s gives exactly 0 where grid sums are exact.
+    for fragmentation, with ``phi_s`` = phi on the grid.
+
+    The coagulation sum visits each unordered pair once: over 0-based bins a, b
+    with a + b <= C = cap - 2 it is sum_{a<b} + 1/2 sum_{a=b}, so its rows stop
+    at a = C // 2.  The block of rows from ``lo`` forms, in one reused buffer,
+    the gains G[a, b] = phi(s_{a+b+1}) - phi(s_a) - phi(s_b) over the columns
+    b = lo .. C - lo, zero where b < a or a + b > C and halved where b = a, and
+    contracts them with w = s N of every row through numpy's own einsum loops,
+    which wake no BLAS thread.  Each pair keeps its own difference, so
+    phi(s) = s gives exactly 0 where grid sums are exact.
     """
     n = grid.n
     cap = min(spec.truncation, n)
     s = grid.sizes
     rows = _WEAK_FORM_ROWS
+    last = cap - 2  # C
+    a_end = last // 2 + 1  # rows a < a_end have a partner b >= a
     w = counts * s
     # 0-based bins a and b merge into bin a + b + 1; that entry of phi_pad
     # exists for every pair of a block and is masked when past the cap
     phi_pad = np.concatenate([phi_s[:cap], np.zeros(rows)])
+    buf = np.empty(max(rows * (last + 1), 0))
+    below = np.tri(rows, rows, -1, dtype=bool)  # below[r, c]: c < r
     coag = np.zeros(counts.shape[0])
-    for lo in range(0, cap - 1, rows):
-        hi = min(lo + rows, cap - 1)
-        cols = cap - 1 - lo  # row lo pairs with b <= cap - 2 - lo
-        gain = sliding_window_view(phi_pad, cols)[lo + 1 : hi + 1] - phi_s[lo:hi, None]
-        gain -= phi_s[None, :cols]
-        # row lo + r pairs with no b >= cols - r: a triangle in the last hi - lo columns
-        r = np.arange(hi - lo)
-        gain[:, cols - r.size :][r[:, None] + r[None, :] >= r.size] = 0.0
-        coag += np.sum(w[:, lo:hi] * (w[:, :cols] @ gain.T), axis=1)
-    coag *= 0.5
+    for lo in range(0, a_end, rows):
+        hi = min(lo + rows, a_end)
+        k, cols = hi - lo, last + 1 - 2 * lo
+        gain = buf[: k * cols].reshape(k, cols)
+        np.subtract(sliding_window_view(phi_pad, cols)[2 * lo + 1 : 2 * lo + 1 + k], phi_s[lo:hi, None], out=gain)
+        gain -= phi_s[lo : lo + cols]
+        # row lo + r pairs with the columns r .. cols - 1 - r: a triangle is
+        # cut off at each end of the block, and its diagonal pairs count half
+        np.copyto(gain[:, :k], 0.0, where=below[:k, :k])
+        np.copyto(gain[:, cols - k :], 0.0, where=below[:k, k - 1 :: -1])
+        r = np.arange(k)
+        gain[r, r] *= 0.5
+        coag += np.einsum("ra,ra->r", w[:, lo:hi], np.einsum("ab,rb->ra", gain, w[:, lo : lo + cols]))
 
     j = np.arange(1, n + 1)
     prefix = np.concatenate([[0.0], np.cumsum(phi_s)])  # prefix[j-1] = sum_{k<j} phi(s_k)

@@ -132,6 +132,11 @@ class TestConfig:
             ("t_grid = 0.0, 0.1", "t_grid = 0.1, 0.0"),
             # no row may hold a time before the run starts
             ("t_grid = 0.0, 0.1", "t_grid = -0.1, 0.1"),
+            # a time that the ensemble never reaches would run it forever
+            ("t_grid = 0.0, 0.1", "t_grid = nan"),
+            ("t_grid = 0.0, 0.1", "t_grid = 0.0, 0.1, inf"),
+            # numpy's generators take only nonnegative seeds
+            ("seed = 7", "seed = -3"),
             # a fan needs two paths, and a start range above the drift
             pytest.param("n_paths = 200", "n_paths = 1", id="characteristics n_paths = 1"),
             pytest.param("x_lo = 0.6", "x_lo = 7", id="characteristics x_lo = 7"),
@@ -151,6 +156,14 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_negative_seed_flag_is_usage_error_without_traceback(self, workspace, capsys):
+        config, out = workspace
+        assert main(["stochastic", "--config", str(config), "--seed", "-1", "--quiet"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("config error:") and "--seed" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_convergence_stride_is_usage_error_without_traceback(self, workspace, tmp_path, capsys):
         """[convergence] t_hi = 0.13 gives 130 steps, which the stride of 50 does

@@ -227,6 +227,19 @@ def _table(grid, counts, times):
     return Trajectory.of_snapshots(times, counts, grid, KernelSpec.for_grid(grid))
 
 
+@pytest.mark.parametrize("ds", [2.0 ** -7, 0.1])
+def test_snapshot_header_matches_per_cell_join(tmp_path, ds):
+    """The one-template header of a 4096-bin grid is the per-cell join, byte
+    for byte, on a dyadic grid and on one whose sizes are not dyadic; the
+    writer prints it as the first line."""
+    grid = SizeGrid(ds=ds, n=4096)
+    per_cell = ",".join(["t", *(_cell(s) for s in grid.sizes)])
+    assert ",".join(csvio._snapshots_header(grid)) == per_cell
+    path = tmp_path / "snapshots.csv"
+    csvio.write_snapshots_csv(path, _table(grid, np.ones((1, 4096)), np.array([0.0])))
+    assert path.read_bytes().split(b"\r\n")[0] == per_cell.encode()
+
+
 def test_snapshot_round_trip_is_exact(tmp_path):
     """read_snapshots_csv returns the times and counts write_snapshots_csv
     printed, bit for bit, on a grid whose sizes are not dyadic."""

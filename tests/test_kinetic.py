@@ -78,6 +78,21 @@ def weak_form_reference(dist, spec, phi):
     return total
 
 
+# (n, truncation) of the weak-form rate tests; C = min(n, truncation) - 2 is
+# the largest sum of two 0-based bins that still pair
+WEAK_FORM_CASES = [
+    pytest.param(200, 200, id="even C"),
+    pytest.param(201, 201, id="odd C"),
+    pytest.param(200, 150, id="cap below n, even C"),
+    pytest.param(200, 151, id="cap below n, odd C"),
+    pytest.param(33, 7, id="cap far below n"),
+    # the only pair is bin 0 with itself
+    pytest.param(2, 2, id="n = 2"),
+    # one pair of two bins, 0 and 1, and bin 0 with itself
+    pytest.param(3, 3, id="n = 3"),
+]
+
+
 def trajectory_of(grid, spec, counts, dt):
     """Trajectory of the count rows ``counts``, one snapshot every ``dt``."""
     return Trajectory.of_snapshots(dt * np.arange(len(counts)), counts, grid, spec)
@@ -367,31 +382,32 @@ class TestWeakFormResidual:
         assert fine <= 1e-2
         assert coarse / fine >= 3.0
 
-    @pytest.mark.parametrize("rows", [None, 7])
-    @pytest.mark.parametrize("truncation", [200, 150])
-    def test_rate_matches_double_loop(self, monkeypatch, rows, truncation):
-        """200 bins is no multiple of the row block; a 7-row block makes
-        many blocks, and cap < n leaves blocks with no allowed pair."""
+    @pytest.mark.parametrize("rows", [None, 1, 7])
+    @pytest.mark.parametrize("n, truncation", WEAK_FORM_CASES)
+    def test_rate_matches_double_loop(self, monkeypatch, rows, n, truncation):
+        """The half-pair sum against the double loop over ordered pairs: its
+        rows stop at C // 2 for odd and even C = cap - 2, with blocks of any
+        height, and the ends of each block are cut off at the cap."""
         if rows is not None:
             monkeypatch.setattr(kinetic, "_WEAK_FORM_ROWS", rows)
-        g = SizeGrid(ds=0.05, n=200)
+        g = SizeGrid(ds=0.05, n=n)
         spec = KernelSpec(frag_eps=0.3, truncation=truncation)
-        d = Distribution(g, np.random.default_rng(29).random(200) * np.exp(-g.sizes))
+        d = Distribution(g, np.random.default_rng(29).random(n) * np.exp(-g.sizes))
         got = _weak_form_rates(g, spec, -np.expm1(-0.7 * g.sizes), d.counts[None])[0]
         ref = weak_form_reference(d, spec, lambda x: -math.expm1(-0.7 * x))
         assert got == pytest.approx(ref, rel=1e-12)
 
-    @pytest.mark.parametrize("rows", [None, 7])
-    @pytest.mark.parametrize("truncation", [200, 150])
-    def test_batched_rates_match_double_loop(self, monkeypatch, rows, truncation):
+    @pytest.mark.parametrize("rows", [None, 1, 7])
+    @pytest.mark.parametrize("n, truncation", WEAK_FORM_CASES)
+    def test_batched_rates_match_double_loop(self, monkeypatch, rows, n, truncation):
         """weak_form_residual sums the pairs of all interior snapshots in one
         pass; each snapshot's rate, and so the worst mismatch and its time,
         must match the double loop."""
         if rows is not None:
             monkeypatch.setattr(kinetic, "_WEAK_FORM_ROWS", rows)
-        g = SizeGrid(ds=0.05, n=200)
+        g = SizeGrid(ds=0.05, n=n)
         spec = KernelSpec(frag_eps=0.3, truncation=truncation)
-        counts = np.random.default_rng(31).random((5, 200)) * np.exp(-g.sizes)
+        counts = np.random.default_rng(31).random((5, n)) * np.exp(-g.sizes)
         traj = trajectory_of(g, spec, counts, dt=0.01)
         rates = _weak_form_rates(g, spec, -np.expm1(-0.7 * g.sizes), counts[1:-1])
         ref = [
