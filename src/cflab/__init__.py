@@ -37,9 +37,7 @@ from .kinetic import (
 from .bernstein import (
     BernsteinField,
     cm_exact_report,
-    cm_sampled_report,
     field_from_trajectory,
-    hj_residual_worst,
 )
 from .characteristics import (
     CharacteristicFan,

@@ -19,14 +19,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BoundReport, Distribution, ScenarioParams, SizeGrid, time_derivative, uniform_step
+from .core import BoundReport, Distribution, ScenarioParams, SizeGrid, time_derivative
 from .kinetic import Trajectory
 
-#: Tolerance scale for sign checks on exact transform sums.
+#: Relative slack on the sign checks of the exact transform sums.
 CM_EXACT_RTOL = 1e-8
 
-#: Tolerance scale for sign checks on finite-differenced sampled fields.
-CM_SAMPLED_RTOL = 1e-4
+#: Orders k of the derivatives that the exact-sum sign check reads.
+CM_EXACT_ORDERS = 6
 
 
 def default_x_grid(lo: float = 1e-3, hi: float = 20.0, num: int = 64) -> np.ndarray:
@@ -132,44 +132,18 @@ def _forcing(x, Fx, Fxx, m, m2) -> np.ndarray:
 
 
 def cm_exact_report(
-    grid: SizeGrid, counts: np.ndarray, k_max: int = 6, x_samples: Sequence[float] | None = None
+    grid: SizeGrid, counts: np.ndarray, times, x_samples: Sequence[float] | None = None
 ) -> BoundReport:
-    """Complete monotonicity of each row of ``counts`` (T, n) from the exact
-    sums D_1..D_{k_max}: the margin is the smallest D_k(x) over the rows,
-    located at (row, x, k); any order is available."""
+    """Complete monotonicity, k <= 6, of each row of ``counts`` (T, n), the
+    state at ``times``, from the exact sums D_1..D_6: the margin is the
+    smallest D_k(x) relative to the mass of the first row, located at its
+    (t, x, k)."""
     x = default_x_grid() if x_samples is None else np.asarray(x_samples, dtype=float)
-    _, D = bernstein_sums(grid, counts, x, k_max)
+    _, D = bernstein_sums(grid, counts, x, CM_EXACT_ORDERS)
     row, k, i = np.unravel_index(int(np.argmin(D)), D.shape)
-    tol = CM_EXACT_RTOL * max(float(np.max(counts @ grid.sizes)), np.finfo(float).tiny)
-    where = (int(row), float(x[i]), int(k) + 1)
-    return BoundReport("complete_monotonicity_exact", float(D[row, k, i]), tol, where)
-
-
-def cm_sampled_report(
-    x: np.ndarray, F: np.ndarray, m: float, k_max: int = 4, tol: float | None = None
-) -> BoundReport:
-    """Complete monotonicity from finite differences of uniformly sampled F:
-    the margin is the smallest signed difference quotient, located at the
-    (x, k) of its stencil centre.
-
-    Orders above 4 amplify sampling noise beyond usefulness, hence the cap.
-    """
-    if k_max > 4:
-        raise ValueError("finite-difference checks are limited to k_max <= 4")
-    x = np.asarray(x, dtype=float)
-    F = np.asarray(F, dtype=float)
-    if x.ndim != 1 or x.size < k_max + 1:
-        raise ValueError("need at least k_max + 1 samples")
-    h = uniform_step(x)
-    tol = CM_SAMPLED_RTOL * m if tol is None else tol
-    worst, where = np.inf, ()
-    for k in range(1, k_max + 1):
-        est = np.diff(F, k) / h ** k
-        signed = est if k % 2 == 1 else -est
-        i = int(np.argmin(signed))
-        if signed[i] < worst:
-            worst, where = float(signed[i]), (float(0.5 * (x[i] + x[i + k])), k)
-    return BoundReport("complete_monotonicity_sampled", worst, tol, where)
+    margin = float(D[row, k, i]) / max(float(np.dot(grid.sizes, counts[0])), 1e-300)
+    where = (float(times[row]), float(x[i]), int(k) + 1)
+    return BoundReport("complete_monotonicity_exact", margin, CM_EXACT_RTOL, where)
 
 
 def hj_residual_grid(field: BernsteinField, scenario: ScenarioParams, eps: float) -> np.ndarray:
@@ -192,11 +166,3 @@ def hj_residual_grid(field: BernsteinField, scenario: ScenarioParams, eps: float
         res[:, pos] -= eps * field.g_eps[:, pos]
     return res
 
-
-def hj_residual_worst(field: BernsteinField, scenario: ScenarioParams, eps: float) -> tuple:
-    """(max |residual|, t, x) over interior snapshot times and x > 0."""
-    res = hj_residual_grid(field, scenario, eps)
-    cols = np.flatnonzero(field.x > 0)
-    interior = np.abs(res[1:-1, cols])
-    i, j = np.unravel_index(int(np.argmax(interior)), interior.shape)
-    return float(interior[i, j]), float(field.times[1 + i]), float(field.x[cols[j]])

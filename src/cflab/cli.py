@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import csvio
-from .bernstein import field_from_trajectory, hj_residual_grid
+from .bernstein import cm_exact_report, field_from_trajectory, hj_residual_grid
 from .characteristics import (
     default_starts,
     distribution_transform,
@@ -37,12 +37,12 @@ from .errors import (
     SolverAbort,
 )
 from .kinetic import MASS_DRIFT_TOL, SolverConfig, Trajectory, simulate, stability_limit
-from .stochastic import ensemble_moments
+from .stochastic import ensemble_moments, time_grid
 from .verification import (
-    cm_exact_check,
     cm_sampled_check,
     derivative_bounds_check,
     envelope_check,
+    envelope_window,
     g_eps_bound_check,
     hj_residual_check,
     holder_bounds_check,
@@ -82,7 +82,7 @@ class Experiment:
     weak_x: tuple
     sto_replicas: int
     sto_volume: float | None
-    sto_t_grid: tuple
+    sto_t_grid: np.ndarray
     seed: int
     char_dt: float  # [characteristics] dt, the step of convergence's fan
     char_fan_dt: float  # the characteristics fan's step: char_dt, or shortened to whole record strides
@@ -124,6 +124,12 @@ def load_config(path) -> Experiment:
             return build()
         except ValueError as exc:
             raise ValueError(f"{what}: {exc}") from exc
+
+    def ceiling(key):
+        value = get("verify", key, float, 1e-2)
+        if not 0 < value < np.inf:
+            raise ValueError(f"[verify] {key} = {value:g} must be positive and finite")
+        return value
 
     def x_range(lo_section, lo_default, hi_section, hi_default):
         lo, hi = get(lo_section, "x_lo", float, lo_default), get(hi_section, "x_hi", float, hi_default)
@@ -187,14 +193,11 @@ def load_config(path) -> Experiment:
         sto_volume = get("stochastic", "volume", float, None)
         if sto_volume is not None and not sto_volume > 0:
             raise ValueError(f"[stochastic] volume = {sto_volume:g} must be positive")
-        sto_t_grid = get("stochastic", "t_grid", _floats, (0.0, t_end))
-        if (
-            not sto_t_grid
-            or not np.all(np.isfinite(sto_t_grid))
-            or sto_t_grid[0] < 0
-            or any(b < a for a, b in zip(sto_t_grid, sto_t_grid[1:]))
-        ):
-            raise ValueError("[stochastic] t_grid must list at least one finite time >= 0, in nondecreasing order")
+        t_grid = get("stochastic", "t_grid", _floats, (0.0, t_end))
+        sto_t_grid = named("[stochastic]", lambda: time_grid(t_grid))
+        weak_x = get("verify", "weak_x", _floats, (0.5, 1.0, 2.0))
+        if not weak_x or not all(0 < x < np.inf for x in weak_x):
+            raise ValueError("[verify] weak_x must list at least one x, each positive and finite")
         seed = get("stochastic", "seed", int, 20240801)
         if seed < 0:  # numpy's generators take only nonnegative seeds
             raise ValueError(f"[stochastic] seed = {seed} must be nonnegative")
@@ -210,9 +213,9 @@ def load_config(path) -> Experiment:
             conv_starts=conv_starts,
             char_starts=char_starts,
             out_dir=get("outputs", "dir", str, "out"),
-            hj_residual_max=get("verify", "hj_residual_max", float, 1e-2),
-            weak_residual_max=get("verify", "weak_residual_max", float, 1e-2),
-            weak_x=get("verify", "weak_x", _floats, (0.5, 1.0, 2.0)),
+            hj_residual_max=ceiling("hj_residual_max"),
+            weak_residual_max=ceiling("weak_residual_max"),
+            weak_x=weak_x,
             sto_replicas=sto_replicas,
             sto_volume=sto_volume,
             sto_t_grid=sto_t_grid,
@@ -265,7 +268,7 @@ def cmd_simulate(exp: Experiment, out: Path, quiet: bool) -> int:
         f"simulated to t={config.t_end:g}: max mass drift {drift:.3e} "
         f"(tol {MASS_DRIFT_TOL:g}), top-bin occupancy {occupancy:.3e}",
     )
-    if traj.metadata["mass_drift_exceeded"] or traj.metadata["top_bin_occupancy_exceeded"]:
+    if not mass_conservation_check(traj).passed or traj.metadata["top_bin_occupancy_exceeded"]:
         print("bound violation: mass drift or truncation occupancy out of tolerance", file=sys.stderr)
         return EXIT_BOUND_VIOLATION
     return EXIT_OK
@@ -289,15 +292,15 @@ def cmd_verify(exp: Experiment, out: Path, quiet: bool) -> int:
     scenario, t_end = exp.scenario, exp.solver.t_end
     times, moments = traj.times, traj.moments.moments
     m2_0 = float(moments[0, 2])
-    t_star = 1.0 / m2_0
+    window = envelope_window(times, m2_0)
     field = field_from_trajectory(traj, exp.verify_x)
 
     reports = [
         mass_conservation_check(traj),
         # the envelope margin is reported per output time
-        *(envelope_check([t], [m2], m2_0) for t, m2 in zip(times, moments[:, 2]) if t <= 0.8 * t_star),
+        *(envelope_check([t], [m2], m2_0) for t, m2 in zip(times[window], moments[window, 2])),
         holder_bounds_check(moments, times),
-        cm_exact_check(traj, scenario, exp.verify_x),
+        cm_exact_report(traj.grid, traj.counts, times, exp.verify_x),
     ]
     if t_end < scenario.t_star:
         reports += [
@@ -380,7 +383,7 @@ def cmd_stochastic(exp: Experiment, out: Path, quiet: bool) -> int:
     ens = ensemble_moments(
         exp.initial,
         exp.solver.spec,
-        np.asarray(exp.sto_t_grid),
+        exp.sto_t_grid,
         replicas=exp.sto_replicas,
         seed=exp.seed,
         volume=exp.sto_volume,

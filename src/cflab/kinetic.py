@@ -35,7 +35,7 @@ from .errors import SolverAbort
 #: anything between that and zero is clipped as roundoff.
 NEGATIVE_COUNT_RTOL = 1e-12
 
-#: Relative mass drift above which a trajectory is flagged.
+#: Relative mass drift above which a trajectory fails mass conservation.
 MASS_DRIFT_TOL = 1e-6
 
 #: Relative top-bin occupancy above which truncation is considered active.
@@ -103,9 +103,10 @@ class Trajectory:
     def of_snapshots(cls, times, counts, grid: SizeGrid, spec: KernelSpec, **metadata) -> "Trajectory":
         """The run that recorded the rows of ``counts`` at ``times``, with its
         bookkeeping in ``metadata``: the relative mass drift against the first
-        snapshot and the top-bin occupancy, each flagged (not rejected) when it
-        exceeds MASS_DRIFT_TOL or TOP_BIN_OCCUPANCY_TOL, since either
-        invalidates bound checks."""
+        snapshot, which ``verification.mass_conservation_check`` holds to
+        MASS_DRIFT_TOL, and the top-bin occupancy, flagged (not rejected) when
+        it exceeds TOP_BIN_OCCUPANCY_TOL, since either invalidates bound
+        checks."""
         counts = _readonly(counts)
         m1_0 = float(np.dot(grid.sizes, counts[0]))
         mass_scale = m1_0 if m1_0 > 0 else 1.0
@@ -115,7 +116,6 @@ class Trajectory:
         top_occupancy = grid.s_max * counts[:, -1] / mass_scale
         metadata.update(
             max_mass_drift=float(drift.max()),
-            mass_drift_exceeded=bool(drift.max() > MASS_DRIFT_TOL),
             max_top_bin_occupancy=float(top_occupancy.max()),
             top_bin_occupancy=top_occupancy,
             top_bin_occupancy_exceeded=bool(top_occupancy.max() > TOP_BIN_OCCUPANCY_TOL),

@@ -224,15 +224,24 @@ def gillespie_step(sys: ParticleSystem, spec: KernelSpec):
     return sys, draws[:, 0] / total
 
 
+def time_grid(t_grid) -> np.ndarray:
+    """``t_grid`` as a float array of recording times; ValueError unless it
+    lists at least one finite time >= 0, in nondecreasing order, since a
+    replica whose clock never passes a grid time would run forever."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    steps = np.diff(t_grid, prepend=0.0) if t_grid.ndim == 1 else np.empty(0)  # the first from t = 0
+    if steps.size == 0 or not np.all(np.isfinite(t_grid) & (steps >= 0)):
+        raise ValueError("t_grid must list one or more finite times >= 0, in nondecreasing order")
+    return t_grid
+
+
 def _run(sys: ParticleSystem, spec: KernelSpec, t_grid, record_snapshots: bool = False):
     """Advance every replica through ``t_grid``; returns the empirical moments
     at each grid time, shape (R, T, 4), and, if asked, the bin counts, shape
     (R, T, n+1).  A replica leaves the batch once its clock passes the last
     grid time; an absorbing state (zero total rate) is frozen from then on.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size == 0 or t_grid[0] < 0 or np.any(np.diff(t_grid) < 0):
-        raise ValueError("t_grid must be a nondecreasing, nonempty 1-d array of times >= 0")
+    t_grid = time_grid(t_grid)
     replicas, width = sys.counts.shape
     moments = np.empty((replicas, t_grid.size, ENSEMBLE_MAX_MOMENT + 1))
     snaps = np.empty((replicas, t_grid.size, width), np.int64) if record_snapshots else None

@@ -10,18 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bernstein import (
-    CM_EXACT_RTOL,
-    BernsteinField,
-    cm_exact_report,
-    cm_sampled_report,
-    hj_residual_worst,
-)
-from .core import BoundReport, ScenarioParams, time_derivative
+from .bernstein import BernsteinField, hj_residual_grid
+from .core import BoundReport, ScenarioParams, time_derivative, uniform_step
 from .kinetic import MASS_DRIFT_TOL, Trajectory, weak_form_residual
 
 #: Relative slack on the second-moment envelope for deterministic runs.
 ENVELOPE_RTOL = 1e-3
+
+#: The envelope is checked at the times up to this fraction of t_star.
+ENVELOPE_WINDOW = 0.8
 
 #: Relative slack on the moment interpolation inequalities.
 HOLDER_RTOL = 1e-9
@@ -31,6 +28,12 @@ DERIVATIVE_RTOL = 1e-2
 
 #: Relative slack on the bound 3/(t_star - T) of the G_eps forcing.
 G_EPS_RTOL = 1e-2
+
+#: Slack on finite-differenced sampled fields, relative to the mass.
+CM_SAMPLED_RTOL = 1e-4
+
+#: Orders k that the sampled sign check reads; higher ones amplify sampling noise.
+CM_SAMPLED_ORDERS = 4
 
 
 def second_moment_envelope(m2_0: float, t: float) -> float:
@@ -43,22 +46,20 @@ def second_moment_envelope(m2_0: float, t: float) -> float:
     return 1.0 / (1.0 / m2_0 - t)
 
 
-def envelope_check(
-    times: np.ndarray,
-    m2_series: np.ndarray,
-    m2_0: float,
-    t_max: float | None = None,
-    rtol: float = ENVELOPE_RTOL,
-) -> BoundReport:
-    """Second moment stays under its envelope for times up to t_max
-    (default 0.8 * t_star).  Margins are relative to the envelope value."""
+def envelope_window(times, m2_0: float) -> np.ndarray:
+    """Mask of the ``times`` at which the envelope is checked: those up to
+    ENVELOPE_WINDOW * t_star."""
+    return np.asarray(times, dtype=float) <= ENVELOPE_WINDOW * (1.0 / m2_0) * (1.0 + 1e-12)
+
+
+def envelope_check(times: np.ndarray, m2_series: np.ndarray, m2_0: float) -> BoundReport:
+    """Second moment stays under its envelope at the times of the envelope
+    window.  Margins are relative to the envelope value."""
     times = np.asarray(times, dtype=float)
     m2_series = np.asarray(m2_series, dtype=float)
-    t_star = 1.0 / m2_0
-    t_max = 0.8 * t_star if t_max is None else t_max
-    keep = times <= t_max * (1.0 + 1e-12)
+    keep = envelope_window(times, m2_0)
     if not np.any(keep):
-        raise ValueError(f"no samples at or before t_max={t_max}")
+        raise ValueError(f"no samples at or before {ENVELOPE_WINDOW:g} * t_star")
     t_kept = times[keep]
     env = np.array([second_moment_envelope(m2_0, t) for t in t_kept])
     margins = (env - m2_series[keep]) / env
@@ -66,7 +67,7 @@ def envelope_check(
     return BoundReport(
         name="second_moment_envelope",
         worst_margin=float(margins[i]),
-        tolerance=rtol,
+        tolerance=ENVELOPE_RTOL,
         location=(float(t_kept[i]), "m2"),
     )
 
@@ -145,9 +146,7 @@ def time_derivative_bound(m: float, t_star: float, T: float) -> float:
     return 0.5 * m * (m + 5.0) + 3.0 / (t_star - T)
 
 
-def derivative_bounds_check(
-    field: BernsteinField, scenario: ScenarioParams, T: float, rtol: float = DERIVATIVE_RTOL
-) -> BoundReport:
+def derivative_bounds_check(field: BernsteinField, scenario: ScenarioParams, T: float) -> BoundReport:
     """Derivative bounds on a field restricted to times <= T < t_star:
 
         0 <= Fx <= m,   -1/(t_star - T) <= Fxx <= 0,   |dF/dt| <= time bound.
@@ -174,7 +173,7 @@ def derivative_bounds_check(
     return BoundReport(
         name="derivative_bounds",
         worst_margin=worst,
-        tolerance=rtol,
+        tolerance=DERIVATIVE_RTOL,
         location=(float(T), worst_label),
     )
 
@@ -203,23 +202,23 @@ def mass_conservation_check(traj: Trajectory) -> BoundReport:
     return BoundReport("mass_conservation", margin, 0.0, (float(traj.times[i]), "m1"))
 
 
-def cm_exact_check(traj: Trajectory, scenario: ScenarioParams, x_grid: np.ndarray) -> BoundReport:
-    """Exact-sum complete monotonicity, k <= 6, of every snapshot on ``x_grid``:
-    the smallest signed derivative relative to the mass, at its (t, x)."""
-    rep = cm_exact_report(traj.grid, traj.counts, k_max=6, x_samples=x_grid)
-    row, x, _ = rep.location
-    margin = rep.worst_margin / max(scenario.m, 1e-300)
-    return BoundReport(rep.name, margin, CM_EXACT_RTOL, (float(traj.times[row]), x))
-
-
 def cm_sampled_check(field: BernsteinField) -> BoundReport:
-    """Finite-difference complete monotonicity, k <= 4, of the field at each of
-    its times on its uniform x grid: the worst of them, at its (t, x)."""
-    t, rep = min(
-        ((t, cm_sampled_report(field.x, F, field.m)) for t, F in zip(field.times, field.F)),
-        key=lambda pair: pair[1].worst_margin,
-    )
-    return BoundReport(rep.name, rep.worst_margin, rep.tolerance, (float(t), rep.location[0]))
+    """Complete monotonicity, k <= 4, from the finite differences of F on the
+    field's uniform x grid at each of its times: the margin is the smallest
+    signed difference quotient, against CM_SAMPLED_RTOL * m, located at the
+    (t, x, k) of its stencil centre.  Ties go to the earliest time, then the
+    lowest order, then the lowest x."""
+    x = field.x
+    if x.size <= CM_SAMPLED_ORDERS:
+        raise ValueError(f"need at least {CM_SAMPLED_ORDERS + 1} x samples")
+    h = uniform_step(x)
+    # signed[k - 1][t, i]: the order-k quotient at times[t] whose stencil starts at x[i]
+    signed = [(-1) ** (k - 1) * np.diff(field.F, k, axis=1) / h ** k for k in range(1, CM_SAMPLED_ORDERS + 1)]
+    worst = np.stack([q.min(axis=1) for q in signed], axis=1)  # (T, orders), row-major ties
+    t, j = np.unravel_index(int(np.argmin(worst)), worst.shape)
+    k, i = int(j) + 1, int(np.argmin(signed[j][t]))
+    where = (float(field.times[t]), float(0.5 * (x[i] + x[i + k])), k)
+    return BoundReport("complete_monotonicity_sampled", float(worst[t, j]), CM_SAMPLED_RTOL * field.m, where)
 
 
 def hj_residual_check(
@@ -227,8 +226,11 @@ def hj_residual_check(
 ) -> BoundReport:
     """Largest |residual| of the singular equation over interior snapshot
     times and x > 0 against ``ceiling``, at its (t, x)."""
-    res, t, x = hj_residual_worst(field, scenario, eps)
-    return BoundReport("hj_residual", float((ceiling - res) / ceiling), 0.0, (t, x))
+    cols = np.flatnonzero(field.x > 0)
+    interior = np.abs(hj_residual_grid(field, scenario, eps)[1:-1, cols])
+    i, j = np.unravel_index(int(np.argmax(interior)), interior.shape)
+    margin = float((ceiling - interior[i, j]) / ceiling)
+    return BoundReport("hj_residual", margin, 0.0, (float(field.times[1 + i]), float(field.x[cols[j]])))
 
 
 def weak_form_check(traj: Trajectory, x_values, ceiling: float) -> BoundReport:

@@ -17,13 +17,11 @@ from cflab import (
     SizeGrid,
     SolverConfig,
     cm_exact_report,
-    cm_sampled_report,
     derivative_bounds_check,
     envelope_check,
     fan_to_field,
     field_from_trajectory,
     holder_bounds_check,
-    hj_residual_worst,
     make_initial,
     monodisperse_transform,
     monotone_derivative_checks,
@@ -32,7 +30,12 @@ from cflab import (
     simulate_replica,
     weak_form_residual,
 )
-from cflab.verification import frag_weak_coefficient, moment_ode_rhs_on_grid
+from cflab.verification import (
+    cm_sampled_check,
+    frag_weak_coefficient,
+    hj_residual_check,
+    moment_ode_rhs_on_grid,
+)
 from oracles import ordering_check, scale_initial
 
 
@@ -104,7 +107,8 @@ def test_04_hj_residual_refinement():
             spec=KernelSpec.for_grid(grid, frag_eps=0.1), scenario=scen,
         )
         field = field_from_trajectory(simulate(config, initial), x_grid)
-        return hj_residual_worst(field, scen, 0.1)[0]
+        # the margin against a unit ceiling is 1 - max |residual|
+        return 1.0 - hj_residual_check(field, scen, 0.1, ceiling=1.0).worst_margin
 
     levels = [level(0.25, 2e-3, 128), level(0.125, 1e-3, 256), level(0.0625, 5e-4, 512)]
     shrinking = all(b < a for a, b in zip(levels, levels[1:]))
@@ -171,21 +175,21 @@ def test_07_complete_monotonicity(run_m15_family, run_m1_fine, ensemble_bundle, 
         seed=5,
         record_snapshots=True,
     )
-    tables = [(traj.grid, traj.counts) for traj in runs]
-    tables.append((ensemble_bundle["initial"].grid, replica.counts))
-    reports = [cm_exact_report(grid, counts, k_max=6) for grid, counts in tables]
+    tables = [(traj.grid, traj.counts, traj.times) for traj in runs]
+    tables.append((ensemble_bundle["initial"].grid, replica.counts, replica.times))
+    reports = [cm_exact_report(grid, counts, times) for grid, counts, times in tables]
     exact_failures = sum(not rep.passed for rep in reports)
     worst = min(rep.worst_margin for rep in reports)
-    n_snapshots = sum(counts.shape[0] for _, counts in tables)
+    n_snapshots = sum(counts.shape[0] for _, counts, _ in tables)
 
     fan = fan_m1["fan"]
     xu = np.arange(0.75, 7.751, 0.25)
-    sampled = cm_sampled_report(xu, reconstruct(fan, xu, 0.3), m=fan_m1["m"], k_max=4)
+    sampled = cm_sampled_check(fan_to_field(fan, xu, [0.3]))
     report(
         "07 complete-monotonicity",
         exact_failures == 0 and worst >= 0.0 and sampled.passed,
         f"{n_snapshots} snapshots, exact worst {worst:.2e}; "
-        f"sampled worst {sampled.worst_margin:.2e} at (x, k) = {sampled.location}",
+        f"sampled worst {sampled.worst_margin:.2e} at (t, x, k) = {sampled.location}",
     )
 
 

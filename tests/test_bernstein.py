@@ -11,14 +11,13 @@ from cflab import (
     ScenarioParams,
     SizeGrid,
     cm_exact_report,
-    cm_sampled_report,
     field_from_trajectory,
     g_eps_bound_check,
-    hj_residual_worst,
     make_initial,
 )
 from cflab.bernstein import bernstein_sums, default_x_grid, transform
 from cflab.core import moment
+from cflab.verification import cm_sampled_check, hj_residual_check
 
 counts_strategy = arrays(
     np.float64,
@@ -167,51 +166,68 @@ class TestCompleteMonotonicity:
         g = SizeGrid(ds=0.5, n=16)
         rng = np.random.default_rng(7)
         d = Distribution(g, rng.random(16))
-        report = cm_exact_report(g, d.counts[None], k_max=6)
+        report = cm_exact_report(g, d.counts[None], [0.0])
         assert report.passed
         assert report.worst_margin >= 0.0
 
     def test_exact_report_locates_the_row(self):
         """Over the rows of a counts matrix, the margin is the smallest D_k(x)
-        of any row, located at that row's index, x and k."""
+        of any row, relative to the first row's mass, located at that row's
+        time, x and k."""
         g = SizeGrid(ds=0.5, n=16)
         rng = np.random.default_rng(11)
         counts = rng.random((4, 16))
         counts[2] *= 1e-3  # the smallest sums
+        times = [0.0, 0.1, 0.2, 0.3]
         x = default_x_grid(num=8)
-        report = cm_exact_report(g, counts, k_max=6, x_samples=x)
-        row, xv, k = report.location
-        assert row == 2
+        report = cm_exact_report(g, counts, times, x_samples=x)
+        t, xv, k = report.location
+        assert t == 0.2
         _, D = sums(Distribution(g, counts[2]), [xv], k_max=k)
-        assert report.worst_margin == D[k - 1, 0]
-        assert report.worst_margin == min(cm_exact_report(g, c[None], 6, x).worst_margin for c in counts)
+        mass = counts[0] @ g.sizes
+        assert report.worst_margin == pytest.approx(D[k - 1, 0] / mass, rel=1e-12)
+        _, D_all = bernstein_sums(g, counts, x, 6)
+        assert report.worst_margin == pytest.approx(D_all.min() / mass, rel=1e-12)
 
     def test_quadratic_field_fails_concavity(self):
-        """F = x^2 is convex: the k=2 finite difference must flag it."""
+        """F = x^2 is convex: the k=2 finite difference must flag it, with the
+        quotient 2, while the concave 2x - x^2 passes at every order."""
         x = np.linspace(0.0, 1.0, 21)
-        report = cm_sampled_report(x, x ** 2, m=1.0, k_max=2)
+        convex = synthetic_field(x, [0.0], [x ** 2], [2 * x], [np.full_like(x, 2.0)], 1.0)
+        report = cm_sampled_check(convex)
         assert not report.passed
-        assert report.location[1] == 2
-        assert cm_sampled_report(x, x ** 2, m=1.0, k_max=1).passed
+        assert report.location[2] == 2
+        assert report.worst_margin == pytest.approx(-2.0, rel=1e-9)
+        concave = synthetic_field(x, [0.0], [2 * x - x ** 2], [2 - 2 * x], [np.full_like(x, -2.0)], 1.0)
+        assert cm_sampled_check(concave).passed
 
     def test_sampled_true_transform_passes(self):
         g = SizeGrid(ds=1.0, n=4)
         d = Distribution(g, [1.0, 0.5, 0, 0])
         x = np.linspace(0.5, 6.0, 23)
-        F, _, _ = f_fx_fxx(d, x)
-        report = cm_sampled_report(x, F, m=moment(d, 1), k_max=4)
+        F, Fx, Fxx = f_fx_fxx(d, x)
+        report = cm_sampled_check(synthetic_field(x, [0.0], [F], [Fx], [Fxx], moment(d, 1)))
         assert report.passed
 
     def test_sampled_requires_uniform_grid(self):
-        """Enough samples for k_max = 4, so the spacing rule is what rejects them."""
+        """Enough samples for k = 4, so the spacing rule is what rejects them."""
         x = np.array([0.1, 0.2, 0.4, 0.8, 1.6])
+        field = synthetic_field(x, [0.0], [x], [np.ones(5)], [np.zeros(5)], 1.0)
         with pytest.raises(ValueError, match="samples must be uniformly spaced"):
-            cm_sampled_report(x, x.copy(), m=1.0)
+            cm_sampled_check(field)
 
-    def test_sampled_order_cap(self):
-        x = np.linspace(0.0, 1.0, 11)
-        with pytest.raises(ValueError):
-            cm_sampled_report(x, x, m=1.0, k_max=5)
+    def test_sampled_needs_five_samples(self):
+        """The 4th-order quotient needs five samples."""
+        x = np.linspace(0.0, 1.0, 4)
+        field = synthetic_field(x, [0.0], [x], [np.ones(4)], [np.zeros(4)], 1.0)
+        with pytest.raises(ValueError, match="at least 5"):
+            cm_sampled_check(field)
+
+
+def residual(field, scenario, eps):
+    """max |residual| over interior times and x > 0, read back from the margin
+    of hj_residual_check against a unit ceiling."""
+    return 1.0 - hj_residual_check(field, scenario, eps, ceiling=1.0).worst_margin
 
 
 class TestResidual:
@@ -225,7 +241,7 @@ class TestResidual:
         Fxx = np.zeros((3, x.size))
         field = synthetic_field(x, times, F, Fx, Fxx, m)
         scen = ScenarioParams(m=m, m2_0=1.0)
-        assert hj_residual_worst(field, scen, 0.0)[0] == pytest.approx(0.0, abs=1e-12)
+        assert residual(field, scen, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("m,expected", [(1.0, 0.0), (2.0, 1.0)])
     def test_zero_field_residual(self, m, expected):
@@ -235,13 +251,13 @@ class TestResidual:
         zeros = np.zeros((3, x.size))
         field = synthetic_field(x, times, zeros, zeros, zeros, m)
         scen = ScenarioParams(m=m, m2_0=1.0)
-        assert hj_residual_worst(field, scen, 0.0)[0] == pytest.approx(expected, abs=1e-12)
+        assert residual(field, scen, 0.0) == pytest.approx(expected, abs=1e-12)
 
     def test_needs_three_times(self):
         x = np.array([0.0, 1.0])
         field = synthetic_field(x, [0.0], np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2)), 1.0)
         with pytest.raises(ValueError):
-            hj_residual_worst(field, ScenarioParams(m=1.0, m2_0=1.0), 0.0)
+            hj_residual_check(field, ScenarioParams(m=1.0, m2_0=1.0), 0.0, ceiling=1.0)
 
     def test_kinetic_field_residual_small(self, run_m1_fine):
         """At ds=0.25 the residual is dominated by the ds^2 split-sum defect
@@ -250,8 +266,7 @@ class TestResidual:
         field = field_from_trajectory(
             run_m1_fine["traj"], np.concatenate([[0.0], np.geomspace(1e-3, 5.0, 40)])
         )
-        res = hj_residual_worst(field, run_m1_fine["scenario"], 0.1)[0]
-        assert res <= 5e-2
+        assert hj_residual_check(field, run_m1_fine["scenario"], 0.1, ceiling=5e-2).passed
 
 
 class TestForcing:

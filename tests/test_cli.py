@@ -11,7 +11,7 @@ import pytest
 import cflab
 
 from cflab import BoundReport, errors, kinetic
-from cflab.bernstein import cm_exact_report, field_from_trajectory, hj_residual_grid
+from cflab.bernstein import bernstein_sums, field_from_trajectory, hj_residual_grid
 from cflab.cli import (
     EXIT_BOUND_VIOLATION,
     EXIT_DATA,
@@ -143,6 +143,19 @@ class TestConfig:
             ("eps_list = 0.2, 0.1, 0.05", "eps_list = 0.2, 0.1, -0.05"),
             # [verify] x_hi below the default [field] x_lo = 1e-3
             ("x_hi = 5.0", "x_hi = 0.0001"),
+            # a ceiling divides the margin, and one below 0 turns a FAIL into a PASS
+            ("hj_residual_max = 5e-2", "hj_residual_max = 0"),
+            ("hj_residual_max = 5e-2", "hj_residual_max = -1e-2"),
+            ("hj_residual_max = 5e-2", "hj_residual_max = nan"),
+            ("hj_residual_max = 5e-2", "hj_residual_max = inf"),
+            ("weak_residual_max = 1e-2", "weak_residual_max = 0"),
+            ("weak_residual_max = 1e-2", "weak_residual_max = -1e-2"),
+            ("weak_residual_max = 1e-2", "weak_residual_max = nan"),
+            # the weak form is checked on at least one bounded test function 1 - exp(-x s)
+            *(
+                pytest.param("weak_residual_max = 1e-2", f"weak_residual_max = 1e-2\nweak_x = {x}", id=f"weak_x = {x}")
+                for x in ("", "0.5, -1", "0", "inf", "nan")
+            ),
         ],
     )
     def test_bad_value_is_usage_error_without_traceback(
@@ -366,13 +379,10 @@ class TestVerify:
         assert float(rows["hj_residual"]["x_or_k"]) == field.x[j]
 
         counts, times = traj.counts, traj.times
-        cm = [
-            (cm_exact_report(traj.grid, counts[k : k + 1], k_max=6, x_samples=field.x), t)
-            for k, t in enumerate(times)
-        ]
-        rep, t = min(cm, key=lambda pair: pair[0].worst_margin)
-        assert float(rows["complete_monotonicity_exact"]["t"]) == t
-        assert float(rows["complete_monotonicity_exact"]["x_or_k"]) == rep.location[1] <= exp.verify_x[-1]
+        _, D = bernstein_sums(traj.grid, counts, field.x, 6)  # D[t, k - 1, x] >= 0: the signed derivatives
+        r, _, j = np.unravel_index(np.argmin(D), D.shape)
+        assert float(rows["complete_monotonicity_exact"]["t"]) == times[r]
+        assert float(rows["complete_monotonicity_exact"]["x_or_k"]) == field.x[j] <= exp.verify_x[-1]
 
         mismatches = []
         for xv in exp.weak_x:
@@ -602,6 +612,14 @@ class TestOtherCommands:
         for name, (margin, where) in fan_loop_worst(out / "fan.csv", exp.scenario).items():
             assert located[name] == where, name
             assert float(next(r for r in rows if r["name"] == name)["worst_margin"]) == margin, name
+
+    def test_simulate_mass_drift_fail_is_bound_violation(self, workspace, monkeypatch, capsys):
+        """simulate's exit verdict on mass drift is the mass_conservation row."""
+        config, out = workspace
+        failing = BoundReport("mass_conservation", -1.0, 0.0, (0.0, "m1"))
+        monkeypatch.setattr(cflab.cli, "mass_conservation_check", lambda traj: failing)
+        assert main(["simulate", "--config", str(config), "--quiet"]) == EXIT_BOUND_VIOLATION
+        assert "bound violation" in capsys.readouterr().err
 
     def test_characteristics_fail_is_bound_violation(self, workspace, monkeypatch):
         config, out = workspace

@@ -214,6 +214,18 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="times >= 0"):
             ensemble_moments(d, KernelSpec.for_grid(g), [-0.1, 0.1], replicas=2, volume=10.0)
 
+    @pytest.mark.parametrize("last", [np.inf, np.nan])
+    def test_time_that_is_not_finite_is_rejected(self, last):
+        """A grid time that the clock never passes would run the replicas
+        forever: both entry points raise at once instead."""
+        g = SizeGrid(ds=1.0, n=8)
+        d = make_initial("monodisperse", g, mass=1.0, size=1.0)
+        spec = KernelSpec.for_grid(g)
+        with pytest.raises(ValueError, match="finite times"):
+            ensemble_moments(d, spec, [0.0, last], replicas=2, volume=10.0)
+        with pytest.raises(ValueError, match="finite times"):
+            simulate_replica(d, spec, [0.0, last], volume=10.0)
+
     def test_coagulation_only_cross_validation(self):
         """Pure-coagulation ensemble mean m2 agrees with the deterministic
         solver on the same grid within 3 standard errors (seeded)."""

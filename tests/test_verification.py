@@ -17,9 +17,10 @@ from cflab import (
     holder_bounds_check,
     make_initial,
 )
-from cflab.bernstein import transform
+from cflab.bernstein import cm_exact_report, transform
 from cflab.core import MomentSeries
 from cflab.verification import (
+    cm_sampled_check,
     frag_weak_coefficient,
     mass_conservation_check,
     moment_ode_rhs_on_grid,
@@ -178,3 +179,46 @@ class TestRunCheckLocations:
         rep = mass_conservation_check(traj)
         assert rep.location == (0.1, "m1")
         assert rep.worst_margin == pytest.approx(0.7, rel=1e-12)
+
+    def test_cm_exact_at_the_time_x_and_order_of_the_smallest_derivative(self):
+        """Two unit-mass rows: the second, all at size 4, has the smallest
+        signed derivative, D_1(x) = exp(-4x) at the largest x; the margin is
+        relative to the first row's mass, so doubling that row halves it."""
+        g = SizeGrid(ds=1.0, n=4)
+        counts = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.25]])
+        x = np.array([0.0, 1.0, 2.0])
+        rep = cm_exact_report(g, counts, [0.0, 0.5], x_samples=x)
+        assert rep.name == "complete_monotonicity_exact"
+        assert rep.location == (0.5, 2.0, 1)
+        assert rep.worst_margin == pytest.approx(np.exp(-8.0), rel=1e-12)
+        halved = cm_exact_report(g, counts * [[2.0], [1.0]], [0.0, 0.5], x_samples=x)
+        assert halved.worst_margin == pytest.approx(0.5 * np.exp(-8.0), rel=1e-12)
+
+    @staticmethod
+    def sampled_field(F):
+        F = np.asarray(F, dtype=float)
+        x = np.arange(F.shape[1], dtype=float)
+        return BernsteinField(x=x, times=0.1 * np.arange(len(F)), F=F, Fx=F, Fxx=F, m=1.0)
+
+    def test_cm_sampled_ties_go_to_the_earliest_time(self):
+        """The same failing row at two times is reported at the earlier one."""
+        good, bad = np.arange(7.0), [0.0, 1.0, 2.0, 1.0, 2.0, 3.0, 4.0]
+        alone = cm_sampled_check(self.sampled_field([bad]))
+        assert not alone.passed
+        rep = cm_sampled_check(self.sampled_field([good, bad, bad]))
+        assert rep.location == (0.1, *alone.location[1:])
+        assert rep.worst_margin == alone.worst_margin
+        # time before order: an order-2 worst of -1 at t = 0 wins over an order-1 one at t = 0.1
+        order_2, order_1 = [0.0, 0.0, 0.0, 0.0, 0.5, 2.0], [0.0, 3.0, 3.0, 2.0, 1.0, 0.0]
+        assert cm_sampled_check(self.sampled_field([order_1])).location == (0.0, 2.5, 1)
+        assert cm_sampled_check(self.sampled_field([order_2, order_1])).location == (0.0, 4.0, 2)
+
+    def test_cm_sampled_ties_go_to_the_lowest_order(self):
+        """At one time, order-1 and order-2 quotients of the same worst value
+        -1 give the order-1 location, the centre x = 1.5 of its stencil."""
+        F = [0.0, 1.0, 0.0, 0.0, 1.0, 3.0]
+        signed = [(-1) ** (k - 1) * np.diff(F, k) for k in range(1, 5)]
+        assert min(signed[0]) == min(signed[1]) == -1.0 < min(min(signed[2]), min(signed[3]))
+        rep = cm_sampled_check(self.sampled_field([F]))
+        assert rep.location == (0.0, 1.5, 1)
+        assert rep.worst_margin == -1.0
