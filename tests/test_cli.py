@@ -12,6 +12,7 @@ import cflab
 
 from cflab import BoundReport, errors, kinetic
 from cflab.bernstein import bernstein_sums, field_from_trajectory, hj_residual_grid
+from cflab.core import moment
 from cflab.cli import (
     EXIT_BOUND_VIOLATION,
     EXIT_DATA,
@@ -351,6 +352,23 @@ class TestVerify:
         names = [line.split(",")[0] for line in report[1:]]
         assert "second_moment_envelope" in names
         assert "hj_residual" in names
+
+    def test_envelope_rows_keep_a_time_just_past_the_window(self, workspace, monkeypatch):
+        """verify writes one envelope row per output time up to
+        ENVELOPE_WINDOW * t_star, with envelope_check's 1e-12 relative slack:
+        a time 5e-13 past the window's edge still gets its row."""
+        config, out = workspace
+        assert main(["simulate", "--config", str(config), "--quiet"]) == EXIT_OK
+        exp = load_config(config)
+        times, m2_0 = exp.solver.snapshot_times, moment(exp.initial, 2)
+        assert list(times) == pytest.approx([0.0, 0.05, 0.1, 0.15, 0.2])
+        edge = times[3] * m2_0 * (1.0 - 5e-13)
+        assert not times[3] <= edge * (1.0 / m2_0)  # outside the window without the slack
+        monkeypatch.setattr(cflab.verification, "ENVELOPE_WINDOW", edge)
+        assert main(["verify", "--config", str(config), "--quiet"]) == EXIT_OK
+        with open(out / "verify_report.csv", newline="") as fh:
+            rows = [r for r in csv.DictReader(fh) if r["name"] == "second_moment_envelope"]
+        assert [float(r["t"]) for r in rows] == list(times[:4])
 
 
     def test_report_locations_are_the_true_worst(self, workspace):
