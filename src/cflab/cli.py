@@ -47,6 +47,7 @@ from .verification import (
     hj_residual_check,
     holder_bounds_check,
     mass_conservation_check,
+    truncation_occupancy_check,
     weak_form_check,
 )
 
@@ -61,21 +62,20 @@ _REQUIRED = object()
 
 @dataclass
 class Experiment:
-    """One run, built from one config file: its initial data, scenario and
-    solver configs, the per-eps kernels of ``convergence``, the x grids of its
-    checks, the starts of its fans, and the settings that the subcommands read
-    as given."""
+    """Every run that one config file describes, planned: its initial data,
+    scenario and solver config, the per-eps runs of ``convergence``, the x
+    grids of its checks, the ``integrate_fan`` arguments of both fans, and the
+    settings that the subcommands read as given."""
 
     initial: Distribution
     scenario: ScenarioParams
     solver: SolverConfig
-    conv_solver: SolverConfig  # ``solver`` ending at [convergence] t_hi
-    conv_specs: tuple  # ``solver.spec`` at each [convergence] eps_list entry
+    conv_runs: tuple  # ``solver`` ending at [convergence] t_hi, one per eps_list entry
     verify_x: np.ndarray  # 0, then geometric on [field] x_lo .. [verify] x_hi
     conv_x: np.ndarray
     char_x: np.ndarray
-    conv_starts: np.ndarray
-    char_starts: np.ndarray
+    conv_fan: dict  # integrate_fan's starts, t_end, dt and record_every
+    char_fan: dict
     out_dir: str
     hj_residual_max: float
     weak_residual_max: float
@@ -84,10 +84,6 @@ class Experiment:
     sto_volume: float | None
     sto_t_grid: np.ndarray
     seed: int
-    char_dt: float  # [characteristics] dt, the step of convergence's fan
-    char_fan_dt: float  # the characteristics fan's step: char_dt, or shortened to whole record strides
-    char_t_end: float
-    char_record_every: int
 
 
 def _floats(raw: str) -> tuple:
@@ -160,7 +156,10 @@ def load_config(path) -> Experiment:
         conv_t_hi = get("convergence", "t_hi", float, t_end)
         conv_solver = named(f"[convergence] t_hi = {conv_t_hi:g}", lambda: replace(solver, t_end=conv_t_hi))
         conv_eps = get("convergence", "eps_list", _floats, ())
-        conv_specs = named("[convergence] eps_list", lambda: tuple(replace(solver.spec, frag_eps=e) for e in conv_eps))
+        conv_runs = named(
+            "[convergence] eps_list",
+            lambda: tuple(replace(conv_solver, spec=replace(solver.spec, frag_eps=e)) for e in conv_eps),
+        )
         verify_nx = get("verify", "nx", int, 40)
         if verify_nx < 5:
             # characteristics differences the field on this many x up to 4th order
@@ -181,6 +180,11 @@ def load_config(path) -> Experiment:
                 char_record_every = fan_steps // 50
                 char_fan_dt = char_t_end / (-(-fan_steps // char_record_every) * char_record_every)
         schedule(char_t_end, char_fan_dt, char_record_every, "[characteristics] record_every")
+        # convergence's fan steps at about char_dt, a whole number of steps per
+        # snapshot, and records only the snapshot times that its gaps read
+        snap_times = conv_solver.snapshot_times
+        snap_dt = float(snap_times[1] - snap_times[0]) if snap_times.size > 1 else char_dt
+        per_snapshot = named("[characteristics]", lambda: max(1, step_count(snap_dt, char_dt)))
         n_paths = get("characteristics", "n_paths", int, 2000)
         fans = ((conv_t_hi, conv_x), (char_t_end, char_x))
         conv_starts, char_starts = named(
@@ -205,13 +209,12 @@ def load_config(path) -> Experiment:
             initial=initial,
             scenario=scenario,
             solver=solver,
-            conv_solver=conv_solver,
-            conv_specs=conv_specs,
+            conv_runs=conv_runs,
             verify_x=np.concatenate([[0.0], np.geomspace(*x_range("field", 1e-3, "verify", 5.0), verify_nx)]),
             conv_x=conv_x,
             char_x=char_x,
-            conv_starts=conv_starts,
-            char_starts=char_starts,
+            conv_fan=dict(starts=conv_starts, t_end=conv_t_hi, dt=snap_dt / per_snapshot, record_every=per_snapshot),
+            char_fan=dict(starts=char_starts, t_end=char_t_end, dt=char_fan_dt, record_every=char_record_every),
             out_dir=get("outputs", "dir", str, "out"),
             hj_residual_max=ceiling("hj_residual_max"),
             weak_residual_max=ceiling("weak_residual_max"),
@@ -220,10 +223,6 @@ def load_config(path) -> Experiment:
             sto_volume=sto_volume,
             sto_t_grid=sto_t_grid,
             seed=seed,
-            char_dt=char_dt,
-            char_fan_dt=char_fan_dt,
-            char_t_end=char_t_end,
-            char_record_every=char_record_every,
         )
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value in {path}: {exc}") from exc
@@ -257,7 +256,7 @@ def cmd_simulate(exp: Experiment, out: Path, quiet: bool) -> int:
     config = exp.solver
     guard = stability_limit(exp.initial.grid, config.spec, exp.scenario.m)
     if config.dt > guard:
-        _say(quiet, f"warning: dt={config.dt:g} exceeds the stability guard {guard:.3g}")
+        print(f"warning: dt={config.dt:g} exceeds the stability guard {guard:.3g}", file=sys.stderr)
     traj = simulate(config, exp.initial)
     csvio.write_trajectory_csv(out / "trajectory.csv", traj)
     csvio.write_snapshots_csv(out / "snapshots.csv", traj)
@@ -268,7 +267,7 @@ def cmd_simulate(exp: Experiment, out: Path, quiet: bool) -> int:
         f"simulated to t={config.t_end:g}: max mass drift {drift:.3e} "
         f"(tol {MASS_DRIFT_TOL:g}), top-bin occupancy {occupancy:.3e}",
     )
-    if not mass_conservation_check(traj).passed or traj.metadata["top_bin_occupancy_exceeded"]:
+    if not all(check(traj).passed for check in (mass_conservation_check, truncation_occupancy_check)):
         print("bound violation: mass drift or truncation occupancy out of tolerance", file=sys.stderr)
         return EXIT_BOUND_VIOLATION
     return EXIT_OK
@@ -297,6 +296,7 @@ def cmd_verify(exp: Experiment, out: Path, quiet: bool) -> int:
 
     reports = [
         mass_conservation_check(traj),
+        truncation_occupancy_check(traj),
         # the envelope margin is reported per output time
         *(envelope_check([t], [m2], m2_0) for t, m2 in zip(times[window], moments[window, 2])),
         holder_bounds_check(moments, times),
@@ -333,23 +333,13 @@ def strictly_decreasing(gaps) -> tuple:
 
 
 def cmd_convergence(exp: Experiment, out: Path, quiet: bool) -> int:
-    eps_list = [spec.frag_eps for spec in exp.conv_specs]
+    eps_list = [run.spec.frag_eps for run in exp.conv_runs]
     if len(eps_list) < 3 or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("convergence needs an eps_list with >= 3 strictly decreasing entries")
 
-    run, x_grid, m = exp.conv_solver, exp.conv_x, exp.scenario.m
-    fields = [field_from_trajectory(simulate(replace(run, spec=spec), exp.initial), x_grid) for spec in exp.conv_specs]
-
-    # the fan steps at about [characteristics] dt, a whole number of steps per
-    # snapshot, and records only the snapshot times that the gaps read
-    times = fields[0].times
-    snap_dt = float(times[1] - times[0]) if times.size > 1 else exp.char_dt
-    per_snapshot = max(1, step_count(snap_dt, exp.char_dt))
-    fan = integrate_fan(
-        distribution_transform(exp.initial), exp.conv_starts, run.t_end, snap_dt / per_snapshot, m,
-        record_every=per_snapshot,
-    )
-    limit_field = fan_to_field(fan, x_grid, times)
+    fields = [field_from_trajectory(simulate(run, exp.initial), exp.conv_x) for run in exp.conv_runs]
+    fan = integrate_fan(distribution_transform(exp.initial), m=exp.scenario.m, **exp.conv_fan)
+    limit_field = fan_to_field(fan, exp.conv_x, fields[0].times)
 
     gaps = [float(np.max(np.abs(f.F - limit_field.F))) for f in fields]
     csvio.write_convergence_csv(out / "convergence.csv", eps_list, gaps)
@@ -363,18 +353,15 @@ def cmd_convergence(exp: Experiment, out: Path, quiet: bool) -> int:
 
 
 def cmd_characteristics(exp: Experiment, out: Path, quiet: bool) -> int:
-    scenario, x_grid = exp.scenario, exp.char_x
-    fan = integrate_fan(
-        distribution_transform(exp.initial), exp.char_starts, exp.char_t_end, exp.char_fan_dt, scenario.m,
-        record_every=exp.char_record_every,
-    )
+    scenario, t_end = exp.scenario, exp.char_fan["t_end"]
+    fan = integrate_fan(distribution_transform(exp.initial), m=scenario.m, **exp.char_fan)
     csvio.write_fan_csv(out / "fan.csv", fan)
-    field = fan_to_field(fan, x_grid, fan.times)
+    field = fan_to_field(fan, exp.char_x, fan.times)
     residual = hj_residual_grid(field, scenario, 0.0) if field.times.size >= 3 else None
     csvio.write_field_csv(out / "characteristics_field.csv", field, residual)
-    _say(quiet, f"fan of {fan.n_paths} paths to t={exp.char_t_end:g}; "
+    _say(quiet, f"fan of {fan.n_paths} paths to t={t_end:g}; "
                 f"{int(np.count_nonzero(fan.terminated))} terminated")
-    t_star = scenario.t_star if exp.char_t_end < scenario.t_star else None
+    t_star = scenario.t_star if t_end < scenario.t_star else None
     reports = [*monotone_derivative_checks(fan, t_star), cm_sampled_check(field)]
     return _report(out / "characteristics_report.csv", reports, quiet)
 

@@ -1,13 +1,13 @@
 """CSV artifact writers and readers.
 
 CSV is the only output format, with headers; 17-digit floats round-trip, so
-identical runs write identical bytes.  ``%`` templates format the rows: one per
-row's cell types in ``write_rows``, one per recorded time in ``write_fan_csv``.
+identical runs write identical bytes.  ``%`` templates format the numeric rows:
+one per row's cell types in ``write_rows``, one per recorded time in
+``write_fan_csv``.
 """
 from __future__ import annotations
 
 import csv
-import re
 from pathlib import Path
 
 import numpy as np
@@ -32,37 +32,28 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _row_template(kinds) -> tuple:
+def _row_template(kinds) -> str:
     """One ``%`` template printing a row of these cell types as ``_fmt`` prints
-    each cell, and the positions of the string cells."""
+    each cell."""
     cells = (
         "%s" if issubclass(kind, str)
         else "%d" if issubclass(kind, (bool, np.bool_, int, np.integer))
         else "%.17g"
         for kind in kinds
     )
-    return ",".join(cells) + "\r\n", tuple(i for i, kind in enumerate(kinds) if issubclass(kind, str))
-
-
-class _Plain(dict):
-    """Whether ``csv.writer`` prints a string cell as it is, that is, does not
-    quote it for a delimiter, a quote or a line end; filled on first lookup."""
-
-    def __missing__(self, cell):
-        self[cell] = plain = re.search(r'[,"\r\n]', cell) is None
-        return plain
+    return ",".join(cells) + "\r\n"
 
 
 def write_rows(path, header, rows):
     """Header and rows as CSV with the CRLF line ends of ``csv.writer``.
 
-    Each row is formatted whole by one template per sequence of cell types.
-    A row with a string cell that needs quoting, or whose only cell is "",
-    goes through ``csv.writer``.
+    A row of numbers is formatted whole by one template per sequence of cell
+    types; a row with a string cell goes through ``csv.writer``, which quotes
+    what needs quoting.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    templates, plain = {}, _Plain()
+    templates = {}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -70,9 +61,9 @@ def write_rows(path, header, rows):
             row = tuple(row)
             kinds = tuple(map(type, row))
             if kinds not in templates:
-                templates[kinds] = _row_template(kinds)
-            template, text = templates[kinds]
-            if text and (row == ("",) or not all([plain[row[i]] for i in text])):
+                templates[kinds] = None if any(issubclass(k, str) for k in kinds) else _row_template(kinds)
+            template = templates[kinds]
+            if template is None:
                 writer.writerow([_fmt(v) for v in row])
             else:
                 fh.write(template % row)
@@ -144,7 +135,7 @@ def write_fan_csv(path, fan: CharacteristicFan):
     template over a flat cell list, in which each start and the time are text
     printed once.  Rows do not go through ``write_rows`` one at a time."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    template = _row_template((str, str, float, float, float, bool))[0] * fan.n_paths
+    template = _row_template((str, str, float, float, float, bool)) * fan.n_paths
     cells = [None] * (6 * fan.n_paths)
     cells[0::6] = [_fmt(s) for s in fan.starts.tolist()]
     with open(path, "w", newline="") as fh:

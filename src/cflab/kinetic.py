@@ -103,10 +103,10 @@ class Trajectory:
     def of_snapshots(cls, times, counts, grid: SizeGrid, spec: KernelSpec, **metadata) -> "Trajectory":
         """The run that recorded the rows of ``counts`` at ``times``, with its
         bookkeeping in ``metadata``: the relative mass drift against the first
-        snapshot, which ``verification.mass_conservation_check`` holds to
-        MASS_DRIFT_TOL, and the top-bin occupancy, flagged (not rejected) when
-        it exceeds TOP_BIN_OCCUPANCY_TOL, since either invalidates bound
-        checks."""
+        snapshot and the top-bin occupancy, which
+        ``verification.mass_conservation_check`` and
+        ``truncation_occupancy_check`` hold to MASS_DRIFT_TOL and
+        TOP_BIN_OCCUPANCY_TOL."""
         counts = _readonly(counts)
         m1_0 = float(np.dot(grid.sizes, counts[0]))
         mass_scale = m1_0 if m1_0 > 0 else 1.0
@@ -118,7 +118,6 @@ class Trajectory:
             max_mass_drift=float(drift.max()),
             max_top_bin_occupancy=float(top_occupancy.max()),
             top_bin_occupancy=top_occupancy,
-            top_bin_occupancy_exceeded=bool(top_occupancy.max() > TOP_BIN_OCCUPANCY_TOL),
         )
         return cls(counts, grid, MomentSeries(times, moments, drift), spec, metadata)
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .bernstein import BernsteinField, hj_residual_grid
 from .core import BoundReport, ScenarioParams, time_derivative, uniform_step
-from .kinetic import MASS_DRIFT_TOL, Trajectory, weak_form_residual
+from .kinetic import MASS_DRIFT_TOL, TOP_BIN_OCCUPANCY_TOL, Trajectory, weak_form_residual
 
 #: Relative slack on the second-moment envelope for deterministic runs.
 ENVELOPE_RTOL = 1e-3
@@ -200,6 +200,16 @@ def mass_conservation_check(traj: Trajectory) -> BoundReport:
     i = int(np.argmax(drift))
     margin = float((MASS_DRIFT_TOL - drift[i]) / MASS_DRIFT_TOL)
     return BoundReport("mass_conservation", margin, 0.0, (float(traj.times[i]), "m1"))
+
+
+def truncation_occupancy_check(traj: Trajectory) -> BoundReport:
+    """Largest top-bin occupancy s_max * N_n / m1(0) of a run against
+    TOP_BIN_OCCUPANCY_TOL, at the snapshot time of that occupancy: above it
+    the truncation cap suppresses enough mass to invalidate the bound checks."""
+    occupancy = traj.metadata["top_bin_occupancy"]
+    i = int(np.argmax(occupancy))
+    margin = float((TOP_BIN_OCCUPANCY_TOL - occupancy[i]) / TOP_BIN_OCCUPANCY_TOL)
+    return BoundReport("truncation_occupancy", margin, 0.0, (float(traj.times[i]), "s_max"))
 
 
 def cm_sampled_check(field: BernsteinField) -> BoundReport:

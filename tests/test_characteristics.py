@@ -18,7 +18,6 @@ from cflab import (
 )
 from cflab import characteristics
 from cflab.characteristics import CharacteristicFan, _check_no_crossing, _pchip, char_rhs
-from cflab.core import step_count
 from oracles import exponential_transform, integrate_fan_loop, ordering_check, scale_initial
 
 
@@ -230,12 +229,10 @@ class TestIntegrateFan:
         """The README convergence fan recorded once per snapshot, as
         ``cflab convergence`` records it, gives the limit field of the same fan
         recorded at every step, bit for bit."""
-        exp = readme_experiment
-        times = exp.conv_solver.snapshot_times
-        snap_dt = float(times[1] - times[0])
-        per_snapshot = step_count(snap_dt, exp.char_dt)
-        args = (distribution_transform(exp.initial), exp.conv_starts, exp.conv_solver.t_end,
-                snap_dt / per_snapshot, exp.scenario.m)
+        exp, fan = readme_experiment, readme_experiment.conv_fan
+        times = exp.conv_runs[0].snapshot_times
+        per_snapshot = fan["record_every"]
+        args = (distribution_transform(exp.initial), fan["starts"], fan["t_end"], fan["dt"], exp.scenario.m)
         strided = integrate_fan(*args, record_every=per_snapshot)
         every = integrate_fan(*args)
         assert (per_snapshot, times.size, strided.times.size, every.times.size) == (25, 13, 13, 301)

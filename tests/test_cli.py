@@ -26,6 +26,8 @@ from cflab.cli import (
 )
 from cflab.kinetic import _weak_form_rates, simulate
 
+README_INI = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "readme.ini"
+
 BASE_CONFIG = """
 [scenario]
 mass = 1.0
@@ -190,6 +192,24 @@ class TestConfig:
         assert "Traceback" not in err
         assert err.startswith("config error:") and "t_hi" in err and err.count("\n") == 1
 
+    def test_zero_convergence_fan_step_is_usage_error_for_every_subcommand(self, workspace, tmp_path, capsys):
+        """[characteristics] t_end = 0 and dt = 0 leave an empty characteristics
+        fan, but convergence's fan would step through each snapshot stride by
+        dt = 0: load_config rejects the plan, so every subcommand exits 64 with
+        one config error line before any run."""
+        config, out = workspace
+        old = "n_paths = 200\ndt = 1e-3\nt_end = 0.2\n"
+        assert old in config.read_text()
+        bad = tmp_path / "zero_fan.ini"
+        bad.write_text(config.read_text().replace(old, "n_paths = 200\ndt = 0\nt_end = 0\n"))
+        for command in ("simulate", "verify", "convergence", "characteristics", "stochastic"):
+            assert main([command, "--config", str(bad), "--quiet"]) == EXIT_USAGE, command
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert err.startswith("config error:") and err.count("\n") == 1
+            assert "[characteristics]: dt = 0 must be positive" in err
+        assert not out.exists()
+
     def test_unread_keys_are_named_in_one_line(self, workspace, tmp_path, capsys):
         """Keys that nothing reads, such as the dropped [field] x_hi, exit 64
         before any run, named in one config error line."""
@@ -223,7 +243,7 @@ class TestConfig:
         config, out = workspace
         cfg = tmp_path / "fan_stride.ini"
         cfg.write_text(config.read_text().replace("t_end = 0.2\nx_lo = 0.6", "t_end = 0.21\nx_lo = 0.6"))
-        assert load_config(cfg).char_record_every == 3
+        assert load_config(cfg).char_fan["record_every"] == 3
         assert main(["characteristics", "--config", str(cfg), "--quiet"]) == EXIT_OK
         with open(out / "characteristics_field.csv", newline="") as fh:
             times = sorted({float(row["t"]) for row in csv.DictReader(fh)})
@@ -244,17 +264,18 @@ class TestConfig:
         rounded up to whole fiftieths and the fan's dt shortens by under 2 %.
         Convergence's fan keeps the configured dt, and an explicit
         record_every must still divide the configured steps."""
-        text = (Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "readme.ini").read_text()
+        text = README_INI.read_text()
         if t_end is not None:
             text = text.replace("[characteristics]\n", f"[characteristics]\nt_end = {t_end}\n")
         cfg = tmp_path / "fan.ini"
         cfg.write_text(text)
         exp = load_config(cfg)
-        assert exp.char_dt == 1e-3
-        assert exp.char_record_every == stride
-        assert round(exp.char_t_end / exp.char_fan_dt) == steps
+        fan = exp.char_fan
+        assert exp.conv_fan["dt"] == pytest.approx(1e-3, rel=1e-12)
+        assert fan["record_every"] == stride
+        assert round(fan["t_end"] / fan["dt"]) == steps
         assert steps // stride + 1 == records
-        assert 1 - 0.02 < exp.char_fan_dt / (exp.char_t_end / round(exp.char_t_end / exp.char_dt)) <= 1
+        assert 1 - 0.02 < fan["dt"] / (fan["t_end"] / round(fan["t_end"] / 1e-3)) <= 1
         if steps == 312:
             cfg.write_text(text.replace("[characteristics]\n", "[characteristics]\nrecord_every = 6\n"))
             with pytest.raises(errors.ConfigError, match="does not divide the 307 steps"):
@@ -336,11 +357,42 @@ class TestSimulate:
         bad.write_text(text)
         assert main(["simulate", "--config", str(bad), "--quiet"]) == EXIT_BOUND_VIOLATION
 
+    def test_stability_warning_is_printed_under_quiet(self, workspace, tmp_path, capsys):
+        """dt = 2e-3 is above the stability guard of about 1.008e-3: the warning
+        goes to stderr under --quiet too, and the run still exits 0."""
+        config, out = workspace
+        text = config.read_text().replace("[solver]\ndt = 1e-3", "[solver]\ndt = 2e-3")
+        fast = tmp_path / "fast.ini"
+        fast.write_text(text)
+        assert main(["simulate", "--config", str(fast), "--quiet"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "warning: dt=0.002 exceeds the stability guard 0.00101\n"
+
 
 class TestVerify:
     def test_missing_artifacts(self, workspace):
         config, out = workspace
         assert main(["verify", "--config", str(config), "--quiet"]) == EXIT_NOINPUT
+
+    def test_truncation_occupancy_fails_simulate_and_verify(self, tmp_path):
+        """The README config at mass 0.5 with exponential data fills the top
+        bin to about 2e-6 of the mass, over the 1e-9 tolerance: simulate and
+        verify both exit 2, and truncation_occupancy, right after
+        mass_conservation, is verify's one FAIL row."""
+        text = README_INI.read_text()
+        for old, new in (("mass = 1.0 ", "mass = 0.5 "), ("kind = monodisperse", "kind = exponential")):
+            assert old in text
+            text = text.replace(old, new)
+        cfg, out = tmp_path / "m05.ini", tmp_path / "out"
+        cfg.write_text(text)
+        for command in ("simulate", "verify"):
+            assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == EXIT_BOUND_VIOLATION
+        with open(out / "verify_report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["name"] for row in rows[:2]] == ["mass_conservation", "truncation_occupancy"]
+        assert [row["name"] for row in rows if row["status"] == "FAIL"] == ["truncation_occupancy"]
+        assert 1e-6 < 1e-9 * (1 - float(rows[1]["worst_margin"])) < 1e-5
 
     def test_full_pipeline_passes(self, workspace):
         config, out = workspace

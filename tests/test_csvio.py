@@ -119,8 +119,7 @@ def _all_terminated_fan():
 
 
 def _readme_fan(exp):
-    return integrate_fan(distribution_transform(exp.initial), exp.char_starts, exp.char_t_end, exp.char_fan_dt,
-                         exp.scenario.m, record_every=exp.char_record_every)
+    return integrate_fan(distribution_transform(exp.initial), m=exp.scenario.m, **exp.char_fan)
 
 
 FAN_SHAPES = {
@@ -181,9 +180,7 @@ def test_string_cells_are_quoted_as_csv_writer_quotes_them(tmp_path):
 def test_write_fan_csv_memory_is_bounded(tmp_path, readme_experiment):
     """Writing the README fan (102 000 rows) holds one recorded time of rows at
     a time, not the whole-fan columns that took 18 MB."""
-    exp = readme_experiment
-    fan = integrate_fan(distribution_transform(exp.initial), exp.char_starts, exp.char_t_end, exp.char_dt,
-                        exp.scenario.m, record_every=exp.char_record_every)
+    fan = _readme_fan(readme_experiment)
     assert fan.x.shape == (51, 2000)
     tracemalloc.start()
     try:

@@ -26,6 +26,7 @@ from cflab.verification import (
     moment_ode_rhs_on_grid,
     second_moment_envelope,
     time_derivative_bound,
+    truncation_occupancy_check,
 )
 
 
@@ -179,6 +180,19 @@ class TestRunCheckLocations:
         rep = mass_conservation_check(traj)
         assert rep.location == (0.1, "m1")
         assert rep.worst_margin == pytest.approx(0.7, rel=1e-12)
+
+    def test_truncation_occupancy_at_the_largest_occupancy(self):
+        """Occupancy s_max * N_n / m1(0) of 0, 1e-9, 2e-9, 2e-9 against the
+        1e-9 tolerance: the row fails with margin -1 at the earliest time of
+        the largest occupancy."""
+        top = np.array([0.0, 1e-9, 2e-9, 2e-9])
+        counts = np.column_stack([2.0 - 2.0 * top, top])
+        traj = Trajectory.of_snapshots([0.0, 0.1, 0.2, 0.3], counts, SizeGrid(1.0, 2), KernelSpec(0.0, 2))
+        rep = truncation_occupancy_check(traj)
+        assert (rep.name, rep.location, rep.passed) == ("truncation_occupancy", (0.2, "s_max"), False)
+        assert rep.worst_margin == pytest.approx(-1.0, rel=1e-9)
+        assert truncation_occupancy_check(Trajectory.of_snapshots(
+            [0.0, 0.1], counts[:2], SizeGrid(1.0, 2), KernelSpec(0.0, 2))).passed
 
     def test_cm_exact_at_the_time_x_and_order_of_the_smallest_derivative(self):
         """Two unit-mass rows: the second, all at size 4, has the smallest
