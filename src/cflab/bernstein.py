@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BoundReport, Distribution, ScenarioParams, SizeGrid, time_derivative
+from .core import BoundReport, Distribution, ScenarioParams, SizeGrid, block_rows, time_derivative
 from .kinetic import Trajectory
 
 #: Relative slack on the sign checks of the exact transform sums.
@@ -86,16 +86,20 @@ def bernstein_sums(grid: SizeGrid, counts: np.ndarray, x: np.ndarray, k_max: int
 
     Every term of D_k is nonnegative, so the sign pattern of complete
     monotonicity holds for D with zero tolerance; F uses expm1, which keeps
-    small-x values fully accurate.  The exponentials are formed once per call;
-    each row is its own matrix-vector product, so a row's sums do not depend
-    on the other rows.
+    small-x values fully accurate.  The exponentials are formed once per call,
+    ``block_rows(n)`` x values at a time; each row is its own matrix-vector
+    product, so a row's sums do not depend on the other rows.
     """
-    s = grid.sizes
-    phase = np.outer(np.asarray(x, dtype=float), s)
-    decay = np.exp(-phase)
-    growth = -np.expm1(-phase)
-    F = np.stack([growth @ N for N in counts])
-    D = np.array([[decay @ (s ** k * N) for k in range(1, k_max + 1)] for N in counts])
+    s, x = grid.sizes, np.asarray(x, dtype=float)
+    rows = block_rows(s.size)
+    F, D = np.empty((len(counts), x.size)), np.empty((len(counts), k_max, x.size))
+    for lo in range(0, x.size, rows):
+        phase = np.outer(-x[lo : lo + rows], s)  # -x s, without a negated copy
+        decay = np.exp(phase)
+        growth = np.negative(np.expm1(phase, out=phase), out=phase)  # 1 - exp(-x s), in place
+        for t, N in enumerate(counts):
+            F[t, lo : lo + rows] = growth @ N
+            D[t, :, lo : lo + rows] = [decay @ (s ** k * N) for k in range(1, k_max + 1)]
     return F, D
 
 

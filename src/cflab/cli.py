@@ -36,7 +36,7 @@ from .errors import (
     MissingArtifactError,
     SolverAbort,
 )
-from .kinetic import MASS_DRIFT_TOL, SolverConfig, Trajectory, simulate, stability_limit
+from .kinetic import MASS_DRIFT_TOL, TOP_BIN_OCCUPANCY_TOL, SolverConfig, Trajectory, simulate, stability_limit
 from .stochastic import ensemble_moments, time_grid
 from .verification import (
     cm_sampled_check,
@@ -184,7 +184,10 @@ def load_config(path) -> Experiment:
         # snapshot, and records only the snapshot times that its gaps read
         snap_times = conv_solver.snapshot_times
         snap_dt = float(snap_times[1] - snap_times[0]) if snap_times.size > 1 else char_dt
-        per_snapshot = named("[characteristics]", lambda: max(1, step_count(snap_dt, char_dt)))
+        if snap_times.size > 1 and not char_dt > 0:
+            stride = f"snapshot stride of [solver] output_every = {conv_solver.output_every} steps"
+            raise ValueError(f"[characteristics]: dt = {char_dt:g} must be positive to step through each {stride}")
+        per_snapshot = max(1, step_count(snap_dt, char_dt))
         n_paths = get("characteristics", "n_paths", int, 2000)
         fans = ((conv_t_hi, conv_x), (char_t_end, char_x))
         conv_starts, char_starts = named(
@@ -262,13 +265,14 @@ def cmd_simulate(exp: Experiment, out: Path, quiet: bool) -> int:
     csvio.write_snapshots_csv(out / "snapshots.csv", traj)
     drift = traj.metadata["max_mass_drift"]
     occupancy = traj.metadata["max_top_bin_occupancy"]
-    _say(
-        quiet,
-        f"simulated to t={config.t_end:g}: max mass drift {drift:.3e} "
-        f"(tol {MASS_DRIFT_TOL:g}), top-bin occupancy {occupancy:.3e}",
+    summary = (
+        f"max mass drift {drift:.3e} (tol {MASS_DRIFT_TOL:g}), "
+        f"top-bin occupancy {occupancy:.3e} (tol {TOP_BIN_OCCUPANCY_TOL:g})"
     )
-    if not all(check(traj).passed for check in (mass_conservation_check, truncation_occupancy_check)):
-        print("bound violation: mass drift or truncation occupancy out of tolerance", file=sys.stderr)
+    _say(quiet, f"simulated to t={config.t_end:g}: {summary}")
+    failed = [rep.name for rep in (mass_conservation_check(traj), truncation_occupancy_check(traj)) if not rep.passed]
+    if failed:
+        print(f"bound violation: {' and '.join(failed)} out of tolerance: {summary}", file=sys.stderr)
         return EXIT_BOUND_VIOLATION
     return EXIT_OK
 

@@ -30,6 +30,15 @@ INITIAL_MASS_RTOL = 1e-12
 #: Relative mass allowed beyond the top of the grid when discretizing.
 TAIL_MASS_RTOL = 1e-9
 
+#: Entries of the largest (rows x bins) block that a blocked sum forms at once:
+#: 2^16 doubles (512 KB), so the matrices of one block fit together in a 2 MB L2.
+BLOCK_ENTRIES = 1 << 16
+
+
+def block_rows(cols: int) -> int:
+    """Rows of ``cols`` entries that fit one block of BLOCK_ENTRIES, at least 1."""
+    return max(1, BLOCK_ENTRIES // max(cols, 1))
+
 
 def _readonly(values, dtype=float) -> np.ndarray:
     out = np.array(values, dtype=dtype)

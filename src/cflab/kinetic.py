@@ -26,8 +26,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
-    MAX_MOMENT, Distribution, KernelSpec, MomentSeries, ScenarioParams, SizeGrid, _readonly, march, rk4,
-    schedule, step_count, time_derivative,
+    MAX_MOMENT, Distribution, KernelSpec, MomentSeries, ScenarioParams, SizeGrid, _readonly, block_rows, march,
+    rk4, schedule, step_count, time_derivative,
 )
 from .errors import SolverAbort
 
@@ -46,10 +46,6 @@ TOP_BIN_OCCUPANCY_TOL = 1e-9
 #: at 256 bins, 40 vs 40 us at 384, 61 vs 38 us at 512 and 2933 vs 218 us at
 #: 4095; both agreed to 8e-16 of the largest entry.
 _FFT_MIN_BINS = 512
-
-#: Rows a of the coagulation pair sum that the weak-form rates evaluate at
-#: once; the one gain block then takes O(rows * n) memory instead of O(n^2).
-_WEAK_FORM_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -252,8 +248,9 @@ def _weak_form_rates(grid: SizeGrid, spec: KernelSpec, phi_s: np.ndarray, counts
 
     The coagulation sum visits each unordered pair once: over 0-based bins a, b
     with a + b <= C = cap - 2 it is sum_{a<b} + 1/2 sum_{a=b}, so its rows stop
-    at a = C // 2.  The block of rows from ``lo`` forms, in one reused buffer,
-    the gains G[a, b] = phi(s_{a+b+1}) - phi(s_a) - phi(s_b) over the columns
+    at a = C // 2.  The block of up to ``block_rows(C + 1)`` rows from ``lo``
+    forms, in one reused buffer, the gains
+    G[a, b] = phi(s_{a+b+1}) - phi(s_a) - phi(s_b) over the columns
     b = lo .. C - lo, zero where b < a or a + b > C and halved where b = a, and
     contracts them with w = s N of every row through numpy's own einsum loops,
     which wake no BLAS thread.  Each pair keeps its own difference, so
@@ -262,21 +259,22 @@ def _weak_form_rates(grid: SizeGrid, spec: KernelSpec, phi_s: np.ndarray, counts
     n = grid.n
     cap = min(spec.truncation, n)
     s = grid.sizes
-    rows = _WEAK_FORM_ROWS
     last = cap - 2  # C
     a_end = last // 2 + 1  # rows a < a_end have a partner b >= a
+    rows = min(block_rows(last + 1), a_end)
     w = counts * s
-    # 0-based bins a and b merge into bin a + b + 1; that entry of phi_pad
-    # exists for every pair of a block and is masked when past the cap
-    phi_pad = np.concatenate([phi_s[:cap], np.zeros(rows)])
-    buf = np.empty(max(rows * (last + 1), 0))
+    # 0-based bins a, b merge into bin a + b + 1: phi_pad[a + b + 1], padded to
+    # exist for every pair and masked past the cap, is window a + lo + 1 at column b - lo
+    phi_pad = np.concatenate([phi_s[:cap], np.zeros(cap)])
+    windows = sliding_window_view(phi_pad, last + 1)
+    buf = np.empty(rows * (last + 1))
     below = np.tri(rows, rows, -1, dtype=bool)  # below[r, c]: c < r
     coag = np.zeros(counts.shape[0])
     for lo in range(0, a_end, rows):
         hi = min(lo + rows, a_end)
         k, cols = hi - lo, last + 1 - 2 * lo
         gain = buf[: k * cols].reshape(k, cols)
-        np.subtract(sliding_window_view(phi_pad, cols)[2 * lo + 1 : 2 * lo + 1 + k], phi_s[lo:hi, None], out=gain)
+        np.subtract(windows[2 * lo + 1 : 2 * lo + 1 + k, :cols], phi_s[lo:hi, None], out=gain)
         gain -= phi_s[lo : lo + cols]
         # row lo + r pairs with the columns r .. cols - 1 - r: a triangle is
         # cut off at each end of the block, and its diagonal pairs count half

@@ -15,6 +15,7 @@ from cflab import (
     g_eps_bound_check,
     make_initial,
 )
+from cflab import core
 from cflab.bernstein import bernstein_sums, default_x_grid, transform
 from cflab.core import moment
 from cflab.verification import cm_sampled_check, hj_residual_check
@@ -127,6 +128,40 @@ def test_sums_of_a_matrix_are_its_rows_sums():
     for row, c in enumerate(counts):
         F_row, D_row = sums(Distribution(g, c), x, k_max=3)
         assert F[row].tobytes() == F_row.tobytes() and D[row].tobytes() == D_row.tobytes()
+
+
+def single_block_sums(grid, counts, x, k_max):
+    """The sums with every x in one block: the three X-by-n matrices at once."""
+    s = grid.sizes
+    phase = np.outer(np.asarray(x, dtype=float), s)
+    decay, growth = np.exp(-phase), -np.expm1(-phase)
+    F = np.stack([growth @ N for N in counts])
+    D = np.array([[decay @ (s**k * N) for k in range(1, k_max + 1)] for N in counts])
+    return F, D
+
+
+@pytest.mark.parametrize(
+    "num, rows",
+    [
+        pytest.param(12, 4, id="13 x over blocks of 4"),
+        pytest.param(12, 1, id="one x per block"),
+        pytest.param(0, 1, id="one x"),
+        pytest.param(12, None, id="X n fits one block"),
+    ],
+)
+def test_blocked_sums_match_one_block(monkeypatch, num, rows):
+    """Blocks of x rows write the slices of F and D that one block of every x
+    would: the same sums, to roundoff."""
+    g = SizeGrid(ds=0.25, n=32)
+    counts = np.random.default_rng(7).random((3, 32)) * np.exp(-g.sizes)
+    x = default_x_grid(num=num) if num else np.array([0.7])
+    if rows is not None:
+        monkeypatch.setattr(core, "BLOCK_ENTRIES", rows * g.n)
+    assert core.block_rows(g.n) == (rows or core.BLOCK_ENTRIES // g.n)
+    F, D = bernstein_sums(g, counts, x, k_max=3)
+    F_ref, D_ref = single_block_sums(g, counts, x, k_max=3)
+    np.testing.assert_allclose(F, F_ref, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(D, D_ref, rtol=1e-13, atol=0)
 
 
 class TestDerivative:

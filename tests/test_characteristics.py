@@ -1,5 +1,7 @@
 """Characteristics: the Hamiltonian right-hand side, fan integration with its
 runtime invariants, reconstruction, and solution ordering."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,22 @@ class TestInitialData:
         x = np.array([0.3, 1.0, 3.0])
         np.testing.assert_allclose(f_closed(x)[0], f_disc(x)[0], rtol=5e-3)
         np.testing.assert_allclose(f_closed(x)[1], f_disc(x)[1], rtol=5e-3)
+
+    def test_transform_memory_is_bounded_at_4096(self):
+        """The initial data of a 2000-path fan on 4096 bins: the transform sums
+        stay within blocks of BLOCK_ENTRIES, far below the three 2000-by-4096
+        matrices (196 MB) of one block of every start."""
+        g = SizeGrid(ds=1.0 / 128, n=4096)
+        f0 = distribution_transform(make_initial("exponential", g, mass=1.0, lam=1.0))
+        starts = default_starts(1.0, 0.2, 0.5, 6.0, 2000)
+        tracemalloc.start()
+        try:
+            F, P = f0(starts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert F.shape == P.shape == (2000,)
+        assert peak < 4 * 2**20
 
     def test_invalid_slope_rejected(self):
         bad = lambda x: (np.asarray(x, float) * 2.0, np.full_like(np.asarray(x, float), 2.0))

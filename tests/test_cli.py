@@ -208,6 +208,9 @@ class TestConfig:
             assert "Traceback" not in err
             assert err.startswith("config error:") and err.count("\n") == 1
             assert "[characteristics]: dt = 0 must be positive" in err
+            # the fan steps through the snapshot stride, not to a t_end the config never set
+            assert "snapshot stride of [solver] output_every = 50 steps" in err
+            assert "t_end =" not in err
         assert not out.exists()
 
     def test_unread_keys_are_named_in_one_line(self, workspace, tmp_path, capsys):
@@ -375,11 +378,13 @@ class TestVerify:
         config, out = workspace
         assert main(["verify", "--config", str(config), "--quiet"]) == EXIT_NOINPUT
 
-    def test_truncation_occupancy_fails_simulate_and_verify(self, tmp_path):
+    def test_truncation_occupancy_fails_simulate_and_verify(self, tmp_path, capsys):
         """The README config at mass 0.5 with exponential data fills the top
-        bin to about 2e-6 of the mass, over the 1e-9 tolerance: simulate and
-        verify both exit 2, and truncation_occupancy, right after
-        mass_conservation, is verify's one FAIL row."""
+        bin to 1.954e-6 of the mass, over the 1e-9 tolerance: simulate and
+        verify both exit 2; simulate's one stderr line, under --quiet too,
+        names truncation_occupancy alone with its value and tolerance, and
+        truncation_occupancy, right after mass_conservation, is verify's one
+        FAIL row."""
         text = README_INI.read_text()
         for old, new in (("mass = 1.0 ", "mass = 0.5 "), ("kind = monodisperse", "kind = exponential")):
             assert old in text
@@ -388,6 +393,10 @@ class TestVerify:
         cfg.write_text(text)
         for command in ("simulate", "verify"):
             assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == EXIT_BOUND_VIOLATION
+        err = capsys.readouterr().err  # simulate's line; verify prints none under --quiet
+        assert err.startswith("bound violation: truncation_occupancy out of tolerance: ")
+        assert "top-bin occupancy 1.954e-06 (tol 1e-09)\n" in err
+        assert err.count("\n") == 1 and "mass_conservation" not in err
         with open(out / "verify_report.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [row["name"] for row in rows[:2]] == ["mass_conservation", "truncation_occupancy"]

@@ -21,7 +21,7 @@ from cflab import (
     stability_limit,
     weak_form_residual,
 )
-from cflab import kinetic
+from cflab import core, kinetic
 from cflab.core import moment
 from cflab.kinetic import _coag_rates, _frag_rates, _rhs, _self_convolution, _weak_form_rates
 from cflab.verification import frag_weak_coefficient, moment_ode_rhs_on_grid, second_moment_envelope
@@ -389,7 +389,8 @@ class TestWeakFormResidual:
         rows stop at C // 2 for odd and even C = cap - 2, with blocks of any
         height, and the ends of each block are cut off at the cap."""
         if rows is not None:
-            monkeypatch.setattr(kinetic, "_WEAK_FORM_ROWS", rows)
+            # blocks of ``rows`` rows of the widest gain matrix, cap - 1 columns
+            monkeypatch.setattr(core, "BLOCK_ENTRIES", rows * (min(truncation, n) - 1))
         g = SizeGrid(ds=0.05, n=n)
         spec = KernelSpec(frag_eps=0.3, truncation=truncation)
         d = Distribution(g, np.random.default_rng(29).random(n) * np.exp(-g.sizes))
@@ -404,7 +405,8 @@ class TestWeakFormResidual:
         pass; each snapshot's rate, and so the worst mismatch and its time,
         must match the double loop."""
         if rows is not None:
-            monkeypatch.setattr(kinetic, "_WEAK_FORM_ROWS", rows)
+            # blocks of ``rows`` rows of the widest gain matrix, cap - 1 columns
+            monkeypatch.setattr(core, "BLOCK_ENTRIES", rows * (min(truncation, n) - 1))
         g = SizeGrid(ds=0.05, n=n)
         spec = KernelSpec(frag_eps=0.3, truncation=truncation)
         counts = np.random.default_rng(31).random((5, n)) * np.exp(-g.sizes)
@@ -441,8 +443,9 @@ class TestWeakFormResidual:
         assert weak_form_residual(traj, lambda s: np.asarray(s, float)) == (0.0, traj.times[1])
 
     def test_rate_memory_is_bounded_at_4096(self):
-        """Row blocks keep the pair sum far below the 4096^2 doubles (128 MB)
-        that a single n-by-n temporary would take."""
+        """Blocks of at most BLOCK_ENTRIES gains (512 KB) keep the pair sum far
+        below the 4096^2 doubles (128 MB) that a single n-by-n temporary would
+        take."""
         g = SizeGrid(ds=1.0 / 128, n=4096)
         d = Distribution(g, np.exp(-g.sizes) * g.ds)
         spec = KernelSpec.for_grid(g, frag_eps=0.1)
@@ -452,7 +455,7 @@ class TestWeakFormResidual:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 2 * 2**20
 
     def test_needs_three_snapshots(self):
         g = SizeGrid(ds=1.0, n=8)
