@@ -275,84 +275,61 @@ def monotone_derivative_checks(fan: CharacteristicFan, t_star: float | None = No
     (X, Z) stay in [0, m], and, when the blow-up horizon is supplied, second
     difference quotients respect the curvature floor -1/(t_star - t_end) and
     exp(t/(t_star - t_end)) * dX stays nondecreasing along each adjacent gap.
-    Per-path worst cases are located at (t, path index), cross-path ones at
-    (t, gap index among the surviving paths); a second difference is located
-    at the lower of its two gaps.
+    Per-path worst cases are located at (t, path index), ties going to the
+    lowest path, then the earliest time; cross-path ones at (t, gap index
+    among the surviving paths), ties going to the earliest time, then the
+    lowest gap; a second difference is located at the lower of its two gaps.
+    ValueError unless t_star lies beyond the last fan time.
     """
-    m = fan.m
-    checks = []
-    fp_tol = 1e-12 * max(1.0, m)
-    alive = fan.alive
-
-    p_margin = np.where(alive, np.minimum(fan.p, m - fan.p), np.inf)
-    checks.append(_path_major_worst("p_within_[0,m]", p_margin, fp_tol, fan.times))
-
-    dp = np.where(alive[:-1] & alive[1:], np.diff(fan.p, axis=0), np.inf)
-    checks.append(_path_major_worst("p_nondecreasing", dp, 1e-10, fan.times))
-    rhs = np.where(alive, (fan.z / fan.x - fan.p) / fan.x, np.inf)
-    checks.append(_path_major_worst("dp_nonnegative", rhs, 1e-10, fan.times))
-
-    cross_worst, cross_loc = np.inf, ()
-    slope_worst, slope_loc = np.inf, ()
-    curv_worst, curv_loc = np.inf, ()
-    for i, t in enumerate(fan.times):
-        live = fan.alive[i]
-        if np.count_nonzero(live) < 2:
-            continue
-        xs = fan.x[i, live]
-        zs = fan.z[i, live]
-        gaps = np.diff(xs)
-        g = int(np.argmin(gaps))
-        if gaps[g] - CROSSING_SEPARATION < cross_worst:
-            cross_worst, cross_loc = float(gaps[g] - CROSSING_SEPARATION), (float(t), g)
-        quot = np.diff(zs) / gaps
-        slope = np.minimum(quot, m - quot)
-        q = int(np.argmin(slope))
-        if slope[q] < slope_worst:
-            slope_worst, slope_loc = float(slope[q]), (float(t), q)
-        if t_star is not None and quot.size >= 2:
-            second = 2.0 * np.diff(quot) / (xs[2:] - xs[:-2])
-            floor = -1.0 / (t_star - fan.times[-1])
-            curv = np.minimum(second - floor, -second)
-            q = int(np.argmin(curv))
-            if curv[q] < curv_worst:
-                curv_worst, curv_loc = float(curv[q]), (float(t), q)
-    checks.append(BoundReport("non_crossing", cross_worst if np.isfinite(cross_worst) else 0.0, 0.0, cross_loc))
-    checks.append(BoundReport("slope_quotients_in_[0,m]", slope_worst if np.isfinite(slope_worst) else 0.0, 1e-8 * max(1.0, m), slope_loc))
+    m, times = fan.m, fan.times
+    tolerances = {
+        "p_within_[0,m]": 1e-12 * max(1.0, m),
+        "p_nondecreasing": 1e-10,
+        "dp_nonnegative": 1e-10,
+        "non_crossing": 0.0,
+        "slope_quotients_in_[0,m]": 1e-8 * max(1.0, m),
+    }
     if t_star is not None:
-        curv_scale = 1.0 / (t_star - fan.times[-1]) if fan.times[-1] < t_star else 1.0
-        checks.append(
-            BoundReport(
-                "curvature_within_envelope",
-                curv_worst if np.isfinite(curv_worst) else 0.0,
-                1e-3 * curv_scale + 1e-10,
-                curv_loc,
-            )
-        )
-        checks.append(_spread_factor_check(fan, t_star))
-    return tuple(checks)
+        tau = t_star - times[-1]
+        if not tau > 0:
+            raise ValueError(f"last fan time {times[-1]:.6g} must lie strictly below t_star={t_star}")
+        scale, factor = 1.0 / tau, np.exp(times / tau)
+        tolerances["curvature_within_envelope"] = 1e-3 * scale + 1e-10
+        tolerances["x_spread_factor_nondecreasing"] = 1e-8
+    worst = {}
 
+    def offer(name, margins, i, per_path):
+        """Keep the smallest entry of one row of margins at time index i under
+        the key (margin, path, time) or (margin, time, gap); a nan ranks
+        lowest, and masked (+inf) entries are never kept."""
+        if margins.size == 0:
+            return
+        k = int(np.argmin(margins))
+        margin = float(margins[k])
+        if margin == np.inf:
+            return
+        rank = -np.inf if np.isnan(margin) else margin
+        key = (rank, k, i) if per_path else (rank, i, k)
+        if name not in worst or key < worst[name][0]:
+            worst[name] = (key, BoundReport(name, margin, tolerances[name], (float(times[i]), k)))
 
-def _spread_factor_check(fan: CharacteristicFan, t_star: float) -> BoundReport:
-    """exp(t/(t_star - t_end)) * (adjacent X gap) must be nondecreasing in t."""
-    tau = t_star - fan.times[-1]
-    if tau <= 0:
-        return BoundReport("x_spread_factor_nondecreasing", -np.inf, 0.0, ("t_end >= t_star",))
-    pair = fan.alive[:, 1:] & fan.alive[:, :-1]
-    valid = pair[1:] & pair[:-1]
-    spread = np.exp(fan.times / tau)[:, None] * (fan.x[:, 1:] - fan.x[:, :-1])
-    rel = np.full(valid.shape, np.inf)
-    rel[valid] = np.diff(spread, axis=0)[valid] / np.maximum(spread[:-1][valid], np.finfo(float).tiny)
-    return _path_major_worst("x_spread_factor_nondecreasing", rel, 1e-8, fan.times)
-
-
-def _path_major_worst(name: str, values: np.ndarray, tolerance: float, times) -> BoundReport:
-    """Smallest entry of ``values`` (times, paths), masked with +inf, at its
-    (t, path); ties go to the lowest path, then the earliest time.  Paths
-    never revive once terminated, so this is the minimum a loop over paths
-    finds.  With nothing unmasked the margin is 0 and the location empty."""
-    by_path = values.T
-    if not np.any(np.isfinite(by_path)):
-        return BoundReport(name, 0.0, tolerance)
-    jp, i = np.unravel_index(int(np.argmin(by_path)), by_path.shape)
-    return BoundReport(name, float(by_path[jp, i]), tolerance, (float(times[i]), int(jp)))
+    for i in range(times.size):
+        live, x, p, z = fan.alive[i], fan.x[i], fan.p[i], fan.z[i]
+        offer("p_within_[0,m]", np.where(live, np.minimum(p, m - p), np.inf), i, True)
+        offer("dp_nonnegative", np.where(live, (z / x - p) / x, np.inf), i, True)
+        if i + 1 < times.size:
+            both = live & fan.alive[i + 1]
+            offer("p_nondecreasing", np.where(both, fan.p[i + 1] - p, np.inf), i, True)
+            if t_star is not None:
+                now, later = (factor[j] * np.diff(fan.x[j]) for j in (i, i + 1))
+                grow = (later - now) / np.maximum(now, np.finfo(float).tiny)
+                offer("x_spread_factor_nondecreasing", np.where(both[1:] & both[:-1], grow, np.inf), i, True)
+        xs, zs = x[live], z[live]
+        gaps = np.diff(xs)
+        quot = np.diff(zs) / gaps
+        offer("non_crossing", gaps - CROSSING_SEPARATION, i, False)
+        offer("slope_quotients_in_[0,m]", np.minimum(quot, m - quot), i, False)
+        if t_star is not None:
+            second = 2.0 * np.diff(quot) / (xs[2:] - xs[:-2])
+            offer("curvature_within_envelope", np.minimum(second + scale, -second), i, False)
+    return tuple(worst[name][1] if name in worst else BoundReport(name, 0.0, tol) for name, tol in tolerances.items())

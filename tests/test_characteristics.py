@@ -160,9 +160,9 @@ class TestIntegrateFan:
 
     @pytest.mark.parametrize("corrupt", [False, True], ids=["as-integrated", "corrupted"])
     def test_per_path_checks_match_path_loops(self, corrupt):
-        """On a fan whose low paths terminate at different times, the vectorized
-        per-path checks give the margins and (t, path) locations of the loops
-        over paths they replaced."""
+        """On a fan whose low paths terminate at different times, the fan checks
+        give the margins and locations of loops over paths, at (t, path), and
+        of loops over times, then gaps among the surviving paths, at (t, gap)."""
         f0 = monodisperse_transform(1.0, 1.0)
         fan = integrate_fan(f0, np.geomspace(0.05, 6.0, 300), t_end=0.3, dt=1e-3, m=1.0, record_every=6)
         alive_steps = fan.alive.sum(axis=0)
@@ -171,22 +171,72 @@ class TestIntegrateFan:
             # equal dips on two live paths, the lower one later (the lower path
             # wins the tie), a deeper one on a terminated state (ignored), and
             # a gap that shrinks
-            p, x = fan.p.copy(), fan.x.copy()
+            p, x, z = fan.p.copy(), fan.x.copy(), fan.z.copy()
             p[29:31, 200] = p[19:21, 250] = (0.5, 0.25)
             dead = np.argwhere(~fan.alive)[0]
             p[dead[0], dead[1]] -= 1.0
             x[25, 270] = x[25, 271] - 0.5 * (x[25, 271] - x[25, 270])
+            # flat Z, a slope quotient of exactly 0, at paths 250 and 260 at
+            # t[40] (the lower gap wins) and at path 230 at t[45] (a lower
+            # gap, but later, so it loses)
+            z[40, 251], z[40, 261], z[45, 231] = z[40, 250], z[40, 260], z[45, 230]
             fan = CharacteristicFan(
-                starts=fan.starts, times=fan.times, x=x, p=p, z=fan.z, alive=fan.alive, m=fan.m
+                starts=fan.starts, times=fan.times, x=x, p=p, z=z, alive=fan.alive, m=fan.m
             )
         checks = {c.name: c for c in monotone_derivative_checks(fan, t_star=1.0)}
-        for name, (margin, location) in path_loop_oracle(fan, t_star=1.0).items():
+        oracle = path_loop_oracle(fan, t_star=1.0)
+        assert set(oracle) == set(checks) and all(location for _, location in oracle.values())
+        for name, (margin, location) in oracle.items():
             assert checks[name].worst_margin == margin, name
             assert checks[name].location == location, name
         if corrupt:
             assert checks["p_nondecreasing"].worst_margin == -0.25
             assert checks["p_nondecreasing"].location == (fan.times[29], 200)
             assert checks["x_spread_factor_nondecreasing"].location == (fan.times[24], 270)
+            gap = 250 - np.count_nonzero(~fan.alive[40])
+            assert 0 < gap < 250
+            assert checks["slope_quotients_in_[0,m]"].worst_margin == 0.0
+            assert checks["slope_quotients_in_[0,m]"].location == (fan.times[40], gap)
+
+    def test_memory_of_the_readme_fan_checks_is_bounded(self, readme_experiment):
+        """The fan checks read one recorded time at a time, so their peak on
+        the README fan stays below 1 MiB; one (times x paths) array of its
+        51 x 2000 doubles takes 0.8 MiB."""
+        exp = readme_experiment
+        fan = integrate_fan(distribution_transform(exp.initial), m=exp.scenario.m, **exp.char_fan)
+        assert fan.x.shape == (51, 2000)
+        tracemalloc.start()
+        try:
+            report = monotone_derivative_checks(fan, exp.scenario.t_star)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report) == 7 and all(check.passed for check in report)
+        assert peak < 2**20
+
+    def test_nan_fails_the_rows_that_read_it(self, fan_m1):
+        """A nan in Z on one live path at the last time is each reading row's
+        worst case, at that time, whatever finite margins came before."""
+        fan = fan_m1["fan"]
+        z = fan.z.copy()
+        z[-1, 1000] = np.nan
+        corrupted = CharacteristicFan(
+            starts=fan.starts, times=fan.times, x=fan.x, p=fan.p, z=z, alive=fan.alive, m=fan.m
+        )
+        failed = {c.name: c.location for c in monotone_derivative_checks(corrupted, 1.0) if not c.passed}
+        t = fan.times[-1]
+        assert failed == {
+            "dp_nonnegative": (t, 1000),
+            "slope_quotients_in_[0,m]": (t, 999),
+            "curvature_within_envelope": (t, 998),
+        }
+
+    @pytest.mark.parametrize("past", [0.0, 0.1])
+    def test_horizon_at_or_before_the_fan_end_rejected(self, fan_m1, past):
+        """The curvature floor and spread factor need t_star - t_end > 0."""
+        fan = fan_m1["fan"]
+        with pytest.raises(ValueError, match="t_star"):
+            monotone_derivative_checks(fan, t_star=fan.times[-1] - past)
 
     def test_crossing_detection(self):
         """Hand-built crossing data trips the per-state fan validator."""
@@ -260,7 +310,9 @@ class TestIntegrateFan:
 
 
 def path_loop_oracle(fan, t_star):
-    """The per-path loops of the fan checks, as (margin, location) per check."""
+    """The loops of the fan checks, as (margin, location) per check: over
+    paths, then times, for the per-path checks; over times, then adjacent
+    gaps among the surviving paths, for the cross-path ones."""
     dp_worst, dp_loc, rhs_worst, rhs_loc, pm_worst, pm_loc = np.inf, (), np.inf, (), np.inf, ()
     for jp in range(fan.n_paths):
         ok = fan.alive[:, jp]
@@ -290,7 +342,24 @@ def path_loop_oracle(fan, t_star):
         i = int(np.argmin(rel))
         if rel[i] < spread_worst:
             spread_worst, spread_loc = float(rel[i]), (float(fan.times[ok][i]), jp)
+    cross = {}
+    floor = -1.0 / (t_star - fan.times[-1])
+
+    def offer(name, value, where):
+        if value < cross.get(name, (np.inf,))[0]:
+            cross[name] = (float(value), where)
+
+    for i, t in enumerate(fan.times):
+        xs, zs = fan.x[i, fan.alive[i]], fan.z[i, fan.alive[i]]
+        quot = [(zs[g + 1] - zs[g]) / (xs[g + 1] - xs[g]) for g in range(xs.size - 1)]
+        for g, q in enumerate(quot):
+            offer("non_crossing", xs[g + 1] - xs[g] - characteristics.CROSSING_SEPARATION, (float(t), g))
+            offer("slope_quotients_in_[0,m]", min(q, fan.m - q), (float(t), g))
+        for g in range(len(quot) - 1):
+            second = 2.0 * (quot[g + 1] - quot[g]) / (xs[g + 2] - xs[g])
+            offer("curvature_within_envelope", min(second - floor, -second), (float(t), g))
     return {
+        **cross,
         "p_nondecreasing": (dp_worst, dp_loc),
         "p_within_[0,m]": (pm_worst, pm_loc),
         "dp_nonnegative": (rhs_worst, rhs_loc),

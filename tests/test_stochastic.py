@@ -121,7 +121,7 @@ class TestGillespieStep:
         for _ in range(150):
             gillespie_step(sys, spec)
         sizes = sys.sizes()
-        assert sys._s1[0] == sizes.sum()
+        assert sys._s1 == sizes.sum()
         assert sys._s2[0] == (sizes * sizes).sum()
         assert sys._n[0] == sizes.size
 
