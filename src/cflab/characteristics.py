@@ -141,14 +141,15 @@ def integrate_fan(
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 1 or starts.size < 1:
         raise ValueError("starts must be a one-dimensional array")
-    if np.any(starts <= 0) or np.any(np.diff(starts) <= 0):
-        raise ValueError("starts must be positive and strictly increasing")
+    # written so that a nan fails every comparison
+    if not (np.all(np.isfinite(starts) & (starts > 0)) and np.all(np.diff(starts) > 0)):
+        raise ValueError("starts must be finite, positive and strictly increasing")
 
     z0, p0 = f0_eval(starts)
     z0 = np.asarray(z0, dtype=float)
     p0 = np.asarray(p0, dtype=float)
     slack = 1e-9 * max(1.0, m)
-    if np.any(p0 < -slack) or np.any(p0 > m + slack):
+    if not np.all((p0 >= -slack) & (p0 <= m + slack)):
         raise ValueError("initial slope outside [0, m]: not valid transform data")
 
     def rhs(y):
@@ -186,7 +187,7 @@ def _check_no_crossing(x: np.ndarray, alive: np.ndarray, t: float):
         return
     gaps = np.diff(live)
     j = int(np.argmin(gaps))
-    if gaps[j] <= CROSSING_SEPARATION:
+    if not gaps[j] > CROSSING_SEPARATION:  # a nan gap fails too
         raise FanCrossingError(f"paths crossed at t={t:.6g} (gap {gaps[j]:.3e} near start index {j})")
 
 

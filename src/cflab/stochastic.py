@@ -15,12 +15,15 @@ a merge past the truncation cap is drawn but executed as a null event
 
 All replicas advance one event per vectorised step, without rejection.  The
 ordered pair of distinct particles, weighted s_i * s_l, is picked bin by bin:
-the first bin a with weight a (S1 - a) c_a, the second with weight
-b (c_b - [b == a]), each by inverse CDF on a row cumulative sum up to the
-largest bin occupied so far.  An event draws one exponential and three
-uniforms from its replica's own generator, in blocks that every replica
-refills at the same event, so a replica is bit-identical alone or in a batch
-of any size.
+the first bin a with weight a (S1 - a) c_a, the second, on merging rows only,
+with weight b (c_b - [b == a]), each by inverse CDF on a row cumulative sum up
+to the largest bin occupied so far.  An event draws one exponential and three
+uniforms from its replica's own generator: per block of events, the block's
+exponentials, then its uniforms, a window of events at a time.  Every replica
+refills at the same event and one that leaves the batch stops drawing, so a
+replica is bit-identical alone or in a batch of any size.  Each replica's
+draws fill its own row of two buffers allocated once, which are refilled in
+place and never copied.
 """
 from __future__ import annotations
 
@@ -34,9 +37,14 @@ from .errors import AbsorbingStateError
 #: Highest empirical moment recorded by ensemble statistics (m0..m3).
 ENSEMBLE_MAX_MOMENT = 3
 
-#: Events per block of draws; the buffer holds 4 doubles per event and replica
-#: (1.6 MB for 200 replicas).
+#: Events per block of draws, on which every replica's stream depends: its
+#: generator gives _RNG_BLOCK exponentials, then 3 * _RNG_BLOCK uniforms.
 _RNG_BLOCK = 256
+
+#: Events per window of uniforms, a divisor of _RNG_BLOCK.  Each replica holds
+#: one block of exponentials and one window of uniforms, refilled in place:
+#: 0.7 MB for 200 replicas.
+_UNIFORM_WINDOW = 64
 
 
 class ParticleSystem:
@@ -67,8 +75,10 @@ class ParticleSystem:
         self._top = int(sizes.max(initial=0))  # no replica holds a particle above this bin
         seeds = [seed] if replicas == 1 else [(seed, r) for r in range(replicas)]
         self._rngs = [np.random.default_rng(s) for s in seeds]
-        self._draws = np.empty((0, replicas, 4))
-        self._k = 0
+        self._exp = np.empty((replicas, _RNG_BLOCK))
+        self._uniform = np.empty((replicas, _UNIFORM_WINDOW, 3))
+        self._rows = np.arange(replicas)  # buffer row and generator of each replica in the batch
+        self._k = 0  # events drawn so far
 
     @classmethod
     def from_distribution(
@@ -85,39 +95,34 @@ class ParticleSystem:
         sizes = np.repeat(np.arange(1, dist.grid.n + 1), base)
         return cls(dist.grid, volume, sizes, seed=seed, replicas=replicas)
 
-    @property
-    def mass_concentration(self) -> float:
-        """Total mass per unit volume, ds * S1 / V, the same in every replica."""
-        return self.grid.ds * self._s1 / self.volume
-
-    def sizes(self, replica: int = 0) -> np.ndarray:
-        """Sorted particle sizes of one replica, in grid steps."""
-        return np.repeat(self._j, self.counts[replica])
-
-    def empirical_moments(self, k_max: int = ENSEMBLE_MAX_MOMENT) -> np.ndarray:
-        """(1/V) sum_i s_i^k for k = 0..k_max, one row per replica."""
-        return _moments(self.counts, self.grid.ds, self.volume, k_max)
-
-    def to_distribution(self, replica: int = 0) -> Distribution:
-        return Distribution(self.grid, self.counts[replica, 1:] / self.volume)
-
     def _next_draws(self) -> np.ndarray:
-        """One exponential and three uniforms per replica for its next event."""
-        if self._k == len(self._draws):
-            self._draws = np.empty((_RNG_BLOCK, len(self._rngs), 4))
-            for r, rng in enumerate(self._rngs):
-                self._draws[:, r, 0] = rng.standard_exponential(_RNG_BLOCK)
-                self._draws[:, r, 1:] = rng.random((_RNG_BLOCK, 3))
-            self._k = 0
+        """One exponential and three uniforms per replica for its next event,
+        as a (replicas, 4) table.
+
+        At the start of a block, each replica's generator fills its row of
+        exponentials; at the start of each window, its row of uniforms, so it
+        gives the block's exponentials, then the block's uniforms in order.
+        """
+        k, w = self._k % _RNG_BLOCK, self._k % _UNIFORM_WINDOW
+        if w == 0:
+            for r in self._rows.tolist():
+                if k == 0:
+                    self._rngs[r].standard_exponential(out=self._exp[r])
+                self._rngs[r].random(out=self._uniform[r])
         self._k += 1
-        return self._draws[self._k - 1]
+        # while no replica has left, slices read the columns faster than an index array
+        rows = self._rows if self._rows.size < len(self._rngs) else slice(None)
+        draws = np.empty((self._rows.size, 4))
+        draws[:, 0] = self._exp[rows, k]
+        draws[:, 1:] = self._uniform[rows, w]
+        return draws
 
     def _keep(self, rows: np.ndarray):
-        """Drop the replicas outside the boolean mask ``rows``."""
+        """Drop the replicas outside the boolean mask ``rows``; their draws are
+        left in the buffers, unread."""
         self.counts = self.counts[rows]
         self._s2, self._n = self._s2[rows], self._n[rows]
-        self._rngs = [rng for rng, keep in zip(self._rngs, rows) if keep]
-        self._draws = self._draws[:, rows]
+        self._rows = self._rows[rows]
 
 
 def _moments(counts: np.ndarray, ds: float, volume: float, k_max: int = ENSEMBLE_MAX_MOMENT):
@@ -125,26 +130,6 @@ def _moments(counts: np.ndarray, ds: float, volume: float, k_max: int = ENSEMBLE
     k = np.arange(k_max + 1)
     sums = counts @ (np.arange(counts.shape[1])[:, None] ** k)
     return sums * ds**k / volume
-
-
-def event_rates(sys: ParticleSystem, spec: KernelSpec):
-    """Exact (coagulation, fragmentation) total rates of the truncated system,
-    one entry per replica.
-
-    Coagulation: (1/V) sum over distinct pairs with in-cap combined size of
-    s_i * s_l.  Fragmentation: sum over particles of the split-point sum
-    (ds/2) * (j-1) * (1 + eps * s_j); sizes below 2*ds cannot split.
-    """
-    if np.any(sys._n == 0):
-        raise ValueError("empty particle system has no events")
-    ds = sys.grid.ds
-    cap = min(spec.truncation, sys.grid.n)
-    w = sys._j * sys.counts
-    allowed_ordered = np.array([np.convolve(row, row)[: cap + 1].sum() for row in w])
-    half = sys._j[: cap // 2 + 1]
-    self_pairs = sys.counts[:, : half.size] @ half**2
-    coag = ds * ds * (allowed_ordered - self_pairs) / (2.0 * sys.volume)
-    return coag, _proposal_rates(sys, spec)[1]
 
 
 def _proposal_rates(sys: ParticleSystem, spec: KernelSpec):
@@ -158,8 +143,9 @@ def _proposal_rates(sys: ParticleSystem, spec: KernelSpec):
 
 def _inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Per row, the first column whose cumulative weight exceeds u * total; the
-    target stays below a positive total, so a column of positive weight."""
-    cum = np.cumsum(weights, axis=1)
+    target stays below a positive total, so a column of positive weight.  The
+    cumulative sums overwrite ``weights``."""
+    cum = np.cumsum(weights, axis=1, out=weights)
     total = cum[:, -1]
     target = np.minimum(u * total, np.nextafter(total, 0.0))
     return (cum > target[:, None]).argmax(axis=1)
@@ -185,11 +171,15 @@ def _execute_events(sys: ParticleSystem, spec: KernelSpec, coag, total, u, break
     # the particle that merges or splits: weight a (S1 - a) c_a or (a-1)(1 + eps s_a) c_a,
     # picked per replica from a two-row table (np.where over the broadcast rows is 3x slower)
     first = np.array([breakup[:top], sys._pair[:top]]).take(merge.astype(np.intp), axis=0)
-    a = _inverse_cdf(first * c, u[:, 1])
-    # its merge partner, any other particle: weight b (c_b - [b == a])
-    second = j * c
-    second.reshape(-1)[rows * top + a] -= a
-    b = _inverse_cdf(second, u[:, 2])
+    first *= c
+    a = _inverse_cdf(first, u[:, 1])
+    # its merge partner, any other particle: weight b (c_b - [b == a]), on merging rows only
+    merging = np.flatnonzero(merge)
+    second = c[merging]
+    second *= j
+    second.reshape(-1)[np.arange(merging.size) * top + a[merging]] -= a[merging]
+    b = np.zeros_like(a)
+    b[merging] = _inverse_cdf(second, u[merging, 2])
     k = np.minimum(1 + (u[:, 2] * (a - 1)).astype(np.int64), a - 1)  # split a into k, a - k
 
     ab = a + b

@@ -4,7 +4,9 @@ None of these is part of cflab: the kernels are the rates the vectorized
 solvers must realize, the exponential handle is the closed form of a
 discretized profile's transform, and the ordering check compares two fans
 built from different initial data, which no subcommand has; the one-event
-oracle redoes a lockstep event of one replica in Python floats and integers.
+oracle redoes a lockstep event of one replica in Python floats and integers,
+and the exact rates and readings of a ``ParticleSystem`` are what the engine's
+O(1) rates and recorded moments must agree with.
 The two loop oracles are the kinetic solver and the fan as each stepped and
 recorded itself with its own RK4 before both went through ``core.march``.
 """
@@ -12,10 +14,11 @@ import math
 
 import numpy as np
 
-from cflab import default_starts, integrate_fan, reconstruct
+from cflab import Distribution, default_starts, integrate_fan, reconstruct
 from cflab.characteristics import X_FLOOR, _check_no_crossing, char_rhs
 from cflab.errors import FanCoverageError
 from cflab.kinetic import _checked, _rhs
+from cflab.stochastic import ENSEMBLE_MAX_MOMENT, _moments, _proposal_rates
 
 
 def coag_kernel(s, s_hat):
@@ -116,6 +119,46 @@ def lockstep_event(counts, cap, frag_eps, ds, volume, u):
         counts[k] += 1
         counts[a - k] += 1
     return counts
+
+
+def event_rates(sys, spec):
+    """Exact (coagulation, fragmentation) total rates of the truncated system
+    ``sys``, a ``ParticleSystem``, one entry per replica.
+
+    Coagulation: (1/V) sum over distinct pairs with in-cap combined size of
+    s_i * s_l.  Fragmentation: sum over particles of the split-point sum
+    (ds/2) * (j-1) * (1 + eps * s_j); sizes below 2*ds cannot split.
+    """
+    if np.any(sys._n == 0):
+        raise ValueError("empty particle system has no events")
+    ds = sys.grid.ds
+    cap = min(spec.truncation, sys.grid.n)
+    w = sys._j * sys.counts
+    allowed_ordered = np.array([np.convolve(row, row)[: cap + 1].sum() for row in w])
+    half = sys._j[: cap // 2 + 1]
+    self_pairs = sys.counts[:, : half.size] @ half**2
+    coag = ds * ds * (allowed_ordered - self_pairs) / (2.0 * sys.volume)
+    return coag, _proposal_rates(sys, spec)[1]
+
+
+def mass_concentration(sys) -> float:
+    """Total mass per unit volume, ds * S1 / V, the same in every replica."""
+    return sys.grid.ds * sys._s1 / sys.volume
+
+
+def particle_sizes(sys, replica: int = 0) -> np.ndarray:
+    """Sorted particle sizes of one replica, in grid steps."""
+    return np.repeat(sys._j, sys.counts[replica])
+
+
+def empirical_moments(sys, k_max: int = ENSEMBLE_MAX_MOMENT) -> np.ndarray:
+    """(1/V) sum_i s_i^k for k = 0..k_max, one row per replica."""
+    return _moments(sys.counts, sys.grid.ds, sys.volume, k_max)
+
+
+def to_distribution(sys, replica: int = 0) -> Distribution:
+    """The concentrations of one replica's bin counts."""
+    return Distribution(sys.grid, sys.counts[replica, 1:] / sys.volume)
 
 
 def _loop_steps(t_end, dt):

@@ -95,6 +95,27 @@ class TestInitialData:
         with pytest.raises(ValueError):
             integrate_fan(bad, np.array([1.0, 2.0]), t_end=0.1, dt=1e-2, m=1.0)
 
+    def test_non_finite_slope_or_start_rejected(self):
+        """Every comparison with nan is false, so the [0, m] slope test and the
+        start test are written to fail on it: one nan among 10 slopes on [1, 3]
+        would otherwise integrate to an all-nan fan with no error."""
+        f0 = monodisperse_transform(1.0, 1.0)
+        starts = np.linspace(1.0, 3.0, 10)
+
+        def one_nan_slope(x):
+            z, p = f0(x)
+            p = np.array(p, dtype=float)
+            p[4] = np.nan
+            return z, p
+
+        with pytest.raises(ValueError, match="initial slope"):
+            integrate_fan(one_nan_slope, starts, t_end=0.1, dt=1e-3, m=1.0)
+        for bad in (np.nan, np.inf):
+            broken = starts.copy()
+            broken[4 if np.isnan(bad) else -1] = bad
+            with pytest.raises(ValueError, match="starts must be finite"):
+                integrate_fan(f0, broken, t_end=0.1, dt=1e-3, m=1.0)
+
 
 class TestIntegrateFan:
     def test_stride_must_divide_the_step_count(self):
@@ -246,6 +267,13 @@ class TestIntegrateFan:
         with pytest.raises(FanCrossingError):
             for state, live, t in zip(x, alive, times):
                 _check_no_crossing(state, live, t)
+
+    def test_nan_gap_is_a_crossing(self):
+        """A nan position makes a nan gap, which the separation test fails."""
+        x = np.linspace(1.0, 3.0, 10)
+        x[4] = np.nan
+        with pytest.raises(FanCrossingError, match="gap nan"):
+            _check_no_crossing(x, np.ones(10, dtype=bool), 0.05)
 
     def test_crossing_between_recorded_times_is_caught(self, monkeypatch):
         """Two paths that swap and swap back within one recording stride: both

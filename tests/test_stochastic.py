@@ -1,6 +1,7 @@
 """Stochastic particle engine: exact event rates, per-event conservation,
 reproducibility, and small cross-checks against the deterministic solver."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,11 +24,17 @@ from cflab.stochastic import (
     _proposal_rates,
     _run,
     _split_weights,
-    event_rates,
     gillespie_step,
 )
 from cflab.verification import second_moment_envelope
-from oracles import lockstep_event
+from oracles import (
+    empirical_moments,
+    event_rates,
+    lockstep_event,
+    mass_concentration,
+    particle_sizes,
+    to_distribution,
+)
 
 
 def system_of(sizes, ds=1.0, n=8, volume=1.0, seed=0):
@@ -97,10 +104,10 @@ class TestGillespieStep:
     def test_mass_conserved_event_by_event(self):
         sys = system_of([1] * 50, n=64, volume=5.0, seed=3)
         spec = KernelSpec(frag_eps=0.5, truncation=64)
-        mass0 = sys.mass_concentration
+        mass0 = mass_concentration(sys)
         for _ in range(200):
             gillespie_step(sys, spec)
-            assert np.array_equal(sys.mass_concentration, mass0)  # integer arithmetic: exact
+            assert np.array_equal(mass_concentration(sys), mass0)  # integer arithmetic: exact
 
     def test_seeded_runs_are_bit_reproducible(self):
         spec = KernelSpec(frag_eps=0.2, truncation=32)
@@ -111,7 +118,7 @@ class TestGillespieStep:
             for _ in range(50):
                 _, w = gillespie_step(sys, spec)
                 waits.append(float(w[0]))
-            runs.append((waits, sys.sizes().tolist()))
+            runs.append((waits, particle_sizes(sys).tolist()))
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
 
@@ -120,7 +127,7 @@ class TestGillespieStep:
         spec = KernelSpec(frag_eps=0.4, truncation=64)
         for _ in range(150):
             gillespie_step(sys, spec)
-        sizes = sys.sizes()
+        sizes = particle_sizes(sys)
         assert sys._s1 == sizes.sum()
         assert sys._s2[0] == (sizes * sizes).sum()
         assert sys._n[0] == sizes.size
@@ -132,16 +139,16 @@ class TestGillespieStep:
         spec = KernelSpec(frag_eps=0.0, truncation=4)
         # fragmentation of size 3 is admissible, so remove it from the picture
         # by checking only proposals that picked coagulation
-        before = sys.sizes().tolist()
+        before = particle_sizes(sys).tolist()
         merges = 0
         for _ in range(50):
             gillespie_step(sys, spec)
             if sys.counts.sum() < 2:
                 break
-            if sys.sizes().tolist() != before:
-                before = sys.sizes().tolist()
+            if particle_sizes(sys).tolist() != before:
+                before = particle_sizes(sys).tolist()
                 merges += 1
-        assert all(j <= 4 for j in sys.sizes())
+        assert all(j <= 4 for j in particle_sizes(sys))
 
 
 class TestFromDistribution:
@@ -150,14 +157,14 @@ class TestFromDistribution:
         d = make_initial("monodisperse", g, mass=1.0, size=1.0)
         sys = ParticleSystem.from_distribution(d, volume=1000.0, seed=0)
         assert sys.counts.sum() == 1000
-        assert sys.mass_concentration == pytest.approx(1.0)
+        assert mass_concentration(sys) == pytest.approx(1.0)
 
     def test_roundtrip_through_distribution(self):
         g = SizeGrid(ds=0.5, n=8)
         sys = ParticleSystem(g, volume=4.0, sizes=[1, 1, 2, 5], seed=0)
-        d = sys.to_distribution()
+        d = to_distribution(sys)
         np.testing.assert_allclose(d.counts, np.array([2, 1, 0, 0, 1, 0, 0, 0]) / 4.0)
-        np.testing.assert_allclose(sys.empirical_moments(3)[0], [d.moment(k) for k in range(4)])
+        np.testing.assert_allclose(empirical_moments(sys, 3)[0], [d.moment(k) for k in range(4)])
 
 
 class TestReplicas:
@@ -274,7 +281,7 @@ class TestLockstepEngine:
             sys = ParticleSystem.from_distribution(d, volume, seed=(seed, r))
             replay, t = [], 0.0
             while len(replay) < t_grid.size:
-                before = sys.empirical_moments()[0]
+                before = empirical_moments(sys)[0]
                 _, wait = gillespie_step(sys, spec)
                 t += wait[0]
                 while len(replay) < t_grid.size and t_grid[len(replay)] < t:
@@ -345,6 +352,64 @@ class TestLockstepEngine:
                 kinds["merge" if change < 0 else "split" if change > 0 else "null"] += 1
             assert sys.counts.tolist() == expected
         assert min(kinds.values()) > 0, kinds
+
+    def test_draws_are_the_documented_stream(self):
+        """The tables _next_draws gives a batch of 5 replicas that runs into a
+        third block and loses replicas mid-block: each row is the next draw of a
+        replica still in the batch, in replica order, and replica r's draws are
+        a fresh default_rng((seed, r)) giving, per block of 256 events, 256
+        exponentials and then a (256, 3) array of uniforms."""
+        g = SizeGrid(ds=0.5, n=32)
+        d = make_initial("exponential", g, mass=1.0, lam=2.0)
+        spec = KernelSpec(frag_eps=0.3, truncation=24)
+        seed, replicas, block = 17, 5, 256
+        sys = ParticleSystem.from_distribution(d, 1000.0, seed=seed, replicas=replicas)
+        drawn, next_draws = [], sys._next_draws
+
+        def recording():
+            draws = next_draws()
+            drawn.append(draws.copy())
+            return draws
+
+        sys._next_draws = recording
+        _run(sys, spec, [0.0, 0.6])
+        assert len(drawn) > 2 * block
+        streams = []
+        for r in range(replicas):
+            rng = np.random.default_rng((seed, r))
+            blocks = [
+                np.column_stack([rng.standard_exponential(block), rng.random((block, 3))])
+                for _ in range(len(drawn) // block + 1)
+            ]
+            streams.append(np.concatenate(blocks))
+        live, departures = list(range(replicas)), []
+        for i, draws in enumerate(drawn):
+            still = [r for r in live if any(np.array_equal(streams[r][i], row) for row in draws)]
+            assert np.array_equal(draws, np.array([streams[r][i] for r in still]))
+            if len(still) < len(live):
+                departures.append(i)
+            live = still
+        assert len(live) >= 1
+        assert any(i % block for i in departures)
+
+    def test_memory_of_the_readme_ensemble_is_bounded(self, readme_experiment):
+        """The README ensemble (200 replicas) keeps its draws in two buffers
+        allocated once and never copied, so its peak stays under 1.5 MiB; a
+        new 1.6 MB block of draws per refill and a copy of it per retirement
+        took 3.55 MiB."""
+        exp = readme_experiment
+        assert exp.sto_replicas == 200
+        args = exp.initial, exp.solver.spec
+        ensemble_moments(*args, [0.0, 1e-3], replicas=2, volume=100.0)  # imports numpy.random's lazy modules
+        tracemalloc.start()
+        try:
+            ensemble_moments(
+                *args, exp.sto_t_grid, replicas=exp.sto_replicas, seed=exp.seed, volume=exp.sto_volume
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
     def test_batch_conserves_mass_with_null_events(self):
         """Every row keeps its mass exactly and its counts nonnegative over
