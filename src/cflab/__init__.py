@@ -52,7 +52,6 @@ from .characteristics import (
 from .stochastic import (
     EnsembleMoments,
     ensemble_moments,
-    simulate_replica,
 )
 from .verification import (
     derivative_bounds_check,

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BoundReport, Distribution, ScenarioParams, SizeGrid, block_rows, time_derivative
+from .core import BoundReport, ScenarioParams, SizeGrid, block_rows, time_derivative
 from .kinetic import Trajectory
 
 #: Relative slack on the sign checks of the exact transform sums.
@@ -103,28 +103,14 @@ def bernstein_sums(grid: SizeGrid, counts: np.ndarray, x: np.ndarray, k_max: int
     return F, D
 
 
-def _field(x_grid, times, grid: SizeGrid, counts: np.ndarray, m: float, m2: np.ndarray) -> BernsteinField:
-    x = default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
-    F, D = bernstein_sums(grid, counts, x)
-    return BernsteinField(
-        x=x, times=np.asarray(times, dtype=float), F=F, Fx=D[:, 0], Fxx=-D[:, 1], m=m, m2=m2
-    )
-
-
-def transform(dist: Distribution, x_grid: np.ndarray | None = None, t: float = 0.0) -> BernsteinField:
-    """Single-time field of one distribution."""
-    return _field(x_grid, [t], dist.grid, dist.counts[None], dist.moment(1), np.array([dist.moment(2)]))
-
-
 def field_from_trajectory(traj: Trajectory, x_grid: np.ndarray | None = None) -> BernsteinField:
     """Transform every snapshot of a kinetic trajectory."""
-    return _field(
-        x_grid,
-        traj.times.copy(),
-        traj.grid,
-        traj.counts,
-        float(traj.moments.moments[0, 1]),
-        traj.moments.column(2).copy(),
+    x = default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
+    F, D = bernstein_sums(traj.grid, traj.counts, x)
+    series = traj.moments
+    return BernsteinField(
+        x=x, times=series.times.copy(), F=F, Fx=D[:, 0], Fxx=-D[:, 1],
+        m=float(series.moments[0, 1]), m2=series.column(2).copy(),
     )
 
 

@@ -130,13 +130,14 @@ def integrate_fan(
 ) -> CharacteristicFan:
     """Integrate one path per start with the classical 4th-order scheme.
 
-    ``f0_eval(x)`` must return (F0(x), F0'(x)); slopes outside [0, m] are
-    rejected as invalid initial data.  The (3, paths) state of rows X, P, Z
-    goes through ``core.march``: ``round(t_end / dt)`` RK4 steps, recorded
-    every ``record_every``-th, a stride that must divide the steps or reach
-    past them.  Paths that would cross the X floor are frozen and marked, not
-    extrapolated.  Non-crossing is verified on the state of every step, t = 0
-    included, whether or not that state is recorded.
+    ``f0_eval(x)`` must return (F0(x), F0'(x)); values that are not finite
+    and slopes outside [0, m] are rejected as invalid initial data.  The
+    (3, paths) state of rows X, P, Z goes through ``core.march``:
+    ``round(t_end / dt)`` RK4 steps, recorded every ``record_every``-th, a
+    stride that must divide the steps or reach past them.  Paths that would
+    cross the X floor are frozen and marked, not extrapolated.  Non-crossing
+    is verified on the state of every step, t = 0 included, whether or not
+    that state is recorded.
     """
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 1 or starts.size < 1:
@@ -148,6 +149,8 @@ def integrate_fan(
     z0, p0 = f0_eval(starts)
     z0 = np.asarray(z0, dtype=float)
     p0 = np.asarray(p0, dtype=float)
+    if not np.all(np.isfinite(z0)):
+        raise ValueError("initial value F0 not finite: not valid transform data")
     slack = 1e-9 * max(1.0, m)
     if not np.all((p0 >= -slack) & (p0 <= m + slack)):
         raise ValueError("initial slope outside [0, m]: not valid transform data")

@@ -59,6 +59,10 @@ EXIT_NOINPUT = MissingArtifactError.exit_code
 
 _REQUIRED = object()
 
+#: The [initial] kinds that a config can set; make_initial's "custom" needs a
+#: density callable, which no config key can pass.
+_CONFIG_KINDS = ("monodisperse", "exponential")
+
 
 @dataclass
 class Experiment:
@@ -135,8 +139,11 @@ def load_config(path) -> Experiment:
 
     try:
         grid = SizeGrid(ds=get("grid", "ds", float), n=get("grid", "n", int))
+        kind = get("initial", "kind", str, "monodisperse")
+        if kind not in _CONFIG_KINDS:
+            raise ValueError(f"[initial] kind = {kind} must be one a config can set: {', '.join(_CONFIG_KINDS)}")
         initial = make_initial(
-            get("initial", "kind", str, "monodisperse"),
+            kind,
             grid,
             mass=get("scenario", "mass", float),
             size=get("initial", "size", float, 1.0),
@@ -263,8 +270,8 @@ def cmd_simulate(exp: Experiment, out: Path, quiet: bool) -> int:
     traj = simulate(config, exp.initial)
     csvio.write_trajectory_csv(out / "trajectory.csv", traj)
     csvio.write_snapshots_csv(out / "snapshots.csv", traj)
-    drift = traj.metadata["max_mass_drift"]
-    occupancy = traj.metadata["max_top_bin_occupancy"]
+    drift = float(traj.moments.mass_drift.max())
+    occupancy = float(traj.moments.top_bin_occupancy.max())
     summary = (
         f"max mass drift {drift:.3e} (tol {MASS_DRIFT_TOL:g}), "
         f"top-bin occupancy {occupancy:.3e} (tol {TOP_BIN_OCCUPANCY_TOL:g})"

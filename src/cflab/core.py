@@ -101,10 +101,6 @@ class Distribution:
     def moment(self, k: int) -> float:
         return moment(self, k)
 
-    def density(self) -> np.ndarray:
-        """Number density per unit size, ``counts / ds``."""
-        return self.counts / self.grid.ds
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -157,27 +153,26 @@ class ScenarioParams:
 
 @dataclass(frozen=True)
 class MomentSeries:
-    """Time series of moments m0..m5 with mass-conservation metadata."""
+    """Time series of moments m0..m5 with the bookkeeping of each snapshot: its
+    relative mass drift and its top-bin occupancy."""
 
     times: np.ndarray
     moments: np.ndarray  # shape (T, 6)
     mass_drift: np.ndarray  # |m1(t) - m1(0)| / m1(0)
+    top_bin_occupancy: np.ndarray  # s_max * N_n(t) / m1(0)
 
     def __post_init__(self):
-        times = _readonly(self.times)
-        moments = _readonly(self.moments)
-        drift = _readonly(self.mass_drift)
+        for name in ("times", "moments", "mass_drift", "top_bin_occupancy"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        times = self.times
         if times.ndim != 1 or np.any(np.diff(times) <= 0):
             raise ValueError("times must be one-dimensional and strictly increasing")
-        if moments.shape != (times.size, MAX_MOMENT + 1):
+        if self.moments.shape != (times.size, MAX_MOMENT + 1):
             raise ValueError(f"moments must have shape ({times.size}, {MAX_MOMENT + 1})")
-        if drift.shape != times.shape:
-            raise ValueError("mass_drift must align with times")
-        if np.any(moments < 0):
+        if self.mass_drift.shape != times.shape or self.top_bin_occupancy.shape != times.shape:
+            raise ValueError("mass_drift and top_bin_occupancy must align with times")
+        if np.any(self.moments < 0):
             raise ValueError("moments must be nonnegative")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "moments", moments)
-        object.__setattr__(self, "mass_drift", drift)
 
     def column(self, k: int) -> np.ndarray:
         """Series of the k-th moment."""

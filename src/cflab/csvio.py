@@ -71,9 +71,8 @@ def write_rows(path, header, rows):
 
 def write_trajectory_csv(path, traj: Trajectory):
     series = traj.moments
-    occupancy = traj.metadata["top_bin_occupancy"]
     rows = (
-        (series.times[i], *series.moments[i], series.mass_drift[i], occupancy[i])
+        (series.times[i], *series.moments[i], series.mass_drift[i], series.top_bin_occupancy[i])
         for i in range(series.times.size)
     )
     write_rows(path, TRAJECTORY_HEADER, rows)

@@ -83,7 +83,8 @@ class SolverConfig:
 @dataclass(frozen=True)
 class Trajectory:
     """One deterministic run: the counts of each snapshot as the rows of the
-    read-only ``counts`` (T, n) on ``grid``, plus moment bookkeeping."""
+    read-only ``counts`` (T, n) on ``grid``, their moment bookkeeping, and the
+    ``metadata`` its maker passed (``simulate``: ``n_steps``)."""
 
     counts: np.ndarray
     grid: SizeGrid
@@ -97,9 +98,9 @@ class Trajectory:
 
     @classmethod
     def of_snapshots(cls, times, counts, grid: SizeGrid, spec: KernelSpec, **metadata) -> "Trajectory":
-        """The run that recorded the rows of ``counts`` at ``times``, with its
-        bookkeeping in ``metadata``: the relative mass drift against the first
-        snapshot and the top-bin occupancy, which
+        """The run that recorded the rows of ``counts`` at ``times``.  Its
+        moments carry each snapshot's relative mass drift against the first
+        snapshot and its top-bin occupancy, which
         ``verification.mass_conservation_check`` and
         ``truncation_occupancy_check`` hold to MASS_DRIFT_TOL and
         TOP_BIN_OCCUPANCY_TOL."""
@@ -109,13 +110,8 @@ class Trajectory:
         powers = np.vander(grid.sizes, MAX_MOMENT + 1, increasing=True)
         moments = np.stack([powers.T @ row for row in counts])
         drift = np.abs(moments[:, 1] - m1_0) / mass_scale
-        top_occupancy = grid.s_max * counts[:, -1] / mass_scale
-        metadata.update(
-            max_mass_drift=float(drift.max()),
-            max_top_bin_occupancy=float(top_occupancy.max()),
-            top_bin_occupancy=top_occupancy,
-        )
-        return cls(counts, grid, MomentSeries(times, moments, drift), spec, metadata)
+        series = MomentSeries(times, moments, drift, grid.s_max * counts[:, -1] / mass_scale)
+        return cls(counts, grid, series, spec, metadata)
 
 
 def stability_limit(grid: SizeGrid, spec: KernelSpec, m1: float) -> float:

@@ -24,6 +24,11 @@ refills at the same event and one that leaves the batch stops drawing, so a
 replica is bit-identical alone or in a batch of any size.  Each replica's
 draws fill its own row of two buffers allocated once, which are refilled in
 place and never copied.
+
+`ensemble_moments` is the one public run: it records the moments m0..m3 of
+every replica at each grid time and returns their mean and standard error.
+`gillespie_step` advances a system by one event per replica; stepping a
+one-replica system seeded (seed, r) replays replica r of any batch.
 """
 from __future__ import annotations
 
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Distribution, KernelSpec, SizeGrid, _readonly
+from .core import Distribution, KernelSpec, SizeGrid
 from .errors import AbsorbingStateError
 
 #: Highest empirical moment recorded by ensemble statistics (m0..m3).
@@ -226,16 +231,15 @@ def time_grid(t_grid) -> np.ndarray:
     return t_grid
 
 
-def _run(sys: ParticleSystem, spec: KernelSpec, t_grid, record_snapshots: bool = False):
+def _run(sys: ParticleSystem, spec: KernelSpec, t_grid) -> np.ndarray:
     """Advance every replica through ``t_grid``; returns the empirical moments
-    at each grid time, shape (R, T, 4), and, if asked, the bin counts, shape
-    (R, T, n+1).  A replica leaves the batch once its clock passes the last
-    grid time; an absorbing state (zero total rate) is frozen from then on.
+    at each grid time, shape (R, T, 4).  A replica leaves the batch once its
+    clock passes the last grid time; an absorbing state (zero total rate) is
+    frozen from then on.
     """
     t_grid = time_grid(t_grid)
-    replicas, width = sys.counts.shape
+    replicas = sys.counts.shape[0]
     moments = np.empty((replicas, t_grid.size, ENSEMBLE_MAX_MOMENT + 1))
-    snaps = np.empty((replicas, t_grid.size, width), np.int64) if record_snapshots else None
     grid_times = np.append(t_grid, np.inf)
     ids = np.arange(replicas)  # replica of each remaining row
     gi = np.zeros(replicas, dtype=np.intp)  # index of each row's next grid time
@@ -244,14 +248,12 @@ def _run(sys: ParticleSystem, spec: KernelSpec, t_grid, record_snapshots: bool =
 
     def record(due):
         moments[ids[due], gi[due]] = _moments(sys.counts[due], sys.grid.ds, sys.volume)
-        if snaps is not None:
-            snaps[ids[due], gi[due]] = sys.counts[due]
         gi[due] += 1
 
     for _ in range(np.searchsorted(t_grid, 0.0, side="right")):
         record(np.ones(replicas, dtype=bool))
     if gi[0] == t_grid.size:
-        return moments, snaps
+        return moments
     next_time = grid_times[gi]
     while True:
         coag, frag = _proposal_rates(sys, spec)
@@ -269,39 +271,9 @@ def _run(sys: ParticleSystem, spec: KernelSpec, t_grid, record_snapshots: bool =
                 ids, gi, t_next, next_time = ids[live], gi[live], t_next[live], next_time[live]
                 coag, total, draws = coag[live], total[live], draws[live]
                 if ids.size == 0:
-                    return moments, snaps
+                    return moments
         _execute_events(sys, spec, coag, total, draws[:, 1:], breakup)
         t = t_next
-
-
-@dataclass(frozen=True)
-class ReplicaResult:
-    """Empirical moments of one replica on the requested time grid and, when
-    recorded, its counts: the read-only (T, n) concentrations whose row k is
-    the state at ``times[k]``, as in ``Trajectory.counts``."""
-
-    times: np.ndarray
-    moments: np.ndarray  # shape (len(times), 4)
-    counts: np.ndarray | None = None
-
-
-def simulate_replica(
-    initial: Distribution,
-    spec: KernelSpec,
-    t_grid,
-    volume: float,
-    seed=0,
-    record_snapshots: bool = False,
-) -> ReplicaResult:
-    """Run one replica, recording empirical moments at each requested time.
-
-    A state with zero total rate is absorbing; remaining grid times then all
-    see the frozen state.
-    """
-    sys = ParticleSystem.from_distribution(initial, volume, seed=seed)
-    moments, snaps = _run(sys, spec, t_grid, record_snapshots)
-    counts = None if snaps is None else _readonly(snaps[0, :, 1:] / sys.volume)
-    return ReplicaResult(times=np.asarray(t_grid, dtype=float), moments=moments[0], counts=counts)
 
 
 @dataclass(frozen=True)
@@ -324,10 +296,10 @@ def ensemble_moments(
 ) -> EnsembleMoments:
     """Sample mean and standard error of m0..m3 across independent replicas.
 
-    Replica r draws its stream from (seed, r), the stream of
-    ``simulate_replica(..., seed=(seed, r))``, so the ensemble is reproducible
-    and replica r does not depend on the replica count.  All replicas run in
-    one lockstep batch.  The default volume targets about 10^4 initial
+    Replica r draws its stream from (seed, r), the stream of a one-replica
+    ``ParticleSystem`` seeded (seed, r), so the ensemble is reproducible and
+    replica r does not depend on the replica count.  All replicas run in one
+    lockstep batch.  The default volume targets about 10^4 initial
     particles.
     """
     if replicas < 2:
@@ -335,7 +307,7 @@ def ensemble_moments(
     if volume is None:
         volume = 1e4 / initial.moment(0)
     sys = ParticleSystem.from_distribution(initial, volume, seed=seed, replicas=replicas)
-    stacked, _ = _run(sys, spec, t_grid)
+    stacked = _run(sys, spec, t_grid)
     mean = stacked.mean(axis=0)
     stderr = stacked.std(axis=0, ddof=1) / np.sqrt(replicas)
     return EnsembleMoments(

@@ -98,47 +98,6 @@ def holder_bounds_check(moments: np.ndarray, times: np.ndarray | None = None) ->
     )
 
 
-def frag_weak_coefficient(k: int) -> float:
-    """Coefficient c_k with which constant-kernel binary breakup enters the
-    k-th moment equation:  the weak form contributes -c_k * m_{k+1} (and
-    -eps * c_k * m_{k+2} for the size-linear perturbation).
-
-    c_k = (1/2) * integral_0^1 (1 - (1-u)^k - u^k) du = (k-1) / (2(k+1)).
-    This is the single coefficient oracle; downstream moment equations use it
-    rather than any hand-copied constant.
-    """
-    if k < 1:
-        raise ValueError(f"moment order must be >= 1, got {k}")
-    return (k - 1) / (2.0 * (k + 1))
-
-
-def moment_ode_rhs_on_grid(moments, eps: float, k: int, ds: float) -> float:
-    """Rate of change of m_k from the moment equations of a distribution on a
-    uniform grid with step ds:
-
-    k=2:  m2^2  - c2*(m3 + eps*m4)
-    k=3:  3*m2*m3 - c3*(m4 + eps*m5)
-
-    with c_k from the weak-form coefficient oracle, and each fragmentation
-    moment m_p replaced by m_p - ds^2 * m_{p-2}, the closed form of the
-    split-point sums of discrete binary breakup.  The grid system obeys this
-    exactly (up to truncation losses, which are ignored here); at ds = 0 it is
-    the continuum equation.
-    """
-    m = np.asarray(moments, dtype=float)
-    if m.shape != (6,):
-        raise ValueError("need one moment vector (m0..m5)")
-    if k == 2:
-        c = frag_weak_coefficient(2)
-        return float(m[2] ** 2 - c * ((m[3] - ds ** 2 * m[1]) + eps * (m[4] - ds ** 2 * m[2])))
-    if k == 3:
-        c = frag_weak_coefficient(3)
-        return float(
-            3.0 * m[2] * m[3] - c * ((m[4] - ds ** 2 * m[2]) + eps * (m[5] - ds ** 2 * m[3]))
-        )
-    raise ValueError(f"moment equations are provided for k in {{2, 3}}, got {k}")
-
-
 def time_derivative_bound(m: float, t_star: float, T: float) -> float:
     """Uniform bound m(m+5)/2 + 3/(t_star - T) on |dF/dt| for times up to T."""
     if not T < t_star:
@@ -206,7 +165,7 @@ def truncation_occupancy_check(traj: Trajectory) -> BoundReport:
     """Largest top-bin occupancy s_max * N_n / m1(0) of a run against
     TOP_BIN_OCCUPANCY_TOL, at the snapshot time of that occupancy: above it
     the truncation cap suppresses enough mass to invalidate the bound checks."""
-    occupancy = traj.metadata["top_bin_occupancy"]
+    occupancy = traj.moments.top_bin_occupancy
     i = int(np.argmax(occupancy))
     margin = float((TOP_BIN_OCCUPANCY_TOL - occupancy[i]) / TOP_BIN_OCCUPANCY_TOL)
     return BoundReport("truncation_occupancy", margin, 0.0, (float(traj.times[i]), "s_max"))

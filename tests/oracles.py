@@ -1,12 +1,15 @@
 """Closed-form and brute-force oracles the tests compare the library against.
 
 None of these is part of cflab: the kernels are the rates the vectorized
-solvers must realize, the exponential handle is the closed form of a
-discretized profile's transform, and the ordering check compares two fans
-built from different initial data, which no subcommand has; the one-event
-oracle redoes a lockstep event of one replica in Python floats and integers,
-and the exact rates and readings of a ``ParticleSystem`` are what the engine's
-O(1) rates and recorded moments must agree with.
+solvers must realize, the moment equations and their breakup coefficient are
+the closed forms the kinetic moments must follow, the exponential handle is
+the closed form of a discretized profile's transform, the single-time field
+is the transform of one distribution, and the ordering check compares two
+fans built from different initial data, which no subcommand has; the
+one-event oracle redoes a lockstep event of one replica in Python floats and
+integers, the replay steps one replica event by event through
+``gillespie_step``, and the exact rates and readings of a ``ParticleSystem``
+are what the engine's O(1) rates and recorded moments must agree with.
 The two loop oracles are the kinetic solver and the fan as each stepped and
 recorded itself with its own RK4 before both went through ``core.march``.
 """
@@ -14,11 +17,16 @@ import math
 
 import numpy as np
 
-from cflab import Distribution, default_starts, integrate_fan, reconstruct
+from cflab import (
+    Distribution, KernelSpec, Trajectory, default_starts, field_from_trajectory, integrate_fan, reconstruct,
+)
 from cflab.characteristics import X_FLOOR, _check_no_crossing, char_rhs
-from cflab.errors import FanCoverageError
+from cflab.core import _readonly
+from cflab.errors import AbsorbingStateError, FanCoverageError
 from cflab.kinetic import _checked, _rhs
-from cflab.stochastic import ENSEMBLE_MAX_MOMENT, _moments, _proposal_rates
+from cflab.stochastic import (
+    ENSEMBLE_MAX_MOMENT, ParticleSystem, _moments, _proposal_rates, gillespie_step, time_grid,
+)
 
 
 def coag_kernel(s, s_hat):
@@ -29,6 +37,54 @@ def coag_kernel(s, s_hat):
 def frag_kernel(spec, s, s_hat):
     """Fragmentation rate ``1 + eps*(s + s_hat)``; the constant kernel at eps=0."""
     return 1.0 + spec.frag_eps * (np.add(s, s_hat))
+
+
+def frag_weak_coefficient(k: int) -> float:
+    """Coefficient c_k with which constant-kernel binary breakup enters the
+    k-th moment equation:  the weak form contributes -c_k * m_{k+1} (and
+    -eps * c_k * m_{k+2} for the size-linear perturbation).
+
+    c_k = (1/2) * integral_0^1 (1 - (1-u)^k - u^k) du = (k-1) / (2(k+1)).
+    This is the single coefficient oracle; downstream moment equations use it
+    rather than any hand-copied constant.
+    """
+    if k < 1:
+        raise ValueError(f"moment order must be >= 1, got {k}")
+    return (k - 1) / (2.0 * (k + 1))
+
+
+def moment_ode_rhs_on_grid(moments, eps: float, k: int, ds: float) -> float:
+    """Rate of change of m_k from the moment equations of a distribution on a
+    uniform grid with step ds:
+
+    k=2:  m2^2  - c2*(m3 + eps*m4)
+    k=3:  3*m2*m3 - c3*(m4 + eps*m5)
+
+    with c_k from the weak-form coefficient oracle, and each fragmentation
+    moment m_p replaced by m_p - ds^2 * m_{p-2}, the closed form of the
+    split-point sums of discrete binary breakup.  The grid system obeys this
+    exactly (up to truncation losses, which are ignored here); at ds = 0 it is
+    the continuum equation.
+    """
+    m = np.asarray(moments, dtype=float)
+    if m.shape != (6,):
+        raise ValueError("need one moment vector (m0..m5)")
+    if k == 2:
+        c = frag_weak_coefficient(2)
+        return float(m[2] ** 2 - c * ((m[3] - ds ** 2 * m[1]) + eps * (m[4] - ds ** 2 * m[2])))
+    if k == 3:
+        c = frag_weak_coefficient(3)
+        return float(
+            3.0 * m[2] * m[3] - c * ((m[4] - ds ** 2 * m[2]) + eps * (m[5] - ds ** 2 * m[3]))
+        )
+    raise ValueError(f"moment equations are provided for k in {{2, 3}}, got {k}")
+
+
+def distribution_field(dist: Distribution, x_grid=None):
+    """The field at t = 0 of one distribution: ``field_from_trajectory`` of the
+    run whose one snapshot is ``dist``."""
+    traj = Trajectory.of_snapshots([0.0], dist.counts[None], dist.grid, KernelSpec.for_grid(dist.grid))
+    return field_from_trajectory(traj, x_grid)
 
 
 def exponential_transform(m: float, lam: float = 1.0):
@@ -119,6 +175,29 @@ def lockstep_event(counts, cap, frag_eps, ds, volume, u):
         counts[k] += 1
         counts[a - k] += 1
     return counts
+
+
+def replay_replica(initial, spec, t_grid, volume, seed=0):
+    """(moments, counts) of one replica at each time of ``t_grid``: the
+    ``ParticleSystem`` of ``initial`` seeded ``seed``, advanced by
+    ``gillespie_step``, gives at each grid time that its clock passes the state
+    before that event, as the moments m0..m3 and as read-only (T, n)
+    concentrations.  A state with no event, absorbing or empty, is frozen for
+    the remaining times."""
+    t_grid = time_grid(t_grid)
+    sys = ParticleSystem.from_distribution(initial, volume, seed=seed)
+    states, t = [], 0.0
+    while len(states) < t_grid.size:
+        before = sys.counts[0].copy()
+        try:
+            wait = gillespie_step(sys, spec)[1][0] if before.any() else np.inf
+        except AbsorbingStateError:
+            wait = np.inf
+        t += wait
+        while len(states) < t_grid.size and t_grid[len(states)] < t:
+            states.append(before)
+    states = np.array(states)
+    return _moments(states, sys.grid.ds, sys.volume), _readonly(states[:, 1:] / sys.volume)
 
 
 def event_rates(sys, spec):

@@ -16,9 +16,10 @@ from cflab import (
     make_initial,
 )
 from cflab import core
-from cflab.bernstein import bernstein_sums, default_x_grid, transform
+from cflab.bernstein import bernstein_sums, default_x_grid
 from cflab.core import moment
 from cflab.verification import cm_sampled_check, hj_residual_check
+from oracles import distribution_field
 
 counts_strategy = arrays(
     np.float64,
@@ -112,7 +113,7 @@ class TestTransform:
     def test_single_time_field_wrapper(self):
         g = SizeGrid(ds=1.0, n=4)
         d = Distribution(g, [2.0, 0, 0, 0])
-        field = transform(d)
+        field = distribution_field(d)
         assert field.times.shape == (1,)
         assert field.m == pytest.approx(2.0)
         assert field.g_eps is not None
@@ -309,7 +310,7 @@ class TestForcing:
         """For a point mass at s=1, G(x) = m2/2 + m2 e^{-x}/2 - m(1-e^{-x})/x."""
         g = SizeGrid(ds=1.0, n=4)
         d = Distribution(g, [1.5, 0, 0, 0])
-        field = transform(d, np.array([0.0, 1.0, 10.0]))
+        field = distribution_field(d, np.array([0.0, 1.0, 10.0]))
         gvals = field.g_eps[0]
         assert gvals[0] == 0.0
         x = 1.0
@@ -320,14 +321,14 @@ class TestForcing:
         g = SizeGrid(ds=1.0, n=4)
         d = Distribution(g, [1.5, 0, 0, 0])
         scen = ScenarioParams.from_distribution(d)
-        field = transform(d, default_x_grid())
+        field = distribution_field(d, default_x_grid())
         assert g_eps_bound_check(field, scen, T=0.0).passed
 
     def test_bound_check_rejects_t_at_horizon(self):
         g = SizeGrid(ds=1.0, n=4)
         d = Distribution(g, [1.5, 0, 0, 0])
         scen = ScenarioParams.from_distribution(d)
-        field = transform(d, default_x_grid())
+        field = distribution_field(d, default_x_grid())
         with pytest.raises(ValueError):
             g_eps_bound_check(field, scen, T=scen.t_star)
 

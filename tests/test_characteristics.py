@@ -116,6 +116,20 @@ class TestInitialData:
             with pytest.raises(ValueError, match="starts must be finite"):
                 integrate_fan(f0, broken, t_end=0.1, dt=1e-3, m=1.0)
 
+    def test_non_finite_initial_value_rejected(self):
+        """One nan F0 among 10 paths on [1, 3], with valid slopes, is bad initial
+        data: rejected as such, not later as a fan crossing with a nan gap."""
+        f0 = monodisperse_transform(1.0, 1.0)
+
+        def one_nan_value(x):
+            z, p = f0(x)
+            z = np.array(z, dtype=float)
+            z[4] = np.nan
+            return z, p
+
+        with pytest.raises(ValueError, match="initial value F0 not finite"):
+            integrate_fan(one_nan_value, np.linspace(1.0, 3.0, 10), t_end=0.1, dt=1e-3, m=1.0)
+
 
 class TestIntegrateFan:
     def test_stride_must_divide_the_step_count(self):

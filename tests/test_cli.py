@@ -213,6 +213,21 @@ class TestConfig:
             assert "t_end =" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["custom", "lognormal"])
+    def test_kind_a_config_cannot_set_names_the_kinds_it_can(self, workspace, tmp_path, capsys, kind):
+        """make_initial's custom profile needs a density callable, which no
+        config key can pass: a config that asks for it, or for a kind that does
+        not exist, exits 64 with one line naming the kinds a config can set."""
+        config, out = workspace
+        bad = tmp_path / "kind.ini"
+        bad.write_text(config.read_text().replace("kind = monodisperse", f"kind = {kind}"))
+        assert main(["simulate", "--config", str(bad), "--quiet"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"config error: bad value in {bad}: [initial] kind = {kind} must be one a config can set: "
+            "monodisperse, exponential\n"
+        )
+        assert not out.exists()
+
     def test_unread_keys_are_named_in_one_line(self, workspace, tmp_path, capsys):
         """Keys that nothing reads, such as the dropped [field] x_hi, exit 64
         before any run, named in one config error line."""
@@ -564,7 +579,7 @@ class TestVerifyArtifacts:
         traj = cflab.cli._read_run(load_config(config), out)
         columns = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
         rebuilt = np.column_stack(
-            [traj.times, traj.moments.moments, traj.moments.mass_drift, traj.metadata["top_bin_occupancy"]]
+            [traj.times, traj.moments.moments, traj.moments.mass_drift, traj.moments.top_bin_occupancy]
         )
         assert rebuilt.tobytes() == columns.tobytes()
 

@@ -64,10 +64,6 @@ class TestDistribution:
         with pytest.raises(ValueError):
             d.counts[0] = 5.0
 
-    def test_density_is_counts_over_ds(self):
-        d = dist_for([1.0, 2.0], ds=0.5)
-        np.testing.assert_allclose(d.density(), [2.0, 4.0])
-
 
 class TestMoment:
     def test_monodisperse_at_unit_size(self):
@@ -166,10 +162,10 @@ class TestScenarioParams:
 class TestMomentSeries:
     def test_requires_increasing_times(self):
         with pytest.raises(ValueError):
-            MomentSeries(np.array([0.0, 0.0]), np.zeros((2, 6)), np.zeros(2))
+            MomentSeries(np.array([0.0, 0.0]), np.zeros((2, 6)), np.zeros(2), np.zeros(2))
 
     def test_column_access(self):
-        series = MomentSeries(np.array([0.0, 1.0]), np.arange(12.0).reshape(2, 6), np.zeros(2))
+        series = MomentSeries(np.array([0.0, 1.0]), np.arange(12.0).reshape(2, 6), np.zeros(2), np.zeros(2))
         np.testing.assert_allclose(series.column(2), [2.0, 8.0])
 
 

@@ -51,7 +51,6 @@ EXPORTED = [
     "monotone_derivative_checks",
     "reconstruct",
     "simulate",
-    "simulate_replica",
     "stability_limit",
     "stochastic",
     "verification",
@@ -77,7 +76,7 @@ def test_exported_names_are_pinned():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == EXPORTED
-    assert len(EXPORTED) <= 42
+    assert len(EXPORTED) <= 41
 
 
 def test_readme_exit_codes_are_the_defined_codes():

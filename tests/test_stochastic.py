@@ -16,7 +16,6 @@ from cflab import (
     ensemble_moments,
     make_initial,
     simulate,
-    simulate_replica,
 )
 from cflab.stochastic import (
     ParticleSystem,
@@ -33,6 +32,7 @@ from oracles import (
     lockstep_event,
     mass_concentration,
     particle_sizes,
+    replay_replica,
     to_distribution,
 )
 
@@ -171,40 +171,36 @@ class TestReplicas:
     def test_time_grid_zero_gives_exact_initial_moments(self):
         g = SizeGrid(ds=1.0, n=16)
         d = make_initial("monodisperse", g, mass=1.0, size=1.0)
-        res = simulate_replica(d, KernelSpec.for_grid(g, 0.1), [0.0], volume=500.0, seed=1)
-        np.testing.assert_allclose(res.moments[0], [1.0, 1.0, 1.0, 1.0])
+        moments, _ = replay_replica(d, KernelSpec.for_grid(g, 0.1), [0.0], volume=500.0, seed=1)
+        np.testing.assert_allclose(moments[0], [1.0, 1.0, 1.0, 1.0])
 
     def test_identical_seeds_have_zero_spread(self):
         g = SizeGrid(ds=1.0, n=16)
         d = make_initial("monodisperse", g, mass=1.0, size=1.0)
         spec = KernelSpec.for_grid(g, 0.1)
-        a = simulate_replica(d, spec, [0.0, 0.05], volume=200.0, seed=7)
-        b = simulate_replica(d, spec, [0.0, 0.05], volume=200.0, seed=7)
-        stacked = np.stack([a.moments, b.moments])
+        a, _ = replay_replica(d, spec, [0.0, 0.05], volume=200.0, seed=7)
+        b, _ = replay_replica(d, spec, [0.0, 0.05], volume=200.0, seed=7)
+        stacked = np.stack([a, b])
         assert np.all(stacked.std(axis=0) == 0.0)
 
     def test_absorbing_state_freezes_remaining_grid(self):
         g = SizeGrid(ds=1.0, n=4)
         d = Distribution(g, [1.0, 0, 0, 0])
-        res = simulate_replica(d, KernelSpec.for_grid(g, 0.0), [0.0, 1.0, 2.0], volume=1.0, seed=0)
+        moments, _ = replay_replica(d, KernelSpec.for_grid(g, 0.0), [0.0, 1.0, 2.0], volume=1.0, seed=0)
         # a single size-1 particle can neither merge nor split
-        np.testing.assert_allclose(res.moments[:, 0], 1.0)
+        np.testing.assert_allclose(moments[:, 0], 1.0)
 
     def test_snapshots_are_a_counts_matrix(self):
         """Recorded counts are one read-only (T, n) matrix of concentrations
         whose rows carry the recorded moments."""
         g = SizeGrid(ds=1.0, n=32)
         d = make_initial("monodisperse", g, mass=1.0, size=1.0)
-        res = simulate_replica(
-            d, KernelSpec.for_grid(g, 0.1), [0.0, 0.1], volume=300.0, seed=2,
-            record_snapshots=True,
-        )
-        assert res.counts.shape == (2, 32)
-        assert not res.counts.flags.writeable
-        np.testing.assert_array_equal(res.counts[0], d.counts)
-        assert g.sizes @ res.counts[1] == pytest.approx(1.0)
-        np.testing.assert_allclose(res.counts @ g.sizes, res.moments[:, 1], rtol=1e-12)
-        assert simulate_replica(d, KernelSpec.for_grid(g, 0.1), [0.0, 0.1], volume=300.0, seed=2).counts is None
+        moments, counts = replay_replica(d, KernelSpec.for_grid(g, 0.1), [0.0, 0.1], volume=300.0, seed=2)
+        assert counts.shape == (2, 32)
+        assert not counts.flags.writeable
+        np.testing.assert_array_equal(counts[0], d.counts)
+        assert g.sizes @ counts[1] == pytest.approx(1.0)
+        np.testing.assert_allclose(counts @ g.sizes, moments[:, 1], rtol=1e-12)
 
 
 class TestEnsemble:
@@ -224,14 +220,14 @@ class TestEnsemble:
     @pytest.mark.parametrize("last", [np.inf, np.nan])
     def test_time_that_is_not_finite_is_rejected(self, last):
         """A grid time that the clock never passes would run the replicas
-        forever: both entry points raise at once instead."""
+        forever: the ensemble and the one-replica replay raise at once instead."""
         g = SizeGrid(ds=1.0, n=8)
         d = make_initial("monodisperse", g, mass=1.0, size=1.0)
         spec = KernelSpec.for_grid(g)
         with pytest.raises(ValueError, match="finite times"):
             ensemble_moments(d, spec, [0.0, last], replicas=2, volume=10.0)
         with pytest.raises(ValueError, match="finite times"):
-            simulate_replica(d, spec, [0.0, last], volume=10.0)
+            replay_replica(d, spec, [0.0, last], volume=10.0)
 
     def test_coagulation_only_cross_validation(self):
         """Pure-coagulation ensemble mean m2 agrees with the deterministic
@@ -258,35 +254,41 @@ class TestLockstepEngine:
     """All replicas advance in one batch on bin counts; these pin the batch to
     the one-replica chain and the pair pick to the exact distribution."""
 
-    def test_batch_row_is_the_single_replica_stream(self):
-        """Replica r of a batch of any size is bit-identical to
-        simulate_replica(seed=(seed, r)) and to a gillespie_step replay of the
-        single system seeded (seed, r)."""
+    @staticmethod
+    def batches_of_3_and_5(seed=17):
+        """The (R, T, 4) moments that _run gives batches of 3 and 5 replicas, and
+        the run's arguments: exponential data on which over-cap merges occur
+        and each replica runs about 400 events, more than one block of draws."""
         g = SizeGrid(ds=0.5, n=32)
         d = make_initial("exponential", g, mass=1.0, lam=2.0)
-        spec = KernelSpec(frag_eps=0.3, truncation=24)  # over-cap merges occur
-        # about 400 events per replica: more than one block of draws
-        t_grid = np.array([0.0, 0.1, 0.2, 0.4])
-        volume = 1000.0
+        spec = KernelSpec(frag_eps=0.3, truncation=24)
+        t_grid, volume = np.array([0.0, 0.1, 0.2, 0.4]), 1000.0
+        batches = {
+            replicas: _run(ParticleSystem.from_distribution(d, volume, seed=seed, replicas=replicas), spec, t_grid)
+            for replicas in (3, 5)
+        }
+        return batches, (d, spec, t_grid, volume)
+
+    def test_batch_row_is_the_single_replica_stream(self):
+        """Replica r of a batch of any size is bit-identical to a gillespie_step
+        replay of the single system seeded (seed, r)."""
         seed = 17
-        batches = {}
-        for replicas in (3, 5):
-            sys = ParticleSystem.from_distribution(d, volume, seed=seed, replicas=replicas)
-            batches[replicas], _ = _run(sys, spec, t_grid)
+        batches, (d, spec, t_grid, volume) = self.batches_of_3_and_5(seed)
         for r in range(3):
-            alone = simulate_replica(d, spec, t_grid, volume, seed=(seed, r)).moments
+            alone, _ = replay_replica(d, spec, t_grid, volume, seed=(seed, r))
             assert np.array_equal(alone, batches[3][r])
             assert np.array_equal(alone, batches[5][r])
 
-            sys = ParticleSystem.from_distribution(d, volume, seed=(seed, r))
-            replay, t = [], 0.0
-            while len(replay) < t_grid.size:
-                before = empirical_moments(sys)[0]
-                _, wait = gillespie_step(sys, spec)
-                t += wait[0]
-                while len(replay) < t_grid.size and t_grid[len(replay)] < t:
-                    replay.append(before)  # the state on [t, t + wait) is the pre-event state
-            assert np.array_equal(np.array(replay), alone)
+    def test_one_replica_run_is_its_batch_row(self):
+        """_run on a one-replica system seeded (seed, r) is row r of the batches
+        of 3 and 5, bit for bit: the engine keeps a replica's stream alone or in
+        a batch."""
+        seed = 17
+        batches, (d, spec, t_grid, volume) = self.batches_of_3_and_5(seed)
+        for r in range(3):
+            (alone,) = _run(ParticleSystem.from_distribution(d, volume, seed=(seed, r)), spec, t_grid)
+            assert np.array_equal(alone, batches[3][r])
+            assert np.array_equal(alone, batches[5][r])
 
     @pytest.mark.parametrize("sizes", [[1, 1, 3], [1, 1, 2, 2], [1, 2, 6]])
     def test_pair_pick_matches_enumeration(self, sizes):

@@ -17,17 +17,16 @@ from cflab import (
     holder_bounds_check,
     make_initial,
 )
-from cflab.bernstein import cm_exact_report, transform
+from cflab.bernstein import cm_exact_report
 from cflab.core import MomentSeries
 from cflab.verification import (
     cm_sampled_check,
-    frag_weak_coefficient,
     mass_conservation_check,
-    moment_ode_rhs_on_grid,
     second_moment_envelope,
     time_derivative_bound,
     truncation_occupancy_check,
 )
+from oracles import distribution_field, frag_weak_coefficient, moment_ode_rhs_on_grid
 
 
 class TestEnvelope:
@@ -134,7 +133,7 @@ class TestDerivativeBounds:
         g = SizeGrid(ds=0.5, n=16)
         d = make_initial("monodisperse", g, mass=1.0, size=1.0)
         scen = ScenarioParams.from_distribution(d)
-        report = derivative_bounds_check(transform(d), scen, T=0.5 * scen.t_star)
+        report = derivative_bounds_check(distribution_field(d), scen, T=0.5 * scen.t_star)
         assert report.passed
 
     def test_convex_field_fails(self):
@@ -159,7 +158,7 @@ class TestDerivativeBounds:
         d = make_initial("monodisperse", g, mass=1.0, size=1.0)
         scen = ScenarioParams.from_distribution(d)
         with pytest.raises(ValueError):
-            derivative_bounds_check(transform(d), scen, T=scen.t_star)
+            derivative_bounds_check(distribution_field(d), scen, T=scen.t_star)
 
 
 class TestBoundReport:
@@ -175,7 +174,7 @@ class TestRunCheckLocations:
         the end of the run; ties go to the earliest time."""
         times = np.array([0.0, 0.1, 0.2, 0.3])
         drift = np.array([0.0, 3e-7, 3e-7, 1e-7])
-        moments = MomentSeries(times, np.ones((4, 6)), drift)
+        moments = MomentSeries(times, np.ones((4, 6)), drift, np.zeros(4))
         traj = Trajectory(np.ones((4, 2)), SizeGrid(1.0, 2), moments, KernelSpec(0.0, 2))
         rep = mass_conservation_check(traj)
         assert rep.location == (0.1, "m1")
