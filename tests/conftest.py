@@ -2,9 +2,14 @@
 
 The expensive artifacts (reference kinetic runs, the 2000-path fan, the
 convergence bundle, the 200-replica ensemble) are built once and reused by
-both the unit tests and the acceptance suite.
+both the unit tests and the acceptance suite.  The runs of both benchmark
+workloads and the README's library sketch run once, under a profiler that
+records which functions they call.
 """
+import contextlib
+import io
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +31,48 @@ from cflab import (
     simulate,
 )
 from cflab.cli import load_config
+from golden.make_golden import run_workloads
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _calls_of(run):
+    """(run(), the code objects of every Python function that it called), from
+    the call events of ``sys.setprofile``."""
+    called, previous = set(), sys.getprofile()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(previous)
+    return result, called
+
+
+@pytest.fixture(scope="session")
+def workload_runs(tmp_path_factory):
+    """Every run of both benchmark workloads, once: the CSVs under
+    ``out / workload``, the exit code of each run and the code objects that
+    the runs called."""
+    out = tmp_path_factory.mktemp("workloads")
+    codes, called = _calls_of(lambda: run_workloads(out))
+    return {"out": out, "codes": codes, "called": called}
+
+
+@pytest.fixture(scope="session")
+def readme_sketch():
+    """The README's library sketch, run once: its namespace, what it printed
+    and the code objects that it called."""
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
+    assert len(blocks) == 1
+    namespace, printed = {}, io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        _, called = _calls_of(lambda: exec(compile(blocks[0], str(README), "exec"), namespace))
+    return {"namespace": namespace, "stdout": printed.getvalue(), "called": called}
 
 
 @pytest.fixture(scope="session")

@@ -58,13 +58,9 @@ EXPORTED = [
 ]
 
 
-def test_readme_library_sketch_runs(capsys):
-    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
-    assert len(blocks) == 1
-    namespace = {}
-    exec(compile(blocks[0], str(README), "exec"), namespace)
-    assert {"traj", "field", "ens", "fan"} <= namespace.keys()
-    assert capsys.readouterr().out.startswith("hj_residual: ")
+def test_readme_library_sketch_runs(readme_sketch):
+    assert {"traj", "field", "ens", "fan"} <= readme_sketch["namespace"].keys()
+    assert readme_sketch["stdout"].startswith("hj_residual: ")
 
 
 def test_exported_names_are_pinned():
