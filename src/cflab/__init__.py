@@ -45,7 +45,6 @@ from .characteristics import (
     distribution_transform,
     fan_to_field,
     integrate_fan,
-    monodisperse_transform,
     monotone_derivative_checks,
     reconstruct,
 )

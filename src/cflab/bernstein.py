@@ -15,7 +15,6 @@ never evaluated there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,13 +26,6 @@ CM_EXACT_RTOL = 1e-8
 
 #: Orders k of the derivatives that the exact-sum sign check reads.
 CM_EXACT_ORDERS = 6
-
-
-def default_x_grid(lo: float = 1e-3, hi: float = 20.0, num: int = 64) -> np.ndarray:
-    """Geometric grid on [lo, hi] with the origin prepended."""
-    if not 0 < lo < hi:
-        raise ValueError("need 0 < lo < hi")
-    return np.concatenate([[0.0], np.geomspace(lo, hi, num)])
 
 
 @dataclass(frozen=True)
@@ -103,9 +95,9 @@ def bernstein_sums(grid: SizeGrid, counts: np.ndarray, x: np.ndarray, k_max: int
     return F, D
 
 
-def field_from_trajectory(traj: Trajectory, x_grid: np.ndarray | None = None) -> BernsteinField:
-    """Transform every snapshot of a kinetic trajectory."""
-    x = default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
+def field_from_trajectory(traj: Trajectory, x_grid: np.ndarray) -> BernsteinField:
+    """Transform every snapshot of a kinetic trajectory at the x of ``x_grid``."""
+    x = np.asarray(x_grid, dtype=float)
     F, D = bernstein_sums(traj.grid, traj.counts, x)
     series = traj.moments
     return BernsteinField(
@@ -121,14 +113,12 @@ def _forcing(x, Fx, Fxx, m, m2) -> np.ndarray:
     return out
 
 
-def cm_exact_report(
-    grid: SizeGrid, counts: np.ndarray, times, x_samples: Sequence[float] | None = None
-) -> BoundReport:
+def cm_exact_report(grid: SizeGrid, counts: np.ndarray, times, x_samples) -> BoundReport:
     """Complete monotonicity, k <= 6, of each row of ``counts`` (T, n), the
-    state at ``times``, from the exact sums D_1..D_6: the margin is the
-    smallest D_k(x) relative to the mass of the first row, located at its
-    (t, x, k)."""
-    x = default_x_grid() if x_samples is None else np.asarray(x_samples, dtype=float)
+    state at ``times``, from the exact sums D_1..D_6 at ``x_samples``: the
+    margin is the smallest D_k(x) relative to the mass of the first row,
+    located at its (t, x, k)."""
+    x = np.asarray(x_samples, dtype=float)
     _, D = bernstein_sums(grid, counts, x, CM_EXACT_ORDERS)
     row, k, i = np.unravel_index(int(np.argmin(D)), D.shape)
     margin = float(D[row, k, i]) / max(float(np.dot(grid.sizes, counts[0])), 1e-300)

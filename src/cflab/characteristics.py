@@ -38,17 +38,6 @@ def char_rhs(state, m: float):
     return (p - (m + 0.5), z / (x * x) - p / x, 0.5 * p * p - z / x + 0.5 * m * (1.0 - m))
 
 
-def monodisperse_transform(m: float, size: float = 1.0) -> Callable:
-    """Initial-data handle (F0, F0') for a point mass m at the given size."""
-    number = m / size
-
-    def f0(x):
-        x = np.asarray(x, dtype=float)
-        return number * (-np.expm1(-size * x)), m * np.exp(-size * x)
-
-    return f0
-
-
 def distribution_transform(dist: Distribution) -> Callable:
     """Initial-data handle (F0, F0') from the exact transform of a distribution."""
 
@@ -93,15 +82,6 @@ class CharacteristicFan:
                 f"t={t} is not a recorded fan time (nearest is {self.times[i]:.6g})"
             )
         return i
-
-    def coverage(self, t: float) -> tuple:
-        """(min X, max X) over surviving paths at recorded time t."""
-        i = self.time_index(t)
-        live = self.alive[i]
-        if not np.any(live):
-            raise FanCoverageError(f"no surviving paths at t={t}")
-        xs = self.x[i, live]
-        return float(xs[0]), float(xs[-1])
 
 
 def default_starts(m: float, t_end: float, x_lo: float, x_hi: float, n_paths: int) -> np.ndarray:
@@ -254,10 +234,11 @@ def _pchip(xs, ys, xq):
     return value, deriv
 
 
-def fan_to_field(fan: CharacteristicFan, x_grid: np.ndarray, times=None) -> BernsteinField:
-    """Reconstructed field on a fixed x-grid; Fxx comes from the derivative of
-    the monotone interpolant of (X, P), which extends past the surviving paths."""
-    times = fan.times if times is None else np.asarray(times, dtype=float)
+def fan_to_field(fan: CharacteristicFan, x_grid: np.ndarray, times) -> BernsteinField:
+    """Reconstructed field on a fixed x-grid at recorded fan ``times``; Fxx
+    comes from the derivative of the monotone interpolant of (X, P), which
+    extends past the surviving paths."""
+    times = np.asarray(times, dtype=float)
     x = np.asarray(x_grid, dtype=float)
     F = np.empty((times.size, x.size))
     Fx = np.empty_like(F)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -59,10 +60,6 @@ EXIT_NOINPUT = MissingArtifactError.exit_code
 
 _REQUIRED = object()
 
-#: The [initial] kinds that a config can set; make_initial's "custom" needs a
-#: density callable, which no config key can pass.
-_CONFIG_KINDS = ("monodisperse", "exponential")
-
 
 @dataclass
 class Experiment:
@@ -75,7 +72,7 @@ class Experiment:
     scenario: ScenarioParams
     solver: SolverConfig
     conv_runs: tuple  # ``solver`` ending at [convergence] t_hi, one per eps_list entry
-    verify_x: np.ndarray  # 0, then geometric on [field] x_lo .. [verify] x_hi
+    verify_x: np.ndarray  # 0, then geometric on [verify] x_lo .. x_hi
     conv_x: np.ndarray
     char_x: np.ndarray
     conv_fan: dict  # integrate_fan's starts, t_end, dt and record_every
@@ -131,19 +128,16 @@ def load_config(path) -> Experiment:
             raise ValueError(f"[verify] {key} = {value:g} must be positive and finite")
         return value
 
-    def x_range(lo_section, lo_default, hi_section, hi_default):
-        lo, hi = get(lo_section, "x_lo", float, lo_default), get(hi_section, "x_hi", float, hi_default)
+    def x_range(section, lo_default, hi_default):
+        lo, hi = get(section, "x_lo", float, lo_default), get(section, "x_hi", float, hi_default)
         if not lo < hi:
-            raise ValueError(f"[{lo_section}] x_lo = {lo:g} is not below [{hi_section}] x_hi = {hi:g}")
+            raise ValueError(f"[{section}] x_lo = {lo:g} is not below [{section}] x_hi = {hi:g}")
         return lo, hi
 
     try:
         grid = SizeGrid(ds=get("grid", "ds", float), n=get("grid", "n", int))
-        kind = get("initial", "kind", str, "monodisperse")
-        if kind not in _CONFIG_KINDS:
-            raise ValueError(f"[initial] kind = {kind} must be one a config can set: {', '.join(_CONFIG_KINDS)}")
         initial = make_initial(
-            kind,
+            get("initial", "kind", str, "monodisperse"),
             grid,
             mass=get("scenario", "mass", float),
             size=get("initial", "size", float, 1.0),
@@ -153,10 +147,11 @@ def load_config(path) -> Experiment:
         dt = get("solver", "dt", float)
         t_end = get("solver", "t_end", float)
         solver_steps = named("[solver]", lambda: step_count(t_end, dt))
+        output_every = get("solver", "output_every", int, None)
         solver = SolverConfig(
             dt=dt,
             t_end=t_end,
-            output_every=get("solver", "output_every", int, _default_stride(solver_steps, 10)),
+            output_every=_default_stride(solver_steps, 10) if output_every is None else output_every,
             spec=KernelSpec.for_grid(grid, frag_eps=get("kernel", "frag_eps", float, 0.0)),
             scenario=scenario,
         )
@@ -174,8 +169,8 @@ def load_config(path) -> Experiment:
         conv_nx = get("convergence", "nx", int, 46)
         if conv_nx < 2:
             raise ValueError(f"[convergence] nx = {conv_nx} must be at least 2")
-        conv_x = np.linspace(*x_range("convergence", 0.5, "convergence", 5.0), conv_nx)
-        char_x = np.linspace(*x_range("characteristics", 0.5, "characteristics", 6.0), verify_nx)
+        conv_x = np.linspace(*x_range("convergence", 0.5, 5.0), conv_nx)
+        char_x = np.linspace(*x_range("characteristics", 0.5, 6.0), verify_nx)
         char_dt = get("characteristics", "dt", float, 1e-3)
         char_t_end = get("characteristics", "t_end", float, t_end)
         fan_steps = named("[characteristics]", lambda: step_count(char_t_end, char_dt))
@@ -220,7 +215,7 @@ def load_config(path) -> Experiment:
             scenario=scenario,
             solver=solver,
             conv_runs=conv_runs,
-            verify_x=np.concatenate([[0.0], np.geomspace(*x_range("field", 1e-3, "verify", 5.0), verify_nx)]),
+            verify_x=np.concatenate([[0.0], np.geomspace(*x_range("verify", 1e-3, 5.0), verify_nx)]),
             conv_x=conv_x,
             char_x=char_x,
             conv_fan=dict(starts=conv_starts, t_end=conv_t_hi, dt=snap_dt / per_snapshot, record_every=per_snapshot),
@@ -249,12 +244,12 @@ def load_config(path) -> Experiment:
 
 
 def _default_stride(n_steps: int, snapshots: int) -> int:
-    """Largest divisor of ``n_steps`` up to ``n_steps // snapshots``: about that
-    many uniformly spaced snapshots."""
-    stride = max(1, n_steps // snapshots)
-    while n_steps % stride:
-        stride -= 1
-    return stride
+    """Largest divisor of ``n_steps`` up to ``n_steps // snapshots``, at least 1:
+    about that many uniformly spaced snapshots.  The divisors come in pairs
+    (d, n_steps // d) with d up to the square root of ``n_steps``."""
+    cap = max(1, n_steps // snapshots)
+    pairs = ((d, n_steps // d) for d in range(1, math.isqrt(n_steps) + 1) if n_steps % d == 0)
+    return max((d for pair in pairs for d in pair if d <= cap), default=1)
 
 
 def _say(quiet, *parts):

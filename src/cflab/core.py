@@ -99,7 +99,10 @@ class Distribution:
         object.__setattr__(self, "counts", counts)
 
     def moment(self, k: int) -> float:
-        return moment(self, k)
+        """k-th moment ``sum_i s_i^k N_i`` for k = 0..5; m_1 is the total mass."""
+        if not 0 <= k <= MAX_MOMENT:
+            raise ValueError(f"moment order must be in 0..{MAX_MOMENT}, got {k}")
+        return float(np.dot(self.grid.sizes ** k, self.counts))
 
 
 @dataclass(frozen=True)
@@ -148,7 +151,7 @@ class ScenarioParams:
     @classmethod
     def from_distribution(cls, dist: Distribution) -> "ScenarioParams":
         """Parameters of the discretized system (not the continuum profile)."""
-        return cls(m=moment(dist, 1), m2_0=moment(dist, 2))
+        return cls(m=dist.moment(1), m2_0=dist.moment(2))
 
 
 @dataclass(frozen=True)
@@ -277,22 +280,7 @@ def time_derivative(F: np.ndarray, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def moment(dist: Distribution, k: int) -> float:
-    """k-th moment ``sum_i s_i^k N_i`` for k = 0..5; m_1 is the total mass."""
-    if not 0 <= k <= MAX_MOMENT:
-        raise ValueError(f"moment order must be in 0..{MAX_MOMENT}, got {k}")
-    return float(np.dot(dist.grid.sizes ** k, dist.counts))
-
-
-def make_initial(
-    kind: str,
-    grid: SizeGrid,
-    *,
-    mass: float,
-    size: float = 1.0,
-    lam: float = 1.0,
-    density: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> Distribution:
+def make_initial(kind: str, grid: SizeGrid, *, mass: float, size: float = 1.0, lam: float = 1.0) -> Distribution:
     """Discretize a canonical initial profile and renormalize it to ``mass``.
 
     Kinds
@@ -301,15 +289,13 @@ def make_initial(
         All mass in the single bin nearest ``size``.
     exponential
         Number density proportional to ``s * exp(-lam*s)``.
-    custom
-        Number density given by the ``density`` callable (vectorized in s).
 
     The discrete first moment is renormalized to hit ``mass`` exactly (within
     floating point); downstream bounds are stated relative to the system that
     is actually simulated, so the second moment should then be re-read from
     the returned distribution.  Raises GridError when the profile does not fit
     the grid (point mass off the grid, or relative tail mass above the top of
-    the grid exceeding ``TAIL_MASS_RTOL``).
+    the grid exceeding ``TAIL_MASS_RTOL``), and ValueError for another kind.
     """
     if not mass > 0:
         raise ValueError(f"requested mass must be positive, got {mass}")
@@ -319,37 +305,19 @@ def make_initial(
         counts = np.zeros(grid.n)
         counts[j - 1] = mass / s[j - 1]
         return Distribution(grid, counts)
-    if kind == "exponential":
-        if not lam > 0:
-            raise ValueError(f"exponential rate must be positive, got {lam}")
-        top = grid.s_max
-        # closed-form relative mass of the profile beyond the grid
-        tail = math.exp(-lam * top) * (0.5 * (lam * top) ** 2 + lam * top + 1.0)
-        if tail > TAIL_MASS_RTOL:
-            raise GridError(
-                f"exponential profile keeps relative tail mass {tail:.3e} beyond "
-                f"s_max={top}; enlarge the grid"
-            )
-        counts = lam ** 2 * s * np.exp(-lam * s) * grid.ds
-    elif kind == "custom":
-        if density is None:
-            raise ValueError("custom initial profile needs a density callable")
-        counts = np.asarray(density(s), dtype=float) * grid.ds
-        if counts.shape != s.shape or np.any(counts < 0) or not np.all(np.isfinite(counts)):
-            raise ValueError("density must return finite nonnegative values per bin")
-        # estimate the unrepresentable tail by extending the same sampling rule
-        s_ext = grid.s_max + grid.ds * np.arange(1, 3 * grid.n + 1)
-        tail_mass = float(np.sum(s_ext * np.asarray(density(s_ext), dtype=float)) * grid.ds)
-        body_mass = float(np.dot(s, counts))
-        if body_mass <= 0:
-            raise GridError("custom profile carries no mass on the grid")
-        if tail_mass > TAIL_MASS_RTOL * (body_mass + tail_mass):
-            raise GridError(
-                f"custom profile keeps relative tail mass "
-                f"{tail_mass / (body_mass + tail_mass):.3e} beyond s_max={grid.s_max}"
-            )
-    else:
-        raise ValueError(f"unknown initial kind {kind!r}")
+    if kind != "exponential":
+        raise ValueError(f"unknown initial kind {kind!r}: the kinds are monodisperse and exponential")
+    if not lam > 0:
+        raise ValueError(f"exponential rate must be positive, got {lam}")
+    top = grid.s_max
+    # closed-form relative mass of the profile beyond the grid
+    tail = math.exp(-lam * top) * (0.5 * (lam * top) ** 2 + lam * top + 1.0)
+    if tail > TAIL_MASS_RTOL:
+        raise GridError(
+            f"exponential profile keeps relative tail mass {tail:.3e} beyond "
+            f"s_max={top}; enlarge the grid"
+        )
+    counts = lam ** 2 * s * np.exp(-lam * s) * grid.ds
     m1 = float(np.dot(s, counts))
     if m1 <= 0:
         raise GridError("discretized profile carries no mass on the grid")

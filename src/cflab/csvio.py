@@ -23,8 +23,6 @@ TRAJECTORY_HEADER = ["t", "m0", "m1", "m2", "m3", "m4", "m5", "mass_drift", "top
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, str):
@@ -37,7 +35,7 @@ def _row_template(kinds) -> str:
     each cell."""
     cells = (
         "%s" if issubclass(kind, str)
-        else "%d" if issubclass(kind, (bool, np.bool_, int, np.integer))
+        else "%d" if issubclass(kind, (int, np.integer))
         else "%.17g"
         for kind in kinds
     )

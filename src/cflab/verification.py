@@ -72,15 +72,16 @@ def envelope_check(times: np.ndarray, m2_series: np.ndarray, m2_0: float) -> Bou
     )
 
 
-def holder_bounds_check(moments: np.ndarray, times: np.ndarray | None = None) -> BoundReport:
+def holder_bounds_check(moments: np.ndarray, times: np.ndarray) -> BoundReport:
     """Interpolation inequalities m4*m1^2 >= m2^3 and m5*m1 >= m3^2, exact facts
-    for any nonnegative measure, checked with relative slack HOLDER_RTOL."""
+    for any nonnegative measure, checked with relative slack HOLDER_RTOL on
+    each row of ``moments`` (m0..m5), located at its entry of ``times``."""
     moments = np.atleast_2d(np.asarray(moments, dtype=float))
     if moments.shape[1] < 6:
         raise ValueError("need moment vectors (m0..m5)")
     if np.any(moments[:, 1] <= 0):
         raise ValueError("mass must be positive at every sample")
-    times = np.arange(moments.shape[0]) if times is None else np.asarray(times, dtype=float)
+    times = np.asarray(times, dtype=float)
     m1, m2, m3, m4, m5 = (moments[:, k] for k in range(1, 6))
     scale_a = np.maximum(m2 ** 3, np.finfo(float).tiny)
     scale_b = np.maximum(m3 ** 2, np.finfo(float).tiny)

@@ -27,11 +27,11 @@ from cflab import (
     field_from_trajectory,
     integrate_fan,
     make_initial,
-    monodisperse_transform,
     simulate,
 )
 from cflab.cli import load_config
 from golden.make_golden import run_workloads
+from oracles import point_mass_transform
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -115,9 +115,9 @@ def run_m1_fine():
 
 @pytest.fixture(scope="session")
 def fan_m1():
-    """2000-path fan from the point-mass transform, m=1, to t=0.3."""
+    """2000-path fan from the transform of a unit point mass at size 1, to t=0.3."""
     m = 1.0
-    f0 = monodisperse_transform(m, 1.0)
+    f0 = point_mass_transform()
     starts = default_starts(m, 0.3, 0.5, 8.0, 2000)
     fan = integrate_fan(f0, starts, t_end=0.3, dt=1e-3, m=m)
     return {"fan": fan, "f0": f0, "m": m, "t_star": 1.0}

@@ -4,7 +4,8 @@ None of these is part of cflab: the kernels are the rates the vectorized
 solvers must realize, the moment equations and their breakup coefficient are
 the closed forms the kinetic moments must follow, the exponential handle is
 the closed form of a discretized profile's transform, the single-time field
-is the transform of one distribution, and the ordering check compares two
+is the transform of one distribution, the point-mass handle and the x grid
+are the fixed inputs of several tests, and the ordering check compares two
 fans built from different initial data, which no subcommand has; the
 one-event oracle redoes a lockstep event of one replica in Python floats and
 integers, the replay steps one replica event by event through
@@ -18,7 +19,8 @@ import math
 import numpy as np
 
 from cflab import (
-    Distribution, KernelSpec, Trajectory, default_starts, field_from_trajectory, integrate_fan, reconstruct,
+    Distribution, KernelSpec, SizeGrid, Trajectory, default_starts, distribution_transform, field_from_trajectory,
+    integrate_fan, make_initial, reconstruct,
 )
 from cflab.characteristics import X_FLOOR, _check_no_crossing, char_rhs
 from cflab.core import _readonly
@@ -80,11 +82,28 @@ def moment_ode_rhs_on_grid(moments, eps: float, k: int, ds: float) -> float:
     raise ValueError(f"moment equations are provided for k in {{2, 3}}, got {k}")
 
 
-def distribution_field(dist: Distribution, x_grid=None):
+def distribution_field(dist: Distribution, x_grid):
     """The field at t = 0 of one distribution: ``field_from_trajectory`` of the
     run whose one snapshot is ``dist``."""
     traj = Trajectory.of_snapshots([0.0], dist.counts[None], dist.grid, KernelSpec.for_grid(dist.grid))
     return field_from_trajectory(traj, x_grid)
+
+
+def point_mass_transform():
+    """Initial-data handle of a unit point mass at size 1: (1 - exp(-x), exp(-x)), bit for bit."""
+    return distribution_transform(make_initial("monodisperse", SizeGrid(ds=0.25, n=8), mass=1.0, size=1.0))
+
+
+def x_grid(num: int = 64) -> np.ndarray:
+    """The origin, then ``num`` geometric x on [1e-3, 20]."""
+    return np.concatenate([[0.0], np.geomspace(1e-3, 20.0, num)])
+
+
+def covered(fan, t) -> tuple:
+    """(first, last) X of the paths of ``fan`` that survive at recorded time t."""
+    i = fan.time_index(t)
+    xs = fan.x[i, fan.alive[i]]
+    return float(xs[0]), float(xs[-1])
 
 
 def exponential_transform(m: float, lam: float = 1.0):
@@ -122,8 +141,8 @@ def ordering_check(f0_low, f0_high, t, m, n_paths=800, dt=1e-3, x_window=None, t
     starts = default_starts(m, t, x_window[0], x_window[1], n_paths)
     fan_low = integrate_fan(f0_low, starts, t, dt, m)
     fan_high = integrate_fan(f0_high, starts, t, dt, m)
-    lo = max(fan_low.coverage(t)[0], fan_high.coverage(t)[0], x_window[0])
-    hi = min(fan_low.coverage(t)[1], fan_high.coverage(t)[1], x_window[1])
+    lo = max(covered(fan_low, t)[0], covered(fan_high, t)[0], x_window[0])
+    hi = min(covered(fan_low, t)[1], covered(fan_high, t)[1], x_window[1])
     if not lo < hi:
         raise FanCoverageError(f"no common coverage at t={t}")
     xs = np.linspace(lo, hi, 200)

@@ -23,14 +23,15 @@ from cflab import (
     field_from_trajectory,
     holder_bounds_check,
     make_initial,
-    monodisperse_transform,
     monotone_derivative_checks,
     reconstruct,
     simulate,
     weak_form_residual,
 )
 from cflab.verification import cm_sampled_check, hj_residual_check
-from oracles import frag_weak_coefficient, moment_ode_rhs_on_grid, ordering_check, replay_replica, scale_initial
+from oracles import (
+    frag_weak_coefficient, moment_ode_rhs_on_grid, ordering_check, point_mass_transform, replay_replica, scale_initial, x_grid,
+)
 
 
 def report(criterion: str, passed: bool, detail: str = ""):
@@ -166,7 +167,7 @@ def test_07_complete_monotonicity(run_m15_family, run_m1_fine, ensemble_bundle, 
     )
     tables = [(traj.grid, traj.counts, traj.times) for traj in runs]
     tables.append((ensemble_bundle["initial"].grid, replica_counts, ensemble_bundle["t_grid"]))
-    reports = [cm_exact_report(grid, counts, times) for grid, counts, times in tables]
+    reports = [cm_exact_report(grid, counts, times, x_grid()) for grid, counts, times in tables]
     exact_failures = sum(not rep.passed for rep in reports)
     worst = min(rep.worst_margin for rep in reports)
     n_snapshots = sum(counts.shape[0] for _, counts, _ in tables)
@@ -188,7 +189,7 @@ def test_08_derivative_bounds(run_m15_family, fan_m1):
     scen = run_m15_family["scenario"]
     margins = []
     for traj in run_m15_family["runs"].values():
-        check = derivative_bounds_check(field_from_trajectory(traj), scen, 0.5 * scen.t_star)
+        check = derivative_bounds_check(field_from_trajectory(traj, x_grid()), scen, 0.5 * scen.t_star)
         margins.append(check.worst_margin)
         assert check.passed, str(check)
     fan = fan_m1["fan"]
@@ -234,7 +235,7 @@ def test_10_stochastic_cross_validation(ensemble_bundle):
 
 def test_11_comparison_ordering():
     """Initial data scaled by 0.9 stays below the unscaled solution at t=0.3."""
-    f_high = monodisperse_transform(1.0, 1.0)
+    f_high = point_mass_transform()
     f_low = scale_initial(f_high, 0.9)
     ordered = ordering_check(f_low, f_high, t=0.3, m=1.0)
     report("11 comparison-ordering", ordered, "0.9-scaled data stays below")

@@ -16,10 +16,9 @@ from cflab import (
     make_initial,
 )
 from cflab import core
-from cflab.bernstein import bernstein_sums, default_x_grid
-from cflab.core import moment
+from cflab.bernstein import bernstein_sums
 from cflab.verification import cm_sampled_check, hj_residual_check
-from oracles import distribution_field
+from oracles import distribution_field, x_grid
 
 counts_strategy = arrays(
     np.float64,
@@ -71,13 +70,13 @@ class TestTransform:
         d = Distribution(g, rng.random(10))
         F, Fx, Fxx = f_fx_fxx(d, np.array([0.0]))
         assert F[0] == 0.0
-        assert Fx[0] == pytest.approx(moment(d, 1), rel=1e-14)
-        assert Fxx[0] == pytest.approx(-moment(d, 2), rel=1e-14)
+        assert Fx[0] == pytest.approx(d.moment(1), rel=1e-14)
+        assert Fxx[0] == pytest.approx(-d.moment(2), rel=1e-14)
 
     def test_discretized_exponential_density(self):
         """Number density exp(-s) has F(x) = x/(1+x); check F(1) = 0.5 + O(ds)."""
         g = SizeGrid(ds=0.01, n=4000)
-        d = make_initial("custom", g, mass=1.0, density=lambda s: np.exp(-s))
+        d = Distribution(g, np.exp(-g.sizes) * g.ds)
         F, _, _ = f_fx_fxx(d, np.array([1.0]))
         assert F[0] == pytest.approx(0.5, abs=5 * g.ds)
 
@@ -87,7 +86,7 @@ class TestTransform:
         """transform(N + M) = transform(N) + transform(M) pointwise."""
         g = SizeGrid(ds=0.5, n=len(counts))
         other = np.roll(counts, 1)
-        x = default_x_grid(num=16)
+        x = x_grid(16)
         Fa, Fxa, Fxxa = f_fx_fxx(Distribution(g, counts), x)
         Fb, Fxb, Fxxb = f_fx_fxx(Distribution(g, other), x)
         Fs, Fxs, Fxxs = f_fx_fxx(Distribution(g, counts + other), x)
@@ -101,9 +100,9 @@ class TestTransform:
         """0 <= Fx <= m1, |Fxx| <= m2, and F <= m1*x for all x >= 0."""
         g = SizeGrid(ds=0.5, n=len(counts))
         d = Distribution(g, counts)
-        x = default_x_grid(num=24)
+        x = x_grid(24)
         F, Fx, Fxx = f_fx_fxx(d, x)
-        m1, m2 = moment(d, 1), moment(d, 2)
+        m1, m2 = d.moment(1), d.moment(2)
         slack = 1e-12 * max(m1, 1.0)
         assert np.all(Fx >= -slack) and np.all(Fx <= m1 + slack)
         assert np.all(np.abs(Fxx) <= m2 + 1e-12 * max(m2, 1.0))
@@ -113,7 +112,7 @@ class TestTransform:
     def test_single_time_field_wrapper(self):
         g = SizeGrid(ds=1.0, n=4)
         d = Distribution(g, [2.0, 0, 0, 0])
-        field = distribution_field(d)
+        field = distribution_field(d, x_grid())
         assert field.times.shape == (1,)
         assert field.m == pytest.approx(2.0)
         assert field.g_eps is not None
@@ -123,7 +122,7 @@ def test_sums_of_a_matrix_are_its_rows_sums():
     """Each row of a counts matrix gets the sums it gets alone, bit for bit."""
     g = SizeGrid(ds=0.25, n=32)
     counts = np.random.default_rng(5).random((3, 32))
-    x = default_x_grid(num=12)
+    x = x_grid(12)
     F, D = bernstein_sums(g, counts, x, k_max=3)
     assert F.shape == (3, x.size) and D.shape == (3, 3, x.size)
     for row, c in enumerate(counts):
@@ -155,7 +154,7 @@ def test_blocked_sums_match_one_block(monkeypatch, num, rows):
     would: the same sums, to roundoff."""
     g = SizeGrid(ds=0.25, n=32)
     counts = np.random.default_rng(7).random((3, 32)) * np.exp(-g.sizes)
-    x = default_x_grid(num=num) if num else np.array([0.7])
+    x = x_grid(num) if num else np.array([0.7])
     if rows is not None:
         monkeypatch.setattr(core, "BLOCK_ENTRIES", rows * g.n)
     assert core.block_rows(g.n) == (rows or core.BLOCK_ENTRIES // g.n)
@@ -178,7 +177,7 @@ class TestDerivative:
         g = SizeGrid(ds=1.0, n=4)
         d = Distribution(g, [0.0, 1.0, 0, 0])
         _, D = sums(d, [0.0], k_max=2)
-        assert (-1) ** (2 - 1) * D[1, 0] == pytest.approx(-moment(d, 2))
+        assert (-1) ** (2 - 1) * D[1, 0] == pytest.approx(-d.moment(2))
 
     def test_third_derivative_point_mass(self):
         """Unit count at s=2: d^3F/dx^3(0) = (+1) * 2^3 = 8."""
@@ -202,7 +201,7 @@ class TestCompleteMonotonicity:
         g = SizeGrid(ds=0.5, n=16)
         rng = np.random.default_rng(7)
         d = Distribution(g, rng.random(16))
-        report = cm_exact_report(g, d.counts[None], [0.0])
+        report = cm_exact_report(g, d.counts[None], [0.0], x_grid())
         assert report.passed
         assert report.worst_margin >= 0.0
 
@@ -215,7 +214,7 @@ class TestCompleteMonotonicity:
         counts = rng.random((4, 16))
         counts[2] *= 1e-3  # the smallest sums
         times = [0.0, 0.1, 0.2, 0.3]
-        x = default_x_grid(num=8)
+        x = x_grid(8)
         report = cm_exact_report(g, counts, times, x_samples=x)
         t, xv, k = report.location
         assert t == 0.2
@@ -242,7 +241,7 @@ class TestCompleteMonotonicity:
         d = Distribution(g, [1.0, 0.5, 0, 0])
         x = np.linspace(0.5, 6.0, 23)
         F, Fx, Fxx = f_fx_fxx(d, x)
-        report = cm_sampled_check(synthetic_field(x, [0.0], [F], [Fx], [Fxx], moment(d, 1)))
+        report = cm_sampled_check(synthetic_field(x, [0.0], [F], [Fx], [Fxx], d.moment(1)))
         assert report.passed
 
     def test_sampled_requires_uniform_grid(self):
@@ -321,14 +320,14 @@ class TestForcing:
         g = SizeGrid(ds=1.0, n=4)
         d = Distribution(g, [1.5, 0, 0, 0])
         scen = ScenarioParams.from_distribution(d)
-        field = distribution_field(d, default_x_grid())
+        field = distribution_field(d, x_grid())
         assert g_eps_bound_check(field, scen, T=0.0).passed
 
     def test_bound_check_rejects_t_at_horizon(self):
         g = SizeGrid(ds=1.0, n=4)
         d = Distribution(g, [1.5, 0, 0, 0])
         scen = ScenarioParams.from_distribution(d)
-        field = distribution_field(d, default_x_grid())
+        field = distribution_field(d, x_grid())
         with pytest.raises(ValueError):
             g_eps_bound_check(field, scen, T=scen.t_star)
 
@@ -347,5 +346,5 @@ class TestForcing:
     def test_kinetic_field_bound_holds(self, run_m15_family):
         scen = run_m15_family["scenario"]
         traj = run_m15_family["runs"][0.1]
-        field = field_from_trajectory(traj)
+        field = field_from_trajectory(traj, x_grid())
         assert g_eps_bound_check(field, scen, T=0.5).passed

@@ -12,7 +12,6 @@ from cflab import (
     distribution_transform,
     fan_to_field,
     integrate_fan,
-    monodisperse_transform,
     monotone_derivative_checks,
     reconstruct,
     SizeGrid,
@@ -20,7 +19,9 @@ from cflab import (
 )
 from cflab import characteristics
 from cflab.characteristics import CharacteristicFan, _check_no_crossing, _pchip, char_rhs
-from oracles import exponential_transform, integrate_fan_loop, ordering_check, scale_initial
+from oracles import (
+    covered, exponential_transform, integrate_fan_loop, ordering_check, point_mass_transform, scale_initial,
+)
 
 
 class TestCharRhs:
@@ -51,18 +52,21 @@ class TestCharRhs:
 
 
 class TestInitialData:
-    def test_monodisperse_handle(self):
-        f0 = monodisperse_transform(1.0, 1.0)
-        value, slope = f0(np.array([0.0, 1.0]))
-        np.testing.assert_allclose(value, [0.0, -np.expm1(-1.0)])
-        np.testing.assert_allclose(slope, [1.0, np.exp(-1.0)])
+    @pytest.mark.parametrize("ds", [0.25, 0.5, 1.0])
+    def test_monodisperse_handle(self, ds):
+        """The transform of a unit point mass at size 1 is (1 - exp(-x), exp(-x))
+        bit for bit, on every grid that holds the point."""
+        x = np.linspace(0.05, 12.0, 300)
+        initial = make_initial("monodisperse", SizeGrid(ds=ds, n=128), mass=1.0, size=1.0)
+        value, slope = distribution_transform(initial)(np.concatenate([[0.0], x]))
+        assert (value[0], slope[0]) == (0.0, 1.0)
+        assert np.array_equal(value[1:], -np.expm1(-x)) and np.array_equal(slope[1:], np.exp(-x))
 
     def test_slope_tends_to_mass_at_origin(self):
         """P(0) at x -> 0+ approaches m; the first drift is m - m - 1/2."""
-        f0 = monodisperse_transform(1.0, 1.0)
-        _, slope = f0(1e-9)
+        (value,), (slope,) = point_mass_transform()(1e-9)
         assert slope == pytest.approx(1.0, abs=1e-8)
-        dx, _, _ = char_rhs((1e-9, float(slope), float(f0(1e-9)[0])), m=1.0)
+        dx, _, _ = char_rhs((1e-9, float(slope), float(value)), m=1.0)
         assert dx == pytest.approx(-0.5, abs=1e-8)
 
     def test_exponential_handle_consistent_with_discretization(self):
@@ -99,7 +103,7 @@ class TestInitialData:
         """Every comparison with nan is false, so the [0, m] slope test and the
         start test are written to fail on it: one nan among 10 slopes on [1, 3]
         would otherwise integrate to an all-nan fan with no error."""
-        f0 = monodisperse_transform(1.0, 1.0)
+        f0 = point_mass_transform()
         starts = np.linspace(1.0, 3.0, 10)
 
         def one_nan_slope(x):
@@ -119,7 +123,7 @@ class TestInitialData:
     def test_non_finite_initial_value_rejected(self):
         """One nan F0 among 10 paths on [1, 3], with valid slopes, is bad initial
         data: rejected as such, not later as a fan crossing with a nan gap."""
-        f0 = monodisperse_transform(1.0, 1.0)
+        f0 = point_mass_transform()
 
         def one_nan_value(x):
             z, p = f0(x)
@@ -136,7 +140,7 @@ class TestIntegrateFan:
         """300 steps recorded every 7 would end on a 6-step stride, and the field
         of that fan could not be differenced in time; the fan rejects it as
         SolverConfig rejects the same output stride."""
-        f0 = monodisperse_transform(1.0, 1.0)
+        f0 = point_mass_transform()
         starts = np.linspace(1.0, 3.0, 5)
         with pytest.raises(ValueError, match="does not divide the 300 steps"):
             integrate_fan(f0, starts, t_end=0.3, dt=1e-3, m=1.0, record_every=7)
@@ -148,7 +152,7 @@ class TestIntegrateFan:
             np.testing.assert_allclose(np.diff(fan.times), np.diff(fan.times)[0], rtol=1e-9)
 
     def test_zero_horizon_returns_initial_conditions(self):
-        f0 = monodisperse_transform(1.0, 1.0)
+        f0 = point_mass_transform()
         starts = np.linspace(0.5, 3.0, 7)
         fan = integrate_fan(f0, starts, t_end=0.0, dt=1e-2, m=1.0)
         np.testing.assert_allclose(fan.x[0], starts)
@@ -164,7 +168,7 @@ class TestIntegrateFan:
 
     def test_termination_excludes_paths_near_floor(self):
         """Starts below (m + 1/2) * t_end cannot survive and must be marked."""
-        f0 = monodisperse_transform(1.0, 1.0)
+        f0 = point_mass_transform()
         starts = np.array([0.05, 0.2, 1.0, 2.0])
         fan = integrate_fan(f0, starts, t_end=0.3, dt=1e-3, m=1.0)
         assert fan.terminated[0]
@@ -188,7 +192,7 @@ class TestIntegrateFan:
         assert "p_nondecreasing" in [check.name for check in report if not check.passed]
 
     def test_single_path_fan_cross_checks_vacuous(self):
-        f0 = monodisperse_transform(1.0, 1.0)
+        f0 = point_mass_transform()
         fan = integrate_fan(f0, np.array([2.0]), t_end=0.1, dt=1e-2, m=1.0)
         report = monotone_derivative_checks(fan)
         assert all(check.passed for check in report)
@@ -198,7 +202,7 @@ class TestIntegrateFan:
         """On a fan whose low paths terminate at different times, the fan checks
         give the margins and locations of loops over paths, at (t, path), and
         of loops over times, then gaps among the surviving paths, at (t, gap)."""
-        f0 = monodisperse_transform(1.0, 1.0)
+        f0 = point_mass_transform()
         fan = integrate_fan(f0, np.geomspace(0.05, 6.0, 300), t_end=0.3, dt=1e-3, m=1.0, record_every=6)
         alive_steps = fan.alive.sum(axis=0)
         assert alive_steps.min() < fan.times.size // 2 and len(set(alive_steps[alive_steps < fan.times.size])) > 5
@@ -327,7 +331,7 @@ class TestIntegrateFan:
             initial = make_initial("monodisperse", SizeGrid(ds=0.25, n=128), mass=1.0, size=1.0)
             args = (distribution_transform(initial), default_starts(1.0, 0.3, 0.5, 6.0, 2000), 0.3, 1e-3, 1.0)
         else:
-            args = (monodisperse_transform(1.0, 1.0), np.geomspace(0.05, 6.0, 300), 0.3, 1e-3, 1.0)
+            args = (point_mass_transform(), np.geomspace(0.05, 6.0, 300), 0.3, 1e-3, 1.0)
         fan = integrate_fan(*args, record_every=6)
         times, x, p, z, alive = integrate_fan_loop(*args, record_every=6)
         assert fan.times.size == 51
@@ -418,7 +422,7 @@ class TestReconstruct:
 
     def test_reconstruction_monotone_and_concave(self, fan_m1):
         fan = fan_m1["fan"]
-        lo, hi = fan.coverage(0.3)
+        lo, hi = covered(fan, 0.3)
         xs = np.linspace(lo, hi, 200)
         F = reconstruct(fan, xs, 0.3)
         assert np.all(np.diff(F) >= -1e-12)
@@ -452,16 +456,16 @@ class TestReconstruct:
 
 class TestOrdering:
     def test_identical_data(self):
-        f0 = monodisperse_transform(1.0, 1.0)
+        f0 = point_mass_transform()
         assert ordering_check(f0, f0, t=0.2, m=1.0, n_paths=300)
 
     def test_scaled_data_stays_ordered(self):
-        f_high = monodisperse_transform(1.0, 1.0)
+        f_high = point_mass_transform()
         f_low = scale_initial(f_high, 0.9)
         assert ordering_check(f_low, f_high, t=0.3, m=1.0, n_paths=400)
 
     def test_swapped_arguments_detected(self):
-        f_high = monodisperse_transform(1.0, 1.0)
+        f_high = point_mass_transform()
         f_low = scale_initial(f_high, 0.9)
         assert not ordering_check(f_high, f_low, t=0.3, m=1.0, n_paths=400)
 

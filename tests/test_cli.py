@@ -3,16 +3,17 @@ import csv
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cflab
 
 from cflab import BoundReport, errors, kinetic
 from cflab.bernstein import bernstein_sums, field_from_trajectory, hj_residual_grid
-from cflab.core import moment
 from cflab.cli import (
     EXIT_BOUND_VIOLATION,
     EXIT_DATA,
@@ -20,6 +21,7 @@ from cflab.cli import (
     EXIT_OK,
     EXIT_SOLVER_ABORT,
     EXIT_USAGE,
+    _default_stride,
     load_config,
     main,
     strictly_decreasing,
@@ -144,7 +146,7 @@ class TestConfig:
             pytest.param("n_paths = 200", "n_paths = 1", id="characteristics n_paths = 1"),
             pytest.param("x_lo = 0.6", "x_lo = 7", id="characteristics x_lo = 7"),
             ("eps_list = 0.2, 0.1, 0.05", "eps_list = 0.2, 0.1, -0.05"),
-            # [verify] x_hi below the default [field] x_lo = 1e-3
+            # [verify] x_hi below the default [verify] x_lo = 1e-3
             ("x_hi = 5.0", "x_hi = 0.0001"),
             # a ceiling divides the margin, and one below 0 turns a FAIL into a PASS
             ("hj_residual_max = 5e-2", "hj_residual_max = 0"),
@@ -215,30 +217,64 @@ class TestConfig:
 
     @pytest.mark.parametrize("kind", ["custom", "lognormal"])
     def test_kind_a_config_cannot_set_names_the_kinds_it_can(self, workspace, tmp_path, capsys, kind):
-        """make_initial's custom profile needs a density callable, which no
-        config key can pass: a config that asks for it, or for a kind that does
-        not exist, exits 64 with one line naming the kinds a config can set."""
+        """make_initial knows two kinds: a config that asks for another, such
+        as the former library-only custom, exits 64 with make_initial's one
+        line, which names both."""
         config, out = workspace
         bad = tmp_path / "kind.ini"
         bad.write_text(config.read_text().replace("kind = monodisperse", f"kind = {kind}"))
         assert main(["simulate", "--config", str(bad), "--quiet"]) == EXIT_USAGE
         assert capsys.readouterr().err == (
-            f"config error: bad value in {bad}: [initial] kind = {kind} must be one a config can set: "
-            "monodisperse, exponential\n"
+            f"config error: bad value in {bad}: unknown initial kind '{kind}': "
+            "the kinds are monodisperse and exponential\n"
         )
         assert not out.exists()
 
     def test_unread_keys_are_named_in_one_line(self, workspace, tmp_path, capsys):
-        """Keys that nothing reads, such as the dropped [field] x_hi, exit 64
-        before any run, named in one config error line."""
+        """Keys that nothing reads, such as the dropped [field] x_lo and x_hi,
+        exit 64 before any run, named in one config error line."""
         config, out = workspace
         bad = tmp_path / "unread.ini"
         bad.write_text(config.read_text() + "\n[field]\nx_lo = 1e-3\nx_hi = 20.0\n[extra]\nkey = 1\n")
         assert main(["simulate", "--config", str(bad), "--quiet"]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
-        assert "[field] x_hi, [extra] key" in err and "x_lo" not in err
+        assert err.endswith("sets keys that cflab does not read: [field] x_lo, [field] x_hi, [extra] key\n")
         assert not out.exists()
+
+    def test_verify_x_lo_starts_the_verify_grid(self, workspace, tmp_path):
+        """[verify] x_lo is the first geometric x of verify_x, after the origin,
+        and [verify] x_hi the last; left out, x_lo is 1e-3."""
+        config, out = workspace
+        assert load_config(config).verify_x[1] == 1e-3
+        cfg = tmp_path / "verify_x_lo.ini"
+        cfg.write_text(config.read_text().replace("[verify]\n", "[verify]\nx_lo = 0.02\n"))
+        x = load_config(cfg).verify_x
+        assert x[0] == 0.0 and np.array_equal(x[1:], np.geomspace(0.02, 5.0, 32))
+
+    def test_a_set_output_every_is_read_without_the_default_stride(self, workspace, tmp_path, capsys):
+        """dt = 1e-300 makes some 3e299 steps: the default stride would scan
+        their divisors for ever, but output_every = 50 is set, so load_config
+        never computes it, and the stride that does not divide the steps exits
+        64 within a second."""
+        config, out = workspace
+        cfg = tmp_path / "tiny_dt.ini"
+        cfg.write_text(config.read_text().replace("[solver]\ndt = 1e-3", "[solver]\ndt = 1e-300"))
+        start = time.perf_counter()
+        assert main(["simulate", "--config", str(cfg), "--quiet"]) == EXIT_USAGE
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "output_every = 50" in err and err.count("\n") == 1
+
+    @given(n_steps=st.integers(0, 10 ** 5), snapshots=st.integers(1, 100))
+    @settings(max_examples=300, deadline=None)
+    def test_default_stride_is_the_countdown(self, n_steps, snapshots):
+        """The largest divisor up to n_steps // snapshots, found from the
+        divisor pairs, is the stride that counting down from there finds."""
+        stride = max(1, n_steps // snapshots)
+        while n_steps % stride:
+            stride -= 1
+        assert _default_stride(n_steps, snapshots) == stride
 
     def test_default_stride_divides_the_step_count(self, workspace, tmp_path):
         """205 steps with no stride given: a tenth would be 20, the largest
@@ -436,7 +472,7 @@ class TestVerify:
         config, out = workspace
         assert main(["simulate", "--config", str(config), "--quiet"]) == EXIT_OK
         exp = load_config(config)
-        times, m2_0 = exp.solver.snapshot_times, moment(exp.initial, 2)
+        times, m2_0 = exp.solver.snapshot_times, exp.initial.moment(2)
         assert list(times) == pytest.approx([0.0, 0.05, 0.1, 0.15, 0.2])
         edge = times[3] * m2_0 * (1.0 - 5e-13)
         assert not times[3] <= edge * (1.0 / m2_0)  # outside the window without the slack

@@ -14,7 +14,7 @@ from cflab import (
     SolverConfig,
     make_initial,
 )
-from cflab.core import MomentSeries, march, moment, rk4, schedule, step_count, uniform_step
+from cflab.core import MomentSeries, march, rk4, schedule, step_count, uniform_step
 from oracles import coag_kernel, frag_kernel
 
 counts_strategy = arrays(
@@ -69,37 +69,35 @@ class TestMoment:
     def test_monodisperse_at_unit_size(self):
         """All powers of s=1 are 1, so every moment equals the count."""
         d = dist_for([3.0, 0.0], ds=1.0)
-        assert moment(d, 2) == pytest.approx(3.0)
+        assert d.moment(2) == pytest.approx(3.0)
 
     def test_single_bin_at_s2(self):
         d = dist_for([0.0, 0.5], ds=1.0)
-        assert moment(d, 1) == pytest.approx(1.0)
-        assert moment(d, 2) == pytest.approx(2.0)
+        assert d.moment(1) == pytest.approx(1.0)
+        assert d.moment(2) == pytest.approx(2.0)
 
     def test_two_bins_third_moment(self):
         # direct sum: 1*1^3 + 1*2^3 = 9
         d = dist_for([1.0, 1.0], ds=1.0)
-        assert moment(d, 3) == pytest.approx(9.0)
+        assert d.moment(3) == pytest.approx(9.0)
 
     def test_order_domain(self):
         d = dist_for([1.0, 1.0], ds=1.0)
         with pytest.raises(ValueError):
-            moment(d, 6)
+            d.moment(6)
         with pytest.raises(ValueError):
-            moment(d, -1)
+            d.moment(-1)
 
     @given(counts=counts_strategy, alpha=st.floats(0.0, 5.0), beta=st.floats(0.0, 5.0))
     @settings(max_examples=50, deadline=None)
     def test_linearity_in_counts(self, counts, alpha, beta):
-        """moment(aN + bM, k) = a moment(N, k) + b moment(M, k)."""
+        """m_k(aN + bM) = a m_k(N) + b m_k(M)."""
         g = SizeGrid(ds=0.5, n=len(counts))
         other = np.roll(counts, 1)
         mixed = Distribution(g, alpha * counts + beta * other)
         for k in range(6):
-            expected = alpha * moment(Distribution(g, counts), k) + beta * moment(
-                Distribution(g, other), k
-            )
-            np.testing.assert_allclose(moment(mixed, k), expected, rtol=1e-12, atol=1e-12)
+            expected = alpha * Distribution(g, counts).moment(k) + beta * Distribution(g, other).moment(k)
+            np.testing.assert_allclose(mixed.moment(k), expected, rtol=1e-12, atol=1e-12)
 
     @given(counts=counts_strategy)
     @settings(max_examples=50, deadline=None)
@@ -107,7 +105,7 @@ class TestMoment:
         """m4 m1^2 >= m2^3 and m5 m1 >= m3^2 are exact facts for nonnegative
         measures; they must hold for anything a Distribution can represent."""
         d = dist_for(counts)
-        m = [moment(d, k) for k in range(6)]
+        m = [d.moment(k) for k in range(6)]
         assert m[4] * m[1] ** 2 >= m[2] ** 3 * (1 - 1e-9)
         assert m[5] * m[1] >= m[3] ** 2 * (1 - 1e-9)
 
@@ -175,7 +173,7 @@ class TestMakeInitial:
         d = make_initial("monodisperse", g, mass=1.5, size=1.0)
         assert d.counts[0] == pytest.approx(1.5)
         assert np.count_nonzero(d.counts) == 1
-        assert moment(d, 2) == pytest.approx(1.5)
+        assert d.moment(2) == pytest.approx(1.5)
 
     def test_monodisperse_below_smallest_bin(self):
         g = SizeGrid(ds=1.0, n=8)
@@ -187,24 +185,22 @@ class TestMakeInitial:
         exactly after renormalization."""
         g = SizeGrid(ds=0.01, n=4000)
         d = make_initial("exponential", g, mass=2.5, lam=1.0)
-        np.testing.assert_allclose(moment(d, 1), 2.5, rtol=1e-12)
+        np.testing.assert_allclose(d.moment(1), 2.5, rtol=1e-12)
         # the shape matches the continuum profile: m2/m1 = 3/lam for s^2 e^{-s}
-        np.testing.assert_allclose(moment(d, 2) / moment(d, 1), 3.0, rtol=2e-3)
+        np.testing.assert_allclose(d.moment(2) / d.moment(1), 3.0, rtol=2e-3)
 
     def test_exponential_tail_rejected_on_small_grid(self):
         g = SizeGrid(ds=0.5, n=10)  # s_max = 5 keeps ~2e-2 of the mass outside
         with pytest.raises(GridError):
             make_initial("exponential", g, mass=1.0, lam=1.0)
 
-    def test_custom_profile(self):
-        g = SizeGrid(ds=0.01, n=4000)
-        d = make_initial("custom", g, mass=1.0, density=lambda s: np.exp(-s))
-        np.testing.assert_allclose(moment(d, 1), 1.0, rtol=1e-12)
-
     def test_unknown_kind(self):
+        """Any kind but the two, the former library-only custom among them, is
+        refused with a line that names both."""
         g = SizeGrid(ds=1.0, n=4)
-        with pytest.raises(ValueError):
-            make_initial("uniform", g, mass=1.0)
+        for kind in ("uniform", "custom"):
+            with pytest.raises(ValueError, match=f"unknown initial kind '{kind}': the kinds are monodisperse and exponential"):
+                make_initial(kind, g, mass=1.0)
 
 
 class TestStepRule:

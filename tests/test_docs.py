@@ -1,5 +1,6 @@
-"""The README's library sketch runs as written, its exit-code table matches
-the codes the program defines, and the exported API is pinned."""
+"""The README's library sketch runs as written, its example config is the
+benchmark's, its exit-code table matches the codes the program defines, and
+the exported API is pinned."""
 import os
 import re
 import subprocess
@@ -47,7 +48,6 @@ EXPORTED = [
     "integrate_fan",
     "kinetic",
     "make_initial",
-    "monodisperse_transform",
     "monotone_derivative_checks",
     "reconstruct",
     "simulate",
@@ -72,7 +72,15 @@ def test_exported_names_are_pinned():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == EXPORTED
-    assert len(EXPORTED) <= 41
+    assert len(EXPORTED) <= 40
+
+
+def test_readme_config_is_the_benchmark_config():
+    """The README's example config is ``perfbench/configs/readme.ini``, byte
+    for byte, so the runs that the benchmark and the golden record make are
+    the README's."""
+    block = re.search(r"```ini\n(.*?)```", README.read_text(), flags=re.DOTALL).group(1)
+    assert block == (README.parent / "perfbench" / "configs" / "readme.ini").read_text()
 
 
 def test_readme_exit_codes_are_the_defined_codes():

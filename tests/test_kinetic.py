@@ -22,7 +22,6 @@ from cflab import (
     weak_form_residual,
 )
 from cflab import core, kinetic
-from cflab.core import moment
 from cflab.kinetic import _coag_rates, _frag_rates, _rhs, _self_convolution, _weak_form_rates
 from cflab.verification import second_moment_envelope
 from oracles import frag_kernel, frag_weak_coefficient, moment_ode_rhs_on_grid, simulate_loop
@@ -237,7 +236,7 @@ class TestConservation:
         spec = KernelSpec.for_grid(g, frag_eps=eps)
         d = Distribution(g, counts)
         rate = _rhs(d.counts, g, spec)
-        m1 = max(moment(d, 1), 1.0)
+        m1 = max(d.moment(1), 1.0)
         assert abs(np.dot(g.sizes, rate)) <= 1e-13 * m1
 
     def test_second_moment_rate_matches_closed_form(self):
@@ -251,7 +250,7 @@ class TestConservation:
         d = Distribution(g, counts)
         rate = _rhs(d.counts, g, spec)
         measured = float(np.dot(g.sizes ** 2, rate))
-        mom = np.array([moment(d, k) for k in range(6)])
+        mom = np.array([d.moment(k) for k in range(6)])
         assert measured == pytest.approx(moment_ode_rhs_on_grid(mom, 0.0, 2, g.ds), rel=1e-10)
         continuum = mom[2] ** 2 - frag_weak_coefficient(2) * mom[3]
         assert measured == pytest.approx(continuum, abs=g.ds ** 2 * mom[1] / 6 * 1.01)
@@ -275,7 +274,7 @@ class TestStep:
         g = SizeGrid(ds=0.5, n=64)
         d = Distribution(g, np.where(g.sizes == 1.0, 2.0, 0.0))
         out = Distribution(g, simulate(make_config(g, eps=0.1, dt=1e-3, t_end=1e-3), d).counts[-1])
-        np.testing.assert_allclose(moment(out, 1), moment(d, 1), rtol=1e-12)
+        np.testing.assert_allclose(out.moment(1), d.moment(1), rtol=1e-12)
 
     def test_oversized_dt_aborts_with_negative_counts(self):
         g = SizeGrid(ds=1.0, n=32)

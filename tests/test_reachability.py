@@ -12,7 +12,6 @@ import cflab
 #: Public functions that no workload run and no README sketch calls, each
 #: with its reason.
 ALLOWED = {
-    "characteristics.CharacteristicFan.coverage": "only tests/oracles.py's ordering_check calls it",
     "errors.FanCoverageError.__init__": "raised only when a query leaves a fan's surviving paths",
     "stochastic.gillespie_step": "perfbench/traced_cli.py replays replica 0 through it to count events",
 }

@@ -26,7 +26,7 @@ from cflab.verification import (
     time_derivative_bound,
     truncation_occupancy_check,
 )
-from oracles import distribution_field, frag_weak_coefficient, moment_ode_rhs_on_grid
+from oracles import distribution_field, frag_weak_coefficient, moment_ode_rhs_on_grid, x_grid
 
 
 class TestEnvelope:
@@ -53,20 +53,20 @@ class TestEnvelope:
 class TestHolder:
     def test_monodisperse_equality_case(self):
         mono = np.array([[3.0, 3.0, 3.0, 3.0, 3.0, 3.0]])
-        report = holder_bounds_check(mono)
+        report = holder_bounds_check(mono, [0.0])
         assert report.passed
         assert report.worst_margin == pytest.approx(0.0, abs=1e-12)
 
     def test_two_point_distribution(self):
         """Counts {1 at s=1, 1 at s=2}: 17*9 >= 125 and 33*3 >= 81."""
         mom = np.array([[2.0, 3.0, 5.0, 9.0, 17.0, 33.0]])
-        report = holder_bounds_check(mom)
+        report = holder_bounds_check(mom, [0.0])
         assert report.passed
         assert report.worst_margin == pytest.approx(min(28 / 125, 18 / 81), rel=1e-12)
 
     def test_synthetic_violation_fails(self):
         bad = np.array([[1.0, 1.0, 1.0, 5.0, 1.0, 1.0]])  # m5*m1 = 1 < m3^2 = 25
-        report = holder_bounds_check(bad)
+        report = holder_bounds_check(bad, [0.0])
         assert not report.passed
         assert report.location[1] == "m5*m1 >= m3^2"
 
@@ -133,7 +133,7 @@ class TestDerivativeBounds:
         g = SizeGrid(ds=0.5, n=16)
         d = make_initial("monodisperse", g, mass=1.0, size=1.0)
         scen = ScenarioParams.from_distribution(d)
-        report = derivative_bounds_check(distribution_field(d), scen, T=0.5 * scen.t_star)
+        report = derivative_bounds_check(distribution_field(d, x_grid()), scen, T=0.5 * scen.t_star)
         assert report.passed
 
     def test_convex_field_fails(self):
@@ -150,7 +150,7 @@ class TestDerivativeBounds:
     def test_kinetic_fields_at_half_horizon(self, run_m15_family):
         scen = run_m15_family["scenario"]
         for traj in run_m15_family["runs"].values():
-            field = field_from_trajectory(traj)
+            field = field_from_trajectory(traj, x_grid())
             assert derivative_bounds_check(field, scen, T=0.5 * scen.t_star).passed
 
     def test_rejects_horizon_crossing(self):
@@ -158,7 +158,7 @@ class TestDerivativeBounds:
         d = make_initial("monodisperse", g, mass=1.0, size=1.0)
         scen = ScenarioParams.from_distribution(d)
         with pytest.raises(ValueError):
-            derivative_bounds_check(distribution_field(d), scen, T=scen.t_star)
+            derivative_bounds_check(distribution_field(d, x_grid()), scen, T=scen.t_star)
 
 
 class TestBoundReport:
