@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import gc
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -59,6 +60,16 @@ EXIT_DATA = CsvFormatError.exit_code
 EXIT_NOINPUT = MissingArtifactError.exit_code
 
 _REQUIRED = object()
+
+#: The most time steps, round(t_end / dt), that ``load_config`` plans for one
+#: run: the kinetic run, each convergence run and both fans.  The README
+#: workloads take 300 and 200; 10^7 steps of the README grid, at about 0.23 ms
+#: each, take some 40 minutes, and ``[solver] dt = 1e-9`` would plan 3 * 10^8.
+MAX_STEPS = 10**7
+
+#: The most particles, volume * m0, of a stochastic replica.  The README
+#: ensemble starts from 10^4; building a replica of 10^7 holds their sizes, 80 MB.
+MAX_PARTICLES = 10**7
 
 
 @dataclass
@@ -130,9 +141,18 @@ def load_config(path) -> Experiment:
 
     def x_range(section, lo_default, hi_default):
         lo, hi = get(section, "x_lo", float, lo_default), get(section, "x_hi", float, hi_default)
-        if not lo < hi:
-            raise ValueError(f"[{section}] x_lo = {lo:g} is not below [{section}] x_hi = {hi:g}")
+        if not -np.inf < lo < hi < np.inf:
+            raise ValueError(f"[{section}] x_lo = {lo:g} and x_hi = {hi:g} must be finite, x_lo below x_hi")
         return lo, hi
+
+    def planned(section, key, t_end, dt):
+        """step_count(t_end, dt) of a run that [section] ``key`` sets; ValueError
+        above MAX_STEPS, before a stride search over that many steps."""
+        n = named(f"[{section}]", lambda: step_count(t_end, dt))
+        if n > MAX_STEPS:
+            raise ValueError(f"[{section}] {key} plans {n:.3g} steps of {dt:g} to t = {t_end:g}, "
+                             f"more than MAX_STEPS = {MAX_STEPS}")
+        return n
 
     try:
         grid = SizeGrid(ds=get("grid", "ds", float), n=get("grid", "n", int))
@@ -146,7 +166,7 @@ def load_config(path) -> Experiment:
         scenario = ScenarioParams.from_distribution(initial)
         dt = get("solver", "dt", float)
         t_end = get("solver", "t_end", float)
-        solver_steps = named("[solver]", lambda: step_count(t_end, dt))
+        solver_steps = planned("solver", "dt", t_end, dt)
         output_every = get("solver", "output_every", int, None)
         solver = SolverConfig(
             dt=dt,
@@ -156,6 +176,7 @@ def load_config(path) -> Experiment:
             scenario=scenario,
         )
         conv_t_hi = get("convergence", "t_hi", float, t_end)
+        planned("convergence", "t_hi", conv_t_hi, dt)
         conv_solver = named(f"[convergence] t_hi = {conv_t_hi:g}", lambda: replace(solver, t_end=conv_t_hi))
         conv_eps = get("convergence", "eps_list", _floats, ())
         conv_runs = named(
@@ -173,7 +194,7 @@ def load_config(path) -> Experiment:
         char_x = np.linspace(*x_range("characteristics", 0.5, 6.0), verify_nx)
         char_dt = get("characteristics", "dt", float, 1e-3)
         char_t_end = get("characteristics", "t_end", float, t_end)
-        fan_steps = named("[characteristics]", lambda: step_count(char_t_end, char_dt))
+        fan_steps = planned("characteristics", "dt", char_t_end, char_dt)
         char_record_every = get("characteristics", "record_every", int, None)
         char_fan_dt = char_dt
         if char_record_every is None:
@@ -190,18 +211,25 @@ def load_config(path) -> Experiment:
             stride = f"snapshot stride of [solver] output_every = {conv_solver.output_every} steps"
             raise ValueError(f"[characteristics]: dt = {char_dt:g} must be positive to step through each {stride}")
         per_snapshot = max(1, step_count(snap_dt, char_dt))
+        planned("characteristics", "dt", conv_t_hi, snap_dt / per_snapshot)  # convergence's fan
         n_paths = get("characteristics", "n_paths", int, 2000)
-        fans = ((conv_t_hi, conv_x), (char_t_end, char_x))
+        fans = (("convergence", conv_t_hi, conv_x), ("characteristics", char_t_end, char_x))
         conv_starts, char_starts = named(
             f"[characteristics] n_paths = {n_paths}",
-            lambda: [default_starts(scenario.m, t, x[0], x[-1], n_paths) for t, x in fans],
+            lambda: [default_starts(scenario.m, t, x[0], x[-1], n_paths) for _, t, x in fans],
         )
+        for (section, t, x), starts in zip(fans, (conv_starts, char_starts)):
+            top = float(starts[-1])
+            if not math.isfinite(top * top):  # char_rhs divides by x * x
+                raise ValueError(f"[{section}] x_hi = {x[-1]:g} and t_end = {t:g} start a fan path at x = {top:g}, "
+                                 "whose square overflows")
         sto_replicas = get("stochastic", "replicas", int, 100)
         if sto_replicas < 2:
             raise ValueError(f"[stochastic] replicas = {sto_replicas} must be at least 2 for a standard error")
         sto_volume = get("stochastic", "volume", float, None)
-        if sto_volume is not None and not sto_volume > 0:
-            raise ValueError(f"[stochastic] volume = {sto_volume:g} must be positive")
+        if sto_volume is not None and not (sto_volume > 0 and sto_volume * initial.moment(0) <= MAX_PARTICLES):
+            raise ValueError(f"[stochastic] volume = {sto_volume:g} makes {sto_volume * initial.moment(0):.3g} "
+                             f"particles; it must be positive and make at most MAX_PARTICLES = {MAX_PARTICLES}")
         t_grid = get("stochastic", "t_grid", _floats, (0.0, t_end))
         sto_t_grid = named("[stochastic]", lambda: time_grid(t_grid))
         weak_x = get("verify", "weak_x", _floats, (0.5, 1.0, 2.0))
@@ -415,6 +443,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the subcommand that ``argv`` names, or ``sys.argv[1:]`` when it is
+    None; returns the exit code.  As the process's entry (``argv`` None), it
+    first freezes the objects that the imports made, so the collector and
+    interpreter shutdown no longer traverse them."""
+    if argv is None:
+        gc.freeze()
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -1,13 +1,16 @@
 """CSV artifact writers and readers.
 
-CSV is the only output format, with headers; 17-digit floats round-trip, so
-identical runs write identical bytes.  ``%`` templates format the numeric rows:
-one per row's cell types in ``write_rows``, one per recorded time in
-``write_fan_csv``.
+CSV is the only output format, with headers, in one dialect: CRLF line ends;
+``%.17g`` floats, whose 17 digits round-trip, so identical runs write identical
+bytes; ``%d`` integers and booleans; and the minimal quoting of ``csv.writer``
+for a string cell that holds ``,``, ``"``, CR or LF (wrapped in ``"``, each
+inner ``"`` doubled) or is the empty only cell of its row (``""``).  ``%``
+templates print every row: one per row's cell types in ``write_rows``, one per
+recorded time in ``write_fan_csv``.
 """
 from __future__ import annotations
 
-import csv
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -21,50 +24,44 @@ from .stochastic import EnsembleMoments
 
 TRAJECTORY_HEADER = ["t", "m0", "m1", "m2", "m3", "m4", "m5", "mass_drift", "top_bin_occupancy"]
 
+#: The characters that make a string cell quoted.
+_QUOTED = frozenset(',"\r\n')
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    return format(float(value), ".17g")
+
+def _cell(kind) -> str:
+    """The ``%`` conversion of a cell of this type."""
+    return "%s" if issubclass(kind, str) else "%d" if issubclass(kind, (int, np.integer)) else "%.17g"
 
 
 def _row_template(kinds) -> str:
-    """One ``%`` template printing a row of these cell types as ``_fmt`` prints
-    each cell."""
-    cells = (
-        "%s" if issubclass(kind, str)
-        else "%d" if issubclass(kind, (int, np.integer))
-        else "%.17g"
-        for kind in kinds
+    """One ``%`` template printing a row of these cell types."""
+    return ",".join(map(_cell, kinds)) + "\r\n"
+
+
+def _quote(row: tuple) -> tuple:
+    """``row`` with each string cell quoted as the dialect quotes it."""
+    if row == ("",):
+        return ('""',)
+    return tuple(
+        '"%s"' % cell.replace('"', '""') if isinstance(cell, str) and not _QUOTED.isdisjoint(cell) else cell
+        for cell in row
     )
-    return ",".join(cells) + "\r\n"
 
 
 def write_rows(path, header, rows):
-    """Header and rows as CSV with the CRLF line ends of ``csv.writer``.
-
-    A row of numbers is formatted whole by one template per sequence of cell
-    types; a row with a string cell goes through ``csv.writer``, which quotes
-    what needs quoting.
-    """
+    """Header and rows as CSV, each printed whole by the template of its cell
+    types, after its string cells, if it has any, are quoted."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     templates = {}
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
+        for row in chain((header,), rows):
             row = tuple(row)
             kinds = tuple(map(type, row))
             if kinds not in templates:
-                templates[kinds] = None if any(issubclass(k, str) for k in kinds) else _row_template(kinds)
-            template = templates[kinds]
-            if template is None:
-                writer.writerow([_fmt(v) for v in row])
-            else:
-                fh.write(template % row)
+                templates[kinds] = _row_template(kinds), any(issubclass(k, str) for k in kinds)
+            template, text = templates[kinds]
+            fh.write(template % (_quote(row) if text else row))
 
 
 def write_trajectory_csv(path, traj: Trajectory):
@@ -77,9 +74,8 @@ def write_trajectory_csv(path, traj: Trajectory):
 
 
 def _snapshots_header(grid: SizeGrid) -> list:
-    """``t`` and the bin sizes, printed by one ``%.17g`` template as ``_fmt``
-    prints each size."""
-    return ("t" + ",%.17g" * grid.n % tuple(grid.sizes.tolist())).split(",")
+    """``t`` and the bin sizes, printed by one template of float cells."""
+    return ("t" + ("," + _cell(float)) * grid.n % tuple(grid.sizes.tolist())).split(",")
 
 
 def write_snapshots_csv(path, traj: Trajectory):
@@ -130,15 +126,17 @@ def write_field_csv(path, field: BernsteinField, residual: np.ndarray | None = N
 def write_fan_csv(path, fan: CharacteristicFan):
     """One row per (t, path): the P rows of a recorded time are one ``%``
     template over a flat cell list, in which each start and the time are text
-    printed once.  Rows do not go through ``write_rows`` one at a time."""
+    printed once by the float cell's conversion.  Rows do not go through
+    ``write_rows`` one at a time."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
+    number = _cell(float)
     template = _row_template((str, str, float, float, float, bool)) * fan.n_paths
     cells = [None] * (6 * fan.n_paths)
-    cells[0::6] = [_fmt(s) for s in fan.starts.tolist()]
+    cells[0::6] = [number % s for s in fan.starts.tolist()]
     with open(path, "w", newline="") as fh:
         fh.write("start_x,t,X,P,Z,terminated\r\n")
         for i, t in enumerate(fan.times.tolist()):
-            cells[1::6] = [_fmt(t)] * fan.n_paths
+            cells[1::6] = [number % t] * fan.n_paths
             cells[2::6] = fan.x[i].tolist()
             cells[3::6] = fan.p[i].tolist()
             cells[4::6] = fan.z[i].tolist()

@@ -1,5 +1,6 @@
 """Command line front end: exit-code contract, artifact schemas, determinism."""
 import csv
+import gc
 import os
 import subprocess
 import sys
@@ -21,6 +22,8 @@ from cflab.cli import (
     EXIT_OK,
     EXIT_SOLVER_ABORT,
     EXIT_USAGE,
+    MAX_PARTICLES,
+    MAX_STEPS,
     _default_stride,
     load_config,
     main,
@@ -108,6 +111,7 @@ class TestConfig:
     def test_usage_error_without_subcommand(self):
         assert main([]) == EXIT_USAGE
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     @pytest.mark.parametrize(
         "old, new",
@@ -134,6 +138,10 @@ class TestConfig:
             # a standard error needs two replicas
             ("replicas = 6", "replicas = 1"),
             ("volume = 400", "volume = 0"),
+            # volume * m0 particles: nan counts, or an array of 1e300 or 1e8 sizes
+            ("volume = 400", "volume = inf"),
+            ("volume = 400", "volume = 1e300"),
+            ("volume = 400", "volume = 1e8"),
             ("t_grid = 0.0, 0.1", "t_grid = 0.1, 0.0"),
             # no row may hold a time before the run starts
             ("t_grid = 0.0, 0.1", "t_grid = -0.1, 0.1"),
@@ -148,6 +156,12 @@ class TestConfig:
             ("eps_list = 0.2, 0.1, 0.05", "eps_list = 0.2, 0.1, -0.05"),
             # [verify] x_hi below the default [verify] x_lo = 1e-3
             ("x_hi = 5.0", "x_hi = 0.0001"),
+            # an x grid with an infinite end
+            ("x_hi = 5.0", "x_hi = inf"),
+            pytest.param("x_lo = 0.5\nx_hi = 4.0", "x_lo = -inf\nx_hi = 4.0", id="convergence x_lo = -inf"),
+            # x * x of the fan's largest start overflows in the path equations
+            pytest.param("x_lo = 0.6\nx_hi = 4.0", "x_lo = 0.6\nx_hi = 1e300", id="characteristics x_hi = 1e300"),
+            pytest.param("x_lo = 0.5\nx_hi = 4.0", "x_lo = 0.5\nx_hi = 1e155", id="convergence x_hi = 1e155"),
             # a ceiling divides the margin, and one below 0 turns a FAIL into a PASS
             ("hj_residual_max = 5e-2", "hj_residual_max = 0"),
             ("hj_residual_max = 5e-2", "hj_residual_max = -1e-2"),
@@ -252,19 +266,58 @@ class TestConfig:
         x = load_config(cfg).verify_x
         assert x[0] == 0.0 and np.array_equal(x[1:], np.geomspace(0.02, 5.0, 32))
 
-    def test_a_set_output_every_is_read_without_the_default_stride(self, workspace, tmp_path, capsys):
-        """dt = 1e-300 makes some 3e299 steps: the default stride would scan
-        their divisors for ever, but output_every = 50 is set, so load_config
-        never computes it, and the stride that does not divide the steps exits
-        64 within a second."""
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            # some 2e299 steps: output_every = 50 is set, so no stride search
+            ("[solver]\ndt = 1e-3", "[solver]\ndt = 1e-300", "[solver] dt"),
+            # left out, output_every would be a search over their divisors
+            ("[solver]\ndt = 1e-3\nt_end = 0.2\noutput_every = 50", "[solver]\ndt = 1e-300\nt_end = 0.2", "[solver] dt"),
+            # 2e8 steps, each a full RK4 step of the kinetic system
+            ("[solver]\ndt = 1e-3", "[solver]\ndt = 1e-9", "[solver] dt"),
+            # 1e8 steps of [solver] dt = 1e-3 for each convergence run
+            ("nx = 24\n", "nx = 24\nt_hi = 1e5\n", "[convergence] t_hi"),
+            # left out, record_every would be a search over the fan's steps
+            ("n_paths = 200\ndt = 1e-3", "n_paths = 200\ndt = 1e-300", "[characteristics] dt"),
+            ("n_paths = 200\ndt = 1e-3", "n_paths = 200\ndt = 1e-300\nrecord_every = 50", "[characteristics] dt"),
+            # an empty characteristics fan, but convergence's fan steps at about dt
+            ("n_paths = 200\ndt = 1e-3\nt_end = 0.2", "n_paths = 200\ndt = 1e-300\nt_end = 0", "[characteristics] dt"),
+        ],
+    )
+    def test_a_step_count_above_the_cap_exits_64_within_a_second(self, workspace, tmp_path, capsys, old, new, key):
+        """A plan of more than MAX_STEPS steps exits 64 with one line that names
+        the key and the count, before any stride search over those steps."""
         config, out = workspace
-        cfg = tmp_path / "tiny_dt.ini"
-        cfg.write_text(config.read_text().replace("[solver]\ndt = 1e-3", "[solver]\ndt = 1e-300"))
+        assert old in config.read_text()
+        cfg = tmp_path / "many_steps.ini"
+        cfg.write_text(config.read_text().replace(old, new))
         start = time.perf_counter()
         assert main(["simulate", "--config", str(cfg), "--quiet"]) == EXIT_USAGE
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and "output_every = 50" in err and err.count("\n") == 1
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"{key} plans " in err and "steps of " in err and f"more than MAX_STEPS = {MAX_STEPS}" in err
+        assert not out.exists()
+
+    def test_plans_at_the_caps_load(self, workspace, tmp_path):
+        """The step cap lies far above the workloads' 300 and 200 steps and
+        below the 3e8 of dt = 1e-9 on the README t_end: a plan of exactly
+        MAX_STEPS steps loads within a second, and so does a volume of exactly
+        MAX_PARTICLES particles."""
+        assert 300 * 1000 <= MAX_STEPS < 3e8
+        config, out = workspace
+        cfg = tmp_path / "at_the_caps.ini"
+        cfg.write_text(
+            config.read_text()
+            .replace("[solver]\ndt = 1e-3", f"[solver]\ndt = {0.2 / MAX_STEPS!r}")
+            .replace("volume = 400", f"volume = {MAX_PARTICLES}")
+        )
+        start = time.perf_counter()
+        exp = load_config(cfg)
+        assert time.perf_counter() - start < 1.0
+        assert exp.solver.n_steps == MAX_STEPS
+        assert exp.sto_volume * exp.initial.moment(0) == MAX_PARTICLES
 
     @given(n_steps=st.integers(0, 10 ** 5), snapshots=st.integers(1, 100))
     @settings(max_examples=300, deadline=None)
@@ -774,6 +827,32 @@ class TestOtherCommands:
             ["stochastic", "--config", str(config), "--out", str(other), "--seed", "123", "--quiet"]
         ) == EXIT_OK
         assert (out / "stochastic.csv").read_bytes() != (other / "stochastic.csv").read_bytes()
+
+
+def test_only_the_process_entry_freezes_the_import_objects(workspace, tmp_path):
+    """main(argv) leaves the collector as it is; main() as the entry of its
+    own process freezes the objects that the imports made, once."""
+    config, out = workspace
+    before = gc.get_freeze_count()
+    assert main(["simulate", "--config", str(config), "--quiet"]) == EXIT_OK
+    assert gc.get_freeze_count() == before
+    script = (
+        "import gc, sys\n"
+        "from cflab.cli import main\n"
+        "frozen = gc.get_freeze_count()\n"
+        "sys.argv[1:] = ['simulate', '--config', sys.argv[1], '--out', sys.argv[2], '--quiet']\n"
+        "code = main()\n"
+        "print(frozen, gc.get_freeze_count(), code)\n"
+    )
+    src = str(Path(cflab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(config), str(tmp_path / "entry")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    frozen_before, frozen_after, code = map(int, done.stdout.split())
+    assert frozen_before == 0 and frozen_after > 10_000 and code == EXIT_OK
 
 
 def test_cold_start_imports_no_scipy(tmp_path):

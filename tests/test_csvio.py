@@ -1,11 +1,13 @@
-"""CSV writers: the row-template writer against the per-cell ``csv.writer``
-path it replaced, byte for byte; the snapshot table reader against the writer."""
+"""CSV writers: the row-template writer, quoting included, against
+``csv.writer`` over per-cell text, byte for byte; the snapshot table reader
+against the writer."""
 import csv
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cflab import csvio
 from cflab.bernstein import BernsteinField
@@ -175,6 +177,44 @@ def test_string_cells_are_quoted_as_csv_writer_quotes_them(tmp_path):
         _write_per_cell(tmp_path / "old.csv", ["a"], single)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     assert (tmp_path / "new.csv").read_bytes() == b'a\r\n""\r\n'
+
+
+def test_quoting_matches_csv_writer_on_header_and_rows(tmp_path):
+    """csv.writer is the reference: a header with quoted names, and rows that
+    mix ints, floats and strings holding a comma, a quote, CR, LF, nothing or
+    plain text, in the order and the cell types of each row."""
+    header = ["plain", "a,b", 'say "x"', "cr\r", "lf\n", "", "crlf\r\n", '",', '"']
+    rows = [
+        (1, 0.5, "plain", "a,b", 'q"q', "x\ry", "x\ny", "", -3),
+        ("", "", "", "", "", "", "", "", ""),
+        (np.float64(1e-310), np.int64(7), '"', ",", "\r", "\n", '""', " a ", np.nan),
+        ("", 2.5, 'x", y', "tab\tcell", True, np.False_, "\r\n", 'end"', 10**20),
+    ]
+    csvio.write_rows(tmp_path / "new.csv", header, iter(rows))
+    with open(tmp_path / "old.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([[_cell(v) for v in row] for row in rows])
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    assert new.startswith(b'plain,"a,b","say ""x""","cr\r","lf\n",,"crlf\r\n",""",",""""\r\n')
+
+
+@given(rows=st.lists(
+    st.lists(
+        st.one_of(st.text(alphabet=',"\r\n a;\'\t'), st.integers(-(2**70), 2**70), st.floats()),
+        min_size=1, max_size=4,
+    ),
+    min_size=1, max_size=5,
+))
+@settings(max_examples=200, deadline=None)
+def test_write_rows_matches_csv_writer_on_any_cells(tmp_path_factory, rows):
+    """Any header and rows of text, ints and floats: the bytes of csv.writer."""
+    path = tmp_path_factory.mktemp("rows")
+    header = [_cell(v) for v in rows[0]]
+    csvio.write_rows(path / "new.csv", header, iter(rows[1:]))
+    _write_per_cell(path / "old.csv", header, rows[1:])
+    assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes()
 
 
 def test_write_fan_csv_memory_is_bounded(tmp_path, readme_experiment):
