@@ -9,7 +9,26 @@ bound the solution theory provides: mass conservation, the second-moment
 envelope, derivative bounds, complete monotonicity, moment inequalities,
 and the residuals of the weak form and of the singular equation.  Every
 check returns a BoundReport.  Internals are imported from their submodules.
+
+OpenBLAS sizes its thread pool once, as numpy loads, and cflab has no work
+that a BLAS pool speeds up, so numpy loads here with OPENBLAS_NUM_THREADS=1;
+the caller's value (or its absence) is restored at once, so child processes
+see the caller's environment.  A caller that imports numpy before cflab
+keeps the pool that it chose.
 """
+
+import os
+
+_blas_threads = os.environ.get("OPENBLAS_NUM_THREADS")
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy
+finally:
+    if _blas_threads is None:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+    else:
+        os.environ["OPENBLAS_NUM_THREADS"] = _blas_threads
+del os, numpy, _blas_threads
 
 from .core import (
     BoundReport,

@@ -213,7 +213,8 @@ def _pchip(xs, ys, xq):
         # inside: weighted harmonic mean of the secants, 0 where they change sign or vanish
         w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
         flat = (np.sign(secant[1:]) != np.sign(secant[:-1])) | (secant[1:] == 0) | (secant[:-1] == 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a vanishing secant's w / secant may overflow: 1 / inf = 0 is the mean's limit
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             inner = 1.0 / ((w1 / secant[:-1] + w2 / secant[1:]) / (w1 + w2))
         slope = np.empty_like(ys)
         slope[1:-1] = np.where(flat, 0.0, inner)

@@ -39,7 +39,7 @@ from .errors import (
     SolverAbort,
 )
 from .kinetic import MASS_DRIFT_TOL, TOP_BIN_OCCUPANCY_TOL, SolverConfig, Trajectory, simulate, stability_limit
-from .stochastic import ensemble_moments, time_grid
+from .stochastic import ensemble_moments, event_rate_bound, time_grid
 from .verification import (
     cm_sampled_check,
     derivative_bounds_check,
@@ -65,6 +65,9 @@ _REQUIRED = object()
 #: run: the kinetic run, each convergence run and both fans.  The README
 #: workloads take 300 and 200; 10^7 steps of the README grid, at about 0.23 ms
 #: each, take some 40 minutes, and ``[solver] dt = 1e-9`` would plan 3 * 10^8.
+#: It also caps the events that a stochastic replica may take to the last
+#: ``t_grid`` time, ``event_rate_bound`` times that time: about 7.8 * 10^3 on
+#: the README config, which takes some 2.8 * 10^3.
 MAX_STEPS = 10**7
 
 #: The most particles, volume * m0, of a stochastic replica.  The README
@@ -190,6 +193,9 @@ def load_config(path) -> Experiment:
         conv_nx = get("convergence", "nx", int, 46)
         if conv_nx < 2:
             raise ValueError(f"[convergence] nx = {conv_nx} must be at least 2")
+        verify_lo, verify_hi = x_range("verify", 1e-3, 5.0)
+        if not verify_lo > 0:
+            raise ValueError(f"[verify] x_lo = {verify_lo:g} must be positive: the x grid of verify is geometric")
         conv_x = np.linspace(*x_range("convergence", 0.5, 5.0), conv_nx)
         char_x = np.linspace(*x_range("characteristics", 0.5, 6.0), verify_nx)
         char_dt = get("characteristics", "dt", float, 1e-3)
@@ -232,6 +238,11 @@ def load_config(path) -> Experiment:
                              f"particles; it must be positive and make at most MAX_PARTICLES = {MAX_PARTICLES}")
         t_grid = get("stochastic", "t_grid", _floats, (0.0, t_end))
         sto_t_grid = named("[stochastic]", lambda: time_grid(t_grid))
+        t_last = float(sto_t_grid[-1])
+        events = named("[stochastic] volume", lambda: event_rate_bound(initial, solver.spec, sto_volume)) * t_last
+        if events > MAX_STEPS:
+            raise ValueError(f"[stochastic] t_grid ends at t = {t_last:g}, to which a replica may take "
+                             f"{events:.3g} events, more than MAX_STEPS = {MAX_STEPS}")
         weak_x = get("verify", "weak_x", _floats, (0.5, 1.0, 2.0))
         if not weak_x or not all(0 < x < np.inf for x in weak_x):
             raise ValueError("[verify] weak_x must list at least one x, each positive and finite")
@@ -243,7 +254,7 @@ def load_config(path) -> Experiment:
             scenario=scenario,
             solver=solver,
             conv_runs=conv_runs,
-            verify_x=np.concatenate([[0.0], np.geomspace(*x_range("verify", 1e-3, 5.0), verify_nx)]),
+            verify_x=np.concatenate([[0.0], np.geomspace(verify_lo, verify_hi, verify_nx)]),
             conv_x=conv_x,
             char_x=char_x,
             conv_fan=dict(starts=conv_starts, t_end=conv_t_hi, dt=snap_dt / per_snapshot, record_every=per_snapshot),

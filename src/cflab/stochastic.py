@@ -89,15 +89,8 @@ class ParticleSystem:
     def from_distribution(
         cls, dist: Distribution, volume: float, seed=0, replicas: int = 1
     ) -> "ParticleSystem":
-        """Deterministic largest-remainder rounding of volume * counts."""
-        expected = volume * dist.counts
-        base = np.floor(expected).astype(int)
-        remainder = expected - base
-        target = int(round(expected.sum()))
-        extras = max(0, target - int(base.sum()))
-        order = np.argsort(-remainder, kind="stable")
-        base[order[:extras]] += 1
-        sizes = np.repeat(np.arange(1, dist.grid.n + 1), base)
+        """The particles of ``_particle_counts(dist, volume)``."""
+        sizes = np.repeat(np.arange(1, dist.grid.n + 1), _particle_counts(dist, volume))
         return cls(dist.grid, volume, sizes, seed=seed, replicas=replicas)
 
     def _next_draws(self) -> np.ndarray:
@@ -128,6 +121,43 @@ class ParticleSystem:
         self.counts = self.counts[rows]
         self._s2, self._n = self._s2[rows], self._n[rows]
         self._rows = self._rows[rows]
+
+
+def _particle_counts(dist: Distribution, volume: float) -> np.ndarray:
+    """Particles per bin in volume ``volume``: deterministic largest-remainder
+    rounding of volume * counts."""
+    expected = volume * dist.counts
+    base = np.floor(expected).astype(int)
+    remainder = expected - base
+    target = int(round(expected.sum()))
+    extras = max(0, target - int(base.sum()))
+    order = np.argsort(-remainder, kind="stable")
+    base[order[:extras]] += 1
+    return base
+
+
+def _volume(initial: Distribution, volume: float | None) -> float:
+    """``volume``, or by default the volume of about 10^4 initial particles;
+    ValueError unless it is positive and finite."""
+    if volume is None:
+        volume = 1e4 / float(initial.moment(0))
+    if not 0 < volume < np.inf:
+        raise ValueError(f"the ensemble's volume {volume:g} must be positive and finite")
+    return volume
+
+
+def event_rate_bound(initial: Distribution, spec: KernelSpec, volume: float | None = None) -> float:
+    """An upper bound on the events per unit time of each replica that
+    ``ensemble_moments`` runs from ``initial`` in ``volume``.
+
+    S1 is conserved and no particle exceeds n grid steps, so S2 - S1 <=
+    (n - 1) S1, and the clock's rate ds^2 (S1^2 - S2) / 2V + (ds/2)(S1 - N +
+    eps ds (S2 - S1)) stays below ds^2 S1^2 / 2V + (ds/2) S1 (1 + eps ds (n - 1)).
+    """
+    volume = _volume(initial, volume)
+    grid = initial.grid
+    s1 = float(_particle_counts(initial, volume) @ np.arange(1, grid.n + 1))
+    return grid.ds**2 * s1 * s1 / (2.0 * volume) + 0.5 * grid.ds * s1 * (1.0 + spec.frag_eps * grid.ds * (grid.n - 1))
 
 
 def _moments(counts: np.ndarray, ds: float, volume: float, k_max: int = ENSEMBLE_MAX_MOMENT):
@@ -304,8 +334,7 @@ def ensemble_moments(
     """
     if replicas < 2:
         raise ValueError("need at least 2 replicas for a standard error")
-    if volume is None:
-        volume = 1e4 / initial.moment(0)
+    volume = _volume(initial, volume)
     sys = ParticleSystem.from_distribution(initial, volume, seed=seed, replicas=replicas)
     stacked = _run(sys, spec, t_grid)
     mean = stacked.mean(axis=0)

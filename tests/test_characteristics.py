@@ -509,6 +509,14 @@ def pchip_cases():
 class TestPchip:
     """The numpy PCHIP against scipy's PchipInterpolator as the reference."""
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_vanishing_secant_gives_a_flat_node(self):
+        """3 / 1e-308 overflows in the harmonic mean of the node slopes; its
+        limit, 0, is the slope at the node after the vanishing secant."""
+        xs, ys = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1e-308, 1.0])
+        value, slope = _pchip(xs, ys, xs)
+        assert np.array_equal(value, ys) and slope[1] == 0.0 and np.isfinite(slope).all()
+
     @pytest.mark.parametrize(
         "name",
         ["readme_fan_z", "readme_fan_p", "random_increasing", "flat_and_sign_changes",

@@ -156,6 +156,9 @@ class TestConfig:
             ("eps_list = 0.2, 0.1, 0.05", "eps_list = 0.2, 0.1, -0.05"),
             # [verify] x_hi below the default [verify] x_lo = 1e-3
             ("x_hi = 5.0", "x_hi = 0.0001"),
+            # the verify x grid is geometric, so it starts above 0
+            pytest.param("x_hi = 5.0", "x_lo = 0\nx_hi = 5.0", id="verify x_lo = 0"),
+            pytest.param("x_hi = 5.0", "x_lo = -1\nx_hi = 5.0", id="verify x_lo = -1"),
             # an x grid with an infinite end
             ("x_hi = 5.0", "x_hi = inf"),
             pytest.param("x_lo = 0.5\nx_hi = 4.0", "x_lo = -inf\nx_hi = 4.0", id="convergence x_lo = -inf"),
@@ -265,6 +268,10 @@ class TestConfig:
         cfg.write_text(config.read_text().replace("[verify]\n", "[verify]\nx_lo = 0.02\n"))
         x = load_config(cfg).verify_x
         assert x[0] == 0.0 and np.array_equal(x[1:], np.geomspace(0.02, 5.0, 32))
+        for x_lo in ("0", "-1"):
+            cfg.write_text(config.read_text().replace("[verify]\n", f"[verify]\nx_lo = {x_lo}\n"))
+            with pytest.raises(errors.ConfigError, match=rf"\[verify\] x_lo = {x_lo} must be positive"):
+                load_config(cfg)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -299,6 +306,51 @@ class TestConfig:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert f"{key} plans " in err and "steps of " in err and f"more than MAX_STEPS = {MAX_STEPS}" in err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["simulate", "stochastic"])
+    def test_an_ensemble_above_the_cap_exits_64_within_a_second(self, workspace, tmp_path, capsys, command):
+        """The ensemble has no step count, so load_config caps the events that a
+        replica may take to the last t_grid time, event_rate_bound times it."""
+        config, out = workspace
+        cfg = tmp_path / "long_ensemble.ini"
+        cfg.write_text(config.read_text().replace("t_grid = 0.0, 0.1", "t_grid = 0, 1e300"))
+        start = time.perf_counter()
+        assert main([command, "--config", str(cfg), "--quiet"]) == EXIT_USAGE
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "[stochastic] t_grid ends at t = 1e+300" in err and f"more than MAX_STEPS = {MAX_STEPS}" in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["simulate", "stochastic"])
+    def test_an_infinite_default_volume_is_usage_error(self, workspace, tmp_path, capsys, command):
+        """Left out, the volume is that of 10^4 initial particles, 1e4 / m0,
+        which overflows at mass 1e-310: one config line, not a RuntimeWarning
+        in the ensemble's rounding."""
+        config, out = workspace
+        cfg = tmp_path / "tiny_mass.ini"
+        cfg.write_text(config.read_text().replace("mass = 1.0", "mass = 1e-310").replace("volume = 400\n", ""))
+        assert main([command, "--config", str(cfg), "--quiet"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "[stochastic] volume: the ensemble's volume inf must be positive and finite" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x_hi", ["1000", "1e12"])
+    def test_a_wide_characteristics_range_runs(self, workspace, tmp_path, x_hi):
+        """Fan paths that start far out have nearly flat F, whose secants are
+        so small that the node slopes' harmonic mean overflows on the way to
+        its limit 0; characteristics runs and writes a finite field."""
+        config, out = workspace
+        old = "x_lo = 0.6\nx_hi = 4.0"
+        assert old in config.read_text()
+        cfg = tmp_path / "wide.ini"
+        cfg.write_text(config.read_text().replace(old, f"x_lo = 0.6\nx_hi = {x_hi}"))
+        assert main(["characteristics", "--config", str(cfg), "--quiet"]) == EXIT_OK
+        field = np.loadtxt(out / "characteristics_field.csv", delimiter=",", skiprows=1, usecols=(0, 1, 2, 3, 4))
+        assert np.isfinite(field).all() and field[:, 0].max() == float(x_hi)
 
     def test_plans_at_the_caps_load(self, workspace, tmp_path):
         """The step cap lies far above the workloads' 300 and 200 steps and
@@ -880,3 +932,34 @@ def test_cold_start_imports_no_scipy(tmp_path):
         "characteristics_field.csv", "characteristics_report.csv", "convergence.csv", "fan.csv",
         "snapshots.csv", "stochastic.csv", "trajectory.csv", "verify_report.csv",
     ]
+
+
+def _tasks_after(code, blas_threads):
+    """(threads of a fresh interpreter after ``code``, its OPENBLAS_NUM_THREADS
+    then), with the variable set to ``blas_threads`` or, for None, unset."""
+    src = str(Path(cflab.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    report = "import os; print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", f"{code}; {report}"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    tasks, value = done.stdout.split()
+    return int(tasks), None if value == "None" else value
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc/self/task")
+class TestBlasPool:
+    """``import cflab`` loads numpy with a one-thread OpenBLAS pool and leaves
+    the caller's OPENBLAS_NUM_THREADS as it found it."""
+
+    @pytest.mark.parametrize("blas_threads", ["2", None])
+    def test_import_starts_no_blas_worker(self, blas_threads):
+        assert _tasks_after("import cflab", blas_threads) == (1, blas_threads)
+
+    def test_a_caller_that_loaded_numpy_keeps_its_pool(self):
+        assert _tasks_after("import numpy; import cflab", "2") == _tasks_after("import numpy", "2")

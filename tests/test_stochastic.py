@@ -23,6 +23,7 @@ from cflab.stochastic import (
     _proposal_rates,
     _run,
     _split_weights,
+    event_rate_bound,
     gillespie_step,
 )
 from cflab.verification import second_moment_envelope
@@ -86,6 +87,25 @@ class TestEventRates:
         sys = system_of([3, 3], n=4)
         coag, _ = event_rates(sys, KernelSpec(frag_eps=0.0, truncation=4))
         assert coag == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("kind", ["monodisperse", "exponential"])
+    def test_rate_bound_holds_along_a_run(self, kind):
+        """event_rate_bound is the closed form ds^2 S1^2 / 2V + (ds/2) S1 (1 +
+        eps ds (n - 1)) of the rounded initial particles, and no replica's total
+        rate exceeds it, however far its particles grow or split."""
+        g = SizeGrid(ds=0.25, n=48)
+        d = make_initial(kind, g, mass=1.0, lam=4.0)
+        spec = KernelSpec.for_grid(g, frag_eps=0.5)
+        sys = ParticleSystem.from_distribution(d, 60.0, seed=5, replicas=8)
+        s1 = float(sys._s1)
+        bound = event_rate_bound(d, spec, 60.0)
+        assert bound == pytest.approx(g.ds**2 * s1 * s1 / 120.0 + 0.5 * g.ds * s1 * (1 + 0.5 * g.ds * 47), rel=1e-15)
+        for _ in range(3000):
+            coag, frag = _proposal_rates(sys, spec)
+            assert np.all(coag + frag <= bound)
+            gillespie_step(sys, spec)
+        # left out, the volume is that of about 10^4 initial particles, as in ensemble_moments
+        assert event_rate_bound(d, spec) == event_rate_bound(d, spec, 1e4 / d.moment(0))
 
     def test_empty_system_rejected(self):
         sys = system_of([])
