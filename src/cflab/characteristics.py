@@ -178,7 +178,7 @@ def reconstruct(fan: CharacteristicFan, x_query, t: float):
     """F(x, t) = Z(X^{-1}(x, t), t) by monotone piecewise-cubic interpolation.
 
     Raises FanCoverageError when the query leaves the surviving paths' range;
-    the error carries the covered interval so the caller can widen the starts.
+    its message names the query range and the covered one.
     """
     i = fan.time_index(t)
     live = fan.alive[i]
@@ -192,9 +192,7 @@ def reconstruct(fan: CharacteristicFan, x_query, t: float):
     if xq.min() < xs[0] - pad or xq.max() > xs[-1] + pad:
         raise FanCoverageError(
             f"query range [{xq.min():.6g}, {xq.max():.6g}] outside fan coverage "
-            f"[{xs[0]:.6g}, {xs[-1]:.6g}] at t={t}; widen the starts",
-            covered=(float(xs[0]), float(xs[-1])),
-            required=(float(xq.min()), float(xq.max())),
+            f"[{xs[0]:.6g}, {xs[-1]:.6g}] at t={t}; widen the starts"
         )
     out = _pchip(xs, vs, np.clip(xq, xs[0], xs[-1]))[0]
     return float(out[0]) if scalar else out

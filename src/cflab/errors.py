@@ -1,6 +1,7 @@
 """Exception hierarchy for the laboratory.  Each error class carries its
 ``cflab`` exit code and the label of its one-line stderr message; success
-and a bound violation are the two exit codes that no error stands for."""
+and a bound violation, a FAIL row in a subcommand's report, are the two exit
+codes that no error stands for."""
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 2
@@ -35,11 +36,6 @@ class FanCoverageError(CfLabError):
 
     exit_code = 3
     label = "fan coverage"
-
-    def __init__(self, message, covered=None, required=None):
-        super().__init__(message)
-        self.covered = covered
-        self.required = required
 
 
 class FanCrossingError(CfLabError):

@@ -203,7 +203,8 @@ def simulate(config: SolverConfig, initial: Distribution) -> Trajectory:
     ``config.snapshot_times``.
 
     The step count is ``round(t_end / dt)`` and dt is nudged so the run lands on
-    t_end exactly.
+    t_end exactly.  A rate that overflows gives inf or nan counts without a
+    warning, and ``_checked`` turns them into the run's one SolverAbort.
     """
     grid, spec = initial.grid, config.spec
     rhs = partial(_rhs, grid=grid, spec=spec)
@@ -211,7 +212,8 @@ def simulate(config: SolverConfig, initial: Distribution) -> Trajectory:
     def step(counts, h, t):
         return _checked(rk4(rhs, counts, h), float(counts.max(initial=0.0)))
 
-    times, snapshots = march(step, initial.counts, config.t_end, config.dt, config.output_every, "output_every")
+    with np.errstate(over="ignore", invalid="ignore"):
+        times, snapshots = march(step, initial.counts, config.t_end, config.dt, config.output_every, "output_every")
     return Trajectory.of_snapshots(times, snapshots, grid, spec, n_steps=config.n_steps)
 
 

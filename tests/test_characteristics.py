@@ -438,9 +438,8 @@ class TestReconstruct:
 
     def test_out_of_coverage_raises(self, fan_m1):
         fan = fan_m1["fan"]
-        with pytest.raises(FanCoverageError) as err:
+        with pytest.raises(FanCoverageError, match=r"query range \[0.0001, 0.0001\] outside fan coverage \["):
             reconstruct(fan, 1e-4, 0.3)
-        assert err.value.covered is not None
 
     def test_unrecorded_time_rejected(self, fan_m1):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from cflab.cli import (
     _default_stride,
     load_config,
     main,
-    strictly_decreasing,
 )
 from cflab.kinetic import _weak_form_rates, simulate
 
@@ -108,8 +108,25 @@ class TestConfig:
         assert exp.initial.grid.n == 128
         assert exp.weak_x == (0.5, 1.0, 2.0)
 
-    def test_usage_error_without_subcommand(self):
-        assert main([]) == EXIT_USAGE
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            ([], "config error: cflab: the following arguments are required: command\n"),
+            (["simulate"], "config error: cflab simulate: the following arguments are required: --config\n"),
+            (["simulate", "--config", "x", "--seed", "q"],
+             "config error: cflab simulate: argument --seed: invalid int value: 'q'\n"),
+            (["simulate", "--config", str(README_INI), "--out", str(README_INI / "out")],
+             f"config error: cannot make the output directory {README_INI / 'out'}: Not a directory\n"),
+        ],
+        ids=["no subcommand", "no config", "bad seed", "out under a file"],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv, err):
+        """A command line that argparse refuses, or whose --out cannot be
+        made, exits 64 with one line, and no usage line or traceback before
+        it; --help exits 0."""
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == err
+        assert main(["simulate", "--help"]) == EXIT_OK
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["simulate", "verify"])
@@ -442,15 +459,11 @@ class TestConfig:
 
 
 class TestErrorMapping:
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "error, code, err",
+        "failure, code, err",
         [
             (errors.SolverAbort("x"), EXIT_SOLVER_ABORT, "solver abort: x\n"),
-            (
-                errors.FanCoverageError("x", covered=(1.0, 2.0), required=(0.5, 3.0)),
-                3,
-                "fan coverage: x\n  required x range: (0.5, 3.0), covered: (1.0, 2.0)\n",
-            ),
             (errors.FanCoverageError("x"), 3, "fan coverage: x\n"),
             (errors.MissingArtifactError("x"), EXIT_NOINPUT, "missing artifact: x\n"),
             (errors.CsvFormatError("x"), EXIT_DATA, "artifact parse failure: x\n"),
@@ -458,25 +471,50 @@ class TestErrorMapping:
             (errors.ConfigError("x"), EXIT_USAGE, "config error: x\n"),
             (errors.AbsorbingStateError("x"), EXIT_USAGE, "error: x\n"),
             (errors.FanCrossingError("x"), EXIT_USAGE, "error: x\n"),
+            (
+                BoundReport("mass_conservation", -1.0, 0.0, (0.0, "m1")),
+                EXIT_BOUND_VIOLATION,
+                "bound violation: mass_conservation FAIL in {out}/simulate_report.csv\n",
+            ),
+            (
+                {"frag_eps = 0.1": "frag_eps = 1e300", "t_grid = 0.0, 0.1": "t_grid = 0"},
+                EXIT_SOLVER_ABORT,
+                "warning: dt=0.001 exceeds the stability guard 1.95e-304\n"
+                "solver abort: non-finite counts; dt is far above the stability guard\n",
+            ),
         ],
-        ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None,
+        ids=lambda v: type(v).__name__ if isinstance(v, (Exception, BoundReport, dict)) else None,
     )
-    def test_each_error_exits_with_its_code_and_label(self, workspace, monkeypatch, capsys, error, code, err):
+    def test_each_failure_prints_one_line(self, workspace, monkeypatch, capsys, failure, code, err):
+        """Each nonzero exit of simulate prints one ``label: message`` line,
+        after the stability warning when dt exceeds the guard, and no
+        RuntimeWarning: an error that the run raises, a FAIL row of its
+        report, or a config whose fragmentation rates overflow (with
+        ``t_grid = 0``, so the ensemble's event cap does not refuse it)."""
         config, out = workspace
+        if isinstance(failure, dict):
+            text = config.read_text()
+            for old, new in failure.items():
+                assert old in text
+                text = text.replace(old, new)
+            config.write_text(text)
+        elif isinstance(failure, BoundReport):
+            monkeypatch.setattr(cflab.cli, "mass_conservation_check", lambda traj: failure)
+        else:
 
-        def fail(*args, **kwargs):
-            raise error
+            def fail(*args, **kwargs):
+                raise failure
 
-        monkeypatch.setattr(cflab.cli, "ensemble_moments", fail)
-        assert main(["stochastic", "--config", str(config), "--quiet"]) == code
-        assert capsys.readouterr().err == err
+            monkeypatch.setattr(cflab.cli, "simulate", fail)
+        assert main(["simulate", "--config", str(config), "--quiet"]) == code
+        assert capsys.readouterr().err == err.format(out=out)
 
 
 class TestSimulate:
     def test_success_writes_artifacts(self, workspace):
         config, out = workspace
         assert main(["simulate", "--config", str(config), "--quiet"]) == EXIT_OK
-        assert sorted(p.name for p in out.iterdir()) == ["snapshots.csv", "trajectory.csv"]
+        assert sorted(p.name for p in out.iterdir()) == ["simulate_report.csv", "snapshots.csv", "trajectory.csv"]
 
     @pytest.mark.parametrize(
         "command", ["simulate", "verify", "convergence", "characteristics", "stochastic"]
@@ -537,10 +575,10 @@ class TestVerify:
     def test_truncation_occupancy_fails_simulate_and_verify(self, tmp_path, capsys):
         """The README config at mass 0.5 with exponential data fills the top
         bin to 1.954e-6 of the mass, over the 1e-9 tolerance: simulate and
-        verify both exit 2; simulate's one stderr line, under --quiet too,
-        names truncation_occupancy alone with its value and tolerance, and
+        verify both exit 2, each with one stderr line, under --quiet too,
+        that names truncation_occupancy alone and its report;
         truncation_occupancy, right after mass_conservation, is verify's one
-        FAIL row."""
+        FAIL row, and simulate's report holds verify's first two rows."""
         text = README_INI.read_text()
         for old, new in (("mass = 1.0 ", "mass = 0.5 "), ("kind = monodisperse", "kind = exponential")):
             assert old in text
@@ -549,10 +587,12 @@ class TestVerify:
         cfg.write_text(text)
         for command in ("simulate", "verify"):
             assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == EXIT_BOUND_VIOLATION
-        err = capsys.readouterr().err  # simulate's line; verify prints none under --quiet
-        assert err.startswith("bound violation: truncation_occupancy out of tolerance: ")
-        assert "top-bin occupancy 1.954e-06 (tol 1e-09)\n" in err
-        assert err.count("\n") == 1 and "mass_conservation" not in err
+        assert capsys.readouterr().err == "".join(
+            f"bound violation: truncation_occupancy FAIL in {out / name}\n"
+            for name in ("simulate_report.csv", "verify_report.csv")
+        )
+        simulate_rows = (out / "simulate_report.csv").read_text().splitlines()
+        assert simulate_rows == (out / "verify_report.csv").read_text().splitlines()[:3]
         with open(out / "verify_report.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [row["name"] for row in rows[:2]] == ["mass_conservation", "truncation_occupancy"]
@@ -790,11 +830,45 @@ class TestVerifyArtifacts:
 
 
 class TestConvergence:
-    def test_gap_monotonicity_helper(self):
-        ok, _ = strictly_decreasing([3.0, 2.0, 1.0])
-        assert ok
-        ok, pair = strictly_decreasing([3.0, 2.0, 2.5])
-        assert not ok and pair == (2.0, 2.5)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "gaps, statuses",
+        [
+            ((3.0, 2.0, 1.0), ["PASS", "PASS"]),
+            ((3.0, 2.0, 2.5), ["PASS", "FAIL"]),
+            ((3.0, 2.0, 2.0), ["PASS", "FAIL"]),
+            ((3.0, 0.0, 0.0), ["PASS", "FAIL"]),
+            ((3.0, np.nan, 1.0), ["FAIL", "FAIL"]),
+        ],
+        ids=["decreasing", "increasing", "equal", "zero", "nan"],
+    )
+    def test_report_rows(self, workspace, monkeypatch, capsys, gaps, statuses):
+        """convergence_report.csv holds one sup_gap_decrease row per adjacent
+        eps pair, located at the pair's eps values, whose margin is the
+        relative decrease of the sup gap; an equal, zero or nan gap fails,
+        and a FAIL exits 2 with one stderr line.  The per-eps fields are
+        stubbed so that their sup gaps against a zero limit are ``gaps``."""
+        config, out = workspace
+        gap_of = dict(zip((0.2, 0.1, 0.05), gaps))
+        monkeypatch.setattr(cflab.cli, "simulate", lambda run, initial: run.spec.frag_eps)
+        monkeypatch.setattr(cflab.cli, "field_from_trajectory",
+                            lambda eps, x: SimpleNamespace(F=np.full(3, gap_of[eps]), times=None))
+        monkeypatch.setattr(cflab.cli, "integrate_fan", lambda *args, **kwargs: None)
+        monkeypatch.setattr(cflab.cli, "fan_to_field", lambda fan, x, times: SimpleNamespace(F=np.zeros(3)))
+        failed = "FAIL" in statuses
+        assert main(["convergence", "--config", str(config), "--quiet"]) == (
+            EXIT_BOUND_VIOLATION if failed else EXIT_OK
+        )
+        path = out / "convergence_report.csv"
+        assert capsys.readouterr().err == (f"bound violation: sup_gap_decrease FAIL in {path}\n" if failed else "")
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["name"] for row in rows] == ["sup_gap_decrease"] * 2
+        assert [row["status"] for row in rows] == statuses
+        assert [(float(row["t"]), float(row["x_or_k"])) for row in rows] == [(0.2, 0.1), (0.1, 0.05)]
+        for row, a, b in zip(rows, gaps, gaps[1:]):
+            margin = float(row["worst_margin"])
+            assert margin == (a - b) / a if a > 0 and not np.isnan(b) else np.isnan(margin)
 
     def test_eps_list_validation(self, workspace, tmp_path):
         config, out = workspace
@@ -810,6 +884,10 @@ class TestConvergence:
         assert lines[0] == "eps,sup_gap"
         gaps = [float(line.split(",")[1]) for line in lines[1:]]
         assert gaps[0] > gaps[1] > gaps[2]
+        with open(out / "convergence_report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["status"] for row in rows] == ["PASS", "PASS"]
+        assert [float(row["worst_margin"]) for row in rows] == [(a - b) / a for a, b in zip(gaps, gaps[1:])]
 
 
 class TestOtherCommands:
@@ -854,7 +932,8 @@ class TestOtherCommands:
         failing = BoundReport("mass_conservation", -1.0, 0.0, (0.0, "m1"))
         monkeypatch.setattr(cflab.cli, "mass_conservation_check", lambda traj: failing)
         assert main(["simulate", "--config", str(config), "--quiet"]) == EXIT_BOUND_VIOLATION
-        assert "bound violation" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"bound violation: mass_conservation FAIL in {out / 'simulate_report.csv'}\n"
+        assert (out / "simulate_report.csv").read_text().splitlines()[1].startswith("mass_conservation,FAIL,")
 
     def test_characteristics_fail_is_bound_violation(self, workspace, monkeypatch):
         config, out = workspace
@@ -929,8 +1008,8 @@ def test_cold_start_imports_no_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "[]"
     assert sorted(p.name for p in out.iterdir()) == [
-        "characteristics_field.csv", "characteristics_report.csv", "convergence.csv", "fan.csv",
-        "snapshots.csv", "stochastic.csv", "trajectory.csv", "verify_report.csv",
+        "characteristics_field.csv", "characteristics_report.csv", "convergence.csv", "convergence_report.csv",
+        "fan.csv", "simulate_report.csv", "snapshots.csv", "stochastic.csv", "trajectory.csv", "verify_report.csv",
     ]
 
 
