@@ -35,6 +35,7 @@ from .errors import (
     ConfigError,
     CsvFormatError,
     FanCoverageError,
+    GridError,
     MissingArtifactError,
     SolverAbort,
 )
@@ -60,6 +61,23 @@ EXIT_DATA = CsvFormatError.exit_code
 EXIT_NOINPUT = MissingArtifactError.exit_code
 
 _REQUIRED = object()
+
+#: The domains of config values, each a phrase and the test that a value in
+#: the domain passes; ``load_config`` names a value that fails by the phrase.
+_POSITIVE = ("positive and finite", lambda v: 0 < v < math.inf)
+_NONNEGATIVE = ("nonnegative and finite", lambda v: 0 <= v < math.inf)
+_STEP = ("nonnegative", lambda v: v >= 0)
+_FINITE = ("finite", math.isfinite)
+_TEXT = ("text", lambda v: True)
+
+
+def _at_least(k: int) -> tuple:
+    return f"an integer at least {k}", lambda v: v >= k
+
+
+def _each(phrase: str, test) -> tuple:
+    return f"one or more numbers, each {phrase}", lambda values: len(values) > 0 and all(map(test, values))
+
 
 #: The most time steps, round(t_end / dt), that ``load_config`` plans for one
 #: run: the kinetic run, each convergence run and both fans.  The README
@@ -118,7 +136,8 @@ def load_config(path) -> Experiment:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     read = set()
 
-    def get(section, key, cast, default=_REQUIRED):
+    def get(section, key, cast, default=_REQUIRED, domain=_TEXT):
+        """[section] key parsed by ``cast``, or ``default`` when unset; ConfigError unless in ``domain``."""
         read.add((section, key))
         if not cp.has_option(section, key):
             if default is _REQUIRED:
@@ -126,9 +145,12 @@ def load_config(path) -> Experiment:
             return default
         raw = cp.get(section, key)
         try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+            value = cast(raw)
+            if domain[1](value):
+                return value
+        except ValueError:
+            pass
+        raise ConfigError(f"[{section}] {key} = {' '.join(raw.split())} must be {domain[0]}")
 
     def named(what, build):
         try:
@@ -136,16 +158,10 @@ def load_config(path) -> Experiment:
         except ValueError as exc:
             raise ValueError(f"{what}: {exc}") from exc
 
-    def ceiling(key):
-        value = get("verify", key, float, 1e-2)
-        if not 0 < value < np.inf:
-            raise ValueError(f"[verify] {key} = {value:g} must be positive and finite")
-        return value
-
-    def x_range(section, lo_default, hi_default):
-        lo, hi = get(section, "x_lo", float, lo_default), get(section, "x_hi", float, hi_default)
-        if not -np.inf < lo < hi < np.inf:
-            raise ValueError(f"[{section}] x_lo = {lo:g} and x_hi = {hi:g} must be finite, x_lo below x_hi")
+    def x_range(section, lo_default, hi_default, lo_domain=_FINITE):
+        lo, hi = get(section, "x_lo", float, lo_default, lo_domain), get(section, "x_hi", float, hi_default, _FINITE)
+        if not lo < hi:
+            raise ValueError(f"[{section}] x_lo = {lo:g} must be below [{section}] x_hi = {hi:g}")
         return lo, hi
 
     def planned(section, key, t_end, dt):
@@ -158,50 +174,39 @@ def load_config(path) -> Experiment:
         return n
 
     try:
-        grid = SizeGrid(ds=get("grid", "ds", float), n=get("grid", "n", int))
+        grid = SizeGrid(ds=get("grid", "ds", float, domain=_POSITIVE), n=get("grid", "n", int, domain=_at_least(2)))
         initial = make_initial(
             get("initial", "kind", str, "monodisperse"),
             grid,
-            mass=get("scenario", "mass", float),
-            size=get("initial", "size", float, 1.0),
-            lam=get("initial", "lam", float, 1.0),
+            mass=get("scenario", "mass", float, domain=_POSITIVE),
+            size=get("initial", "size", float, 1.0, _POSITIVE),  # each kind reads one of size and lam
+            lam=get("initial", "lam", float, 1.0, _POSITIVE),
         )
         scenario = ScenarioParams.from_distribution(initial)
-        dt = get("solver", "dt", float)
-        t_end = get("solver", "t_end", float)
+        dt = get("solver", "dt", float, domain=_STEP)
+        t_end = get("solver", "t_end", float, domain=_NONNEGATIVE)
         solver_steps = planned("solver", "dt", t_end, dt)
-        output_every = get("solver", "output_every", int, None)
+        output_every = get("solver", "output_every", int, None, _at_least(1))
         solver = SolverConfig(
             dt=dt,
             t_end=t_end,
             output_every=_default_stride(solver_steps, 10) if output_every is None else output_every,
-            spec=KernelSpec.for_grid(grid, frag_eps=get("kernel", "frag_eps", float, 0.0)),
+            spec=KernelSpec.for_grid(grid, frag_eps=get("kernel", "frag_eps", float, 0.0, _NONNEGATIVE)),
             scenario=scenario,
         )
-        conv_t_hi = get("convergence", "t_hi", float, t_end)
+        conv_t_hi = get("convergence", "t_hi", float, t_end, _NONNEGATIVE)
         planned("convergence", "t_hi", conv_t_hi, dt)
         conv_solver = named(f"[convergence] t_hi = {conv_t_hi:g}", lambda: replace(solver, t_end=conv_t_hi))
-        conv_eps = get("convergence", "eps_list", _floats, ())
-        conv_runs = named(
-            "[convergence] eps_list",
-            lambda: tuple(replace(conv_solver, spec=replace(solver.spec, frag_eps=e)) for e in conv_eps),
-        )
-        verify_nx = get("verify", "nx", int, 40)
-        if verify_nx < 5:
-            # characteristics differences the field on this many x up to 4th order
-            raise ValueError(f"[verify] nx = {verify_nx} must be at least 5")
-        conv_nx = get("convergence", "nx", int, 46)
-        if conv_nx < 2:
-            raise ValueError(f"[convergence] nx = {conv_nx} must be at least 2")
-        verify_lo, verify_hi = x_range("verify", 1e-3, 5.0)
-        if not verify_lo > 0:
-            raise ValueError(f"[verify] x_lo = {verify_lo:g} must be positive: the x grid of verify is geometric")
-        conv_x = np.linspace(*x_range("convergence", 0.5, 5.0), conv_nx)
+        conv_eps = get("convergence", "eps_list", _floats, (), _each(*_NONNEGATIVE))
+        conv_runs = tuple(replace(conv_solver, spec=replace(solver.spec, frag_eps=e)) for e in conv_eps)
+        verify_nx = get("verify", "nx", int, 40, _at_least(5))  # characteristics differences F in x to 4th order
+        verify_lo, verify_hi = x_range("verify", 1e-3, 5.0, _POSITIVE)  # the x grid of verify is geometric
+        conv_x = np.linspace(*x_range("convergence", 0.5, 5.0), get("convergence", "nx", int, 46, _at_least(2)))
         char_x = np.linspace(*x_range("characteristics", 0.5, 6.0), verify_nx)
-        char_dt = get("characteristics", "dt", float, 1e-3)
-        char_t_end = get("characteristics", "t_end", float, t_end)
+        char_dt = get("characteristics", "dt", float, 1e-3, _STEP)
+        char_t_end = get("characteristics", "t_end", float, t_end, _NONNEGATIVE)
         fan_steps = planned("characteristics", "dt", char_t_end, char_dt)
-        char_record_every = get("characteristics", "record_every", int, None)
+        char_record_every = get("characteristics", "record_every", int, None, _at_least(1))
         char_fan_dt = char_dt
         if char_record_every is None:
             char_record_every = _default_stride(fan_steps, 50)
@@ -218,37 +223,28 @@ def load_config(path) -> Experiment:
             raise ValueError(f"[characteristics]: dt = {char_dt:g} must be positive to step through each {stride}")
         per_snapshot = max(1, step_count(snap_dt, char_dt))
         planned("characteristics", "dt", conv_t_hi, snap_dt / per_snapshot)  # convergence's fan
-        n_paths = get("characteristics", "n_paths", int, 2000)
+        n_paths = get("characteristics", "n_paths", int, 2000, _at_least(2))
         fans = (("convergence", conv_t_hi, conv_x), ("characteristics", char_t_end, char_x))
-        conv_starts, char_starts = named(
-            f"[characteristics] n_paths = {n_paths}",
-            lambda: [default_starts(scenario.m, t, x[0], x[-1], n_paths) for _, t, x in fans],
+        conv_starts, char_starts = (
+            named(f"[{section}] fan starts", lambda: default_starts(scenario.m, t, x[0], x[-1], n_paths))
+            for section, t, x in fans
         )
         for (section, t, x), starts in zip(fans, (conv_starts, char_starts)):
             top = float(starts[-1])
             if not math.isfinite(top * top):  # char_rhs divides by x * x
                 raise ValueError(f"[{section}] x_hi = {x[-1]:g} and t_end = {t:g} start a fan path at x = {top:g}, "
                                  "whose square overflows")
-        sto_replicas = get("stochastic", "replicas", int, 100)
-        if sto_replicas < 2:
-            raise ValueError(f"[stochastic] replicas = {sto_replicas} must be at least 2 for a standard error")
-        sto_volume = get("stochastic", "volume", float, None)
-        if sto_volume is not None and not (sto_volume > 0 and sto_volume * initial.moment(0) <= MAX_PARTICLES):
+        sto_volume = get("stochastic", "volume", float, None, _POSITIVE)
+        if sto_volume is not None and not sto_volume * initial.moment(0) <= MAX_PARTICLES:
             raise ValueError(f"[stochastic] volume = {sto_volume:g} makes {sto_volume * initial.moment(0):.3g} "
-                             f"particles; it must be positive and make at most MAX_PARTICLES = {MAX_PARTICLES}")
-        t_grid = get("stochastic", "t_grid", _floats, (0.0, t_end))
+                             f"particles, more than MAX_PARTICLES = {MAX_PARTICLES}")
+        t_grid = get("stochastic", "t_grid", _floats, (0.0, t_end), _each(*_NONNEGATIVE))
         sto_t_grid = named("[stochastic]", lambda: time_grid(t_grid))
         t_last = float(sto_t_grid[-1])
         events = named("[stochastic] volume", lambda: event_rate_bound(initial, solver.spec, sto_volume)) * t_last
         if events > MAX_STEPS:
             raise ValueError(f"[stochastic] t_grid ends at t = {t_last:g}, to which a replica may take "
                              f"{events:.3g} events, more than MAX_STEPS = {MAX_STEPS}")
-        weak_x = get("verify", "weak_x", _floats, (0.5, 1.0, 2.0))
-        if not weak_x or not all(0 < x < np.inf for x in weak_x):
-            raise ValueError("[verify] weak_x must list at least one x, each positive and finite")
-        seed = get("stochastic", "seed", int, 20240801)
-        if seed < 0:  # numpy's generators take only nonnegative seeds
-            raise ValueError(f"[stochastic] seed = {seed} must be nonnegative")
         exp = Experiment(
             initial=initial,
             scenario=scenario,
@@ -260,15 +256,15 @@ def load_config(path) -> Experiment:
             conv_fan=dict(starts=conv_starts, t_end=conv_t_hi, dt=snap_dt / per_snapshot, record_every=per_snapshot),
             char_fan=dict(starts=char_starts, t_end=char_t_end, dt=char_fan_dt, record_every=char_record_every),
             out_dir=get("outputs", "dir", str, "out"),
-            hj_residual_max=ceiling("hj_residual_max"),
-            weak_residual_max=ceiling("weak_residual_max"),
-            weak_x=weak_x,
-            sto_replicas=sto_replicas,
+            hj_residual_max=get("verify", "hj_residual_max", float, 1e-2, _POSITIVE),
+            weak_residual_max=get("verify", "weak_residual_max", float, 1e-2, _POSITIVE),
+            weak_x=get("verify", "weak_x", _floats, (0.5, 1.0, 2.0), _each(*_POSITIVE)),
+            sto_replicas=get("stochastic", "replicas", int, 100, _at_least(2)),  # a standard error needs two
             sto_volume=sto_volume,
             sto_t_grid=sto_t_grid,
-            seed=seed,
+            seed=get("stochastic", "seed", int, 20240801, _at_least(0)),  # numpy's generators take seeds >= 0
         )
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, GridError) as exc:
         raise ConfigError(f"bad value in {path}: {exc}") from exc
     unread = [
         f"[{section}] {key}"
@@ -368,7 +364,7 @@ def _report(path: Path, reports: list, quiet: bool) -> int:
 def cmd_convergence(exp: Experiment, out: Path, quiet: bool) -> int:
     eps_list = [run.spec.frag_eps for run in exp.conv_runs]
     if len(eps_list) < 3 or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ConfigError("convergence needs an eps_list with >= 3 strictly decreasing entries")
+        raise ConfigError("[convergence] eps_list needs 3 or more strictly decreasing entries")
 
     fields = [field_from_trajectory(simulate(run, exp.initial), exp.conv_x) for run in exp.conv_runs]
     fan = integrate_fan(distribution_transform(exp.initial), m=exp.scenario.m, **exp.conv_fan)

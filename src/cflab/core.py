@@ -309,16 +309,15 @@ def make_initial(kind: str, grid: SizeGrid, *, mass: float, size: float = 1.0, l
         raise ValueError(f"unknown initial kind {kind!r}: the kinds are monodisperse and exponential")
     if not lam > 0:
         raise ValueError(f"exponential rate must be positive, got {lam}")
-    top = grid.s_max
-    # closed-form relative mass of the profile beyond the grid
-    tail = math.exp(-lam * top) * (0.5 * (lam * top) ** 2 + lam * top + 1.0)
-    if tail > TAIL_MASS_RTOL:
-        raise GridError(
-            f"exponential profile keeps relative tail mass {tail:.3e} beyond "
-            f"s_max={top}; enlarge the grid"
-        )
-    counts = lam ** 2 * s * np.exp(-lam * s) * grid.ds
+    # the density's factor lam**2 * ds cancels in the renormalization; lam * ds
+    # may overflow to inf, whose exp(-inf) = 0 numpy forms without a warning
+    counts = s * np.exp(-(lam * grid.ds) * np.arange(1, grid.n + 1))
     m1 = float(np.dot(s, counts))
-    if m1 <= 0:
-        raise GridError("discretized profile carries no mass on the grid")
+    if not m1 > 0:
+        raise GridError(f"exponential profile of rate lam = {lam:g} carries no mass on the grid")
+    x = lam * grid.s_max  # below 746 n, as exp(-lam * ds) > 0, so x * x is finite
+    tail = math.exp(-x) * (0.5 * x * x + x + 1.0)  # closed-form relative mass beyond the grid
+    if tail > TAIL_MASS_RTOL:
+        raise GridError(f"exponential profile keeps relative tail mass {tail:.3e} beyond s_max={grid.s_max}; "
+                        "enlarge the grid")
     return Distribution(grid, counts * (mass / m1))

@@ -41,6 +41,9 @@ class FanCoverageError(CfLabError):
 class FanCrossingError(CfLabError):
     """Two characteristic paths crossed; the fan is unusable past that time."""
 
+    exit_code = 1
+    label = "fan crossing"
+
 
 class ConfigError(CfLabError):
     """Experiment configuration file is missing, unreadable, or inconsistent."""

@@ -128,7 +128,6 @@ class TestConfig:
         assert capsys.readouterr().err == err
         assert main(["simulate", "--help"]) == EXIT_OK
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     @pytest.mark.parametrize(
         "old, new",
@@ -264,6 +263,31 @@ class TestConfig:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "old, new, err",
+        [
+            ("kind = monodisperse", "kind = exponential\nlam = inf", "[initial] lam = inf must be positive and finite"),
+            ("kind = monodisperse", "kind = exponential\nlam = 1e300",
+             "bad value in {config}: exponential profile of rate lam = 1e+300 carries no mass on the grid"),
+            # monodisperse reads size, not lam, but lam is checked under both kinds
+            ("kind = monodisperse", "kind = monodisperse\nlam = nan", "[initial] lam = nan must be positive and finite"),
+            # like [solver] t_end; before, it planned an empty fan and exited 3
+            ("t_end = 0.2\nx_lo = 0.6", "t_end = -1\nx_lo = 0.6",
+             "[characteristics] t_end = -1 must be nonnegative and finite"),
+        ],
+    )
+    def test_a_bad_value_is_one_line_that_names_it(self, workspace, tmp_path, capsys, old, new, err):
+        """Exit 64 with one config error line that names the key and the
+        value, and no numpy warning (an error in this suite) or OverflowError
+        before it."""
+        config, out = workspace
+        assert old in config.read_text()
+        bad = tmp_path / "bad.ini"
+        bad.write_text(config.read_text().replace(old, new))
+        assert main(["simulate", "--config", str(bad), "--quiet"]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"config error: {err.format(config=bad)}\n"
+        assert not out.exists()
+
     def test_unread_keys_are_named_in_one_line(self, workspace, tmp_path, capsys):
         """Keys that nothing reads, such as the dropped [field] x_lo and x_hi,
         exit 64 before any run, named in one config error line."""
@@ -290,7 +314,6 @@ class TestConfig:
             with pytest.raises(errors.ConfigError, match=rf"\[verify\] x_lo = {x_lo} must be positive"):
                 load_config(cfg)
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "old, new, key",
         [
@@ -324,7 +347,6 @@ class TestConfig:
         assert f"{key} plans " in err and "steps of " in err and f"more than MAX_STEPS = {MAX_STEPS}" in err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["simulate", "stochastic"])
     def test_an_ensemble_above_the_cap_exits_64_within_a_second(self, workspace, tmp_path, capsys, command):
         """The ensemble has no step count, so load_config caps the events that a
@@ -340,7 +362,6 @@ class TestConfig:
         assert "[stochastic] t_grid ends at t = 1e+300" in err and f"more than MAX_STEPS = {MAX_STEPS}" in err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["simulate", "stochastic"])
     def test_an_infinite_default_volume_is_usage_error(self, workspace, tmp_path, capsys, command):
         """Left out, the volume is that of 10^4 initial particles, 1e4 / m0,
@@ -354,7 +375,6 @@ class TestConfig:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "[stochastic] volume: the ensemble's volume inf must be positive and finite" in err
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("x_hi", ["1000", "1e12"])
     def test_a_wide_characteristics_range_runs(self, workspace, tmp_path, x_hi):
         """Fan paths that start far out have nearly flat F, whose secants are
@@ -459,7 +479,6 @@ class TestConfig:
 
 
 class TestErrorMapping:
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "failure, code, err",
         [
@@ -470,7 +489,7 @@ class TestErrorMapping:
             (errors.GridError("x"), EXIT_USAGE, "grid error: x\n"),
             (errors.ConfigError("x"), EXIT_USAGE, "config error: x\n"),
             (errors.AbsorbingStateError("x"), EXIT_USAGE, "error: x\n"),
-            (errors.FanCrossingError("x"), EXIT_USAGE, "error: x\n"),
+            (errors.FanCrossingError("x"), EXIT_SOLVER_ABORT, "fan crossing: x\n"),
             (
                 BoundReport("mass_conservation", -1.0, 0.0, (0.0, "m1")),
                 EXIT_BOUND_VIOLATION,
@@ -830,7 +849,6 @@ class TestVerifyArtifacts:
 
 
 class TestConvergence:
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "gaps, statuses",
         [

@@ -1,5 +1,7 @@
 """Domain types: grids, distributions, kernels, moments, initial profiles, and
 the step rule, RK4 step and recording march of both time-steppers."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -193,6 +195,25 @@ class TestMakeInitial:
         g = SizeGrid(ds=0.5, n=10)  # s_max = 5 keeps ~2e-2 of the mass outside
         with pytest.raises(GridError):
             make_initial("exponential", g, mass=1.0, lam=1.0)
+
+    def test_exponential_is_the_renormalized_density(self):
+        """The counts are the density lam^2 s exp(-lam s) ds, renormalized to
+        the mass: leaving out its constant factor lam^2 ds moves them by
+        roundoff only."""
+        g = SizeGrid(ds=0.25, n=128)
+        for lam in (1.0, 3.0, 10.0):
+            density = lam**2 * g.sizes * np.exp(-lam * g.sizes) * g.ds
+            expected = density * (1.5 / float(np.dot(g.sizes, density)))
+            np.testing.assert_allclose(make_initial("exponential", g, mass=1.5, lam=lam).counts, expected, rtol=1e-14)
+
+    @pytest.mark.parametrize("lam", [1e300, 1.7e308, float("inf")])
+    def test_an_exponential_rate_that_puts_no_mass_on_the_grid(self, lam):
+        """A rate whose profile underflows on every bin is a GridError that
+        names the rate, not an OverflowError or a numpy warning (an error in
+        this suite)."""
+        g = SizeGrid(ds=10.0, n=8)
+        with pytest.raises(GridError, match=re.escape(f"exponential profile of rate lam = {lam:g} carries no mass on")):
+            make_initial("exponential", g, mass=1.0, lam=lam)
 
     def test_unknown_kind(self):
         """Any kind but the two, the former library-only custom among them, is

@@ -1,6 +1,8 @@
 """The README's library sketch runs as written, its example config is the
-benchmark's, its exit-code table matches the codes the program defines, and
-the exported API is pinned."""
+benchmark's, its config key table lists the keys that ``load_config`` reads,
+its exit-code table matches the codes the program defines, and the exported
+API is pinned."""
+import configparser
 import os
 import re
 import subprocess
@@ -12,6 +14,7 @@ import cflab.cli
 from cflab import errors
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+README_INI = README.parent / "perfbench" / "configs" / "readme.ini"
 
 #: Every public name of a fresh ``import cflab``, the submodules included.
 EXPORTED = [
@@ -80,7 +83,36 @@ def test_readme_config_is_the_benchmark_config():
     for byte, so the runs that the benchmark and the golden record make are
     the README's."""
     block = re.search(r"```ini\n(.*?)```", README.read_text(), flags=re.DOTALL).group(1)
-    assert block == (README.parent / "perfbench" / "configs" / "readme.ini").read_text()
+    assert block == README_INI.read_text()
+
+
+def config_key_table() -> dict:
+    """{(section, key): (default, domain)}, one entry per row of the README's
+    config key table; a row that repeats a key fails."""
+    section = README.read_text().split("### Config keys", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \| (.+?) \| (.+?) \|$", section, flags=re.MULTILINE)
+    table = {(sec, key): (default, domain) for sec, key, default, domain in rows}
+    assert len(table) == len(rows)
+    return table
+
+
+def test_readme_config_keys_are_the_keys_that_load_config_reads(tmp_path, monkeypatch):
+    """The README's key table lists every key that ``load_config`` asks the
+    parser for, on the README config and on its exponential variant, and no
+    other key: a key cannot be documented and not read, or the reverse."""
+    asked = set()
+    has_option = configparser.ConfigParser.has_option
+
+    def spy(self, section, option):
+        asked.add((section, option))
+        return has_option(self, section, option)
+
+    monkeypatch.setattr(configparser.ConfigParser, "has_option", spy)
+    for kind in ("monodisperse", "exponential"):
+        config = tmp_path / f"{kind}.ini"
+        config.write_text(README_INI.read_text().replace("kind = monodisperse", f"kind = {kind}"))
+        cflab.cli.load_config(config)
+    assert sorted(config_key_table()) == sorted(asked)
 
 
 def test_readme_exit_codes_are_the_defined_codes():
