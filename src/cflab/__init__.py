@@ -5,10 +5,12 @@ coagulation and (optionally perturbed) constant fragmentation: a
 deterministic sectional solver, a stochastic particle simulator, and a
 characteristics solver for the singular first-order equation satisfied by
 the Bernstein transform.  A verification layer checks every quantitative
-bound the solution theory provides: mass conservation, the second-moment
-envelope, derivative bounds, complete monotonicity, moment inequalities,
-and the residuals of the weak form and of the singular equation.  Every
-check returns a BoundReport.  Internals are imported from their submodules.
+bound the solution theory provides, each check returning a BoundReport.
+
+This package exports the names of the README's library sketch, and the
+submodules that they load; the checks (``cflab.verification``), the error
+classes (``cflab.errors``), the CSV files (``cflab.csvio``) and every other
+name are imported from the submodule that defines them.
 
 OpenBLAS sizes its thread pool once, as numpy loads, and cflab has no work
 that a BLAS pool speeds up, so numpy loads here with OPENBLAS_NUM_THREADS=1;
@@ -30,52 +32,10 @@ finally:
         os.environ["OPENBLAS_NUM_THREADS"] = _blas_threads
 del os, numpy, _blas_threads
 
-from .core import (
-    BoundReport,
-    Distribution,
-    KernelSpec,
-    ScenarioParams,
-    SizeGrid,
-    make_initial,
-)
-from .errors import (
-    AbsorbingStateError,
-    CfLabError,
-    FanCoverageError,
-    FanCrossingError,
-    GridError,
-    SolverAbort,
-)
-from .kinetic import (
-    SolverConfig,
-    Trajectory,
-    simulate,
-    stability_limit,
-    weak_form_residual,
-)
-from .bernstein import (
-    BernsteinField,
-    cm_exact_report,
-    field_from_trajectory,
-)
-from .characteristics import (
-    CharacteristicFan,
-    default_starts,
-    distribution_transform,
-    fan_to_field,
-    integrate_fan,
-    monotone_derivative_checks,
-    reconstruct,
-)
-from .stochastic import (
-    EnsembleMoments,
-    ensemble_moments,
-)
-from .verification import (
-    derivative_bounds_check,
-    envelope_check,
-    g_eps_bound_check,
-    holder_bounds_check,
-)
+from .core import KernelSpec, ScenarioParams, SizeGrid, make_initial
+from .kinetic import SolverConfig, simulate
+from .bernstein import field_from_trajectory
+from .characteristics import default_starts, distribution_transform, integrate_fan, reconstruct
+from .stochastic import ensemble_moments
 
 __version__ = "0.1.0"

@@ -43,7 +43,7 @@ def distribution_transform(dist: Distribution) -> Callable:
 
     def f0(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        F, D = bernstein_sums(dist.grid, dist.counts[None], x, k_max=1)
+        F, D, _ = bernstein_sums(dist.grid, dist.counts[None], x, k_max=1)
         return F[0], D[0, 0]
 
     return f0

@@ -12,6 +12,7 @@ import argparse
 import configparser
 import gc
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -288,8 +289,17 @@ def _default_stride(n_steps: int, snapshots: int) -> int:
 
 
 def _say(quiet, *parts):
-    if not quiet:
-        print(*parts)
+    """Print ``parts`` unless ``quiet``.  Once the reader has closed stdout,
+    stdout is the null device: nothing more is printed, and neither a later
+    line nor the flush at exit raises."""
+    if quiet:
+        return
+    try:
+        print(*parts, flush=True)
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
 
 
 def cmd_simulate(exp: Experiment, out: Path, quiet: bool) -> int:
@@ -340,7 +350,7 @@ def cmd_verify(exp: Experiment, out: Path, quiet: bool) -> int:
         ]
     if field.times.size >= 3:
         reports += [
-            hj_residual_check(field, scenario, exp.solver.spec.frag_eps, exp.hj_residual_max),
+            hj_residual_check(field, scenario, exp.solver.spec.frag_eps, exp.hj_residual_max, exp.initial.grid.ds),
             weak_form_check(traj, exp.weak_x, exp.weak_residual_max),
         ]
     return _report(out / "verify_report.csv", reports, quiet)

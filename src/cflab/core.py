@@ -280,6 +280,14 @@ def time_derivative(F: np.ndarray, times: np.ndarray) -> np.ndarray:
     return out
 
 
+def kappa(x: np.ndarray, ds: float) -> np.ndarray:
+    """(ds/2) coth(x ds/2) at each x > 0: the 1/x of the size grid of step
+    ``ds``.  Constant-kernel breakup of a size s_j into the pairs s_k + s_{j-k}
+    sums the factors 1 - exp(-x s_k) over k < j, which gives kappa(x) where
+    the continuum integral gives 1/x; kappa(x) = 1/x + x ds^2/12 + O(x^3 ds^4)."""
+    return (0.5 * ds) / np.tanh((0.5 * ds) * x)
+
+
 def make_initial(kind: str, grid: SizeGrid, *, mass: float, size: float = 1.0, lam: float = 1.0) -> Distribution:
     """Discretize a canonical initial profile and renormalize it to ``mass``.
 

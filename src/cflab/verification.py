@@ -192,12 +192,13 @@ def cm_sampled_check(field: BernsteinField) -> BoundReport:
 
 
 def hj_residual_check(
-    field: BernsteinField, scenario: ScenarioParams, eps: float, ceiling: float
+    field: BernsteinField, scenario: ScenarioParams, eps: float, ceiling: float, ds: float | None = None
 ) -> BoundReport:
     """Largest |residual| of the singular equation over interior snapshot
-    times and x > 0 against ``ceiling``, at its (t, x)."""
+    times and x > 0 against ``ceiling``, at its (t, x); with the grid step
+    ``ds``, the residual of the grid's equation (``hj_residual_grid``)."""
     cols = np.flatnonzero(field.x > 0)
-    interior = np.abs(hj_residual_grid(field, scenario, eps)[1:-1, cols])
+    interior = np.abs(hj_residual_grid(field, scenario, eps, ds)[1:-1, cols])
     i, j = np.unravel_index(int(np.argmax(interior)), interior.shape)
     margin = float((ceiling - interior[i, j]) / ceiling)
     return BoundReport("hj_residual", margin, 0.0, (float(field.times[1 + i]), float(field.x[cols[j]])))

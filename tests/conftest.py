@@ -23,12 +23,12 @@ from cflab import (
     default_starts,
     distribution_transform,
     ensemble_moments,
-    fan_to_field,
     field_from_trajectory,
     integrate_fan,
     make_initial,
     simulate,
 )
+from cflab.characteristics import fan_to_field
 from cflab.cli import load_config
 from golden.make_golden import run_workloads
 from oracles import point_mass_transform

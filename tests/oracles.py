@@ -19,13 +19,13 @@ import math
 import numpy as np
 
 from cflab import (
-    Distribution, KernelSpec, SizeGrid, Trajectory, default_starts, distribution_transform, field_from_trajectory,
-    integrate_fan, make_initial, reconstruct,
+    KernelSpec, SizeGrid, default_starts, distribution_transform, field_from_trajectory, integrate_fan, make_initial,
+    reconstruct,
 )
 from cflab.characteristics import X_FLOOR, _check_no_crossing, char_rhs
-from cflab.core import _readonly
+from cflab.core import Distribution, _readonly
 from cflab.errors import AbsorbingStateError, FanCoverageError
-from cflab.kinetic import _checked, _rhs
+from cflab.kinetic import Trajectory, _checked, _rhs
 from cflab.stochastic import (
     ENSEMBLE_MAX_MOMENT, ParticleSystem, _moments, _proposal_rates, gillespie_step, time_grid,
 )

@@ -16,19 +16,21 @@ from cflab import (
     ScenarioParams,
     SizeGrid,
     SolverConfig,
-    cm_exact_report,
-    derivative_bounds_check,
-    envelope_check,
-    fan_to_field,
     field_from_trajectory,
-    holder_bounds_check,
     make_initial,
-    monotone_derivative_checks,
     reconstruct,
     simulate,
-    weak_form_residual,
 )
-from cflab.verification import cm_sampled_check, hj_residual_check
+from cflab.bernstein import cm_exact_report
+from cflab.characteristics import fan_to_field, monotone_derivative_checks
+from cflab.kinetic import weak_form_residual
+from cflab.verification import (
+    cm_sampled_check,
+    derivative_bounds_check,
+    envelope_check,
+    hj_residual_check,
+    holder_bounds_check,
+)
 from oracles import (
     frag_weak_coefficient, moment_ode_rhs_on_grid, ordering_check, point_mass_transform, replay_replica, scale_initial, x_grid,
 )

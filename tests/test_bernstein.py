@@ -5,19 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cflab import (
-    BernsteinField,
-    Distribution,
-    ScenarioParams,
-    SizeGrid,
-    cm_exact_report,
-    field_from_trajectory,
-    g_eps_bound_check,
-    make_initial,
-)
-from cflab import core
-from cflab.bernstein import bernstein_sums
-from cflab.verification import cm_sampled_check, hj_residual_check
+from cflab import ScenarioParams, SizeGrid, core, field_from_trajectory, make_initial
+from cflab.bernstein import BernsteinField, bernstein_sums, cm_exact_report
+from cflab.core import Distribution
+from cflab.verification import cm_sampled_check, g_eps_bound_check, hj_residual_check
 from oracles import distribution_field, x_grid
 
 counts_strategy = arrays(
@@ -29,7 +20,7 @@ counts_strategy = arrays(
 
 def sums(dist, x, k_max=2):
     """(F, D) of one distribution: row 0 of the sums of its 1-row counts matrix."""
-    F, D = bernstein_sums(dist.grid, dist.counts[None], x, k_max)
+    F, D, _ = bernstein_sums(dist.grid, dist.counts[None], x, k_max)
     return F[0], D[0]
 
 
@@ -40,6 +31,7 @@ def f_fx_fxx(dist, x):
 
 
 def synthetic_field(x, times, F, Fx, Fxx, m, m2=None):
+    """A field of the given arrays; with ``m2``, its mass gap is m - Fx."""
     return BernsteinField(
         x=np.asarray(x, float),
         times=np.asarray(times, float),
@@ -48,6 +40,7 @@ def synthetic_field(x, times, F, Fx, Fxx, m, m2=None):
         Fxx=np.asarray(Fxx, float),
         m=m,
         m2=None if m2 is None else np.asarray(m2, float),
+        mass_gap=None if m2 is None else m - np.asarray(Fx, float),
     )
 
 
@@ -123,11 +116,11 @@ def test_sums_of_a_matrix_are_its_rows_sums():
     g = SizeGrid(ds=0.25, n=32)
     counts = np.random.default_rng(5).random((3, 32))
     x = x_grid(12)
-    F, D = bernstein_sums(g, counts, x, k_max=3)
-    assert F.shape == (3, x.size) and D.shape == (3, 3, x.size)
+    sums_of_matrix = bernstein_sums(g, counts, x, k_max=3)
+    assert [a.shape for a in sums_of_matrix] == [(3, x.size), (3, 3, x.size), (3, x.size)]
     for row, c in enumerate(counts):
-        F_row, D_row = sums(Distribution(g, c), x, k_max=3)
-        assert F[row].tobytes() == F_row.tobytes() and D[row].tobytes() == D_row.tobytes()
+        for of_matrix, alone in zip(sums_of_matrix, bernstein_sums(g, c[None], x, k_max=3)):
+            assert of_matrix[row].tobytes() == alone[0].tobytes()
 
 
 def single_block_sums(grid, counts, x, k_max):
@@ -137,7 +130,8 @@ def single_block_sums(grid, counts, x, k_max):
     decay, growth = np.exp(-phase), -np.expm1(-phase)
     F = np.stack([growth @ N for N in counts])
     D = np.array([[decay @ (s**k * N) for k in range(1, k_max + 1)] for N in counts])
-    return F, D
+    W = np.stack([growth @ (s * N) for N in counts])
+    return F, D, W
 
 
 @pytest.mark.parametrize(
@@ -150,18 +144,16 @@ def single_block_sums(grid, counts, x, k_max):
     ],
 )
 def test_blocked_sums_match_one_block(monkeypatch, num, rows):
-    """Blocks of x rows write the slices of F and D that one block of every x
-    would: the same sums, to roundoff."""
+    """Blocks of x rows write the slices of F, D and W that one block of every
+    x would: the same sums, to roundoff."""
     g = SizeGrid(ds=0.25, n=32)
     counts = np.random.default_rng(7).random((3, 32)) * np.exp(-g.sizes)
     x = x_grid(num) if num else np.array([0.7])
     if rows is not None:
         monkeypatch.setattr(core, "BLOCK_ENTRIES", rows * g.n)
     assert core.block_rows(g.n) == (rows or core.BLOCK_ENTRIES // g.n)
-    F, D = bernstein_sums(g, counts, x, k_max=3)
-    F_ref, D_ref = single_block_sums(g, counts, x, k_max=3)
-    np.testing.assert_allclose(F, F_ref, rtol=1e-13, atol=0)
-    np.testing.assert_allclose(D, D_ref, rtol=1e-13, atol=0)
+    for blocked, one_block in zip(bernstein_sums(g, counts, x, k_max=3), single_block_sums(g, counts, x, k_max=3)):
+        np.testing.assert_allclose(blocked, one_block, rtol=1e-13, atol=0)
 
 
 class TestDerivative:
@@ -221,7 +213,7 @@ class TestCompleteMonotonicity:
         _, D = sums(Distribution(g, counts[2]), [xv], k_max=k)
         mass = float(np.dot(g.sizes, counts[0]))
         assert report.worst_margin == D[k - 1, 0] / mass
-        _, D_all = bernstein_sums(g, counts, x, 6)
+        _, D_all, _ = bernstein_sums(g, counts, x, 6)
         assert report.worst_margin == D_all.min() / mass
 
     def test_quadratic_field_fails_concavity(self):
@@ -259,10 +251,10 @@ class TestCompleteMonotonicity:
             cm_sampled_check(field)
 
 
-def residual(field, scenario, eps):
+def residual(field, scenario, eps, ds=None):
     """max |residual| over interior times and x > 0, read back from the margin
     of hj_residual_check against a unit ceiling."""
-    return 1.0 - hj_residual_check(field, scenario, eps, ceiling=1.0).worst_margin
+    return 1.0 - hj_residual_check(field, scenario, eps, ceiling=1.0, ds=ds).worst_margin
 
 
 class TestResidual:
@@ -302,6 +294,24 @@ class TestResidual:
             run_m1_fine["traj"], np.concatenate([[0.0], np.geomspace(1e-3, 5.0, 40)])
         )
         assert hj_residual_check(field, run_m1_fine["scenario"], 0.1, ceiling=5e-2).passed
+
+    def test_grid_forcing_needs_the_mass_gap(self):
+        """With a grid step and eps > 0 the residual forms G from the mass
+        gap, so a field that carries G but no mass gap is refused."""
+        zeros = np.zeros((3, 2))
+        field = BernsteinField(x=np.array([0.0, 1.0]), times=np.array([0.0, 0.1, 0.2]),
+                               F=zeros, Fx=zeros, Fxx=zeros, m=1.0, g_eps=zeros)
+        with pytest.raises(ValueError, match="no G_eps forcing"):
+            hj_residual_check(field, ScenarioParams(m=1.0, m2_0=1.0), 0.1, ceiling=1.0, ds=0.25)
+
+    def test_grid_residual_of_the_readme_run(self, run_m1_fine):
+        """The README run (ds = 0.25) on verify's x grid: with kappa(x, ds)
+        for 1/x the residual is the time differencing's, at most 2e-5; with
+        1/x it keeps the grid's ds^2 defect, 2.762e-2."""
+        field = field_from_trajectory(run_m1_fine["traj"], np.concatenate([[0.0], np.geomspace(1e-3, 5.0, 40)]))
+        scenario, ds = run_m1_fine["scenario"], run_m1_fine["grid"].ds
+        assert residual(field, scenario, 0.1, ds) <= 2e-5
+        assert residual(field, scenario, 0.1) == pytest.approx(2.762e-2, rel=1e-4)
 
 
 class TestForcing:

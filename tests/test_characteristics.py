@@ -6,19 +6,23 @@ import numpy as np
 import pytest
 
 from cflab import (
-    FanCoverageError,
-    FanCrossingError,
+    SizeGrid,
+    characteristics,
     default_starts,
     distribution_transform,
-    fan_to_field,
     integrate_fan,
-    monotone_derivative_checks,
-    reconstruct,
-    SizeGrid,
     make_initial,
+    reconstruct,
 )
-from cflab import characteristics
-from cflab.characteristics import CharacteristicFan, _check_no_crossing, _pchip, char_rhs
+from cflab.characteristics import (
+    CharacteristicFan,
+    _check_no_crossing,
+    _pchip,
+    char_rhs,
+    fan_to_field,
+    monotone_derivative_checks,
+)
+from cflab.errors import FanCoverageError, FanCrossingError
 from oracles import (
     covered, exponential_transform, integrate_fan_loop, ordering_check, point_mass_transform, scale_initial,
 )

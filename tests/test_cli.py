@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import cflab
 
-from cflab import BoundReport, errors, kinetic
+from cflab import errors, kinetic
 from cflab.bernstein import bernstein_sums, field_from_trajectory, hj_residual_grid
 from cflab.cli import (
     EXIT_BOUND_VIOLATION,
@@ -29,6 +29,7 @@ from cflab.cli import (
     load_config,
     main,
 )
+from cflab.core import BoundReport, schedule
 from cflab.kinetic import _weak_form_rates, simulate
 
 README_INI = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "readme.ini"
@@ -59,7 +60,7 @@ dir = {out}
 [verify]
 x_hi = 5.0
 nx = 32
-hj_residual_max = 5e-2
+hj_residual_max = 1e-2
 weak_residual_max = 1e-2
 
 [stochastic]
@@ -182,10 +183,10 @@ class TestConfig:
             pytest.param("x_lo = 0.6\nx_hi = 4.0", "x_lo = 0.6\nx_hi = 1e300", id="characteristics x_hi = 1e300"),
             pytest.param("x_lo = 0.5\nx_hi = 4.0", "x_lo = 0.5\nx_hi = 1e155", id="convergence x_hi = 1e155"),
             # a ceiling divides the margin, and one below 0 turns a FAIL into a PASS
-            ("hj_residual_max = 5e-2", "hj_residual_max = 0"),
-            ("hj_residual_max = 5e-2", "hj_residual_max = -1e-2"),
-            ("hj_residual_max = 5e-2", "hj_residual_max = nan"),
-            ("hj_residual_max = 5e-2", "hj_residual_max = inf"),
+            ("hj_residual_max = 1e-2", "hj_residual_max = 0"),
+            ("hj_residual_max = 1e-2", "hj_residual_max = -1e-2"),
+            ("hj_residual_max = 1e-2", "hj_residual_max = nan"),
+            ("hj_residual_max = 1e-2", "hj_residual_max = inf"),
             ("weak_residual_max = 1e-2", "weak_residual_max = 0"),
             ("weak_residual_max = 1e-2", "weak_residual_max = -1e-2"),
             ("weak_residual_max = 1e-2", "weak_residual_max = nan"),
@@ -618,6 +619,22 @@ class TestVerify:
         assert [row["name"] for row in rows if row["status"] == "FAIL"] == ["truncation_occupancy"]
         assert 1e-6 < 1e-9 * (1 - float(rows[1]["worst_margin"])) < 1e-5
 
+    def test_tiny_x_lo_passes(self, tmp_path):
+        """[verify] x_lo = 1e-300 on the README config cut to t_end = 0.05:
+        G and the residual take m1 - Fx from the transform sums, not as a
+        difference whose roundoff x divides, so every row passes."""
+        text = README_INI.read_text()
+        for old, new in (("t_end = 0.3\n", "t_end = 0.05\n"), ("[verify]\n", "[verify]\nx_lo = 1e-300\n")):
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        cfg, out = tmp_path / "tiny_x.ini", tmp_path / "out"
+        cfg.write_text(text)
+        for command in ("simulate", "verify"):
+            assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == EXIT_OK
+        with open(out / "verify_report.csv", newline="") as fh:
+            rows = {row["name"]: row for row in csv.DictReader(fh)}
+        assert rows["g_eps_bound"]["status"] == rows["hj_residual"]["status"] == "PASS"
+
     def test_full_pipeline_passes(self, workspace):
         config, out = workspace
         assert main(["simulate", "--config", str(config), "--quiet"]) == EXIT_OK
@@ -648,8 +665,8 @@ class TestVerify:
 
 
     def test_report_locations_are_the_true_worst(self, workspace):
-        """hj_residual reports the argmax (t, x) of the residual grid over
-        interior times and x > 0; complete_monotonicity_exact reports the
+        """hj_residual reports the argmax (t, x) of the grid-exact residual
+        over interior times and x > 0; complete_monotonicity_exact reports the
         snapshot time and the x of its smallest signed derivative on the
         verify window; weak_form_residual reports the interior snapshot time
         and the weak_x of its largest mismatch; mass_conservation reports the
@@ -664,7 +681,7 @@ class TestVerify:
         exp = load_config(config)
         traj = simulate(exp.solver, exp.initial)
         field = field_from_trajectory(traj, exp.verify_x)
-        res = np.abs(hj_residual_grid(field, exp.scenario, exp.solver.spec.frag_eps))
+        res = np.abs(hj_residual_grid(field, exp.scenario, exp.solver.spec.frag_eps, exp.initial.grid.ds))
         res[0] = res[-1] = -np.inf  # one-sided time rows
         res[:, field.x <= 0] = -np.inf
         i, j = np.unravel_index(np.nanargmax(res), res.shape)
@@ -673,7 +690,7 @@ class TestVerify:
         assert float(rows["hj_residual"]["x_or_k"]) == field.x[j]
 
         counts, times = traj.counts, traj.times
-        _, D = bernstein_sums(traj.grid, counts, field.x, 6)  # D[t, k - 1, x] >= 0: the signed derivatives
+        _, D, _ = bernstein_sums(traj.grid, counts, field.x, 6)  # D[t, k - 1, x] >= 0: the signed derivatives
         r, _, j = np.unravel_index(np.argmin(D), D.shape)
         assert float(rows["complete_monotonicity_exact"]["t"]) == times[r]
         assert float(rows["complete_monotonicity_exact"]["x_or_k"]) == field.x[j] <= exp.verify_x[-1]
@@ -833,18 +850,17 @@ class TestVerifyArtifacts:
 
     def test_stale_directory_is_verified_as_a_fresh_one(self, workspace, tmp_path):
         """simulate at stride 25 and then at stride 50 into one directory:
-        verify at stride 50 checks the second run only, and exits 2 on the
-        hj_residual FAIL with the report of a fresh directory."""
+        verify at stride 50 checks the second run only, and passes with the
+        report of a fresh directory."""
         config, out = workspace
-        strict = config.read_text().replace("hj_residual_max = 5e-2", "hj_residual_max = 1e-2")
         stride_50, stride_25 = tmp_path / "stride50.ini", tmp_path / "stride25.ini"
-        stride_50.write_text(strict)
-        stride_25.write_text(strict.replace("output_every = 50", "output_every = 25"))
+        stride_50.write_text(config.read_text())
+        stride_25.write_text(config.read_text().replace("output_every = 50", "output_every = 25"))
         fresh = tmp_path / "fresh"
         for cfg, where in ((stride_25, out), (stride_50, out), (stride_50, fresh)):
             assert main(["simulate", "--config", str(cfg), "--out", str(where), "--quiet"]) == EXIT_OK
         for where in (out, fresh):
-            assert main(["verify", "--config", str(stride_50), "--out", str(where), "--quiet"]) == EXIT_BOUND_VIOLATION
+            assert main(["verify", "--config", str(stride_50), "--out", str(where), "--quiet"]) == EXIT_OK
         assert (out / "verify_report.csv").read_bytes() == (fresh / "verify_report.csv").read_bytes()
 
 
@@ -1029,6 +1045,31 @@ def test_cold_start_imports_no_scipy(tmp_path):
         "characteristics_field.csv", "characteristics_report.csv", "convergence.csv", "convergence_report.csv",
         "fan.csv", "simulate_report.csv", "snapshots.csv", "stochastic.csv", "trajectory.csv", "verify_report.csv",
     ]
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("lines_read", [1, 0], ids=["closed after one line", "closed at once"])
+def test_a_closed_stdout_is_not_a_crash(workspace, unbuffered, lines_read):
+    """characteristics into a pipe whose reader closes it after one line, or
+    before the first: the subcommand prints nothing more, with no traceback
+    and no "Exception ignored" line, writes every artifact and exits with the
+    code of its checks."""
+    config, out = workspace
+    src = str(Path(cflab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               PYTHONUNBUFFERED=unbuffered)
+    command = [sys.executable, "-m", "cflab.cli", "characteristics", "--config", str(config)]
+    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as child:
+        first = [child.stdout.readline() for _ in range(lines_read)]
+        child.stdout.close()
+        err = child.stderr.read()
+    assert child.wait(timeout=300) == EXIT_OK
+    assert err == ""
+    assert [line.startswith("fan of 200 paths") for line in first] == [True] * lines_read
+    fan = load_config(config).char_fan
+    recorded = schedule(fan["t_end"], fan["dt"], fan["record_every"], "record_every")[1]
+    assert len((out / "fan.csv").read_text().splitlines()) == 1 + recorded.size * len(fan["starts"])
+    assert (out / "characteristics_report.csv").read_text().count(",PASS,") == 8
 
 
 def _tasks_after(code, blas_threads):

@@ -7,16 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cflab import (
-    Distribution,
-    GridError,
-    KernelSpec,
-    ScenarioParams,
-    SizeGrid,
-    SolverConfig,
-    make_initial,
-)
-from cflab.core import MomentSeries, march, rk4, schedule, step_count, uniform_step
+from cflab import KernelSpec, ScenarioParams, SizeGrid, SolverConfig, make_initial
+from cflab.core import Distribution, MomentSeries, kappa, march, rk4, schedule, step_count, uniform_step
+from cflab.errors import GridError
 from oracles import coag_kernel, frag_kernel
 
 counts_strategy = arrays(
@@ -49,6 +42,26 @@ class TestSizeGrid:
             g.bin_index(0.2)
         with pytest.raises(GridError):
             g.bin_index(9.0)
+
+
+class TestKappa:
+    """kappa(x, ds) = (ds/2) coth(x ds/2) is the 1/x of the grid of step ds."""
+
+    @pytest.mark.parametrize("ds", [0.25, 1.0])
+    def test_breakup_sum_over_the_grid(self, ds):
+        """ds * sum_{k < j} (1 - exp(-x k ds)) = S - (kappa(x) + ds/2)(1 - exp(-x S))
+        for S = j ds, where the continuum integral gives S - (1 - exp(-x S)) / x."""
+        x = np.geomspace(0.05, 20.0, 9)
+        for j in range(1, 13):
+            S = j * ds
+            lhs = ds * sum(-np.expm1(-x * k * ds) for k in range(1, j)) if j > 1 else np.zeros_like(x)
+            rhs = S + (kappa(x, ds) + 0.5 * ds) * np.expm1(-x * S)
+            np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12 * S)
+
+    def test_continuum_limit(self):
+        """kappa(x) = 1/x + x ds^2/12 + O(x^3 ds^4)."""
+        x, ds = np.array([0.5, 1.0, 4.0]), 1e-3
+        np.testing.assert_allclose(kappa(x, ds) - 1.0 / x, x * ds**2 / 12.0, rtol=1e-5)
 
 
 class TestDistribution:

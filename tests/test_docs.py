@@ -16,66 +16,56 @@ from cflab import errors
 README = Path(__file__).resolve().parents[1] / "README.md"
 README_INI = README.parent / "perfbench" / "configs" / "readme.ini"
 
-#: Every public name of a fresh ``import cflab``, the submodules included.
+#: Every public name of a fresh ``import cflab``: the names that the README's
+#: library sketch imports from it, and the submodules that they load.
 EXPORTED = [
-    "AbsorbingStateError",
-    "BernsteinField",
-    "BoundReport",
-    "CfLabError",
-    "CharacteristicFan",
-    "Distribution",
-    "EnsembleMoments",
-    "FanCoverageError",
-    "FanCrossingError",
-    "GridError",
     "KernelSpec",
     "ScenarioParams",
     "SizeGrid",
-    "SolverAbort",
     "SolverConfig",
-    "Trajectory",
     "bernstein",
     "characteristics",
-    "cm_exact_report",
     "core",
     "default_starts",
-    "derivative_bounds_check",
     "distribution_transform",
     "ensemble_moments",
-    "envelope_check",
     "errors",
-    "fan_to_field",
     "field_from_trajectory",
-    "g_eps_bound_check",
-    "holder_bounds_check",
     "integrate_fan",
     "kinetic",
     "make_initial",
-    "monotone_derivative_checks",
     "reconstruct",
     "simulate",
-    "stability_limit",
     "stochastic",
-    "verification",
-    "weak_form_residual",
 ]
 
 
 def test_readme_library_sketch_runs(readme_sketch):
     assert {"traj", "field", "ens", "fan"} <= readme_sketch["namespace"].keys()
-    assert readme_sketch["stdout"].startswith("hj_residual: ")
+    assert readme_sketch["stdout"].startswith("hj_residual: PASS")
 
 
-def test_exported_names_are_pinned():
+def fresh_import(code: str) -> str:
+    """What ``code`` prints in a new interpreter, after ``import cflab``."""
     src = str(Path(cflab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
-        [sys.executable, "-c", "import cflab; print(*sorted(n for n in vars(cflab) if n[0] != '_'))"],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", f"import cflab, sys; {code}"], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == EXPORTED
-    assert len(EXPORTED) <= 40
+    return done.stdout
+
+
+def test_exported_names_are_pinned():
+    assert fresh_import("print(*sorted(n for n in vars(cflab) if n[0] != '_'))").split() == EXPORTED
+    assert len(EXPORTED) <= 18
+
+
+def test_import_loads_no_checks_files_or_command_line():
+    """``import cflab`` loads the engines and the transform, not the
+    verification layer, the CSV files or the command line."""
+    loaded = fresh_import("print(*sorted(m for m in sys.modules if m.startswith('cflab')))").split()
+    assert not {"cflab.verification", "cflab.csvio", "cflab.cli"} & set(loaded)
 
 
 def test_readme_config_is_the_benchmark_config():

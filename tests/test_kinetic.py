@@ -8,21 +8,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cflab import (
-    Distribution,
-    KernelSpec,
-    ScenarioParams,
-    SizeGrid,
-    SolverAbort,
-    SolverConfig,
+from cflab import KernelSpec, ScenarioParams, SizeGrid, SolverConfig, core, kinetic, make_initial, simulate
+from cflab.core import Distribution
+from cflab.errors import SolverAbort
+from cflab.kinetic import (
     Trajectory,
-    make_initial,
-    simulate,
+    _coag_rates,
+    _frag_rates,
+    _rhs,
+    _self_convolution,
+    _weak_form_rates,
     stability_limit,
     weak_form_residual,
 )
-from cflab import core, kinetic
-from cflab.kinetic import _coag_rates, _frag_rates, _rhs, _self_convolution, _weak_form_rates
 from cflab.verification import second_moment_envelope
 from oracles import frag_kernel, frag_weak_coefficient, moment_ode_rhs_on_grid, simulate_loop
 

@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from cflab import (
-    AbsorbingStateError,
-    Distribution,
     KernelSpec,
     ScenarioParams,
     SizeGrid,
@@ -17,6 +15,8 @@ from cflab import (
     make_initial,
     simulate,
 )
+from cflab.core import Distribution
+from cflab.errors import AbsorbingStateError
 from cflab.stochastic import (
     ParticleSystem,
     _execute_events,

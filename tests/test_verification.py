@@ -4,23 +4,15 @@ checks."""
 import numpy as np
 import pytest
 
-from cflab import (
-    BernsteinField,
-    BoundReport,
-    KernelSpec,
-    ScenarioParams,
-    SizeGrid,
-    Trajectory,
-    derivative_bounds_check,
-    envelope_check,
-    field_from_trajectory,
-    holder_bounds_check,
-    make_initial,
-)
-from cflab.bernstein import cm_exact_report
-from cflab.core import MomentSeries
+from cflab import KernelSpec, ScenarioParams, SizeGrid, field_from_trajectory, make_initial
+from cflab.bernstein import BernsteinField, cm_exact_report
+from cflab.core import BoundReport, MomentSeries
+from cflab.kinetic import Trajectory
 from cflab.verification import (
     cm_sampled_check,
+    derivative_bounds_check,
+    envelope_check,
+    holder_bounds_check,
     mass_conservation_check,
     second_moment_envelope,
     time_derivative_bound,
