@@ -32,13 +32,10 @@ CM_EXACT_ORDERS = 6
 class BernsteinField:
     """F and its first two x-derivatives sampled on (times x x-grid).
 
-    ``m2`` holds the second moment per snapshot, ``mass_gap`` the sums
-    m1 - Fx = sum_i s_i (1 - exp(-x s_i)) N_i of ``bernstein_sums``, and
-    ``g_eps`` the additive forcing G = m2/2 - Fxx/2 - (m1 - Fx)/x produced by
-    the size-linear fragmentation perturbation, derived from the other two
-    when not given.  At x = 0 the last two terms cancel against m2 exactly,
-    so that column holds the limit 0.  All three are None for fields that
-    were not built from distributions.
+    ``m2`` holds the second moment per snapshot and ``mass_gap`` the sums
+    m1 - Fx = sum_i s_i (1 - exp(-x s_i)) N_i of ``bernstein_sums``, from
+    which ``forcing`` forms G.  Both are None for fields that were not built
+    from distributions.
     """
 
     x: np.ndarray
@@ -48,21 +45,31 @@ class BernsteinField:
     Fxx: np.ndarray
     m: float
     m2: np.ndarray | None = None
-    g_eps: np.ndarray | None = None
     mass_gap: np.ndarray | None = None
 
     def __post_init__(self):
         if self.F.shape != (self.times.size, self.x.size):
             raise ValueError("field arrays must have shape (len(times), len(x))")
-        if self.g_eps is None and self.m2 is not None and self.mass_gap is not None:
-            object.__setattr__(self, "g_eps", _forcing(self, None))
+
+    def forcing(self, ds: float | None = None) -> np.ndarray:
+        """The additive forcing G = m2/2 - Fxx/2 - (m1 - Fx)/x produced by the
+        size-linear fragmentation perturbation, with kappa(x, ds) for 1/x
+        given a grid step ``ds``.  At x = 0 the last two terms cancel against
+        m2 exactly, so that column holds the limit 0."""
+        if self.m2 is None or self.mass_gap is None:
+            raise ValueError("field carries no G_eps forcing")
+        out = np.zeros_like(self.Fx)
+        pos = self.x > 0
+        gap = _over_x(self.mass_gap[:, pos], self.x[pos], ds)
+        out[:, pos] = 0.5 * self.m2[:, None] - 0.5 * self.Fxx[:, pos] - gap
+        return out
 
     def restricted(self, t_max: float) -> "BernsteinField":
         """Sub-field with snapshot times <= t_max."""
         keep = self.times <= t_max * (1.0 + 1e-12) + 1e-300
         if not np.any(keep):
             raise ValueError(f"no snapshots at or before t={t_max}")
-        rows = {name: getattr(self, name) for name in ("times", "F", "Fx", "Fxx", "m2", "g_eps", "mass_gap")}
+        rows = {name: getattr(self, name) for name in ("times", "F", "Fx", "Fxx", "m2", "mass_gap")}
         return replace(self, **{name: None if v is None else v[keep] for name, v in rows.items()})
 
 
@@ -110,16 +117,6 @@ def _over_x(values: np.ndarray, x: np.ndarray, ds: float | None) -> np.ndarray:
     return values / x if ds is None else values * kappa(x, ds)
 
 
-def _forcing(field: BernsteinField, ds: float | None) -> np.ndarray:
-    """G = m2/2 - Fxx/2 - (m1 - Fx)/x of ``field``, with kappa(x, ds) for 1/x
-    given a grid step ``ds``; 0 at x = 0."""
-    out = np.zeros_like(field.Fx)
-    pos = field.x > 0
-    gap = _over_x(field.mass_gap[:, pos], field.x[pos], ds)
-    out[:, pos] = 0.5 * field.m2[:, None] - 0.5 * field.Fxx[:, pos] - gap
-    return out
-
-
 def cm_exact_report(grid: SizeGrid, counts: np.ndarray, times, x_samples) -> BoundReport:
     """Complete monotonicity, k <= 6, of each row of ``counts`` (T, n), the
     state at ``times``, from the exact sums D_1..D_6 at ``x_samples``: the
@@ -156,8 +153,6 @@ def hj_residual_grid(
     ham = 0.5 * (field.Fx[:, pos] - m) * (field.Fx[:, pos] - m - 1.0)
     res[:, pos] = dFdt[:, pos] + ham + _over_x(field.F[:, pos], field.x[pos], ds) - m
     if eps != 0.0:
-        if field.g_eps is None or (ds is not None and field.mass_gap is None):
-            raise ValueError("field carries no G_eps forcing")
-        res[:, pos] -= eps * (field.g_eps if ds is None else _forcing(field, ds))[:, pos]
+        res[:, pos] -= eps * field.forcing(ds)[:, pos]
     return res
 

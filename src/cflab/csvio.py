@@ -115,12 +115,10 @@ def read_snapshots_csv(path, grid: SizeGrid) -> tuple:
 
 def write_field_csv(path, field: BernsteinField, residual: np.ndarray | None = None):
     """Long-format field export: one row per (t, x)."""
-    nan = np.full(field.F.size, np.nan)
     cols = (np.tile(field.x, field.times.size), np.repeat(field.times, field.x.size),
             field.F.ravel(), field.Fx.ravel(), field.Fxx.ravel(),
-            nan if field.g_eps is None else field.g_eps.ravel(),
-            nan if residual is None else residual.ravel())
-    write_rows(path, ["x", "t", "F", "Fx", "Fxx", "G_eps", "residual"], zip(*(c.tolist() for c in cols)))
+            np.full(field.F.size, np.nan) if residual is None else residual.ravel())
+    write_rows(path, ["x", "t", "F", "Fx", "Fxx", "residual"], zip(*(c.tolist() for c in cols)))
 
 
 def write_fan_csv(path, fan: CharacteristicFan):

@@ -144,10 +144,8 @@ def g_eps_bound_check(field: BernsteinField, scenario: ScenarioParams, T: float)
     if T >= scenario.t_star:
         raise ValueError(f"T={T} must lie strictly below t_star={scenario.t_star}")
     sub = field.restricted(T)
-    if sub.g_eps is None:
-        raise ValueError("field carries no G_eps forcing")
     bound = 3.0 / (scenario.t_star - T)
-    g = np.abs(sub.g_eps)
+    g = np.abs(sub.forcing())
     i, j = np.unravel_index(int(np.argmax(g)), g.shape)
     margin = float((bound - g[i, j]) / bound)
     return BoundReport("g_eps_bound", margin, G_EPS_RTOL, (float(sub.times[i]), float(sub.x[j])))

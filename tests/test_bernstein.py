@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from cflab import ScenarioParams, SizeGrid, core, field_from_trajectory, make_initial
 from cflab.bernstein import BernsteinField, bernstein_sums, cm_exact_report
+from cflab.characteristics import fan_to_field
 from cflab.core import Distribution
 from cflab.verification import cm_sampled_check, g_eps_bound_check, hj_residual_check
 from oracles import distribution_field, x_grid
@@ -108,7 +109,7 @@ class TestTransform:
         field = distribution_field(d, x_grid())
         assert field.times.shape == (1,)
         assert field.m == pytest.approx(2.0)
-        assert field.g_eps is not None
+        assert field.forcing().shape == (1, x_grid().size)
 
 
 def test_sums_of_a_matrix_are_its_rows_sums():
@@ -296,13 +297,14 @@ class TestResidual:
         assert hj_residual_check(field, run_m1_fine["scenario"], 0.1, ceiling=5e-2).passed
 
     def test_grid_forcing_needs_the_mass_gap(self):
-        """With a grid step and eps > 0 the residual forms G from the mass
-        gap, so a field that carries G but no mass gap is refused."""
+        """With eps > 0 the residual forms G from m2 and the mass gap, on the
+        grid and in the continuum, so a field without them is refused."""
         zeros = np.zeros((3, 2))
         field = BernsteinField(x=np.array([0.0, 1.0]), times=np.array([0.0, 0.1, 0.2]),
-                               F=zeros, Fx=zeros, Fxx=zeros, m=1.0, g_eps=zeros)
-        with pytest.raises(ValueError, match="no G_eps forcing"):
-            hj_residual_check(field, ScenarioParams(m=1.0, m2_0=1.0), 0.1, ceiling=1.0, ds=0.25)
+                               F=zeros, Fx=zeros, Fxx=zeros, m=1.0)
+        for ds in (0.25, None):
+            with pytest.raises(ValueError, match="no G_eps forcing"):
+                hj_residual_check(field, ScenarioParams(m=1.0, m2_0=1.0), 0.1, ceiling=1.0, ds=ds)
 
     def test_grid_residual_of_the_readme_run(self, run_m1_fine):
         """The README run (ds = 0.25) on verify's x grid: with kappa(x, ds)
@@ -320,11 +322,31 @@ class TestForcing:
         g = SizeGrid(ds=1.0, n=4)
         d = Distribution(g, [1.5, 0, 0, 0])
         field = distribution_field(d, np.array([0.0, 1.0, 10.0]))
-        gvals = field.g_eps[0]
+        gvals = field.forcing()[0]
         assert gvals[0] == 0.0
         x = 1.0
         expected = 0.75 + 0.75 * np.exp(-x) - 1.5 * (1 - np.exp(-x)) / x
         assert gvals[1] == pytest.approx(expected, rel=1e-12)
+
+    def test_grid_forcing_swaps_one_over_x_for_kappa(self, run_m1_fine):
+        """On the README run's field the grid G differs from the continuum G
+        only in its last term: mass_gap * (1/x - kappa(x, ds)) at each x > 0.
+        At small x the two G agree to a relative x ds^2 / 12, so their
+        difference keeps the roundoff of G itself: the absolute floor is
+        1e-14 of the largest |G|."""
+        field = field_from_trajectory(run_m1_fine["traj"], np.concatenate([[0.0], np.geomspace(1e-3, 5.0, 40)]))
+        ds, pos = run_m1_fine["grid"].ds, field.x > 0
+        x, g = field.x[pos], field.forcing()
+        expected = field.mass_gap[:, pos] * (1.0 / x - core.kappa(x, ds))
+        floor = 1e-14 * np.max(np.abs(g))
+        assert np.allclose((field.forcing(ds) - g)[:, pos], expected, rtol=1e-12, atol=floor)
+
+    def test_fan_field_carries_no_forcing(self, fan_m1):
+        """A field rebuilt from the characteristic fan has no distribution
+        behind it, so it has no m2 or mass gap to form G from."""
+        field = fan_to_field(fan_m1["fan"], np.linspace(1.0, 4.0, 5), np.array([0.0, 0.3]))
+        with pytest.raises(ValueError, match="no G_eps forcing"):
+            field.forcing()
 
     def test_static_point_mass_within_bound(self):
         g = SizeGrid(ds=1.0, n=4)

@@ -232,16 +232,13 @@ def test_write_fan_csv_memory_is_bounded(tmp_path, readme_experiment):
     assert (tmp_path / "fan.csv").read_bytes().count(b"\n") == 102_001
 
 
-@pytest.mark.parametrize("with_g_eps", [True, False])
 @pytest.mark.parametrize("with_residual", [True, False])
-def test_write_field_csv_matches_per_cell_rows(tmp_path, with_g_eps, with_residual):
+def test_write_field_csv_matches_per_cell_rows(tmp_path, with_residual):
     rng = np.random.default_rng(5)
     x = np.array([0.0, 0.5, 1.25, 4.0])
     times = np.array([0.0, 0.05, 0.1])
-    F, Fx, Fxx, g = (rng.normal(size=(3, 4)) for _ in range(4))
-    field = BernsteinField(
-        x=x, times=times, F=F, Fx=Fx, Fxx=Fxx, m=1.0, g_eps=g if with_g_eps else None
-    )
+    F, Fx, Fxx = (rng.normal(size=(3, 4)) for _ in range(3))
+    field = BernsteinField(x=x, times=times, F=F, Fx=Fx, Fxx=Fxx, m=1.0)
     residual = None
     if with_residual:
         residual = rng.normal(size=(3, 4))
@@ -249,14 +246,15 @@ def test_write_field_csv_matches_per_cell_rows(tmp_path, with_g_eps, with_residu
     rows = [
         (
             xv, t, F[it, ix], Fx[it, ix], Fxx[it, ix],
-            np.nan if field.g_eps is None else field.g_eps[it, ix],
             np.nan if residual is None else residual[it, ix],
         )
         for it, t in enumerate(times)
         for ix, xv in enumerate(x)
     ]
     csvio.write_field_csv(tmp_path / "new.csv", field, residual)
-    _write_per_cell(tmp_path / "old.csv", ["x", "t", "F", "Fx", "Fxx", "G_eps", "residual"], rows)
+    header = ["x", "t", "F", "Fx", "Fxx", "residual"]
+    _write_per_cell(tmp_path / "old.csv", header, rows)
+    assert (tmp_path / "new.csv").read_text().splitlines()[0] == ",".join(header)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
