@@ -28,7 +28,7 @@ from .characteristics import (
     integrate_fan,
     monotone_derivative_checks,
 )
-from .core import BoundReport, Distribution, KernelSpec, ScenarioParams, SizeGrid, make_initial, schedule, step_count
+from .core import BoundReport, Distribution, KernelSpec, ScenarioParams, SizeGrid, make_initial, step_count
 from .errors import (
     EXIT_BOUND_VIOLATION,
     EXIT_OK,
@@ -80,10 +80,10 @@ def _each(phrase: str, test) -> tuple:
     return f"one or more numbers, each {phrase}", lambda values: len(values) > 0 and all(map(test, values))
 
 
-#: The most time steps, round(t_end / dt), that ``load_config`` plans for one
-#: run: the kinetic run, each convergence run and both fans.  The README
-#: workloads take 300 and 200; 10^7 steps of the README grid, at about 0.23 ms
-#: each, take some 40 minutes, and ``[solver] dt = 1e-9`` would plan 3 * 10^8.
+#: The most time steps that ``load_config`` plans for one run: the kinetic
+#: run, each convergence run and both fans.  The README workloads take 300
+#: and 200; 10^7 steps of the README grid, at about 0.23 ms each, take some
+#: 40 minutes, and ``[solver] dt = 1e-9`` would plan 3 * 10^8.
 #: It also caps the events that a stochastic replica may take to the last
 #: ``t_grid`` time, ``event_rate_bound`` times that time: about 7.8 * 10^3 on
 #: the README config, which takes some 2.8 * 10^3.
@@ -165,14 +165,17 @@ def load_config(path) -> Experiment:
             raise ValueError(f"[{section}] x_lo = {lo:g} must be below [{section}] x_hi = {hi:g}")
         return lo, hi
 
-    def planned(section, key, t_end, dt):
-        """step_count(t_end, dt) of a run that [section] ``key`` sets; ValueError
-        above MAX_STEPS, before a stride search over that many steps."""
-        n = named(f"[{section}]", lambda: step_count(t_end, dt))
-        if n > MAX_STEPS:
-            raise ValueError(f"[{section}] {key} plans {n:.3g} steps of {dt:g} to t = {t_end:g}, "
-                             f"more than MAX_STEPS = {MAX_STEPS}")
-        return n
+    def fan(section, t, x, records, dt):
+        """integrate_fan's starts, t_end, dt and record_every of the fan of
+        [section] to t over the x range ``x``, which records ``records``
+        evenly spaced times."""
+        dt, stride = _plan("[characteristics] dt", f"the {section} fan", t, dt, records)
+        starts = named(f"[{section}] fan starts", lambda: default_starts(scenario.m, t, x[0], x[-1], n_paths))
+        top = float(starts[-1])
+        if not math.isfinite(top * top):  # char_rhs divides by x * x
+            raise ValueError(f"[{section}] x_hi = {x[-1]:g} and t_end = {t:g} start a fan path at x = {top:g}, "
+                             "whose square overflows")
+        return dict(starts=starts, t_end=t, dt=dt, record_every=stride)
 
     try:
         grid = SizeGrid(ds=get("grid", "ds", float, domain=_POSITIVE), n=get("grid", "n", int, domain=_at_least(2)))
@@ -186,55 +189,31 @@ def load_config(path) -> Experiment:
         scenario = ScenarioParams.from_distribution(initial)
         dt = get("solver", "dt", float, domain=_STEP)
         t_end = get("solver", "t_end", float, domain=_NONNEGATIVE)
-        solver_steps = planned("solver", "dt", t_end, dt)
         output_every = get("solver", "output_every", int, None, _at_least(1))
-        solver = SolverConfig(
-            dt=dt,
-            t_end=t_end,
-            output_every=_default_stride(solver_steps, 10) if output_every is None else output_every,
-            spec=KernelSpec.for_grid(grid, frag_eps=get("kernel", "frag_eps", float, 0.0, _NONNEGATIVE)),
-            scenario=scenario,
-        )
+        spec = KernelSpec.for_grid(grid, frag_eps=get("kernel", "frag_eps", float, 0.0, _NONNEGATIVE))
+
+        def kinetic(key, run, t):
+            """The SolverConfig of ``run`` to t: every output_every-th step, or 10 records."""
+            step, stride = _plan(key, run, t, dt, 10, output_every)
+            return named(f"{key} for {run}", lambda: SolverConfig(step, t, stride, spec, scenario))
+
+        solver = kinetic("[solver] dt", "the kinetic run", t_end)
         conv_t_hi = get("convergence", "t_hi", float, t_end, _NONNEGATIVE)
-        planned("convergence", "t_hi", conv_t_hi, dt)
-        conv_solver = named(f"[convergence] t_hi = {conv_t_hi:g}", lambda: replace(solver, t_end=conv_t_hi))
+        conv_solver = kinetic("[convergence] t_hi", "the convergence runs", conv_t_hi)
         conv_eps = get("convergence", "eps_list", _floats, (), _each(*_NONNEGATIVE))
-        conv_runs = tuple(replace(conv_solver, spec=replace(solver.spec, frag_eps=e)) for e in conv_eps)
+        conv_runs = tuple(replace(conv_solver, spec=replace(spec, frag_eps=e)) for e in conv_eps)
         verify_nx = get("verify", "nx", int, 40, _at_least(5))  # characteristics differences F in x to 4th order
         verify_lo, verify_hi = x_range("verify", 1e-3, 5.0, _POSITIVE)  # the x grid of verify is geometric
         conv_x = np.linspace(*x_range("convergence", 0.5, 5.0), get("convergence", "nx", int, 46, _at_least(2)))
         char_x = np.linspace(*x_range("characteristics", 0.5, 6.0), verify_nx)
         char_dt = get("characteristics", "dt", float, 1e-3, _STEP)
         char_t_end = get("characteristics", "t_end", float, t_end, _NONNEGATIVE)
-        fan_steps = planned("characteristics", "dt", char_t_end, char_dt)
-        char_record_every = get("characteristics", "record_every", int, None, _at_least(1))
-        char_fan_dt = char_dt
-        if char_record_every is None:
-            char_record_every = _default_stride(fan_steps, 50)
-            if fan_steps > 100 * char_record_every:  # over 101 times: round the steps up to whole strides
-                char_record_every = fan_steps // 50
-                char_fan_dt = char_t_end / (-(-fan_steps // char_record_every) * char_record_every)
-        schedule(char_t_end, char_fan_dt, char_record_every, "[characteristics] record_every")
-        # convergence's fan steps at about char_dt, a whole number of steps per
-        # snapshot, and records only the snapshot times that its gaps read
-        snap_times = conv_solver.snapshot_times
-        snap_dt = float(snap_times[1] - snap_times[0]) if snap_times.size > 1 else char_dt
-        if snap_times.size > 1 and not char_dt > 0:
-            stride = f"snapshot stride of [solver] output_every = {conv_solver.output_every} steps"
-            raise ValueError(f"[characteristics]: dt = {char_dt:g} must be positive to step through each {stride}")
-        per_snapshot = max(1, step_count(snap_dt, char_dt))
-        planned("characteristics", "dt", conv_t_hi, snap_dt / per_snapshot)  # convergence's fan
         n_paths = get("characteristics", "n_paths", int, 2000, _at_least(2))
-        fans = (("convergence", conv_t_hi, conv_x), ("characteristics", char_t_end, char_x))
-        conv_starts, char_starts = (
-            named(f"[{section}] fan starts", lambda: default_starts(scenario.m, t, x[0], x[-1], n_paths))
-            for section, t, x in fans
-        )
-        for (section, t, x), starts in zip(fans, (conv_starts, char_starts)):
-            top = float(starts[-1])
-            if not math.isfinite(top * top):  # char_rhs divides by x * x
-                raise ValueError(f"[{section}] x_hi = {x[-1]:g} and t_end = {t:g} start a fan path at x = {top:g}, "
-                                 "whose square overflows")
+        # convergence's fan records the snapshot times that its gaps read, at
+        # one step per snapshot interval or more
+        intervals = conv_solver.snapshot_times.size - 1
+        conv_fan = fan("convergence", conv_t_hi, conv_x, intervals, min(char_dt, conv_t_hi / max(intervals, 1)))
+        char_fan = fan("characteristics", char_t_end, char_x, 50, char_dt)
         sto_volume = get("stochastic", "volume", float, None, _POSITIVE)
         if sto_volume is not None and not sto_volume * initial.moment(0) <= MAX_PARTICLES:
             raise ValueError(f"[stochastic] volume = {sto_volume:g} makes {sto_volume * initial.moment(0):.3g} "
@@ -254,8 +233,8 @@ def load_config(path) -> Experiment:
             verify_x=np.concatenate([[0.0], np.geomspace(verify_lo, verify_hi, verify_nx)]),
             conv_x=conv_x,
             char_x=char_x,
-            conv_fan=dict(starts=conv_starts, t_end=conv_t_hi, dt=snap_dt / per_snapshot, record_every=per_snapshot),
-            char_fan=dict(starts=char_starts, t_end=char_t_end, dt=char_fan_dt, record_every=char_record_every),
+            conv_fan=conv_fan,
+            char_fan=char_fan,
             out_dir=get("outputs", "dir", str, "out"),
             hj_residual_max=get("verify", "hj_residual_max", float, 1e-2, _POSITIVE),
             weak_residual_max=get("verify", "weak_residual_max", float, 1e-2, _POSITIVE),
@@ -279,13 +258,25 @@ def load_config(path) -> Experiment:
     return exp
 
 
-def _default_stride(n_steps: int, snapshots: int) -> int:
-    """Largest divisor of ``n_steps`` up to ``n_steps // snapshots``, at least 1:
-    about that many uniformly spaced snapshots.  The divisors come in pairs
-    (d, n_steps // d) with d up to the square root of ``n_steps``."""
-    cap = max(1, n_steps // snapshots)
-    pairs = ((d, n_steps // d) for d in range(1, math.isqrt(n_steps) + 1) if n_steps % d == 0)
-    return max((d for pair in pairs for d in pair if d <= cap), default=1)
+def _plan(key: str, run: str, t: float, dt: float, records: int, stride: int | None = None) -> tuple:
+    """(dt, stride) of ``run`` to t: dt and ``stride`` as given, or else
+    ``records`` evenly spaced times: the n = step_count(t, dt) steps rounded
+    up to stride = ceil(n / min(records, n)) per record, which shortens dt to
+    t / (stride * min(records, n)).  ValueError, naming the config ``key``,
+    from step_count and when the planned steps exceed MAX_STEPS."""
+    try:
+        n = step_count(t, dt)
+    except ValueError as exc:
+        raise ValueError(f"{key} for {run}: {exc}") from exc
+    if stride is None:
+        k, stride = min(records, n), 1
+        if k:
+            stride = -(-n // k)
+            n, dt = stride * k, t / (stride * k)
+    if n > MAX_STEPS:
+        raise ValueError(f"{key} plans {n:.3g} steps of {dt:g} for {run} to t = {t:g}, "
+                         f"more than MAX_STEPS = {MAX_STEPS}")
+    return dt, stride
 
 
 def _say(quiet, *parts):

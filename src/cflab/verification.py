@@ -83,19 +83,14 @@ def holder_bounds_check(moments: np.ndarray, times: np.ndarray) -> BoundReport:
         raise ValueError("mass must be positive at every sample")
     times = np.asarray(times, dtype=float)
     m1, m2, m3, m4, m5 = (moments[:, k] for k in range(1, 6))
-    scale_a = np.maximum(m2 ** 3, np.finfo(float).tiny)
-    scale_b = np.maximum(m3 ** 2, np.finfo(float).tiny)
-    margin_a = (m4 * m1 ** 2 - m2 ** 3) / scale_a
-    margin_b = (m5 * m1 - m3 ** 2) / scale_b
-    worst = np.inf
-    loc = ()
-    for label, margins in (("m4*m1^2 >= m2^3", margin_a), ("m5*m1 >= m3^2", margin_b)):
-        i = int(np.argmin(margins))
-        if margins[i] < worst:
-            worst = float(margins[i])
-            loc = (float(times[i]), label)
+    # ratios of moments, so that no power of a huge moment overflows
+    margins = np.array([(m4 / m2) * (m1 / m2) * (m1 / m2) - 1.0, (m5 / m3) * (m1 / m3) - 1.0])
+    k, i = np.unravel_index(np.argmin(margins), margins.shape)  # the first nan, if any: a FAIL
     return BoundReport(
-        name="holder_moment_bounds", worst_margin=worst, tolerance=HOLDER_RTOL, location=loc
+        name="holder_moment_bounds",
+        worst_margin=float(margins[k, i]),
+        tolerance=HOLDER_RTOL,
+        location=(float(times[i]), ("m4*m1^2 >= m2^3", "m5*m1 >= m3^2")[k]),
     )
 
 

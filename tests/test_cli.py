@@ -25,11 +25,11 @@ from cflab.cli import (
     EXIT_USAGE,
     MAX_PARTICLES,
     MAX_STEPS,
-    _default_stride,
+    _plan,
     load_config,
     main,
 )
-from cflab.core import BoundReport, schedule
+from cflab.core import BoundReport, schedule, step_count
 from cflab.kinetic import _weak_form_rates, simulate
 
 README_INI = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "readme.ini"
@@ -144,7 +144,7 @@ class TestConfig:
             ("output_every = 50", "output_every = 7"),
             # the characteristics field is differenced up to 4th order in x
             ("nx = 32", "nx = 4"),
-            # 200 fan steps recorded every 7 would end on a shorter last stride
+            # the fan records 50 times, and nothing reads a fan stride
             pytest.param(
                 "x_lo = 0.6", "x_lo = 0.6\nrecord_every = 7", id="characteristics record_every = 7"
             ),
@@ -230,9 +230,9 @@ class TestConfig:
 
     def test_zero_convergence_fan_step_is_usage_error_for_every_subcommand(self, workspace, tmp_path, capsys):
         """[characteristics] t_end = 0 and dt = 0 leave an empty characteristics
-        fan, but convergence's fan would step through each snapshot stride by
-        dt = 0: load_config rejects the plan, so every subcommand exits 64 with
-        one config error line before any run."""
+        fan, but convergence's fan would step to [convergence] t_hi by dt = 0:
+        load_config rejects the plan, so every subcommand exits 64 with one
+        config error line, which names the key and the fan, before any run."""
         config, out = workspace
         old = "n_paths = 200\ndt = 1e-3\nt_end = 0.2\n"
         assert old in config.read_text()
@@ -243,10 +243,8 @@ class TestConfig:
             err = capsys.readouterr().err
             assert "Traceback" not in err
             assert err.startswith("config error:") and err.count("\n") == 1
-            assert "[characteristics]: dt = 0 must be positive" in err
-            # the fan steps through the snapshot stride, not to a t_end the config never set
-            assert "snapshot stride of [solver] output_every = 50 steps" in err
-            assert "t_end =" not in err
+            # the fan of convergence runs to [convergence] t_hi, not to [characteristics] t_end
+            assert "[characteristics] dt for the convergence fan: dt = 0 must be positive" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["custom", "lognormal"])
@@ -318,16 +316,17 @@ class TestConfig:
     @pytest.mark.parametrize(
         "old, new, key",
         [
-            # some 2e299 steps: output_every = 50 is set, so no stride search
+            # some 2e299 steps, recorded every 50th
             ("[solver]\ndt = 1e-3", "[solver]\ndt = 1e-300", "[solver] dt"),
-            # left out, output_every would be a search over their divisors
+            # left out, output_every plans 10 records of the same steps
             ("[solver]\ndt = 1e-3\nt_end = 0.2\noutput_every = 50", "[solver]\ndt = 1e-300\nt_end = 0.2", "[solver] dt"),
             # 2e8 steps, each a full RK4 step of the kinetic system
             ("[solver]\ndt = 1e-3", "[solver]\ndt = 1e-9", "[solver] dt"),
             # 1e8 steps of [solver] dt = 1e-3 for each convergence run
             ("nx = 24\n", "nx = 24\nt_hi = 1e5\n", "[convergence] t_hi"),
-            # left out, record_every would be a search over the fan's steps
+            # the fan's 50 records of some 2e299 steps
             ("n_paths = 200\ndt = 1e-3", "n_paths = 200\ndt = 1e-300", "[characteristics] dt"),
+            # the cap comes before the unread key record_every
             ("n_paths = 200\ndt = 1e-3", "n_paths = 200\ndt = 1e-300\nrecord_every = 50", "[characteristics] dt"),
             # an empty characteristics fan, but convergence's fan steps at about dt
             ("n_paths = 200\ndt = 1e-3\nt_end = 0.2", "n_paths = 200\ndt = 1e-300\nt_end = 0", "[characteristics] dt"),
@@ -335,7 +334,7 @@ class TestConfig:
     )
     def test_a_step_count_above_the_cap_exits_64_within_a_second(self, workspace, tmp_path, capsys, old, new, key):
         """A plan of more than MAX_STEPS steps exits 64 with one line that names
-        the key and the count, before any stride search over those steps."""
+        the key and the count, before any run."""
         config, out = workspace
         assert old in config.read_text()
         cfg = tmp_path / "many_steps.ini"
@@ -409,58 +408,150 @@ class TestConfig:
         assert exp.solver.n_steps == MAX_STEPS
         assert exp.sto_volume * exp.initial.moment(0) == MAX_PARTICLES
 
-    @given(n_steps=st.integers(0, 10 ** 5), snapshots=st.integers(1, 100))
+    @given(n=st.integers(0, 10 ** 5), records=st.integers(1, 100), t=st.floats(1e-3, 1e3))
     @settings(max_examples=300, deadline=None)
-    def test_default_stride_is_the_countdown(self, n_steps, snapshots):
-        """The largest divisor up to n_steps // snapshots, found from the
-        divisor pairs, is the stride that counting down from there finds."""
-        stride = max(1, n_steps // snapshots)
-        while n_steps % stride:
-            stride -= 1
-        assert _default_stride(n_steps, snapshots) == stride
+    def test_plan_rounds_the_steps_up_to_whole_records(self, n, records, t):
+        """n steps of a run to t, planned for ``records`` evenly spaced times,
+        become stride * min(records, n) steps, with stride = ceil(n /
+        min(records, n)): the step never lengthens, at most min(records, n) - 1
+        steps are added, and the run records min(records, n) + 1 times."""
+        t, dt = (t, t / n) if n else (0.0, 1e-3)
+        step, stride = _plan("[solver] dt", "the kinetic run", t, dt, records)
+        k = min(records, n)
+        assert stride == (-(-n // k) if k else 1)
+        assert step_count(t, step) == stride * k
+        assert step <= dt and 0 <= stride * k - n <= max(k - 1, 0)
+        assert schedule(t, step, stride, "stride")[1].size == k + 1
 
     def test_default_stride_divides_the_step_count(self, workspace, tmp_path):
-        """205 steps with no stride given: a tenth would be 20, the largest
-        divisor below it is 5, and verify runs on the uniform snapshots."""
+        """205 steps with no stride given: 10 records of ceil(205 / 10) = 21
+        steps make 210 steps, and verify runs on the 11 uniform snapshots."""
         config, out = workspace
         text = config.read_text().replace("output_every = 50\n", "").replace(
             "t_end = 0.2\n", "t_end = 0.205\n"
         )
         cfg = tmp_path / "default_stride.ini"
         cfg.write_text(text)
-        assert load_config(cfg).solver.output_every == 5
+        solver = load_config(cfg).solver
+        assert (solver.output_every, solver.n_steps, solver.snapshot_times.size) == (21, 210, 11)
         assert main(["simulate", "--config", str(cfg), "--quiet"]) == EXIT_OK
         assert main(["verify", "--config", str(cfg), "--quiet"]) == EXIT_OK
 
+    def test_default_stride_of_each_convergence_run_is_its_own(self, tmp_path):
+        """With no output_every, the kinetic run to t_end = 0.3 and the
+        convergence runs to t_hi = 0.2 each record 10 times: strides of 30
+        and 20 steps, not one stride that must divide both step counts."""
+        text = README_INI.read_text()
+        old = "output_every = 25     # snapshot stride in steps\n"
+        assert old in text
+        cfg = tmp_path / "t_hi.ini"
+        cfg.write_text(text.replace(old, "").replace("[convergence]\n", "[convergence]\nt_hi = 0.2\n"))
+        exp = load_config(cfg)
+        assert (exp.solver.output_every, exp.conv_runs[0].output_every, exp.conv_runs[0].n_steps) == (30, 20, 200)
+        assert exp.conv_fan["record_every"] == 20 and exp.conv_fan["t_end"] == 0.2
+        out = tmp_path / "out"
+        for command in ("simulate", "convergence"):
+            assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == EXIT_OK, command
+
+    def test_default_plan_of_a_prime_step_count_records_eleven_times(self, tmp_path):
+        """t_end = 0.307 with no output_every: the 307 steps, a prime count,
+        round up to 10 records of 31 steps, so simulate writes 11 snapshots
+        of 310 steps and the fan 51 records of 350 steps."""
+        text = README_INI.read_text()
+        for old, new in (("output_every = 25     # snapshot stride in steps\n", ""), ("t_end = 0.3\n", "t_end = 0.307\n")):
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        cfg, out = tmp_path / "prime.ini", tmp_path / "out"
+        cfg.write_text(text)
+        exp = load_config(cfg)
+        assert (exp.solver.output_every, exp.solver.n_steps, exp.solver.snapshot_times.size) == (31, 310, 11)
+        fan = exp.char_fan
+        assert (fan["record_every"], round(fan["t_end"] / fan["dt"])) == (7, 350)
+        for command in ("simulate", "verify"):
+            assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == EXIT_OK, command
+        assert len((out / "snapshots.csv").read_text().splitlines()) == 12
+
+    @pytest.mark.parametrize("records, planned", [(10, MAX_STEPS), (7, 7 * 1428572)])
+    def test_plan_caps_the_planned_steps_not_the_configured_ones(self, records, planned):
+        """MAX_STEPS configured steps fit in 10 records of a tenth each, but
+        7 records round them up to 7 * ceil(MAX_STEPS / 7) steps, past the
+        cap: the cap reads the planned count."""
+        assert step_count(1.0, 1e-7) == MAX_STEPS
+        if planned <= MAX_STEPS:
+            dt, stride = _plan("[solver] dt", "the kinetic run", 1.0, 1e-7, records)
+            assert stride * records == planned and step_count(1.0, dt) == planned
+        else:
+            with pytest.raises(ValueError, match=rf"\[solver\] dt plans 1e\+07 steps .* more than MAX_STEPS = {MAX_STEPS}"):
+                _plan("[solver] dt", "the kinetic run", 1.0, 1e-7, records)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {},  # output_every = 25 of 300 steps: 12 intervals
+            {"output_every = 25     # snapshot stride in steps\n": "", "[convergence]\n": "[convergence]\nt_hi = 0.2\n"},
+            {"output_every = 25     # snapshot stride in steps\n": "", "t_end = 0.3\n": "t_end = 0.307\n"},
+            # a fan dt longer than a snapshot interval steps once per interval
+            {"n_paths = 2000\ndt = 1e-3": "n_paths = 2000\ndt = 0.05"},
+        ],
+        ids=["README", "t_hi = 0.2 by default", "t_end = 0.307 by default", "fan dt = 0.05"],
+    )
+    def test_convergence_fan_records_the_convergence_snapshot_times(self, tmp_path, changes):
+        """Convergence's fan records exactly the snapshot times of the
+        convergence runs, the times at which their gaps are read."""
+        text = README_INI.read_text()
+        for old, new in changes.items():
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        cfg = tmp_path / "conv.ini"
+        cfg.write_text(text)
+        exp = load_config(cfg)
+        fan = exp.conv_fan
+        steps = schedule(fan["t_end"], fan["dt"], fan["record_every"], "record_every")[1]
+        times = steps * (fan["t_end"] / step_count(fan["t_end"], fan["dt"]))
+        np.testing.assert_allclose(times, exp.conv_runs[0].snapshot_times, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("command", ["simulate", "verify", "stochastic", "convergence", "characteristics"])
+    def test_record_every_is_an_unread_key(self, tmp_path, capsys, command):
+        """The characteristics fan records 50 times and reads no stride: a
+        config that still sets [characteristics] record_every exits 64 from
+        every subcommand with the unread-key line, and writes nothing."""
+        text = README_INI.read_text()
+        assert text.count("[characteristics]\n") == 1
+        cfg, out = tmp_path / "record_every.ini", tmp_path / "out"
+        cfg.write_text(text.replace("[characteristics]\n", "[characteristics]\nrecord_every = 6\n"))
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error:")
+        assert err.endswith("sets keys that cflab does not read: [characteristics] record_every\n")
+        assert not out.exists()
 
     def test_default_fan_stride_divides_the_fan_steps(self, workspace, tmp_path):
-        """[characteristics] t_end = 0.21 gives 210 fan steps: a fiftieth would
-        be 4, the largest divisor below it is 3, and the fan is checked on its
-        71 uniformly spaced times."""
+        """[characteristics] t_end = 0.21 gives 210 fan steps, rounded up to 50
+        records of 5 steps: the fan is checked on its 51 uniformly spaced
+        times."""
         config, out = workspace
         cfg = tmp_path / "fan_stride.ini"
         cfg.write_text(config.read_text().replace("t_end = 0.2\nx_lo = 0.6", "t_end = 0.21\nx_lo = 0.6"))
-        assert load_config(cfg).char_fan["record_every"] == 3
+        fan = load_config(cfg).char_fan
+        assert (fan["record_every"], round(fan["t_end"] / fan["dt"])) == (5, 250)
         assert main(["characteristics", "--config", str(cfg), "--quiet"]) == EXIT_OK
         with open(out / "characteristics_field.csv", newline="") as fh:
             times = sorted({float(row["t"]) for row in csv.DictReader(fh)})
-        assert len(times) == 71
-        np.testing.assert_allclose(np.diff(times), 0.003, rtol=1e-9)
+        assert len(times) == 51
+        np.testing.assert_allclose(np.diff(times), 0.21 / 50, rtol=1e-9)
 
     @pytest.mark.parametrize(
         "t_end, steps, stride, records",
         [
             (None, 300, 6, 51),  # the README fan: 300 = 6 * 50
-            ("0.32", 320, 5, 65),  # the largest divisor of 320 up to 6 records few enough times
-            ("0.307", 312, 6, 53),  # 307 is prime: rounded up to 52 strides of 6
+            ("0.32", 350, 7, 51),  # 320 steps rounded up to 50 strides of 7
+            ("0.307", 350, 7, 51),  # 307 is prime: rounded up the same way
         ],
     )
     def test_default_fan_schedule_records_about_fifty_times(self, tmp_path, t_end, steps, stride, records):
-        """Left out, record_every keeps the largest divisor of the fan's steps
-        up to a fiftieth unless that records over 101 times; then the steps are
-        rounded up to whole fiftieths and the fan's dt shortens by under 2 %.
-        Convergence's fan keeps the configured dt, and an explicit
-        record_every must still divide the configured steps."""
+        """The fan records 50 times: its steps are rounded up to whole
+        fiftieths, at most 49 more, and its dt shortens to match.
+        Convergence's fan keeps the configured dt on the README config."""
         text = README_INI.read_text()
         if t_end is not None:
             text = text.replace("[characteristics]\n", f"[characteristics]\nt_end = {t_end}\n")
@@ -471,12 +562,10 @@ class TestConfig:
         assert exp.conv_fan["dt"] == pytest.approx(1e-3, rel=1e-12)
         assert fan["record_every"] == stride
         assert round(fan["t_end"] / fan["dt"]) == steps
-        assert steps // stride + 1 == records
-        assert 1 - 0.02 < fan["dt"] / (fan["t_end"] / round(fan["t_end"] / 1e-3)) <= 1
-        if steps == 312:
-            cfg.write_text(text.replace("[characteristics]\n", "[characteristics]\nrecord_every = 6\n"))
-            with pytest.raises(errors.ConfigError, match="does not divide the 307 steps"):
-                load_config(cfg)
+        assert schedule(fan["t_end"], fan["dt"], stride, "record_every")[1].size == records
+        configured = round(fan["t_end"] / 1e-3)
+        assert configured <= steps <= configured + 49
+        assert fan["dt"] <= fan["t_end"] / configured
 
 
 class TestErrorMapping:
@@ -634,6 +723,23 @@ class TestVerify:
         with open(out / "verify_report.csv", newline="") as fh:
             rows = {row["name"]: row for row in csv.DictReader(fh)}
         assert rows["g_eps_bound"]["status"] == rows["hj_residual"]["status"] == "PASS"
+
+    def test_holder_row_of_huge_moments_checks_both_inequalities(self, tmp_path):
+        """The README config at mass = 1e300 and t_end = 0: every moment is
+        1e300, whose powers overflow, so the Hölder margins are formed from
+        ratios of moments; verify passes at the t = 0 equality, margin 0,
+        with no RuntimeWarning (an error in this suite)."""
+        text = README_INI.read_text()
+        for old, new in (("mass = 1.0 ", "mass = 1e300 "), ("t_end = 0.3\n", "t_end = 0\n"),
+                         ("volume = 10000 ", "volume = 1e-296 "), ("t_grid = 0.0, 0.1, 0.2, 0.3", "t_grid = 0")):
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        cfg, out = tmp_path / "huge.ini", tmp_path / "out"
+        cfg.write_text(text)
+        for command in ("simulate", "verify"):
+            assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == EXIT_OK
+        rows = (out / "verify_report.csv").read_text().splitlines()
+        assert "holder_moment_bounds,PASS,0,0,m4*m1^2 >= m2^3" in rows
 
     def test_full_pipeline_passes(self, workspace):
         config, out = workspace

@@ -62,6 +62,14 @@ class TestHolder:
         assert not report.passed
         assert report.location[1] == "m5*m1 >= m3^2"
 
+    def test_a_nan_moment_row_fails(self):
+        """A nan margin is the worst row, so the check cannot pass with an
+        inequality left unchecked."""
+        mom = np.array([[3.0] * 6, [3.0, 3.0, 3.0, np.nan, 3.0, 3.0]])
+        report = holder_bounds_check(mom, [0.0, 0.1])
+        assert not report.passed and np.isnan(report.worst_margin)
+        assert report.location == (0.1, "m5*m1 >= m3^2")
+
     def test_trajectory_moments_pass(self, run_m15_family):
         for traj in run_m15_family["runs"].values():
             assert holder_bounds_check(traj.moments.moments, traj.times).passed
