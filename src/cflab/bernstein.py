@@ -124,10 +124,10 @@ def cm_exact_report(grid: SizeGrid, counts: np.ndarray, times, x_samples) -> Bou
     located at its (t, x, k)."""
     x = np.asarray(x_samples, dtype=float)
     _, D, _ = bernstein_sums(grid, counts, x, CM_EXACT_ORDERS)
-    row, k, i = np.unravel_index(int(np.argmin(D)), D.shape)
-    margin = float(D[row, k, i]) / max(float(np.dot(grid.sizes, counts[0])), 1e-300)
-    where = (float(times[row]), float(x[i]), int(k) + 1)
-    return BoundReport("complete_monotonicity_exact", margin, CM_EXACT_RTOL, where)
+    D /= max(float(np.dot(grid.sizes, counts[0])), 1e-300)
+    return BoundReport.worst(
+        "complete_monotonicity_exact", D, CM_EXACT_RTOL, lambda t, k, i: (float(times[t]), float(x[i]), k + 1)
+    )
 
 
 def hj_residual_grid(

@@ -35,7 +35,6 @@ from .errors import (
     CfLabError,
     ConfigError,
     CsvFormatError,
-    FanCoverageError,
     GridError,
     MissingArtifactError,
     SolverAbort,
@@ -56,7 +55,6 @@ from .verification import (
 )
 
 EXIT_SOLVER_ABORT = SolverAbort.exit_code
-EXIT_COVERAGE = FanCoverageError.exit_code
 EXIT_USAGE = ConfigError.exit_code
 EXIT_DATA = CsvFormatError.exit_code
 EXIT_NOINPUT = MissingArtifactError.exit_code
@@ -295,9 +293,10 @@ def _say(quiet, *parts):
 
 def cmd_simulate(exp: Experiment, out: Path, quiet: bool) -> int:
     config = exp.solver
-    guard = stability_limit(exp.initial.grid, config.spec, exp.scenario.m)
-    if config.dt > guard:
-        print(f"warning: dt={config.dt:g} exceeds the stability guard {guard:.3g}", file=sys.stderr)
+    if config.n_steps > 0:  # a run that takes no step has no stability to guard
+        guard = stability_limit(exp.initial.grid, config.spec, exp.scenario.m)
+        if config.dt > guard:
+            print(f"warning: dt={config.dt:g} exceeds the stability guard {guard:.3g}", file=sys.stderr)
     traj = simulate(config, exp.initial)
     csvio.write_trajectory_csv(out / "trajectory.csv", traj)
     csvio.write_snapshots_csv(out / "snapshots.csv", traj)

@@ -24,9 +24,6 @@ from .errors import GridError
 #: Highest moment order tracked by the bookkeeping (m0..m5).
 MAX_MOMENT = 5
 
-#: Relative tolerance on the mass of a freshly discretized initial profile.
-INITIAL_MASS_RTOL = 1e-12
-
 #: Relative mass allowed beyond the top of the grid when discretizing.
 TAIL_MASS_RTOL = 1e-9
 
@@ -203,6 +200,15 @@ class BoundReport:
     @property
     def status(self) -> str:
         return "PASS" if self.passed else "FAIL"
+
+    @classmethod
+    def worst(cls, name: str, margins, tolerance: float, locate: Callable) -> "BoundReport":
+        """The row of the smallest entry of ``margins``: the first minimum in C
+        order, or the first nan, which fails the row, located at
+        ``locate(*index)`` of that entry."""
+        margins = np.asarray(margins, dtype=float)
+        index = np.unravel_index(int(np.argmin(margins)), margins.shape)
+        return cls(name, float(margins[index]), tolerance, locate(*map(int, index)))
 
     def __str__(self):
         where = f" at {self.location}" if self.location else ""

@@ -149,8 +149,6 @@ def _coag_rates(counts: np.ndarray, grid: SizeGrid, spec: KernelSpec) -> np.ndar
     cap = min(spec.truncation, n)
     w = grid.sizes * counts
     rate = np.zeros(n)
-    if cap < 2:
-        return rate
     w_low = w[: cap - 1]
     conv = _self_convolution(w_low)  # conv[p] = sum over bins i+j = p+2
     rate[1:cap] += 0.5 * conv[: cap - 1]

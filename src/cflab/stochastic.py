@@ -5,13 +5,15 @@ A `ParticleSystem` holds R replicas of a finite volume V as an R x (n+1)
 matrix of bin counts, so every merge and split conserves mass exactly in
 integer arithmetic.  Each row keeps S2 = sum_j j^2 c_j and its particle
 count, and S1 = sum_j j c_j, which every merge and split conserves, is one
-number for all rows, so total rates cost O(1) per replica and event.  Split
-points are uniform over the grid pairs (k, j-k) and a particle's breakup rate
-is the split-point sum the deterministic solver discretizes,
-(ds/2) * (j-1) * (1 + eps * s_j), so both engines realize the same finite
-system.  The clock runs on the majorant coagulation rate ds^2 (S1^2 - S2) / 2V;
-a merge past the truncation cap is drawn but executed as a null event
-(thinning, Eibeck & Wagner 2001), which reproduces the truncated kernel.
+number for all rows, so total rates cost O(1) per replica and event.  S1 and
+S2 are floats, exact below 2^53, since their squares and products would wrap
+in int64.  Split points are uniform over the grid pairs (k, j-k) and a
+particle's breakup rate is the split-point sum the deterministic solver
+discretizes, (ds/2) * (j-1) * (1 + eps * s_j), so both engines realize the
+same finite system.  The clock runs on the majorant coagulation rate
+ds^2 (S1^2 - S2) / 2V; a merge past the truncation cap is drawn but executed
+as a null event (thinning, Eibeck & Wagner 2001), which reproduces the
+truncated kernel.
 
 All replicas advance one event per vectorised step, without rejection.  The
 ordered pair of distinct particles, weighted s_i * s_l, is picked bin by bin:
@@ -72,11 +74,13 @@ class ParticleSystem:
         self.grid = grid
         self.volume = float(volume)
         self._j = np.arange(grid.n + 1)
-        self.counts = np.tile(np.bincount(sizes, minlength=grid.n + 1), (replicas, 1))
-        self._s1 = self.counts[0] @ self._j  # the same in every row, and conserved
-        self._s2 = self.counts @ self._j**2
+        row = np.bincount(sizes, minlength=grid.n + 1)
+        self.counts = np.tile(row, (replicas, 1))
+        j = self._j.astype(float)
+        self._s1 = float(row @ j)  # the same in every row, and conserved
+        self._s2 = np.full(replicas, row @ j**2)
         self._n = self.counts.sum(axis=1)
-        self._pair = (self._j * (self._s1 - self._j)).astype(float)  # merge weight j (S1 - j) of every row
+        self._pair = j * (self._s1 - j)  # merge weight j (S1 - j) of every row
         self._top = int(sizes.max(initial=0))  # no replica holds a particle above this bin
         seeds = [seed] if replicas == 1 else [(seed, r) for r in range(replicas)]
         self._rngs = [np.random.default_rng(s) for s in seeds]
@@ -161,9 +165,11 @@ def event_rate_bound(initial: Distribution, spec: KernelSpec, volume: float | No
 
 
 def _moments(counts: np.ndarray, ds: float, volume: float, k_max: int = ENSEMBLE_MAX_MOMENT):
-    """Power sums sum_j j^k c_j, exact in the integers, scaled to (1/V) sum_i s_i^k."""
+    """Power sums sum_j j^k c_j, scaled to (1/V) sum_i s_i^k: in floating
+    point, which does not wrap as int64 does, and exact below 2^53."""
     k = np.arange(k_max + 1)
-    sums = counts @ (np.arange(counts.shape[1])[:, None] ** k)
+    # einsum casts the integer counts in small buffers, where matmul would copy them whole
+    sums = np.einsum("rj,jk->rk", counts, np.arange(counts.shape[1], dtype=float)[:, None] ** k)
     return sums * ds**k / volume
 
 

@@ -3,8 +3,9 @@ other modules are expected to respect.
 
 Every check returns a structured BoundReport rather than a bare boolean so
 callers can surface the worst-case location; violations near the blow-up
-horizon are the most diagnostic ones.  The checks of a kinetic run are the
-rows of ``cflab verify``.
+horizon are the most diagnostic ones.  Each check forms its margins over the
+indices of that location and reduces them with ``BoundReport.worst``.  The
+checks of a kinetic run are the rows of ``cflab verify``.
 """
 from __future__ import annotations
 
@@ -63,12 +64,8 @@ def envelope_check(times: np.ndarray, m2_series: np.ndarray, m2_0: float) -> Bou
     t_kept = times[keep]
     env = np.array([second_moment_envelope(m2_0, t) for t in t_kept])
     margins = (env - m2_series[keep]) / env
-    i = int(np.argmin(margins))
-    return BoundReport(
-        name="second_moment_envelope",
-        worst_margin=float(margins[i]),
-        tolerance=ENVELOPE_RTOL,
-        location=(float(t_kept[i]), "m2"),
+    return BoundReport.worst(
+        "second_moment_envelope", margins, ENVELOPE_RTOL, lambda i: (float(t_kept[i]), "m2")
     )
 
 
@@ -84,13 +81,10 @@ def holder_bounds_check(moments: np.ndarray, times: np.ndarray) -> BoundReport:
     times = np.asarray(times, dtype=float)
     m1, m2, m3, m4, m5 = (moments[:, k] for k in range(1, 6))
     # ratios of moments, so that no power of a huge moment overflows
-    margins = np.array([(m4 / m2) * (m1 / m2) * (m1 / m2) - 1.0, (m5 / m3) * (m1 / m3) - 1.0])
-    k, i = np.unravel_index(np.argmin(margins), margins.shape)  # the first nan, if any: a FAIL
-    return BoundReport(
-        name="holder_moment_bounds",
-        worst_margin=float(margins[k, i]),
-        tolerance=HOLDER_RTOL,
-        location=(float(times[i]), ("m4*m1^2 >= m2^3", "m5*m1 >= m3^2")[k]),
+    margins = np.column_stack([(m4 / m2) * (m1 / m2) * (m1 / m2) - 1.0, (m5 / m3) * (m1 / m3) - 1.0])
+    labels = ("m4*m1^2 >= m2^3", "m5*m1 >= m3^2")
+    return BoundReport.worst(
+        "holder_moment_bounds", margins, HOLDER_RTOL, lambda i, k: (float(times[i]), labels[k])
     )
 
 
@@ -114,97 +108,87 @@ def derivative_bounds_check(field: BernsteinField, scenario: ScenarioParams, T: 
     sub = field.restricted(T)
     m = scenario.m
     curv = 1.0 / (scenario.t_star - T)
-    candidates = [
-        ("Fx >= 0", float(sub.Fx.min()) / m),
-        ("Fx <= m", float(m - sub.Fx.max()) / m),
-        ("Fxx <= 0", float(-sub.Fxx.max()) / curv),
-        ("Fxx >= -1/(t*-T)", float(sub.Fxx.min() + curv) / curv),
+    labels = ["Fx >= 0", "Fx <= m", "Fxx <= 0", "Fxx >= -1/(t*-T)"]
+    margins = [
+        float(sub.Fx.min()) / m,
+        float(m - sub.Fx.max()) / m,
+        float(-sub.Fxx.max()) / curv,
+        float(sub.Fxx.min() + curv) / curv,
     ]
     if sub.times.size >= 3:
         bound = time_derivative_bound(m, scenario.t_star, T)
         dFdt = time_derivative(sub.F, sub.times)
-        candidates.append(("|dF/dt| <= bound", float(bound - np.max(np.abs(dFdt))) / bound))
-    worst_label, worst = min(candidates, key=lambda c: c[1])
-    return BoundReport(
-        name="derivative_bounds",
-        worst_margin=worst,
-        tolerance=DERIVATIVE_RTOL,
-        location=(float(T), worst_label),
-    )
+        labels.append("|dF/dt| <= bound")
+        margins.append(float(bound - np.max(np.abs(dFdt))) / bound)
+    return BoundReport.worst("derivative_bounds", margins, DERIVATIVE_RTOL, lambda i: (float(T), labels[i]))
 
 
 def g_eps_bound_check(field: BernsteinField, scenario: ScenarioParams, T: float) -> BoundReport:
-    """max |G_eps| over the times <= T < t_star stays within 3/(t_star - T),
-    with relative slack G_EPS_RTOL; located at the (t, x) of that max."""
+    """|G_eps| over the times <= T < t_star stays within 3/(t_star - T),
+    with relative slack G_EPS_RTOL, at each (t, x)."""
     if T >= scenario.t_star:
         raise ValueError(f"T={T} must lie strictly below t_star={scenario.t_star}")
     sub = field.restricted(T)
     bound = 3.0 / (scenario.t_star - T)
-    g = np.abs(sub.forcing())
-    i, j = np.unravel_index(int(np.argmax(g)), g.shape)
-    margin = float((bound - g[i, j]) / bound)
-    return BoundReport("g_eps_bound", margin, G_EPS_RTOL, (float(sub.times[i]), float(sub.x[j])))
+    margins = (bound - np.abs(sub.forcing())) / bound
+    return BoundReport.worst(
+        "g_eps_bound", margins, G_EPS_RTOL, lambda i, j: (float(sub.times[i]), float(sub.x[j]))
+    )
 
 
 def mass_conservation_check(traj: Trajectory) -> BoundReport:
-    """Largest relative mass drift of a run against MASS_DRIFT_TOL, at the
-    snapshot time of that drift."""
-    drift = traj.moments.mass_drift
-    i = int(np.argmax(drift))
-    margin = float((MASS_DRIFT_TOL - drift[i]) / MASS_DRIFT_TOL)
-    return BoundReport("mass_conservation", margin, 0.0, (float(traj.times[i]), "m1"))
+    """Relative mass drift of a run against MASS_DRIFT_TOL at each snapshot time."""
+    margins = (MASS_DRIFT_TOL - traj.moments.mass_drift) / MASS_DRIFT_TOL
+    return BoundReport.worst("mass_conservation", margins, 0.0, lambda i: (float(traj.times[i]), "m1"))
 
 
 def truncation_occupancy_check(traj: Trajectory) -> BoundReport:
-    """Largest top-bin occupancy s_max * N_n / m1(0) of a run against
-    TOP_BIN_OCCUPANCY_TOL, at the snapshot time of that occupancy: above it
-    the truncation cap suppresses enough mass to invalidate the bound checks."""
-    occupancy = traj.moments.top_bin_occupancy
-    i = int(np.argmax(occupancy))
-    margin = float((TOP_BIN_OCCUPANCY_TOL - occupancy[i]) / TOP_BIN_OCCUPANCY_TOL)
-    return BoundReport("truncation_occupancy", margin, 0.0, (float(traj.times[i]), "s_max"))
+    """Top-bin occupancy s_max * N_n / m1(0) of a run against
+    TOP_BIN_OCCUPANCY_TOL at each snapshot time: above it the truncation cap
+    suppresses enough mass to invalidate the bound checks."""
+    margins = (TOP_BIN_OCCUPANCY_TOL - traj.moments.top_bin_occupancy) / TOP_BIN_OCCUPANCY_TOL
+    return BoundReport.worst("truncation_occupancy", margins, 0.0, lambda i: (float(traj.times[i]), "s_max"))
 
 
 def cm_sampled_check(field: BernsteinField) -> BoundReport:
     """Complete monotonicity, k <= 4, from the finite differences of F on the
     field's uniform x grid at each of its times: the margin is the smallest
     signed difference quotient, against CM_SAMPLED_RTOL * m, located at the
-    (t, x, k) of its stencil centre.  Ties go to the earliest time, then the
-    lowest order, then the lowest x."""
+    (t, x, k) of its stencil centre."""
     x = field.x
     if x.size <= CM_SAMPLED_ORDERS:
         raise ValueError(f"need at least {CM_SAMPLED_ORDERS + 1} x samples")
     h = uniform_step(x)
-    # signed[k - 1][t, i]: the order-k quotient at times[t] whose stencil starts at x[i]
-    signed = [(-1) ** (k - 1) * np.diff(field.F, k, axis=1) / h ** k for k in range(1, CM_SAMPLED_ORDERS + 1)]
-    worst = np.stack([q.min(axis=1) for q in signed], axis=1)  # (T, orders), row-major ties
-    t, j = np.unravel_index(int(np.argmin(worst)), worst.shape)
-    k, i = int(j) + 1, int(np.argmin(signed[j][t]))
-    where = (float(field.times[t]), float(0.5 * (x[i] + x[i + k])), k)
-    return BoundReport("complete_monotonicity_sampled", float(worst[t, j]), CM_SAMPLED_RTOL * field.m, where)
+    # signed[t, k - 1, i]: the order-k quotient at times[t] whose stencil starts at x[i], +inf past x[-k]
+    signed = np.full((field.times.size, CM_SAMPLED_ORDERS, x.size - 1), np.inf)
+    for k in range(1, CM_SAMPLED_ORDERS + 1):
+        signed[:, k - 1, : x.size - k] = (-1) ** (k - 1) * np.diff(field.F, k, axis=1) / h**k
+
+    def locate(t, j, i):
+        return float(field.times[t]), float(0.5 * (x[i] + x[i + j + 1])), j + 1
+
+    return BoundReport.worst("complete_monotonicity_sampled", signed, CM_SAMPLED_RTOL * field.m, locate)
 
 
 def hj_residual_check(
     field: BernsteinField, scenario: ScenarioParams, eps: float, ceiling: float, ds: float | None = None
 ) -> BoundReport:
-    """Largest |residual| of the singular equation over interior snapshot
-    times and x > 0 against ``ceiling``, at its (t, x); with the grid step
-    ``ds``, the residual of the grid's equation (``hj_residual_grid``)."""
+    """|residual| of the singular equation against ``ceiling`` at each
+    interior snapshot time and x > 0; with the grid step ``ds``, the residual
+    of the grid's equation (``hj_residual_grid``)."""
     cols = np.flatnonzero(field.x > 0)
-    interior = np.abs(hj_residual_grid(field, scenario, eps, ds)[1:-1, cols])
-    i, j = np.unravel_index(int(np.argmax(interior)), interior.shape)
-    margin = float((ceiling - interior[i, j]) / ceiling)
-    return BoundReport("hj_residual", margin, 0.0, (float(field.times[1 + i]), float(field.x[cols[j]])))
+    margins = (ceiling - np.abs(hj_residual_grid(field, scenario, eps, ds)[1:-1, cols])) / ceiling
+    return BoundReport.worst(
+        "hj_residual", margins, 0.0, lambda i, j: (float(field.times[1 + i]), float(field.x[cols[j]]))
+    )
 
 
 def weak_form_check(traj: Trajectory, x_values, ceiling: float) -> BoundReport:
-    """Largest weak-form residual over the test functions 1 - exp(-x s), x in
+    """Largest weak-form residual of each test function 1 - exp(-x s), x in
     ``x_values``, against ``ceiling``, at its interior snapshot t and its x."""
-    worst, t, x = max(
-        ((*weak_form_residual(traj, _exp_test_function(xv)), xv) for xv in x_values),
-        key=lambda found: found[0],
-    )
-    return BoundReport("weak_form_residual", float((ceiling - worst) / ceiling), 0.0, (t, x))
+    found = [(*weak_form_residual(traj, _exp_test_function(xv)), xv) for xv in x_values]  # (residual, t, x)
+    margins = [(ceiling - residual) / ceiling for residual, _, _ in found]
+    return BoundReport.worst("weak_form_residual", margins, 0.0, lambda i: found[i][1:])
 
 
 def _exp_test_function(x_value: float):

@@ -33,6 +33,7 @@ from cflab.core import BoundReport, schedule, step_count
 from cflab.kinetic import _weak_form_rates, simulate
 
 README_INI = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "readme.ini"
+FINE_GRID_INI = README_INI.with_name("fine-grid.ini")
 
 BASE_CONFIG = """
 [scenario]
@@ -675,6 +676,21 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err == "warning: dt=0.002 exceeds the stability guard 0.00101\n"
 
+    @pytest.mark.parametrize("mass, volume", [("1e300", "1e-296"), ("1e308", "1e-304")])
+    def test_a_run_that_takes_no_step_is_not_warned_about(self, tmp_path, capsys, mass, volume):
+        """The README config at [solver] t_end = 0 takes no step, so the dt
+        above its stability guard (3.13e-303 at mass 1e300, an overflow at
+        1e308) gives no warning: exit 0, and stderr stays empty."""
+        text = README_INI.read_text()
+        for old, new in (("mass = 1.0 ", f"mass = {mass} "), ("t_end = 0.3", "t_end = 0"),
+                         ("volume = 10000 ", f"volume = {volume} "), ("t_grid = 0.0, 0.1, 0.2, 0.3", "t_grid = 0")):
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        cfg = tmp_path / "no_step.ini"
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
 
 class TestVerify:
     def test_missing_artifacts(self, workspace):
@@ -1089,6 +1105,35 @@ class TestOtherCommands:
         lines = (out / "stochastic.csv").read_text().splitlines()
         assert lines[0].startswith("t,m0_mean")
         assert lines[1].split(",")[-1] == "6"
+
+    @pytest.mark.parametrize(
+        "changes, row",
+        [
+            # S1 = 4.1e10, whose square is past int64
+            ({"size = 1.0": "size = 32.0", "volume = 10000 ": "volume = 3.2e8 ",
+              "t_grid = 0.0, 0.1, 0.2, 0.3": "t_grid = 0, 1e-7"}, "0,0.03125,1,32,1024,0,0,0,0,2"),
+            # sum_j j^3 c_j = 10^7 * 16384^3 = 4.4e19, past int64
+            ({"n = 4096 ": "n = 16384 ", "size = 1.0": "size = 128.0", "volume = 10000 ": "volume = 1.28e9 ",
+              "t_grid = 0.0, 0.1, 0.2, 0.3": "t_grid = 0"}, "0,0.0078125,1,128,16384,0,0,0,0,2"),
+        ],
+        ids=["s1 squared", "m3"],
+    )
+    def test_ensemble_sums_past_int64(self, tmp_path, capsys, changes, row):
+        """Two fine-grid ensembles of 10^7 particles, within MAX_PARTICLES,
+        whose integer sums are past int64: each exits 0 with no warning, keeps
+        m1 = 1 at every time and starts from the moments of the exact sums,
+        such as m3 = 0.0078125 * 128^3 = 16384."""
+        text = FINE_GRID_INI.read_text().replace("replicas = 200", "replicas = 2")
+        for old, new in changes.items():
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        cfg, out = tmp_path / "big.ini", tmp_path / "out"
+        cfg.write_text(text)
+        assert main(["stochastic", "--config", str(cfg), "--out", str(out), "--quiet"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        lines = (out / "stochastic.csv").read_text().splitlines()
+        assert lines[1] == row
+        assert [line.split(",")[2] for line in lines[1:]] == ["1"] * (len(lines) - 1)
 
     def test_seed_override_changes_ensemble(self, workspace, tmp_path):
         config, out = workspace

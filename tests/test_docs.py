@@ -116,5 +116,4 @@ def test_readme_exit_codes_are_the_defined_codes():
         cls.exit_code for cls in vars(errors).values()
         if isinstance(cls, type) and issubclass(cls, errors.CfLabError)
     }
-    assert raised <= named
-    assert sorted(documented) == sorted(named) == documented
+    assert sorted(documented) == sorted(named | raised) == documented

@@ -20,6 +20,7 @@ from cflab.errors import AbsorbingStateError
 from cflab.stochastic import (
     ParticleSystem,
     _execute_events,
+    _moments,
     _proposal_rates,
     _run,
     _split_weights,
@@ -82,6 +83,23 @@ class TestEventRates:
         assert coag == pytest.approx(pair / sys.volume)
         split = sum(0.5 * g.ds * (j - 1) * (1 + 0.3 * j * g.ds) for j in sizes)
         assert frag == pytest.approx(split)
+
+    def test_sums_past_int64_do_not_wrap(self):
+        """3 * 10^6 particles of size 2^21 make S1 = 6.3e12, whose square is
+        past int64, and S2 = 1.3e19 and j (S1 - j) = 1.3e19, past it too;
+        10^7 particles of size 16384 make sum_j j^3 c_j = 4.4e19.  The rates,
+        merge weights and m3 are those of the exact integers."""
+        n, count, ds, eps, volume = 2**21, 3 * 10**6, 0.5, 0.25, 2.0
+        g = SizeGrid(ds=ds, n=n)
+        sys = ParticleSystem(g, volume, np.full(count, n))
+        s1, s2 = count * n, count * n * n
+        assert (sys._s1, sys._s2[0], sys._pair[n]) == (s1, s2, n * (s1 - n))
+        coag, frag = _proposal_rates(sys, KernelSpec.for_grid(g, frag_eps=eps))
+        assert coag[0] == pytest.approx(ds * ds * (s1 * s1 - s2) / (2 * volume), rel=1e-15)
+        assert frag[0] == pytest.approx(0.5 * ds * (s1 - count + eps * ds * (s2 - s1)), rel=1e-15)
+        counts = np.zeros((1, 16385), dtype=np.int64)
+        counts[0, -1] = 10**7
+        assert _moments(counts, 1.0, 1.0)[0, 3] == 10**7 * 16384**3
 
     def test_truncation_suppresses_pairs(self):
         sys = system_of([3, 3], n=4)

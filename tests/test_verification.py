@@ -1,9 +1,12 @@
 """Bound checkers: envelope, moment inequalities, moment equations with the
 coefficient oracle, derivative bounds, and the locations of the run
 checks."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import cflab.verification
 from cflab import KernelSpec, ScenarioParams, SizeGrid, field_from_trajectory, make_initial
 from cflab.bernstein import BernsteinField, cm_exact_report
 from cflab.core import BoundReport, MomentSeries
@@ -17,6 +20,7 @@ from cflab.verification import (
     second_moment_envelope,
     time_derivative_bound,
     truncation_occupancy_check,
+    weak_form_check,
 )
 from oracles import distribution_field, frag_weak_coefficient, moment_ode_rhs_on_grid, x_grid
 
@@ -61,6 +65,13 @@ class TestHolder:
         report = holder_bounds_check(bad, [0.0])
         assert not report.passed
         assert report.location[1] == "m5*m1 >= m3^2"
+
+    def test_ties_go_to_the_earliest_time(self):
+        """A margin of 0 on the second inequality at t = 0 and on the first at
+        t = 0.1: the row is located at the earlier time."""
+        mom = np.array([[1.0, 1.0, 1.0, 1.0, 1.5, 1.0], [1.0, 1.0, 1.0, 1.0, 1.0, 1.5]])
+        report = holder_bounds_check(mom, [0.0, 0.1])
+        assert (report.worst_margin, report.location) == (0.0, (0.0, "m5*m1 >= m3^2"))
 
     def test_a_nan_moment_row_fails(self):
         """A nan margin is the worst row, so the check cannot pass with an
@@ -147,6 +158,20 @@ class TestDerivativeBounds:
         report = derivative_bounds_check(field, scen, T=0.5)
         assert not report.passed
 
+    @pytest.mark.parametrize("name, label", [("Fx", "Fx >= 0"), ("Fxx", "Fxx <= 0")])
+    def test_a_nan_derivative_fails(self, name, label):
+        """A nan in Fx or Fxx is the worst margin, so the row fails at the first
+        bound that reads it, rather than passing on the other bounds."""
+        g = SizeGrid(ds=0.5, n=16)
+        d = make_initial("monodisperse", g, mass=1.0, size=1.0)
+        scen = ScenarioParams.from_distribution(d)
+        field = distribution_field(d, x_grid())
+        values = getattr(field, name).copy()
+        values[0, 5] = np.nan
+        report = derivative_bounds_check(replace(field, **{name: values}), scen, T=0.5 * scen.t_star)
+        assert not report.passed and np.isnan(report.worst_margin)
+        assert report.location == (0.5 * scen.t_star, label)
+
     def test_kinetic_fields_at_half_horizon(self, run_m15_family):
         scen = run_m15_family["scenario"]
         for traj in run_m15_family["runs"].values():
@@ -167,6 +192,25 @@ class TestBoundReport:
         assert not BoundReport("x", worst_margin=-2e-3, tolerance=1e-3).passed
         assert BoundReport("x", worst_margin=0.0, tolerance=0.0).passed
 
+    def test_worst_is_the_first_smallest_margin_in_c_order(self):
+        """``worst`` reports the first smallest entry in C order, located by
+        ``locate`` of its index as ints; the first nan is the worst and fails
+        the row whatever the tolerance."""
+        margins = np.array([[0.5, -0.2, 0.1], [-0.2, 0.3, -0.2]])
+        seen = []
+
+        def locate(i, j):
+            seen.append((type(i), type(j)))
+            return ("row", i, j)
+
+        rep = BoundReport.worst("x", margins, 0.25, locate)
+        assert (rep.name, rep.worst_margin, rep.tolerance, rep.location) == ("x", -0.2, 0.25, ("row", 0, 1))
+        assert rep.passed and seen == [(int, int)]
+        margins[1, 0] = margins[1, 2] = np.nan
+        rep = BoundReport.worst("x", margins, np.inf, locate)
+        assert np.isnan(rep.worst_margin) and rep.location == ("row", 1, 0) and not rep.passed
+        assert BoundReport.worst("y", [3.0, 1.0, 1.0], 0.0, lambda i: i).location == 1
+
 
 class TestRunCheckLocations:
     def test_mass_conservation_at_the_largest_drift(self):
@@ -179,6 +223,18 @@ class TestRunCheckLocations:
         rep = mass_conservation_check(traj)
         assert rep.location == (0.1, "m1")
         assert rep.worst_margin == pytest.approx(0.7, rel=1e-12)
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_weak_form_fails_on_a_nan_residual(self, monkeypatch, at):
+        """A nan residual of any ``weak_x`` fails the row at its interior time
+        and its x, also when a later x has a larger finite residual."""
+        found = [(1e-3, 0.1), (2e-3, 0.2), (3e-3, 0.3)]
+        found[at] = (np.nan, found[at][1])
+        calls = iter(found)
+        monkeypatch.setattr(cflab.verification, "weak_form_residual", lambda traj, phi: next(calls))
+        rep = weak_form_check(None, (0.5, 1.0, 2.0), 1e-2)
+        assert rep.name == "weak_form_residual" and not rep.passed and np.isnan(rep.worst_margin)
+        assert rep.location == (found[at][1], (0.5, 1.0, 2.0)[at])
 
     def test_truncation_occupancy_at_the_largest_occupancy(self):
         """Occupancy s_max * N_n / m1(0) of 0, 1e-9, 2e-9, 2e-9 against the
