@@ -108,7 +108,7 @@ def field_from_trajectory(traj: Trajectory, x_grid: np.ndarray) -> BernsteinFiel
     series = traj.moments
     return BernsteinField(
         x=x, times=series.times.copy(), F=F, Fx=D[:, 0], Fxx=-D[:, 1],
-        m=float(series.moments[0, 1]), m2=series.column(2).copy(), mass_gap=W,
+        m=float(series.moments[0, 1]), m2=series.moments[:, 2].copy(), mass_gap=W,
     )
 
 

@@ -35,7 +35,6 @@ from .errors import (
     CfLabError,
     ConfigError,
     CsvFormatError,
-    GridError,
     MissingArtifactError,
     SolverAbort,
 )
@@ -242,7 +241,7 @@ def load_config(path) -> Experiment:
             sto_t_grid=sto_t_grid,
             seed=get("stochastic", "seed", int, 20240801, _at_least(0)),  # numpy's generators take seeds >= 0
         )
-    except (ValueError, OverflowError, GridError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value in {path}: {exc}") from exc
     unread = [
         f"[{section}] {key}"
@@ -320,8 +319,7 @@ def _read_run(exp: Experiment, out: Path) -> Trajectory:
 def cmd_verify(exp: Experiment, out: Path, quiet: bool) -> int:
     traj = _read_run(exp, out)
     scenario, t_end = exp.scenario, exp.solver.t_end
-    times, moments = traj.times, traj.moments.moments
-    m2_0 = float(moments[0, 2])
+    times, moments, m2_0 = traj.times, traj.moments.moments, scenario.m2_0
     window = envelope_window(times, m2_0)
     field = field_from_trajectory(traj, exp.verify_x)
 

@@ -19,8 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GridError
-
 #: Highest moment order tracked by the bookkeeping (m0..m5).
 MAX_MOMENT = 5
 
@@ -67,12 +65,12 @@ class SizeGrid:
         return self.ds * self.n
 
     def bin_index(self, size: float) -> int:
-        """Nearest 1-based bin for ``size``; raises GridError off the grid."""
+        """Nearest 1-based bin for ``size``; raises ValueError off the grid."""
         j = int(round(size / self.ds))
         if j < 1:
-            raise GridError(f"size {size} lies below the smallest bin {self.ds}")
+            raise ValueError(f"size {size} lies below the smallest bin {self.ds}")
         if j > self.n:
-            raise GridError(f"size {size} lies above the top of the grid {self.s_max}")
+            raise ValueError(f"size {size} lies above the top of the grid {self.s_max}")
         return j
 
 
@@ -173,10 +171,6 @@ class MomentSeries:
             raise ValueError("mass_drift and top_bin_occupancy must align with times")
         if np.any(self.moments < 0):
             raise ValueError("moments must be nonnegative")
-
-    def column(self, k: int) -> np.ndarray:
-        """Series of the k-th moment."""
-        return self.moments[:, k]
 
 
 @dataclass(frozen=True)
@@ -307,9 +301,9 @@ def make_initial(kind: str, grid: SizeGrid, *, mass: float, size: float = 1.0, l
     The discrete first moment is renormalized to hit ``mass`` exactly (within
     floating point); downstream bounds are stated relative to the system that
     is actually simulated, so the second moment should then be re-read from
-    the returned distribution.  Raises GridError when the profile does not fit
-    the grid (point mass off the grid, or relative tail mass above the top of
-    the grid exceeding ``TAIL_MASS_RTOL``), and ValueError for another kind.
+    the returned distribution.  Raises ValueError for another kind, and when
+    the profile does not fit the grid: a point mass off the grid, or relative
+    tail mass above the top of the grid exceeding ``TAIL_MASS_RTOL``.
     """
     if not mass > 0:
         raise ValueError(f"requested mass must be positive, got {mass}")
@@ -328,10 +322,10 @@ def make_initial(kind: str, grid: SizeGrid, *, mass: float, size: float = 1.0, l
     counts = s * np.exp(-(lam * grid.ds) * np.arange(1, grid.n + 1))
     m1 = float(np.dot(s, counts))
     if not m1 > 0:
-        raise GridError(f"exponential profile of rate lam = {lam:g} carries no mass on the grid")
+        raise ValueError(f"exponential profile of rate lam = {lam:g} carries no mass on the grid")
     x = lam * grid.s_max  # below 746 n, as exp(-lam * ds) > 0, so x * x is finite
     tail = math.exp(-x) * (0.5 * x * x + x + 1.0)  # closed-form relative mass beyond the grid
     if tail > TAIL_MASS_RTOL:
-        raise GridError(f"exponential profile keeps relative tail mass {tail:.3e} beyond s_max={grid.s_max}; "
-                        "enlarge the grid")
+        raise ValueError(f"exponential profile keeps relative tail mass {tail:.3e} beyond s_max={grid.s_max}; "
+                         "enlarge the grid")
     return Distribution(grid, counts * (mass / m1))

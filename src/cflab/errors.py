@@ -14,12 +14,6 @@ class CfLabError(Exception):
     label = "error"
 
 
-class GridError(CfLabError):
-    """Requested initial data cannot be represented on the size grid."""
-
-    label = "grid error"
-
-
 class SolverAbort(CfLabError):
     """Time stepper produced an invalid state (negative or non-finite counts)."""
 

@@ -157,11 +157,16 @@ def event_rate_bound(initial: Distribution, spec: KernelSpec, volume: float | No
     S1 is conserved and no particle exceeds n grid steps, so S2 - S1 <=
     (n - 1) S1, and the clock's rate ds^2 (S1^2 - S2) / 2V + (ds/2)(S1 - N +
     eps ds (S2 - S1)) stays below ds^2 S1^2 / 2V + (ds/2) S1 (1 + eps ds (n - 1)).
+    ValueError when that bound overflows, where a replica's waits would be 0
+    and its clock would never pass a grid time.
     """
     volume = _volume(initial, volume)
     grid = initial.grid
     s1 = float(_particle_counts(initial, volume) @ np.arange(1, grid.n + 1))
-    return grid.ds**2 * s1 * s1 / (2.0 * volume) + 0.5 * grid.ds * s1 * (1.0 + spec.frag_eps * grid.ds * (grid.n - 1))
+    rate = grid.ds**2 * s1 * s1 / (2.0 * volume) + 0.5 * grid.ds * s1 * (1.0 + spec.frag_eps * grid.ds * (grid.n - 1))
+    if rate == np.inf:
+        raise ValueError(f"a replica in volume {volume:g} has an event rate past the float range")
+    return rate
 
 
 def _moments(counts: np.ndarray, ds: float, volume: float, k_max: int = ENSEMBLE_MAX_MOMENT):
@@ -281,15 +286,6 @@ def _run(sys: ParticleSystem, spec: KernelSpec, t_grid) -> np.ndarray:
     gi = np.zeros(replicas, dtype=np.intp)  # index of each row's next grid time
     t = np.zeros(replicas)
     breakup = _split_weights(sys, spec)
-
-    def record(due):
-        moments[ids[due], gi[due]] = _moments(sys.counts[due], sys.grid.ds, sys.volume)
-        gi[due] += 1
-
-    for _ in range(np.searchsorted(t_grid, 0.0, side="right")):
-        record(np.ones(replicas, dtype=bool))
-    if gi[0] == t_grid.size:
-        return moments
     next_time = grid_times[gi]
     while True:
         coag, frag = _proposal_rates(sys, spec)
@@ -299,7 +295,9 @@ def _run(sys: ParticleSystem, spec: KernelSpec, t_grid) -> np.ndarray:
         t_next = t + wait
         if (next_time < t_next).any():
             while (due := next_time < t_next).any():
-                record(due)  # the state on [t, t_next) is the pre-event state
+                # the state on [t, t_next) is the pre-event state, t = 0 included
+                moments[ids[due], gi[due]] = _moments(sys.counts[due], sys.grid.ds, sys.volume)
+                gi[due] += 1
                 next_time = grid_times[gi]
             live = gi < t_grid.size
             if not live.all():

@@ -184,11 +184,13 @@ def hj_residual_check(
 
 
 def weak_form_check(traj: Trajectory, x_values, ceiling: float) -> BoundReport:
-    """Largest weak-form residual of each test function 1 - exp(-x s), x in
-    ``x_values``, against ``ceiling``, at its interior snapshot t and its x."""
-    found = [(*weak_form_residual(traj, _exp_test_function(xv)), xv) for xv in x_values]  # (residual, t, x)
-    margins = [(ceiling - residual) / ceiling for residual, _, _ in found]
-    return BoundReport.worst("weak_form_residual", margins, 0.0, lambda i: found[i][1:])
+    """|residual| of each test function 1 - exp(-x s), x in ``x_values``,
+    against ``ceiling`` at each interior snapshot time and x."""
+    residual = np.column_stack([weak_form_residual(traj, _exp_test_function(xv)) for xv in x_values])
+    return BoundReport.worst(
+        "weak_form_residual", (ceiling - residual) / ceiling, 0.0,
+        lambda i, j: (float(traj.times[1 + i]), float(x_values[j])),
+    )
 
 
 def _exp_test_function(x_value: float):

@@ -56,7 +56,7 @@ def test_02_second_moment_envelope(run_m15_family):
     scen = run_m15_family["scenario"]
     worst = np.inf
     for eps, traj in run_m15_family["runs"].items():
-        check = envelope_check(traj.times, traj.moments.column(2), scen.m2_0)
+        check = envelope_check(traj.times, traj.moments.moments[:, 2], scen.m2_0)
         worst = min(worst, check.worst_margin)
         assert check.passed, f"eps={eps}: {check}"
     report("02 second-moment-envelope", worst >= -1e-3, f"worst relative margin {worst:.3e}")
@@ -76,7 +76,7 @@ def test_03_weak_form_fidelity():
         )
         traj = simulate(config, initial)
         return max(
-            weak_form_residual(traj, lambda s, xv=xv: -np.expm1(-xv * np.asarray(s, float)))[0]
+            weak_form_residual(traj, lambda s, xv=xv: -np.expm1(-xv * np.asarray(s, float))).max()
             for xv in (0.5, 1.0, 2.0)
         )
 
@@ -225,7 +225,7 @@ def test_10_stochastic_cross_validation(ensemble_bundle):
     ens = ensemble_bundle["ensemble"]
     traj = ensemble_bundle["traj"]
     i = int(np.argmin(np.abs(traj.times - 0.3)))
-    det = traj.moments.column(2)[i]
+    det = traj.moments.moments[i, 2]
     diff = abs(float(ens.mean[-1, 2]) - det)
     budget = 3.0 * float(ens.stderr[-1, 2])
     report(

@@ -30,7 +30,7 @@ from cflab.cli import (
     main,
 )
 from cflab.core import BoundReport, schedule, step_count
-from cflab.kinetic import _weak_form_rates, simulate
+from cflab.kinetic import Trajectory, _weak_form_rates, simulate
 
 README_INI = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "readme.ini"
 FINE_GRID_INI = README_INI.with_name("fine-grid.ini")
@@ -83,6 +83,22 @@ t_end = 0.2
 x_lo = 0.6
 x_hi = 4.0
 """
+
+
+def fast_clock_config(text):
+    """BASE_CONFIG at mass 1e305 and volume 1e-301 (10^4 particles), with
+    t_grid, [convergence] t_hi and [characteristics] t_end = 0, which keep the
+    other plans from refusing it."""
+    for old, new in [
+        ("mass = 1.0", "mass = 1e305"),
+        ("volume = 400", "volume = 1e-301"),
+        ("t_grid = 0.0, 0.1", "t_grid = 0"),
+        ("[convergence]\n", "[convergence]\nt_hi = 0\n"),
+        ("t_end = 0.2\nx_lo", "t_end = 0\nx_lo"),
+    ]:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return text
 
 
 @pytest.fixture
@@ -376,6 +392,36 @@ class TestConfig:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "[stochastic] volume: the ensemble's volume inf must be positive and finite" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "stochastic"])
+    def test_an_event_rate_past_the_float_range_is_usage_error(self, workspace, tmp_path, capsys, command):
+        """10^4 particles of mass 1e305 in volume 1e-301 take the ensemble's
+        event rate bound to inf, where waits are 0 and a replica's clock
+        never passes even t_grid = 0: one config line, for a run of no
+        events too, not a RuntimeWarning in the ensemble's rates."""
+        config, out = workspace
+        cfg = tmp_path / "fast_clock.ini"
+        cfg.write_text(fast_clock_config(config.read_text()))
+        assert main([command, "--config", str(cfg), "--quiet"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "[stochastic] volume: a replica in volume 1e-301 has an event rate past the float range" in err
+        assert not out.exists()
+
+    def test_an_event_rate_past_the_float_range_does_not_hang(self, workspace, tmp_path):
+        """Without warnings as errors, a replica of infinite event rate would
+        take waits of 0 forever; stochastic exits 64 at once."""
+        config, out = workspace
+        cfg = tmp_path / "fast_clock.ini"
+        cfg.write_text(fast_clock_config(config.read_text()))
+        src = str(Path(cflab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "cflab.cli", "stochastic", "--config", str(cfg), "--quiet"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == EXIT_USAGE and done.stderr.count("\n") == 1, done.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("x_hi", ["1000", "1e12"])
     def test_a_wide_characteristics_range_runs(self, workspace, tmp_path, x_hi):
         """Fan paths that start far out have nearly flat F, whose secants are
@@ -577,7 +623,6 @@ class TestErrorMapping:
             (errors.FanCoverageError("x"), 3, "fan coverage: x\n"),
             (errors.MissingArtifactError("x"), EXIT_NOINPUT, "missing artifact: x\n"),
             (errors.CsvFormatError("x"), EXIT_DATA, "artifact parse failure: x\n"),
-            (errors.GridError("x"), EXIT_USAGE, "grid error: x\n"),
             (errors.ConfigError("x"), EXIT_USAGE, "config error: x\n"),
             (errors.AbsorbingStateError("x"), EXIT_USAGE, "error: x\n"),
             (errors.FanCrossingError("x"), EXIT_SOLVER_ABORT, "fan crossing: x\n"),
@@ -592,6 +637,18 @@ class TestErrorMapping:
                 "warning: dt=0.001 exceeds the stability guard 1.95e-304\n"
                 "solver abort: non-finite counts; dt is far above the stability guard\n",
             ),
+            (
+                {
+                    "mass = 1.0": "mass = 1e308",
+                    "volume = 400": "volume = 1e-308",
+                    "t_grid = 0.0, 0.1": "t_grid = 0",
+                    "[convergence]\n": "[convergence]\nt_hi = 0\n",
+                    "t_end = 0.2\nx_lo": "t_end = 0\nx_lo",
+                },
+                EXIT_SOLVER_ABORT,
+                "warning: dt=0.001 exceeds the stability guard 0\n"
+                "solver abort: non-finite counts; dt is far above the stability guard\n",
+            ),
         ],
         ids=lambda v: type(v).__name__ if isinstance(v, (Exception, BoundReport, dict)) else None,
     )
@@ -599,8 +656,9 @@ class TestErrorMapping:
         """Each nonzero exit of simulate prints one ``label: message`` line,
         after the stability warning when dt exceeds the guard, and no
         RuntimeWarning: an error that the run raises, a FAIL row of its
-        report, or a config whose fragmentation rates overflow (with
-        ``t_grid = 0``, so the ensemble's event cap does not refuse it)."""
+        report, or a config whose fragmentation or coagulation rates overflow
+        (with ``t_grid = 0`` and, at mass 1e308, a volume of one particle, so
+        that the ensemble's event cap does not refuse it)."""
         config, out = workspace
         if isinstance(failure, dict):
             text = config.read_text()
@@ -676,11 +734,13 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err == "warning: dt=0.002 exceeds the stability guard 0.00101\n"
 
-    @pytest.mark.parametrize("mass, volume", [("1e300", "1e-296"), ("1e308", "1e-304")])
+    @pytest.mark.parametrize("mass, volume", [("1e300", "1e-296"), ("1e308", "1e-308")])
     def test_a_run_that_takes_no_step_is_not_warned_about(self, tmp_path, capsys, mass, volume):
         """The README config at [solver] t_end = 0 takes no step, so the dt
         above its stability guard (3.13e-303 at mass 1e300, an overflow at
-        1e308) gives no warning: exit 0, and stderr stays empty."""
+        1e308) gives no warning: exit 0, and stderr stays empty.  The volume
+        holds 10^4 particles at mass 1e300 and one at 1e308, where 10^4 would
+        take the ensemble's event rate past the float range."""
         text = README_INI.read_text()
         for old, new in (("mass = 1.0 ", f"mass = {mass} "), ("t_end = 0.3", "t_end = 0"),
                          ("volume = 10000 ", f"volume = {volume} "), ("t_grid = 0.0, 0.1, 0.2, 0.3", "t_grid = 0")):
@@ -784,6 +844,28 @@ class TestVerify:
         with open(out / "verify_report.csv", newline="") as fh:
             rows = [r for r in csv.DictReader(fh) if r["name"] == "second_moment_envelope"]
         assert [float(r["t"]) for r in rows] == list(times[:4])
+
+    def test_envelope_rows_take_t_star_from_the_scenario(self, tmp_path, monkeypatch, capsys):
+        """verify uses one t* = 1 / m2(0), the scenario's, for every row: with
+        exponential data on the README config, the first snapshot's m2 is one
+        ulp from the scenario's, and every envelope call still gets the
+        scenario's."""
+        text = README_INI.read_text()
+        assert text.count("kind = monodisperse") == 1
+        cfg, out = tmp_path / "expo.ini", tmp_path / "out"
+        cfg.write_text(text.replace("kind = monodisperse", "kind = exponential"))
+        exp = load_config(cfg)
+        first = Trajectory.of_snapshots([0.0], exp.initial.counts[None], exp.initial.grid, exp.solver.spec)
+        assert first.moments.moments[0, 2] != exp.scenario.m2_0
+        seen = []
+        for name in ("envelope_check", "envelope_window"):
+            check = getattr(cflab.cli, name)
+            monkeypatch.setattr(cflab.cli, name, lambda *a, check=check: seen.append(a[-1]) or check(*a))
+        for command in ("simulate", "verify"):
+            main([command, "--config", str(cfg), "--out", str(out), "--quiet"])
+        assert len(seen) == 1 + sum(exp.solver.snapshot_times <= 0.8 / exp.scenario.m2_0)
+        assert seen == [exp.scenario.m2_0] * len(seen)
+        assert "bound violation: truncation_occupancy FAIL" in capsys.readouterr().err
 
 
     def test_report_locations_are_the_true_worst(self, workspace):

@@ -275,7 +275,7 @@ class TestEnsemble:
         spec = KernelSpec.for_grid(g, frag_eps=0.0)
         scen = ScenarioParams.from_distribution(d)
         config = SolverConfig(dt=1e-4, t_end=0.2, output_every=2000, spec=spec, scenario=scen)
-        det = simulate(config, d).moments.column(2)[-1]
+        det = simulate(config, d).moments.moments[-1, 2]
         ens = ensemble_moments(d, spec, [0.0, 0.2], replicas=60, seed=11, volume=2000.0)
         assert abs(ens.mean[-1, 2] - det) <= 3.0 * ens.stderr[-1, 2]
 
@@ -327,6 +327,21 @@ class TestLockstepEngine:
             (alone,) = _run(ParticleSystem.from_distribution(d, volume, seed=(seed, r)), spec, t_grid)
             assert np.array_equal(alone, batches[3][r])
             assert np.array_equal(alone, batches[5][r])
+
+    @pytest.mark.parametrize(
+        "t_grid", [[0.0], [0.0, 0.0], [0.0, 0.0, 0.1], [0.05, 0.1]], ids=["zero", "zeros", "repeated-zero", "no-zero"]
+    )
+    def test_grid_times_at_zero_are_the_initial_state(self, t_grid):
+        """Grid times at t = 0, alone, repeated or all of them, record the
+        initial state through the loop's one rule, and a grid without t = 0
+        records none: each row is the one-replica replay."""
+        g = SizeGrid(ds=0.5, n=32)
+        d = make_initial("exponential", g, mass=1.0, lam=2.0)
+        spec = KernelSpec(frag_eps=0.3, truncation=24)
+        batch = _run(ParticleSystem.from_distribution(d, 1000.0, seed=17, replicas=3), spec, t_grid)
+        for r in range(3):
+            alone, _ = replay_replica(d, spec, t_grid, 1000.0, seed=(17, r))
+            assert np.array_equal(alone, batch[r])
 
     @pytest.mark.parametrize("sizes", [[1, 1, 3], [1, 1, 2, 2], [1, 2, 6]])
     def test_pair_pick_matches_enumeration(self, sizes):

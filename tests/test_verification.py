@@ -2,6 +2,7 @@
 coefficient oracle, derivative bounds, and the locations of the run
 checks."""
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -228,13 +229,29 @@ class TestRunCheckLocations:
     def test_weak_form_fails_on_a_nan_residual(self, monkeypatch, at):
         """A nan residual of any ``weak_x`` fails the row at its interior time
         and its x, also when a later x has a larger finite residual."""
-        found = [(1e-3, 0.1), (2e-3, 0.2), (3e-3, 0.3)]
-        found[at] = (np.nan, found[at][1])
+        traj = SimpleNamespace(times=np.array([0.0, 0.1, 0.2, 0.3, 0.4]))
+        found = [np.full(3, 1e-3 * (k + 1)) for k in range(3)]  # at the interior times 0.1, 0.2, 0.3
+        found[at][at] = np.nan
         calls = iter(found)
         monkeypatch.setattr(cflab.verification, "weak_form_residual", lambda traj, phi: next(calls))
-        rep = weak_form_check(None, (0.5, 1.0, 2.0), 1e-2)
+        rep = weak_form_check(traj, (0.5, 1.0, 2.0), 1e-2)
         assert rep.name == "weak_form_residual" and not rep.passed and np.isnan(rep.worst_margin)
-        assert rep.location == (found[at][1], (0.5, 1.0, 2.0)[at])
+        assert rep.location == (traj.times[1 + at], (0.5, 1.0, 2.0)[at])
+
+    @pytest.mark.parametrize(
+        "later, where", [(4e-3, (0.2, 2.0)), (1e-3, (0.3, 1.0))], ids=["earliest-t", "first-x"]
+    )
+    def test_weak_form_ties_go_to_the_earliest_time_then_the_first_x(self, monkeypatch, later, where):
+        """Equal largest residuals at two ``weak_x`` and two times: the row is
+        located at the earliest of those times, and among the x of that time
+        at the first."""
+        traj = SimpleNamespace(times=np.array([0.0, 0.1, 0.2, 0.3, 0.4]))
+        # residuals at the interior times 0.1, 0.2, 0.3 of weak_x 0.5, 1.0 and 2.0
+        calls = iter([np.array([1e-3, 1e-3, 1e-3]), np.array([1e-3, 1e-3, 4e-3]), np.array([1e-3, later, 4e-3])])
+        monkeypatch.setattr(cflab.verification, "weak_form_residual", lambda traj, phi: next(calls))
+        rep = weak_form_check(traj, (0.5, 1.0, 2.0), 1e-2)
+        assert rep.location == where
+        assert rep.worst_margin == pytest.approx(0.6, rel=1e-12)
 
     def test_truncation_occupancy_at_the_largest_occupancy(self):
         """Occupancy s_max * N_n / m1(0) of 0, 1e-9, 2e-9, 2e-9 against the
