@@ -220,8 +220,10 @@ def _pchip(xs, ys, xq):
         h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], secant[[0, -1]], secant[[1, -2]]
         d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
         keep = np.sign(d) == np.sign(m0)
-        limit = keep & (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
-        slope[[0, -1]] = np.where(keep, np.where(limit, 3.0 * m0, d), 0.0)
+        # 3 m0 may overflow at a huge secant; np.where forms it on every row
+        with np.errstate(over="ignore"):
+            limit = keep & (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+            slope[[0, -1]] = np.where(keep, np.where(limit, 3.0 * m0, d), 0.0)
     # Hermite cubic on [xs[k], xs[k+1]] in local power form, s = x - xs[k]
     t = (slope[:-1] + slope[1:] - 2.0 * secant) / h
     c2 = (secant - slope[:-1]) / h - t

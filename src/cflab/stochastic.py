@@ -19,13 +19,12 @@ All replicas advance one event per vectorised step, without rejection.  The
 ordered pair of distinct particles, weighted s_i * s_l, is picked bin by bin:
 the first bin a with weight a (S1 - a) c_a, the second, on merging rows only,
 with weight b (c_b - [b == a]), each by inverse CDF on a row cumulative sum up
-to the largest bin occupied so far.  An event draws one exponential and three
-uniforms from its replica's own generator: per block of events, the block's
-exponentials, then its uniforms, a window of events at a time.  Every replica
-refills at the same event and one that leaves the batch stops drawing, so a
-replica is bit-identical alone or in a batch of any size.  Each replica's
-draws fill its own row of two buffers allocated once, which are refilled in
-place and never copied.
+to the largest bin occupied so far.  An event draws four uniforms from its
+replica's own generator, a window of events at a time, and the first becomes
+its wait, -log1p(-u), an exponential (Gillespie 1977).  Every replica refills
+its own row of one buffer, allocated once, at the same event, and one that
+leaves the batch stops drawing, so a replica is bit-identical alone or in a
+batch of any size.
 
 `ensemble_moments` is the one public run: it records the moments m0..m3 of
 every replica at each grid time and returns their mean and standard error.
@@ -44,14 +43,10 @@ from .errors import AbsorbingStateError
 #: Highest empirical moment recorded by ensemble statistics (m0..m3).
 ENSEMBLE_MAX_MOMENT = 3
 
-#: Events per block of draws, on which every replica's stream depends: its
-#: generator gives _RNG_BLOCK exponentials, then 3 * _RNG_BLOCK uniforms.
-_RNG_BLOCK = 256
-
-#: Events per window of uniforms, a divisor of _RNG_BLOCK.  Each replica holds
-#: one block of exponentials and one window of uniforms, refilled in place:
-#: 0.7 MB for 200 replicas.
-_UNIFORM_WINDOW = 64
+#: Events per window of draws, on which every replica's stream depends: its
+#: generator fills its row of the (replicas, _WINDOW, 4) draw buffer in place,
+#: 0.4 MB for 200 replicas.
+_WINDOW = 64
 
 
 class ParticleSystem:
@@ -61,6 +56,8 @@ class ParticleSystem:
     Mutable by design: `gillespie_step` advances every replica in place.  A single replica draws from
     ``default_rng(seed)``; with ``replicas = R > 1``, replica r draws from
     ``default_rng((seed, r))``, the stream of a single system seeded (seed, r).
+    Each event takes the next four uniforms of its replica's stream, and the
+    first becomes its exponential wait.
     """
 
     def __init__(self, grid: SizeGrid, volume: float, sizes, seed=0, replicas: int = 1):
@@ -84,8 +81,7 @@ class ParticleSystem:
         self._top = int(sizes.max(initial=0))  # no replica holds a particle above this bin
         seeds = [seed] if replicas == 1 else [(seed, r) for r in range(replicas)]
         self._rngs = [np.random.default_rng(s) for s in seeds]
-        self._exp = np.empty((replicas, _RNG_BLOCK))
-        self._uniform = np.empty((replicas, _UNIFORM_WINDOW, 3))
+        self._draws = np.empty((replicas, _WINDOW, 4))
         self._rows = np.arange(replicas)  # buffer row and generator of each replica in the batch
         self._k = 0  # events drawn so far
 
@@ -99,29 +95,25 @@ class ParticleSystem:
 
     def _next_draws(self) -> np.ndarray:
         """One exponential and three uniforms per replica for its next event,
-        as a (replicas, 4) table.
+        as a (replicas, 4) row of the draw buffer, valid until the next call.
 
-        At the start of a block, each replica's generator fills its row of
-        exponentials; at the start of each window, its row of uniforms, so it
-        gives the block's exponentials, then the block's uniforms in order.
+        At the start of each window, each replica's generator fills its row of
+        the buffer with uniforms, and the first of each event's four becomes
+        its wait, -log1p(-u).
         """
-        k, w = self._k % _RNG_BLOCK, self._k % _UNIFORM_WINDOW
+        w = self._k % _WINDOW
+        # while no replica has left, slices read the buffer faster than an index array
+        rows = self._rows if self._rows.size < len(self._rngs) else slice(None)
         if w == 0:
             for r in self._rows.tolist():
-                if k == 0:
-                    self._rngs[r].standard_exponential(out=self._exp[r])
-                self._rngs[r].random(out=self._uniform[r])
+                self._rngs[r].random(out=self._draws[r])
+            self._draws[rows, :, 0] = -np.log1p(-self._draws[rows, :, 0])
         self._k += 1
-        # while no replica has left, slices read the columns faster than an index array
-        rows = self._rows if self._rows.size < len(self._rngs) else slice(None)
-        draws = np.empty((self._rows.size, 4))
-        draws[:, 0] = self._exp[rows, k]
-        draws[:, 1:] = self._uniform[rows, w]
-        return draws
+        return self._draws[rows, w]
 
     def _keep(self, rows: np.ndarray):
         """Drop the replicas outside the boolean mask ``rows``; their draws are
-        left in the buffers, unread."""
+        left in the buffer, unread."""
         self.counts = self.counts[rows]
         self._s2, self._n = self._s2[rows], self._n[rows]
         self._rows = self._rows[rows]
@@ -341,8 +333,12 @@ def ensemble_moments(
     volume = _volume(initial, volume)
     sys = ParticleSystem.from_distribution(initial, volume, seed=seed, replicas=replicas)
     stacked = _run(sys, spec, t_grid)
-    mean = stacked.mean(axis=0)
-    stderr = stacked.std(axis=0, ddof=1) / np.sqrt(replicas)
+    # each (t, k) column is scaled by a power of two to a largest magnitude in
+    # [1, 2), so its sums cannot overflow; that scaling commutes with rounding
+    scale = np.ldexp(1.0, np.frexp(np.abs(stacked).max(axis=0))[1] - 1)
+    stacked /= scale
+    mean = stacked.mean(axis=0) * scale
+    stderr = stacked.std(axis=0, ddof=1) / np.sqrt(replicas) * scale
     return EnsembleMoments(
         times=np.asarray(t_grid, dtype=float), mean=mean, stderr=stderr, replicas=replicas
     )

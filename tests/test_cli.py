@@ -1217,6 +1217,45 @@ class TestOtherCommands:
         assert lines[1] == row
         assert [line.split(",")[2] for line in lines[1:]] == ["1"] * (len(lines) - 1)
 
+    @staticmethod
+    def mass_near_the_float_range(tmp_path):
+        """The README config at mass 1e308 and volume 1e-308 (one particle),
+        with t_grid, [convergence] t_hi and [characteristics] t_end = 0, which
+        keep the plans from refusing it."""
+        text = README_INI.read_text()
+        for old, new in (("mass = 1.0 ", "mass = 1e308 "), ("volume = 10000 ", "volume = 1e-308 "),
+                         ("t_grid = 0.0, 0.1, 0.2, 0.3", "t_grid = 0"),
+                         ("[convergence]\n", "[convergence]\nt_hi = 0\n"),
+                         ("[characteristics]\n", "[characteristics]\nt_end = 0\n")):
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        cfg = tmp_path / "big_mass.ini"
+        cfg.write_text(text)
+        return cfg
+
+    @pytest.mark.parametrize("command, code", [("characteristics", EXIT_OK), ("convergence", EXIT_BOUND_VIOLATION)])
+    def test_fan_field_at_a_mass_near_the_float_range(self, tmp_path, capsys, command, code):
+        """At mass 1e308 the end slopes of the fan field's interpolant, 3 m0,
+        overflow in a branch that they do not take: characteristics exits 0
+        with no warning, and convergence prints its one report line."""
+        cfg, out = self.mass_near_the_float_range(tmp_path), tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == (code != EXIT_OK)
+        assert all(line.startswith("bound violation: ") for line in err)
+
+    def test_ensemble_at_a_mass_near_the_float_range(self, tmp_path, capsys):
+        """At mass 1e308 the sum of 200 replicas' moments is past the float
+        range, but their mean is not: stochastic exits 0 with no warning and
+        writes means of 1e308."""
+        cfg, out = self.mass_near_the_float_range(tmp_path), tmp_path / "out"
+        assert main(["stochastic", "--config", str(cfg), "--out", str(out), "--quiet"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        with open(out / "stochastic.csv", newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        for k in range(4):
+            assert float(row[f"m{k}_mean"]) == pytest.approx(1e308, rel=5e-15)
+
     def test_seed_override_changes_ensemble(self, workspace, tmp_path):
         config, out = workspace
         other = tmp_path / "out_seeded"

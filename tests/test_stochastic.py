@@ -296,7 +296,7 @@ class TestLockstepEngine:
     def batches_of_3_and_5(seed=17):
         """The (R, T, 4) moments that _run gives batches of 3 and 5 replicas, and
         the run's arguments: exponential data on which over-cap merges occur
-        and each replica runs about 400 events, more than one block of draws."""
+        and each replica runs about 400 events, more than one window of draws."""
         g = SizeGrid(ds=0.5, n=32)
         d = make_initial("exponential", g, mass=1.0, lam=2.0)
         spec = KernelSpec(frag_eps=0.3, truncation=24)
@@ -410,14 +410,15 @@ class TestLockstepEngine:
 
     def test_draws_are_the_documented_stream(self):
         """The tables _next_draws gives a batch of 5 replicas that runs into a
-        third block and loses replicas mid-block: each row is the next draw of a
-        replica still in the batch, in replica order, and replica r's draws are
-        a fresh default_rng((seed, r)) giving, per block of 256 events, 256
-        exponentials and then a (256, 3) array of uniforms."""
+        third window, loses replicas mid-window and refills after: each row is
+        the next draw of a replica still in the batch, in replica order, and
+        replica r's draws are a fresh default_rng((seed, r)) giving, a window
+        of 64 events at a time, a (64, 4) array of uniforms whose column 0
+        becomes -log1p(-u)."""
         g = SizeGrid(ds=0.5, n=32)
         d = make_initial("exponential", g, mass=1.0, lam=2.0)
         spec = KernelSpec(frag_eps=0.3, truncation=24)
-        seed, replicas, block = 17, 5, 256
+        seed, replicas, window = 17, 5, 64
         sys = ParticleSystem.from_distribution(d, 1000.0, seed=seed, replicas=replicas)
         drawn, next_draws = [], sys._next_draws
 
@@ -428,15 +429,12 @@ class TestLockstepEngine:
 
         sys._next_draws = recording
         _run(sys, spec, [0.0, 0.6])
-        assert len(drawn) > 2 * block
+        assert len(drawn) > 2 * window
         streams = []
         for r in range(replicas):
-            rng = np.random.default_rng((seed, r))
-            blocks = [
-                np.column_stack([rng.standard_exponential(block), rng.random((block, 3))])
-                for _ in range(len(drawn) // block + 1)
-            ]
-            streams.append(np.concatenate(blocks))
+            stream = np.random.default_rng((seed, r)).random((len(drawn), 4))
+            stream[:, 0] = -np.log1p(-stream[:, 0])
+            streams.append(stream)
         live, departures = list(range(replicas)), []
         for i, draws in enumerate(drawn):
             still = [r for r in live if any(np.array_equal(streams[r][i], row) for row in draws)]
@@ -445,13 +443,27 @@ class TestLockstepEngine:
                 departures.append(i)
             live = still
         assert len(live) >= 1
-        assert any(i % block for i in departures)
+        assert any(i % window for i in departures)
+        assert departures[0] < (len(drawn) - 1) // window * window  # a window refilled after one left
+
+    def test_waits_are_standard_exponentials(self):
+        """Column 0 of 10^5 draws, 100 events of 1000 replicas at a fixed seed,
+        passes a Kolmogorov-Smirnov test against Exp(1), and columns 1..3 one
+        against U(0, 1)."""
+        from scipy.stats import kstest
+
+        sys = ParticleSystem(SizeGrid(ds=1.0, n=8), 1.0, [1, 2, 3], seed=23, replicas=1000)
+        draws = np.concatenate([sys._next_draws() for _ in range(100)])
+        assert draws.shape == (100_000, 4)
+        assert kstest(draws[:, 0], "expon").pvalue > 1e-3
+        for column in range(1, 4):
+            assert kstest(draws[:, column], "uniform").pvalue > 1e-3
 
     def test_memory_of_the_readme_ensemble_is_bounded(self, readme_experiment):
-        """The README ensemble (200 replicas) keeps its draws in two buffers
-        allocated once and never copied, so its peak stays under 1.5 MiB; a
-        new 1.6 MB block of draws per refill and a copy of it per retirement
-        took 3.55 MiB."""
+        """The README ensemble (200 replicas) keeps its draws in one (200, 64,
+        4) buffer allocated once and refilled in place, so its peak stays under
+        1.25 MiB (1.07 MiB measured); two buffers, a block of 256 exponentials
+        and a window of uniforms, and a new table per event took 1.36 MiB."""
         exp = readme_experiment
         assert exp.sto_replicas == 200
         args = exp.initial, exp.solver.spec
@@ -464,7 +476,7 @@ class TestLockstepEngine:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 2**20
+        assert peak < 1.25 * 2**20
 
     def test_batch_conserves_mass_with_null_events(self):
         """Every row keeps its mass exactly and its counts nonnegative over
