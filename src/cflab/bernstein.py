@@ -124,7 +124,7 @@ def cm_exact_report(grid: SizeGrid, counts: np.ndarray, times, x_samples) -> Bou
     located at its (t, x, k)."""
     x = np.asarray(x_samples, dtype=float)
     _, D, _ = bernstein_sums(grid, counts, x, CM_EXACT_ORDERS)
-    D /= max(float(np.dot(grid.sizes, counts[0])), 1e-300)
+    D /= max(float(grid.moments(counts[0])[1]), 1e-300)
     return BoundReport.worst(
         "complete_monotonicity_exact", D, CM_EXACT_RTOL, lambda t, k, i: (float(times[t]), float(x[i]), k + 1)
     )

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bernstein import BernsteinField, bernstein_sums
 from .core import BoundReport, Distribution, march, rk4
-from .errors import FanCoverageError, FanCrossingError
+from .errors import FanCoverageError, FanCrossingError, SolverAbort
 
 #: Paths are terminated (not extrapolated) once X falls to this floor.
 X_FLOOR = 1e-6
@@ -31,10 +31,10 @@ CROSSING_SEPARATION = 1e-12
 
 
 def char_rhs(state, m: float):
-    """Right-hand side of the Hamiltonian system; raises on the singular boundary."""
+    """Right-hand side of the Hamiltonian system; SolverAbort on the singular boundary."""
     x, p, z = state
     if np.any(np.asarray(x) <= 0):
-        raise ValueError("characteristic reached the singular boundary x <= 0")
+        raise SolverAbort("characteristic reached the singular boundary x <= 0")
     return (p - (m + 0.5), z / (x * x) - p / x, 0.5 * p * p - z / x + 0.5 * m * (1.0 - m))
 
 
@@ -261,11 +261,10 @@ def monotone_derivative_checks(fan: CharacteristicFan, t_star: float | None = No
     (X, Z) stay in [0, m], and, when the blow-up horizon is supplied, second
     difference quotients respect the curvature floor -1/(t_star - t_end) and
     exp(t/(t_star - t_end)) * dX stays nondecreasing along each adjacent gap.
-    Per-path worst cases are located at (t, path index), ties going to the
-    lowest path, then the earliest time; cross-path ones at (t, gap index
-    among the surviving paths), ties going to the earliest time, then the
-    lowest gap; a second difference is located at the lower of its two gaps.
-    ValueError unless t_star lies beyond the last fan time.
+    Each row is ``BoundReport.worst`` of its smallest margin at each recorded
+    time, located at (t, path index) or (t, gap index among the surviving
+    paths), a second difference at the lower of its two gaps; a row with no
+    entry passes at margin 0.  ValueError unless t_star > the last fan time.
     """
     m, times = fan.m, fan.times
     tolerances = {
@@ -282,40 +281,36 @@ def monotone_derivative_checks(fan: CharacteristicFan, t_star: float | None = No
         scale, factor = 1.0 / tau, np.exp(times / tau)
         tolerances["curvature_within_envelope"] = 1e-3 * scale + 1e-10
         tolerances["x_spread_factor_nondecreasing"] = 1e-8
-    worst = {}
+    # per row and time index, the first smallest margin or first nan and its
+    # path or gap; +inf where the time has no entry or masked (+inf) ones only
+    smallest = {name: (np.full(times.size, np.inf), np.zeros(times.size, dtype=int)) for name in tolerances}
 
-    def offer(name, margins, i, per_path):
-        """Keep the smallest entry of one row of margins at time index i under
-        the key (margin, path, time) or (margin, time, gap); a nan ranks
-        lowest, and masked (+inf) entries are never kept."""
-        if margins.size == 0:
-            return
-        k = int(np.argmin(margins))
-        margin = float(margins[k])
-        if margin == np.inf:
-            return
-        rank = -np.inf if np.isnan(margin) else margin
-        key = (rank, k, i) if per_path else (rank, i, k)
-        if name not in worst or key < worst[name][0]:
-            worst[name] = (key, BoundReport(name, margin, tolerances[name], (float(times[i]), k)))
+    def keep(name, margins, i):
+        if margins.size:
+            k = int(np.argmin(margins))
+            smallest[name][0][i], smallest[name][1][i] = margins[k], k
 
     for i in range(times.size):
         live, x, p, z = fan.alive[i], fan.x[i], fan.p[i], fan.z[i]
-        offer("p_within_[0,m]", np.where(live, np.minimum(p, m - p), np.inf), i, True)
-        offer("dp_nonnegative", np.where(live, (z / x - p) / x, np.inf), i, True)
+        keep("p_within_[0,m]", np.where(live, np.minimum(p, m - p), np.inf), i)
+        keep("dp_nonnegative", np.where(live, (z / x - p) / x, np.inf), i)
         if i + 1 < times.size:
             both = live & fan.alive[i + 1]
-            offer("p_nondecreasing", np.where(both, fan.p[i + 1] - p, np.inf), i, True)
+            keep("p_nondecreasing", np.where(both, fan.p[i + 1] - p, np.inf), i)
             if t_star is not None:
                 now, later = (factor[j] * np.diff(fan.x[j]) for j in (i, i + 1))
                 grow = (later - now) / np.maximum(now, np.finfo(float).tiny)
-                offer("x_spread_factor_nondecreasing", np.where(both[1:] & both[:-1], grow, np.inf), i, True)
+                keep("x_spread_factor_nondecreasing", np.where(both[1:] & both[:-1], grow, np.inf), i)
         xs, zs = x[live], z[live]
         gaps = np.diff(xs)
         quot = np.diff(zs) / gaps
-        offer("non_crossing", gaps - CROSSING_SEPARATION, i, False)
-        offer("slope_quotients_in_[0,m]", np.minimum(quot, m - quot), i, False)
+        keep("non_crossing", gaps - CROSSING_SEPARATION, i)
+        keep("slope_quotients_in_[0,m]", np.minimum(quot, m - quot), i)
         if t_star is not None:
             second = 2.0 * np.diff(quot) / (xs[2:] - xs[:-2])
-            offer("curvature_within_envelope", np.minimum(second + scale, -second), i, False)
-    return tuple(worst[name][1] if name in worst else BoundReport(name, 0.0, tol) for name, tol in tolerances.items())
+            keep("curvature_within_envelope", np.minimum(second + scale, -second), i)
+    reports = (
+        BoundReport.worst(name, smallest[name][0], tol, lambda i: (float(times[i]), int(smallest[name][1][i])))
+        for name, tol in tolerances.items()
+    )
+    return tuple(BoundReport(r.name, 0.0, r.tolerance) if r.worst_margin == np.inf else r for r in reports)

@@ -44,7 +44,6 @@ from .verification import (
     cm_sampled_check,
     derivative_bounds_check,
     envelope_check,
-    envelope_window,
     g_eps_bound_check,
     hj_residual_check,
     holder_bounds_check,
@@ -319,15 +318,13 @@ def _read_run(exp: Experiment, out: Path) -> Trajectory:
 def cmd_verify(exp: Experiment, out: Path, quiet: bool) -> int:
     traj = _read_run(exp, out)
     scenario, t_end = exp.scenario, exp.solver.t_end
-    times, moments, m2_0 = traj.times, traj.moments.moments, scenario.m2_0
-    window = envelope_window(times, m2_0)
+    times, moments = traj.times, traj.moments.moments
     field = field_from_trajectory(traj, exp.verify_x)
 
     reports = [
         mass_conservation_check(traj),
         truncation_occupancy_check(traj),
-        # the envelope margin is reported per output time
-        *(envelope_check([t], [m2], m2_0) for t, m2 in zip(times[window], moments[window, 2])),
+        envelope_check(times, moments[:, 2], scenario.m2_0),
         holder_bounds_check(moments, times),
         cm_exact_report(traj.grid, traj.counts, times, exp.verify_x),
     ]

@@ -64,6 +64,11 @@ class SizeGrid:
         """Largest representable size ``n*ds``."""
         return self.ds * self.n
 
+    def moments(self, counts: np.ndarray) -> np.ndarray:
+        """m0..m5 of ``counts`` (n,): the one moment formula, so equal counts
+        give equal moments bit for bit.  The (n, 6) powers are not kept."""
+        return np.vander(self.sizes, MAX_MOMENT + 1, increasing=True).T @ counts
+
     def bin_index(self, size: float) -> int:
         """Nearest 1-based bin for ``size``; raises ValueError off the grid."""
         j = int(round(size / self.ds))
@@ -97,7 +102,7 @@ class Distribution:
         """k-th moment ``sum_i s_i^k N_i`` for k = 0..5; m_1 is the total mass."""
         if not 0 <= k <= MAX_MOMENT:
             raise ValueError(f"moment order must be in 0..{MAX_MOMENT}, got {k}")
-        return float(np.dot(self.grid.sizes ** k, self.counts))
+        return float(self.grid.moments(self.counts)[k])
 
 
 @dataclass(frozen=True)
@@ -320,7 +325,7 @@ def make_initial(kind: str, grid: SizeGrid, *, mass: float, size: float = 1.0, l
     # the density's factor lam**2 * ds cancels in the renormalization; lam * ds
     # may overflow to inf, whose exp(-inf) = 0 numpy forms without a warning
     counts = s * np.exp(-(lam * grid.ds) * np.arange(1, grid.n + 1))
-    m1 = float(np.dot(s, counts))
+    m1 = float(grid.moments(counts)[1])
     if not m1 > 0:
         raise ValueError(f"exponential profile of rate lam = {lam:g} carries no mass on the grid")
     x = lam * grid.s_max  # below 746 n, as exp(-lam * ds) > 0, so x * x is finite

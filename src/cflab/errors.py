@@ -15,7 +15,7 @@ class CfLabError(Exception):
 
 
 class SolverAbort(CfLabError):
-    """Time stepper produced an invalid state (negative or non-finite counts)."""
+    """Time stepper produced an invalid state: bad counts, or a fan path at x <= 0."""
 
     exit_code = 1
     label = "solver abort"

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
-    MAX_MOMENT, Distribution, KernelSpec, MomentSeries, ScenarioParams, SizeGrid, _readonly, block_rows, march,
+    Distribution, KernelSpec, MomentSeries, ScenarioParams, SizeGrid, _readonly, block_rows, march,
     rk4, schedule, step_count, time_derivative,
 )
 from .errors import SolverAbort
@@ -105,10 +105,9 @@ class Trajectory:
         ``truncation_occupancy_check`` hold to MASS_DRIFT_TOL and
         TOP_BIN_OCCUPANCY_TOL."""
         counts = _readonly(counts)
-        m1_0 = float(np.dot(grid.sizes, counts[0]))
+        moments = np.stack([grid.moments(row) for row in counts])
+        m1_0 = float(moments[0, 1])
         mass_scale = m1_0 if m1_0 > 0 else 1.0
-        powers = np.vander(grid.sizes, MAX_MOMENT + 1, increasing=True)
-        moments = np.stack([powers.T @ row for row in counts])
         drift = np.abs(moments[:, 1] - m1_0) / mass_scale
         series = MomentSeries(times, moments, drift, grid.s_max * counts[:, -1] / mass_scale)
         return cls(counts, grid, series, spec, metadata)

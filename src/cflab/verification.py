@@ -47,18 +47,13 @@ def second_moment_envelope(m2_0: float, t: float) -> float:
     return 1.0 / (1.0 / m2_0 - t)
 
 
-def envelope_window(times, m2_0: float) -> np.ndarray:
-    """Mask of the ``times`` at which the envelope is checked: those up to
-    ENVELOPE_WINDOW * t_star."""
-    return np.asarray(times, dtype=float) <= ENVELOPE_WINDOW * (1.0 / m2_0) * (1.0 + 1e-12)
-
-
 def envelope_check(times: np.ndarray, m2_series: np.ndarray, m2_0: float) -> BoundReport:
-    """Second moment stays under its envelope at the times of the envelope
-    window.  Margins are relative to the envelope value."""
+    """Second moment stays under its envelope at the ``times`` up to
+    ENVELOPE_WINDOW * t_star, with 1e-12 relative slack on that edge.
+    Margins are relative to the envelope value."""
     times = np.asarray(times, dtype=float)
     m2_series = np.asarray(m2_series, dtype=float)
-    keep = envelope_window(times, m2_0)
+    keep = times <= ENVELOPE_WINDOW * (1.0 / m2_0) * (1.0 + 1e-12)
     if not np.any(keep):
         raise ValueError(f"no samples at or before {ENVELOPE_WINDOW:g} * t_star")
     t_kept = times[keep]

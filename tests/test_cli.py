@@ -31,6 +31,7 @@ from cflab.cli import (
 )
 from cflab.core import BoundReport, schedule, step_count
 from cflab.kinetic import Trajectory, _weak_form_rates, simulate
+from cflab.verification import second_moment_envelope
 
 README_INI = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "readme.ini"
 FINE_GRID_INI = README_INI.with_name("fine-grid.ini")
@@ -677,6 +678,31 @@ class TestErrorMapping:
         assert main(["simulate", "--config", str(config), "--quiet"]) == code
         assert capsys.readouterr().err == err.format(out=out)
 
+    @pytest.mark.parametrize("command", ["characteristics", "convergence"])
+    def test_a_fan_path_at_x_0_is_one_solver_abort_line(self, tmp_path, command):
+        """The README config at mass 4 with exponential data of rate 0.5 on
+        256 bins has t* = 0.042, and its fans run to t = 0.3: past t*, a path
+        reaches x <= 0 inside an RK4 stage.  In a fresh interpreter under
+        -W error the fan's subcommand exits 1 with one solver abort line and
+        no traceback."""
+        text = README_INI.read_text()
+        for old, new in (("mass = 1.0 ", "mass = 4 "), ("n = 128 ", "n = 256 "),
+                         ("kind = monodisperse ", "kind = exponential\nlam = 0.5 ")):
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        cfg = tmp_path / "mass4.ini"
+        cfg.write_text(text)
+        assert load_config(cfg).scenario.t_star == pytest.approx(0.042, abs=5e-4)
+        src = str(Path(cflab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "cflab.cli", command, "--config", str(cfg),
+             "--out", str(tmp_path / "out"), "--quiet"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == EXIT_SOLVER_ABORT
+        assert done.stderr == "solver abort: characteristic reached the singular boundary x <= 0\n"
+
 
 class TestSimulate:
     def test_success_writes_artifacts(self, workspace):
@@ -828,43 +854,45 @@ class TestVerify:
         assert "second_moment_envelope" in names
         assert "hj_residual" in names
 
-    def test_envelope_rows_keep_a_time_just_past_the_window(self, workspace, monkeypatch):
-        """verify writes one envelope row per output time up to
-        ENVELOPE_WINDOW * t_star, with envelope_check's 1e-12 relative slack:
-        a time 5e-13 past the window's edge still gets its row."""
+    def test_envelope_is_one_row_at_its_worst_time(self, workspace):
+        """verify writes one second_moment_envelope row: the smallest margin
+        (envelope - m2) / envelope over the snapshot times up to
+        ENVELOPE_WINDOW * t_star, at its time."""
         config, out = workspace
-        assert main(["simulate", "--config", str(config), "--quiet"]) == EXIT_OK
+        for command in ("simulate", "verify"):
+            assert main([command, "--config", str(config), "--quiet"]) == EXIT_OK
         exp = load_config(config)
-        times, m2_0 = exp.solver.snapshot_times, exp.initial.moment(2)
-        assert list(times) == pytest.approx([0.0, 0.05, 0.1, 0.15, 0.2])
-        edge = times[3] * m2_0 * (1.0 - 5e-13)
-        assert not times[3] <= edge * (1.0 / m2_0)  # outside the window without the slack
-        monkeypatch.setattr(cflab.verification, "ENVELOPE_WINDOW", edge)
-        assert main(["verify", "--config", str(config), "--quiet"]) == EXIT_OK
+        traj = simulate(exp.solver, exp.initial)
+        m2_0 = exp.scenario.m2_0
+        worst = min(
+            ((env - m2) / env, t)
+            for t, m2 in zip(traj.times, traj.moments.moments[:, 2])
+            if t <= cflab.verification.ENVELOPE_WINDOW / m2_0
+            for env in [second_moment_envelope(m2_0, t)]
+        )
         with open(out / "verify_report.csv", newline="") as fh:
             rows = [r for r in csv.DictReader(fh) if r["name"] == "second_moment_envelope"]
-        assert [float(r["t"]) for r in rows] == list(times[:4])
+        assert len(rows) == 1
+        assert (float(rows[0]["worst_margin"]), float(rows[0]["t"])) == worst
+        assert rows[0]["x_or_k"] == "m2"
 
     def test_envelope_rows_take_t_star_from_the_scenario(self, tmp_path, monkeypatch, capsys):
-        """verify uses one t* = 1 / m2(0), the scenario's, for every row: with
-        exponential data on the README config, the first snapshot's m2 is one
-        ulp from the scenario's, and every envelope call still gets the
-        scenario's."""
+        """verify uses one t* = 1 / m2(0), the scenario's: with exponential
+        data on the README config, the first snapshot's m2 is the scenario's
+        bit for bit, and the one envelope call gets it."""
         text = README_INI.read_text()
         assert text.count("kind = monodisperse") == 1
         cfg, out = tmp_path / "expo.ini", tmp_path / "out"
         cfg.write_text(text.replace("kind = monodisperse", "kind = exponential"))
         exp = load_config(cfg)
         first = Trajectory.of_snapshots([0.0], exp.initial.counts[None], exp.initial.grid, exp.solver.spec)
-        assert first.moments.moments[0, 2] != exp.scenario.m2_0
+        assert first.moments.moments[0, 2] == exp.scenario.m2_0
         seen = []
-        for name in ("envelope_check", "envelope_window"):
-            check = getattr(cflab.cli, name)
-            monkeypatch.setattr(cflab.cli, name, lambda *a, check=check: seen.append(a[-1]) or check(*a))
+        check = cflab.cli.envelope_check
+        monkeypatch.setattr(cflab.cli, "envelope_check", lambda *a: seen.append(a[-1]) or check(*a))
         for command in ("simulate", "verify"):
             main([command, "--config", str(cfg), "--out", str(out), "--quiet"])
-        assert len(seen) == 1 + sum(exp.solver.snapshot_times <= 0.8 / exp.scenario.m2_0)
-        assert seen == [exp.scenario.m2_0] * len(seen)
+        assert seen == [exp.scenario.m2_0]
         assert "bound violation: truncation_occupancy FAIL" in capsys.readouterr().err
 
 
@@ -929,8 +957,8 @@ class TestVerify:
 
 
 def fan_loop_worst(path, scenario):
-    """(margin, location) of four fan checks from loops over fan.csv: per path,
-    then per time, for the per-path checks (at (t, path)); per time, then per
+    """(margin, location) of four fan checks from loops over fan.csv: per time,
+    then per path, for the per-path checks (at (t, path)); per time, then per
     adjacent gap among the surviving paths, for the cross-path ones (at
     (t, gap), a second difference at its lower gap)."""
     data = np.genfromtxt(path, delimiter=",", skip_header=1)
@@ -943,12 +971,11 @@ def fan_loop_worst(path, scenario):
         if value < worst.get(name, (np.inf,))[0]:
             worst[name] = (float(value), where)
 
-    for jp in range(x.shape[1]):
-        for i, t in enumerate(times):
+    for i, t in enumerate(times):
+        for jp in range(x.shape[1]):
             if not dead[i, jp]:
                 offer("p_within_[0,m]", min(p[i, jp], m - p[i, jp]), (t, jp))
                 offer("dp_nonnegative", (z[i, jp] / x[i, jp] - p[i, jp]) / x[i, jp], (t, jp))
-    for i, t in enumerate(times):
         xs, zs = x[i, dead[i] == 0], z[i, dead[i] == 0]
         quot = [(zs[g + 1] - zs[g]) / (xs[g + 1] - xs[g]) for g in range(xs.size - 1)]
         for g, q in enumerate(quot):

@@ -3,6 +3,7 @@ conservation, stepping contracts, and the weak-form residual."""
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cflab import KernelSpec, ScenarioParams, SizeGrid, SolverConfig, core, kinetic, make_initial, simulate
+from cflab.cli import load_config
 from cflab.core import Distribution
 from cflab.errors import SolverAbort
 from cflab.kinetic import (
@@ -24,6 +26,8 @@ from cflab.kinetic import (
 )
 from cflab.verification import second_moment_envelope
 from oracles import frag_kernel, frag_weak_coefficient, moment_ode_rhs_on_grid, simulate_loop
+
+CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
 
 # --- brute-force references: the independent oracle for the vectorized rhs ---
@@ -290,6 +294,20 @@ class TestSimulate:
         traj = simulate(make_config(g, dt=1e-3, t_end=0.0), d)
         assert traj.counts.shape == (1, 8)
         np.testing.assert_array_equal(traj.counts[0], d.counts)
+
+    @pytest.mark.parametrize("kind", ["monodisperse", "exponential"])
+    @pytest.mark.parametrize("workload", ["readme", "fine-grid"])
+    def test_a_snapshot_of_the_initial_data_has_the_scenario_moments(self, workload, kind):
+        """The scenario and a snapshot of its initial data read one moment
+        formula: on both workload grids and for both kinds, the snapshot's m1
+        and m2 are the scenario's bit for bit, and its mass drift against
+        itself is 0."""
+        grid = load_config(CONFIGS / f"{workload}.ini").initial.grid
+        initial = make_initial(kind, grid, mass=1.0)
+        scenario = ScenarioParams.from_distribution(initial)
+        traj = Trajectory.of_snapshots([0.0], initial.counts[None], grid, KernelSpec.for_grid(grid))
+        assert (traj.moments.moments[0, 1], traj.moments.moments[0, 2]) == (scenario.m, scenario.m2_0)
+        assert traj.moments.mass_drift[0] == 0.0
 
     def test_stride_must_divide_the_step_count(self):
         """300 steps in strides of 7 would end on a 6-step stride, which the

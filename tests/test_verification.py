@@ -46,6 +46,19 @@ class TestEnvelope:
         bad = np.array([1.0, 1.5, 2.0])
         assert not envelope_check(times, bad, m2_0=1.0).passed
 
+    @pytest.mark.parametrize("past, kept", [(5e-13, True), (1e-11, False)])
+    def test_window_edge_has_a_relative_slack_of_1e_12(self, past, kept):
+        """A time ``past`` the edge ENVELOPE_WINDOW * t_star, relative, is in
+        the window under the 1e-12 slack and out of it past that: a violation
+        there fails the row, or is ignored."""
+        t_edge = cflab.verification.ENVELOPE_WINDOW * (1.0 + past)
+        times = np.array([0.0, 0.4, t_edge])
+        m2 = 2.0 * np.array([second_moment_envelope(1.0, t) for t in times])
+        m2[:2] = 1.0
+        report = envelope_check(times, m2, m2_0=1.0)
+        assert report.passed is not kept
+        assert report.location == ((t_edge, "m2") if kept else (0.0, "m2"))
+
 
 class TestHolder:
     def test_monodisperse_equality_case(self):
